@@ -216,26 +216,33 @@ def cmd_prepare(args) -> int:
     taxonomy = ds.default_taxonomy()
 
     with _locked_dir(out_dir):
-        # Pass 1: vocabularies, fine labels, category counts. Streaming,
-        # no record objects retained.
-        vocab_sets: dict[int, set] = {p: set() for p in ds.CATEGORICAL_POSITIONS}
+        # Pass 1: vocabularies, fine labels, category counts. Streaming by
+        # block; only int32 label codes are retained.
+        vocab_sets = [set() for _ in ds.CATEGORICAL_POSITIONS]
         label_index: dict[str, int] = {}
-        y_tmp: list[int] = []
+        code_blocks: list[np.ndarray] = []
         with _open_data(data_path) as stream:
-            for record in ds.iter_kdd(stream):
-                taxonomy.category_of(record.label)  # total-coverage check
-                for pos in ds.CATEGORICAL_POSITIONS:
-                    vocab_sets[pos].add(record.values[pos])
-                y_tmp.append(label_index.setdefault(record.label, len(label_index)))
-        n = len(y_tmp)
-        if n == 0:
+            for block in ds.iter_blocks(stream):
+                for vocab, values in zip(vocab_sets, zip(*block.categorical)):
+                    vocab.update(values)
+                codes = np.empty(len(block), dtype=np.int32)
+                for i, label in enumerate(block.labels):
+                    if label not in label_index:
+                        taxonomy.category_of(label)  # total-coverage check
+                        label_index[label] = len(label_index)
+                    codes[i] = label_index[label]
+                code_blocks.append(codes)
+        if not code_blocks:
             raise EmptyInputError(f"no records in {data_path}")
+        y_tmp = np.concatenate(code_blocks)
+        del code_blocks
+        n = y_tmp.size
 
         fine_names = sorted(label_index)
         remap = np.empty(len(fine_names), dtype=np.int32)
         for label, tmp_idx in label_index.items():
             remap[tmp_idx] = fine_names.index(label)
-        y_fine = remap[np.asarray(y_tmp, dtype=np.int32)]
+        y_fine = remap[y_tmp]
         del y_tmp
 
         fine_to_cat = np.asarray(
@@ -249,7 +256,10 @@ def cmd_prepare(args) -> int:
         }
 
         schema = ds.schema_from_vocabularies(
-            {ds.FEATURE_NAMES[p]: sorted(vocab_sets[p]) for p in ds.CATEGORICAL_POSITIONS}
+            {
+                ds.FEATURE_NAMES[p]: vocab
+                for p, vocab in zip(ds.CATEGORICAL_POSITIONS, vocab_sets)
+            }
         )
         d = pp.encoded_width(schema)
 
@@ -264,27 +274,21 @@ def cmd_prepare(args) -> int:
         dest_pos[train_idx] = np.arange(train_idx.size)
         dest_pos[test_idx] = np.arange(test_idx.size)
 
-        # Pass 2: encode rows straight into the preallocated split matrices.
+        # Pass 2: encode block by block, scattering rows into the
+        # preallocated split matrices.
         x_train = np.zeros((train_idx.size, d), dtype=np.float32)
         x_test = np.zeros((test_idx.size, d), dtype=np.float32)
-        n_cont = len(ds.CONTINUOUS_POSITIONS)
-        cat_offsets = {}
-        base = n_cont
-        for pos in ds.CATEGORICAL_POSITIONS:
-            vocab = schema.vocabularies[ds.FEATURE_NAMES[pos]]
-            cat_offsets[pos] = (base, {v: i for i, v in enumerate(vocab)})
-            base += len(vocab)
-
+        start = 0
         with _open_data(data_path) as stream:
-            for i, record in enumerate(ds.iter_kdd(stream)):
-                row = x_test[dest_pos[i]] if dest_is_test[i] else x_train[dest_pos[i]]
-                values = record.values
-                for ci, pos in enumerate(ds.CONTINUOUS_POSITIONS):
-                    row[ci] = float(values[pos])
-                for pos in ds.CATEGORICAL_POSITIONS:
-                    offset, index = cat_offsets[pos]
-                    row[offset + index[values[pos]]] = 1.0
+            for block in ds.iter_blocks(stream):
+                rows = slice(start, start + len(block))
+                start = rows.stop
+                x = pp.encode_block(block, schema)
+                is_test = dest_is_test[rows]
+                x_test[dest_pos[rows][is_test]] = x[is_test]
+                x_train[dest_pos[rows][~is_test]] = x[~is_test]
 
+        n_cont = len(ds.CONTINUOUS_POSITIONS)
         scaling = pp.fit_scaling(x_train, n_cont)
         pp.apply_scaling(x_train, scaling)
         pp.apply_scaling(x_test, scaling)
@@ -430,12 +434,7 @@ def cmd_evaluate(args) -> int:
             raise ShapeMismatchError(
                 f"container width {test_ds.d} vs model width {model.dims[0]}"
             )
-        preds = np.empty(test_ds.n, dtype=np.int64)
-        chunk = 65536
-        for start in range(0, test_ds.n, chunk):
-            preds[start : start + chunk] = mlp.predict(
-                model, test_ds.x[start : start + chunk]
-            )
+        preds = mlp.predict(model, test_ds.x)
         cm = metrics.confusion(test_ds.y, preds, test_ds.k, test_ds.class_names)
         rep = metrics.report(cm)
         for fmt in ("text", "csv", "json"):
@@ -498,10 +497,9 @@ def cmd_explain(args) -> int:
             class_names=test_ds.class_names,
         )
         residuals = kshap.efficiency_residuals(expl, model_fn(foreground))
-        per_class_residual = {
-            name: float(residuals[c].max())
-            for c, name in enumerate(test_ds.class_names)
-        }
+        per_class_residual = dict(
+            zip(test_ds.class_names, residuals.max(axis=1).tolist())
+        )
         for c, name in enumerate(test_ds.class_names):
             (out_dir / f"shap_{name}.csv").write_bytes(kshap.explanation_csv(expl, c))
         (out_dir / "top5.csv").write_bytes(kshap.top_features_csv(expl, cfg.top_k))

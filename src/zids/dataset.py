@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Mapping, Union
 
+import numpy as np
+
 from .errors import (
     EmptyInputError,
     FieldTypeError,
@@ -224,37 +226,120 @@ def _decode(line: _Line) -> str:
     return line
 
 
-def iter_kdd(stream: _Stream) -> Iterator[RawRecord]:
-    """Stream RawRecords off a KDD99 file, one line at a time.
+BLOCK_ROWS = 1024  # records per RecordBlock; larger blocks raise prepare's peak RSS
 
-    Keeps O(1) state per line; safe for the full 700MB file. Empty lines
-    are skipped. Labels come out lowercased with the trailing dot removed.
 
-    Raises MalformedLineError when a line does not have 42 fields and
-    FieldTypeError when a continuous field is not a finite non-negative
-    number.
+@dataclass(frozen=True)
+class RecordBlock:
+    """Up to BLOCK_ROWS consecutive records, validated and half-parsed.
+
+    Row i came from stream line line_numbers[i] (1-based, blank lines
+    counted); lines[i] is that line stripped. categorical[i] holds the
+    (protocol_type, service, flag) values, labels[i] the normalized label,
+    and continuous[i] the 38 continuous features in CONTINUOUS_POSITIONS
+    order as float64.
     """
-    isfinite = math.isfinite
+
+    line_numbers: list[int]
+    lines: list[str]
+    categorical: list[tuple[str, str, str]]
+    labels: list[str]
+    continuous: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.lines)
+
+
+def _checked_floats(lines: list[str], line_numbers: list[int]) -> np.ndarray:
+    """Continuous values cell by cell with float(); raises FieldTypeError
+    at the first cell that is not a finite non-negative number."""
+    x = np.empty((len(lines), len(CONTINUOUS_POSITIONS)))
+    for row, (line_no, line) in enumerate(zip(line_numbers, lines)):
+        parts = line.split(",")
+        for ci, col in enumerate(CONTINUOUS_POSITIONS):
+            try:
+                v = float(parts[col])
+            except ValueError:
+                raise FieldTypeError(line_no, col, parts[col]) from None
+            if not math.isfinite(v) or v < 0.0:
+                raise FieldTypeError(line_no, col, parts[col])
+            x[row, ci] = v
+    return x
+
+
+def _continuous(lines: list[str], line_numbers: list[int]) -> np.ndarray:
+    """The (rows, 38) float64 continuous block of well-formed lines.
+
+    np.loadtxt parses a subset of what float() accepts (no "1_000", no
+    non-ASCII digits) to the same values, so any block it rejects, or
+    whose values are not all finite and non-negative, is converted again
+    cell by cell; that either accepts the block or locates the bad cell.
+    """
+    try:
+        x = np.loadtxt(
+            lines,
+            delimiter=",",
+            usecols=CONTINUOUS_POSITIONS,
+            dtype=np.float64,
+            comments=None,
+            ndmin=2,
+        )
+    except ValueError:
+        return _checked_floats(lines, line_numbers)
+    if np.isfinite(x).all() and (x >= 0.0).all():
+        return x
+    return _checked_floats(lines, line_numbers)
+
+
+def iter_blocks(stream: _Stream) -> Iterator[RecordBlock]:
+    """Stream RecordBlocks of up to BLOCK_ROWS records off a KDD99 file.
+
+    Memory is bounded by one block; safe for the full 700MB file. Empty
+    lines are skipped. Labels come out lowercased with the trailing dot
+    removed.
+
+    Raises MalformedLineError when a line does not have 42 fields or has
+    an empty label, and FieldTypeError when a continuous field is not a
+    finite non-negative number. When a block holds both, the error on the
+    earlier line is raised.
+    """
+    line_numbers: list[int] = []
+    lines: list[str] = []
+    categorical: list[tuple[str, str, str]] = []
+    labels: list[str] = []
     for line_no, raw in enumerate(stream, start=1):
         line = _decode(raw).strip()
         if not line:
             continue
         parts = line.split(",")
-        if len(parts) != NUM_FIELDS:
-            raise MalformedLineError(line_no, len(parts))
-        label = parts.pop().lower()
+        label = parts[-1].lower()
         if label.endswith("."):
             label = label[:-1]
-        if not label:
-            raise MalformedLineError(line_no, NUM_FIELDS)
-        for col in CONTINUOUS_POSITIONS:
-            try:
-                v = float(parts[col])
-            except ValueError:
-                raise FieldTypeError(line_no, col, parts[col]) from None
-            if not isfinite(v) or v < 0.0:
-                raise FieldTypeError(line_no, col, parts[col])
-        yield RawRecord(values=tuple(parts), label=label)
+        if len(parts) != NUM_FIELDS or not label:
+            if lines:
+                _continuous(lines, line_numbers)  # an earlier bad cell wins
+            raise MalformedLineError(line_no, len(parts))
+        line_numbers.append(line_no)
+        lines.append(line)
+        categorical.append((parts[1], parts[2], parts[3]))
+        labels.append(label)
+        if len(lines) == BLOCK_ROWS:
+            yield RecordBlock(line_numbers, lines, categorical, labels,
+                              _continuous(lines, line_numbers))
+            line_numbers, lines, categorical, labels = [], [], [], []
+    if lines:
+        yield RecordBlock(line_numbers, lines, categorical, labels,
+                          _continuous(lines, line_numbers))
+
+
+def iter_kdd(stream: _Stream) -> Iterator[RawRecord]:
+    """Stream RawRecords off a KDD99 file (see iter_blocks).
+
+    Feature values are kept as the strings on the line.
+    """
+    for block in iter_blocks(stream):
+        for line, label in zip(block.lines, block.labels):
+            yield RawRecord(values=tuple(line.split(",")[:-1]), label=label)
 
 
 def parse_kdd(stream: _Stream) -> list[RawRecord]:

@@ -121,6 +121,11 @@ class LabelOutOfRangeError(ZidsError):
     """A label fell outside 0..K-1 when computing a confusion matrix."""
 
 
+class MalformedReportError(ZidsError):
+    """A report document lacks a field report_to_dict writes, or has one of
+    the wrong type."""
+
+
 class EmptyMatrixError(ZidsError):
     """A classification report was requested for an all-zero matrix."""
 

@@ -14,7 +14,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyMatrixError, LabelOutOfRangeError, ShapeMismatchError
+from .errors import (
+    EmptyMatrixError,
+    LabelOutOfRangeError,
+    MalformedReportError,
+    ShapeMismatchError,
+)
 
 
 @dataclass
@@ -167,17 +172,32 @@ def report_to_dict(rep: ClassificationReport) -> dict:
     }
 
 
-def report_from_dict(doc: dict) -> ClassificationReport:
+_NUMBER = (int, float)
+
+
+def _field(doc, key: str, kind):
+    """doc[key], which must be an instance of kind (bools never count)."""
+    value = doc.get(key) if isinstance(doc, dict) else None
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise MalformedReportError(f"report field {key!r} is missing or mistyped")
+    return value
+
+
+def report_from_dict(doc) -> ClassificationReport:
+    """Inverse of report_to_dict; raises MalformedReportError on a document
+    of any other shape."""
+
+    def scores(d) -> tuple:
+        return tuple(_field(d, key, _NUMBER) for key in ("precision", "recall", "f1"))
+
+    classes = _field(doc, "classes", list)
     return ClassificationReport(
-        class_names=[c["name"] for c in doc["classes"]],
-        per_class=[
-            ClassScores(c["precision"], c["recall"], c["f1"], c["support"])
-            for c in doc["classes"]
-        ],
-        accuracy=doc["accuracy"],
-        macro_avg=AverageScores(**doc["macro_avg"]),
-        weighted_avg=AverageScores(**doc["weighted_avg"]),
-        total_support=doc["total_support"],
+        class_names=[_field(c, "name", str) for c in classes],
+        per_class=[ClassScores(*scores(c), _field(c, "support", int)) for c in classes],
+        accuracy=_field(doc, "accuracy", _NUMBER),
+        macro_avg=AverageScores(*scores(_field(doc, "macro_avg", dict))),
+        weighted_avg=AverageScores(*scores(_field(doc, "weighted_avg", dict))),
+        total_support=_field(doc, "total_support", int),
     )
 
 

@@ -27,6 +27,7 @@ MODEL_MAGIC = b"ZMLP"
 MODEL_VERSION = 1
 
 LOG_FLOOR = 1e-12  # added inside log() so hard zeros stay finite
+_CHUNK_ROWS = 65536  # rows per forward pass in predict() and _evaluate()
 
 
 @dataclass
@@ -108,13 +109,17 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _check_input(model: MlpModel, x: np.ndarray) -> np.ndarray:
+def _check_shape(model: MlpModel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] != model.dims[0]:
         raise ShapeMismatchError(
             f"input shape {x.shape} does not match model width {model.dims[0]}"
         )
-    return x.astype(np.float64, copy=False)
+    return x
+
+
+def _check_input(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    return _check_shape(model, x).astype(np.float64, copy=False)
 
 
 def _forward_cached(model: MlpModel, x: np.ndarray):
@@ -136,8 +141,16 @@ def forward(model: MlpModel, x_batch: np.ndarray) -> np.ndarray:
 
 
 def predict(model: MlpModel, x_batch: np.ndarray) -> np.ndarray:
-    """Argmax class per row; ties resolve to the lowest index."""
-    return np.argmax(forward(model, x_batch), axis=1)
+    """Argmax class per row; ties resolve to the lowest index.
+
+    Runs forward() on _CHUNK_ROWS rows at a time to bound memory.
+    """
+    x = _check_shape(model, x_batch)
+    preds = np.empty(x.shape[0], dtype=np.intp)
+    for start in range(0, x.shape[0], _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        preds[rows] = np.argmax(forward(model, x[rows]), axis=1)
+    return preds
 
 
 def _sample_weights(
@@ -166,11 +179,20 @@ def loss(
         raise ShapeMismatchError(
             f"probs {probs.shape} incompatible with labels {y.shape}"
         )
+    nll, weight_sum = _nll_sum(probs, y, weights)
+    return nll / weight_sum
+
+
+def _nll_sum(
+    probs: np.ndarray, y: np.ndarray, weights: Optional[ClassWeights]
+) -> tuple[float, float]:
+    """Weighted negative log-likelihood summed over rows, and the weight sum."""
     w = _sample_weights(y, probs.shape[1], weights)
     picked = probs[np.arange(y.shape[0]), y]
     # min() keeps the floored argument <= 1 so the loss never goes negative
     # when float softmax saturates a probability at exactly 1.0
-    return float(-(w * np.log(np.minimum(picked + LOG_FLOOR, 1.0))).sum() / w.sum())
+    nll = -(w * np.log(np.minimum(picked + LOG_FLOOR, 1.0))).sum()
+    return float(nll), float(w.sum())
 
 
 def _backprop(
@@ -278,21 +300,19 @@ def _evaluate(
     x: np.ndarray,
     y: np.ndarray,
     weights: Optional[ClassWeights],
-    chunk: int = 65536,
 ) -> tuple[float, float]:
-    """Full-pass loss and accuracy, chunked to bound memory."""
+    """Full-pass loss and accuracy, _CHUNK_ROWS rows at a time."""
     n = x.shape[0]
     total_nll = 0.0
     total_w = 0.0
     correct = 0
-    for start in range(0, n, chunk):
-        xb = x[start : start + chunk]
-        yb = np.asarray(y[start : start + chunk], dtype=np.int64)
-        probs = forward(model, xb)
-        w = _sample_weights(yb, probs.shape[1], weights)
-        picked = probs[np.arange(yb.shape[0]), yb]
-        total_nll += float(-(w * np.log(np.minimum(picked + LOG_FLOOR, 1.0))).sum())
-        total_w += float(w.sum())
+    for start in range(0, n, _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        yb = np.asarray(y[rows], dtype=np.int64)
+        probs = forward(model, x[rows])
+        nll, weight_sum = _nll_sum(probs, yb, weights)
+        total_nll += nll
+        total_w += weight_sum
         correct += int((np.argmax(probs, axis=1) == yb).sum())
     return total_nll / total_w, correct / n
 

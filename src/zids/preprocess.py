@@ -95,24 +95,21 @@ def encoded_feature_names(schema: ds.FeatureSchema) -> list[str]:
     return names
 
 
-def _raw_matrix(records: Sequence[ds.RawRecord], schema: ds.FeatureSchema) -> np.ndarray:
-    """Unscaled encoded matrix: raw continuous values plus one-hot blocks."""
-    n = len(records)
-    d = encoded_width(schema)
-    x = np.zeros((n, d), dtype=np.float32)
-    for ci, pos in enumerate(ds.CONTINUOUS_POSITIONS):
-        x[:, ci] = np.asarray([r.values[pos] for r in records], dtype=np.float32)
+def encode_block(block: ds.RecordBlock, schema: ds.FeatureSchema) -> np.ndarray:
+    """Unscaled encoded rows of one block: raw continuous values plus one-hot blocks."""
+    x = np.zeros((len(block), encoded_width(schema)), dtype=np.float32)
     base = len(ds.CONTINUOUS_POSITIONS)
-    for pos in ds.CATEGORICAL_POSITIONS:
+    x[:, :base] = block.continuous
+    rows = np.arange(len(block))
+    for j, pos in enumerate(ds.CATEGORICAL_POSITIONS):
         feature = ds.FEATURE_NAMES[pos]
         vocab = schema.vocabularies[feature]
         index = {value: i for i, value in enumerate(vocab)}
-        for row, record in enumerate(records):
-            value = record.values[pos]
-            try:
-                x[row, base + index[value]] = 1.0
-            except KeyError:
-                raise UnknownCategoryError(feature, value) from None
+        try:
+            cols = [index[values[j]] for values in block.categorical]
+        except KeyError as exc:
+            raise UnknownCategoryError(feature, exc.args[0]) from None
+        x[rows, base + np.asarray(cols, dtype=np.intp)] = 1.0
         base += len(vocab)
     return x
 
@@ -154,6 +151,9 @@ def encode(
     None it is fitted on these records, otherwise applied as given; the
     same fit-or-apply convention holds for class_names, which lets a test
     set reuse the training class order.
+
+    The records go through the block parser and encode_block as their
+    wire lines, the path prepare takes, so both agree bit for bit.
     """
     if granularity not in ("coarse", "fine"):
         raise ValueError(f"granularity must be 'coarse' or 'fine': {granularity!r}")
@@ -182,7 +182,8 @@ def encode(
             except KeyError:
                 raise UnknownLabelError(record.label) from None
 
-    x = _raw_matrix(records, schema)
+    blocks = ds.iter_blocks(ds.format_kdd(r) for r in records)
+    x = np.concatenate([encode_block(block, schema) for block in blocks])
     if scaling is None:
         scaling = fit_scaling(x, len(ds.CONTINUOUS_POSITIONS))
     else:

@@ -1,6 +1,7 @@
 """End-to-end command behavior on a small corpus: artifacts, determinism,
 exit codes."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -106,21 +107,20 @@ class TestPrepare:
         assert train.x[:, :n_cont].min() >= 0.0
         assert train.x[:, :n_cont].max() <= 1.0
 
-    def test_streaming_prepare_matches_library_encode(self, small_experiment):
-        """The two-pass streaming path and encode() agree bit for bit."""
-        records = ds.parse_kdd(open(small_experiment.corpus))
-        schema = ds.build_schema(records)
-        tax = ds.default_taxonomy()
-        fine_names = sorted({r.label for r in records})
-        name_idx = {n: i for i, n in enumerate(fine_names)}
-        y_fine = np.array([name_idx[r.label] for r in records], dtype=np.int32)
-        train_idx, _ = pp.split_indices(y_fine, len(fine_names), 0.33, seed=0)
-        train_records = [records[i] for i in train_idx]
-        enc = pp.encode(train_records, schema, tax, granularity="coarse")
-        loaded = pp.read_container(small_experiment.prepared / "train.zids", "coarse")
-        assert np.array_equal(enc.x, loaded.x)
-        assert np.array_equal(enc.y, loaded.y)
-        assert enc.scaling == loaded.scaling
+    def test_artifact_digests_pinned(self, small_experiment):
+        """Guards the encoding against drift: any change to parsing,
+        encoding, splitting, scaling or the container bytes shows here."""
+        expected = {
+            "train.zids": "ca95ff190f5d3e6e78e52e550339e24f44ef686bd8ed882dc5c6c00a8a79bb82",
+            "test.zids": "15d841ecafc9b36a3c1b421caa4d1b932f90fed933622156789d0ac36d5b9ca4",
+            "schema.json": "fa35f4703e850596aae9d1be9b82a7018abef6301ad965fd2a05d45d22d00e3a",
+            "counts.csv": "e5026a2778992373417f38d555a0fcfcb75b2a6b95e62c942244ad775b438f79",
+        }
+        got = {
+            name: hashlib.sha256((small_experiment.prepared / name).read_bytes()).hexdigest()
+            for name in expected
+        }
+        assert got == expected
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         rc = run_cli("prepare", "--data", tmp_path / "nope.kdd", "--out", tmp_path / "o")
@@ -223,6 +223,16 @@ class TestEvaluate:
         assert rc == 0
         out = capsys.readouterr().out
         assert "Weighted average" in out
+
+    @pytest.mark.parametrize("doc", [{"classes": []}, []])
+    def test_report_command_rejects_malformed_report(self, tmp_path, capsys, doc):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        rc = run_cli("report", "--report", path)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:")
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestExplain:

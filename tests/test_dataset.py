@@ -7,6 +7,7 @@ import pytest
 
 from zids import dataset as ds
 from zids import synthetic
+from conftest import run_cli
 from zids.errors import (
     EmptyInputError,
     FieldTypeError,
@@ -79,6 +80,51 @@ class TestParse:
         with pytest.raises(MalformedLineError) as err:
             ds.parse_kdd(io.StringIO(text))
         assert err.value.line_no == 3
+
+    def test_type_error_wins_over_later_malformed_line(self):
+        values = ["0"] * ds.NUM_FEATURES
+        values[1], values[2], values[3] = "tcp", "http", "SF"
+        values[7] = "x"
+        text = ",".join(values) + ",normal.\n" + ",".join(["0"] * 40) + ",normal.\n"
+        with pytest.raises(FieldTypeError) as err:
+            ds.parse_kdd(io.StringIO(text))
+        assert (err.value.line_no, err.value.column) == (1, 7)
+
+    def test_bad_cell_past_first_block_has_absolute_line(self):
+        lines = [make_line()] * 1600
+        lines[1500] = make_line().replace(",215,", ",-215,", 1)
+        assert 1500 > ds.BLOCK_ROWS
+        with pytest.raises(FieldTypeError) as err:
+            ds.parse_kdd(io.StringIO("\n".join(lines)))
+        assert (err.value.line_no, err.value.column) == (1501, 4)
+
+    def test_blocks_keep_line_numbers_and_values(self):
+        lines = [make_line(label="SMURF.")] * (ds.BLOCK_ROWS + 3)
+        lines[-1] = make_line().replace(",215,", ",1_000,", 1)  # float() only
+        blocks = list(ds.iter_blocks(io.StringIO("\n\n".join(lines))))
+        assert [len(b) for b in blocks] == [ds.BLOCK_ROWS, 3]
+        assert blocks[1].line_numbers == [2 * i + 1 for i in range(ds.BLOCK_ROWS, ds.BLOCK_ROWS + 3)]
+        assert blocks[0].labels[0] == "smurf"
+        assert blocks[0].categorical[0] == ("tcp", "http", "SF")
+        src_bytes = ds.CONTINUOUS_POSITIONS.index(4)
+        assert blocks[0].continuous.dtype == np.float64
+        assert blocks[0].continuous[0, src_bytes] == 215.0
+        assert blocks[1].continuous[-1, src_bytes] == 1000.0
+        assert ds.parse_kdd(io.StringIO(lines[-1]))[0].values[4] == "1_000"
+
+    def test_prepare_reports_bad_cell(self, tmp_path, capsys):
+        corpus = tmp_path / "bad.kdd"
+        records = synthetic.generate_records({"normal": 30, "smurf": 30}, seed=0)
+        lines = ds.serialize_kdd(records).splitlines()
+        parts = lines[41].split(",")
+        parts[9] = "lots"
+        lines[41] = ",".join(parts)
+        corpus.write_text("\n".join(lines) + "\n")
+        rc = run_cli("prepare", "--data", corpus, "--out", tmp_path / "out")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "line 42, column 9" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_round_trip(self):
         records = synthetic.generate_records(profile={"normal": 40, "smurf": 25}, seed=3)

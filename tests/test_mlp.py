@@ -97,6 +97,17 @@ class TestForward:
             mlp.predict(model, x), np.argmax(mlp.forward(model, x), axis=1)
         )
 
+    def test_chunked_inference_matches_one_pass(self, monkeypatch):
+        data = toy_dataset()
+        model = mlp.init([2, 4, 2], seed=0)
+        weights = ClassWeights(np.array([0.5, 1.5]))
+        probs = mlp.forward(model, data.x)
+        monkeypatch.setattr(mlp, "_CHUNK_ROWS", 64)  # 200 rows: four chunks
+        assert np.array_equal(mlp.predict(model, data.x), np.argmax(probs, axis=1))
+        val_loss, val_accuracy = mlp._evaluate(model, data.x, data.y, weights)
+        assert val_loss == pytest.approx(mlp.loss(probs, data.y, weights), rel=1e-12)
+        assert val_accuracy == np.mean(np.argmax(probs, axis=1) == data.y)
+
 
 class TestLoss:
     def test_perfect_predictions(self):
