@@ -14,7 +14,7 @@ import io
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -27,37 +27,7 @@ from .errors import (
 )
 
 DEFAULT_RIDGE = 1e-10
-
-
-@dataclass
-class Background:
-    """Reference rows used to marginalize masked-out features."""
-
-    rows: np.ndarray
-
-    def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.float64)
-        if rows.ndim != 2 or rows.shape[0] < 1:
-            raise ShapeMismatchError("background must be a non-empty 2D matrix")
-        self.rows = rows
-
-
-@dataclass(frozen=True)
-class Coalition:
-    """A feature subset and its regression weight.
-
-    Weights follow the Shapley kernel: exact per-mask values under full
-    enumeration, and the group's kernel mass spread over its draws when
-    sampled. The empty and full sets never appear; they enter the solve
-    as constraints.
-    """
-
-    mask: tuple[bool, ...]
-    weight: float
-
-    @property
-    def size(self) -> int:
-        return sum(self.mask)
+_CHUNK_ROWS = 262144  # masked rows per model_fn call
 
 
 @dataclass
@@ -99,27 +69,35 @@ def kernel_weight(m: int, s: int) -> float:
     return (m - 1) / (math.comb(m, s) * s * (m - s))
 
 
-def _mask_tuple(m: int, members) -> tuple[bool, ...]:
-    mask = [False] * m
-    for j in members:
-        mask[j] = True
-    return tuple(mask)
+def default_budget(m: int) -> int:
+    """Coalition budget used when none is given: 2m + 2048."""
+    return 2 * m + 2048
 
 
-def _complement(mask: tuple[bool, ...]) -> tuple[bool, ...]:
-    return tuple(not v for v in mask)
+def _subsets(m: int, s: int) -> np.ndarray:
+    """All size-s subsets of range(m) as bool rows, in combinations order."""
+    members = np.array(list(combinations(range(m), s)), dtype=np.intp)
+    masks = np.zeros((members.shape[0], m), dtype=bool)
+    np.put_along_axis(masks, members, True, axis=1)
+    return masks
 
 
 def enumerate_or_sample_coalitions(
     m: int, budget: int, seed: int
-) -> list[Coalition]:
+) -> tuple[np.ndarray, np.ndarray]:
     """All proper coalitions when they fit the budget, else a seeded sample.
 
-    The sampled path spends the budget groupwise: coalition-size groups
+    Returns (masks, weights): an (n, m) bool array and an (n,) float64
+    array of Shapley-kernel weights, with n = min(budget, 2^m - 2). The
+    empty and full sets never appear; they enter the solve as constraints.
+
+    Under full enumeration each mask gets its exact kernel weight. The
+    sampled path spends the budget groupwise: coalition-size groups
     {s, m-s} are fully enumerated in order of kernel mass per subset while
-    affordable, and the remainder is drawn from the leftover size
-    distribution, each mask immediately followed by its complement. The
-    result always has exactly min(budget, 2^m - 2) entries.
+    affordable, each mask followed by its complement, and share the
+    group's mass evenly. The remainder is drawn from the leftover size
+    distribution, each draw immediately followed by its complement, and
+    shares the leftover mass evenly.
     """
     if budget < 2:
         raise BadBudgetError(f"budget must be >= 2: {budget}")
@@ -127,67 +105,58 @@ def enumerate_or_sample_coalitions(
         raise OutOfRangeError(f"need at least 2 features: {m}")
 
     if 2**m - 2 <= budget:
-        out = []
-        for s in range(1, m):
-            w = kernel_weight(m, s)
-            for members in combinations(range(m), s):
-                out.append(Coalition(_mask_tuple(m, members), w))
-        return out
+        sizes = range(1, m)
+        masks = np.concatenate([_subsets(m, s) for s in sizes])
+        weights = np.repeat(
+            [kernel_weight(m, s) for s in sizes], [math.comb(m, s) for s in sizes]
+        )
+        return masks, weights
 
     rng = np.random.default_rng(seed)
-    n_groups = (m - 1 + 1) // 2  # groups {s, m-s} for s = 1 .. ceil((m-1)/2)
-    group_sizes = list(range(1, n_groups + 1))
-    mass = np.array(
-        [
-            (m - 1) / (s * (m - s)) * (1.0 if 2 * s == m else 2.0)
-            for s in group_sizes
-        ]
-    )
+    sizes = np.arange(1, m // 2 + 1)  # groups {s, m-s}
+    mass = (m - 1) / (sizes * (m - sizes)) * np.where(2 * sizes == m, 1.0, 2.0)
     mass /= mass.sum()
 
-    coalitions: list[Coalition] = []
-    budget_left = budget
+    masks = np.empty((budget, m), dtype=bool)
+    weights = np.empty(budget)
+    filled = 0
     remaining = mass.copy()
     num_full = 0
-    for g, s in enumerate(group_sizes):
+    for g, s in enumerate(sizes):
         group_count = math.comb(m, s) * (1 if 2 * s == m else 2)
-        if (
+        budget_left = budget - filled
+        if not (
             group_count <= budget_left
             and budget_left * remaining[g] / group_count >= 1.0 - 1e-8
         ):
-            per_mask = mass[g] / group_count
-            for members in combinations(range(m), s):
-                mask = _mask_tuple(m, members)
-                coalitions.append(Coalition(mask, per_mask))
-                if 2 * s != m:
-                    coalitions.append(Coalition(_complement(mask), per_mask))
-            budget_left -= group_count
-            num_full += 1
-            if remaining[g] < 1.0:
-                remaining[g + 1 :] /= 1.0 - remaining[g]
-        else:
             break
+        sm = _subsets(m, s)
+        group = slice(filled, filled + group_count)
+        masks[group] = sm if 2 * s == m else np.stack([sm, ~sm], 1).reshape(-1, m)
+        weights[group] = mass[g] / group_count
+        filled += group_count
+        num_full += 1
+        if remaining[g] < 1.0:
+            remaining[g + 1 :] /= 1.0 - remaining[g]
 
-    if budget_left > 0:
-        tail_sizes = group_sizes[num_full:]
+    if filled < budget:
+        tail_sizes = sizes[num_full:]
         probs = mass[num_full:] / mass[num_full:].sum()
-        sampled: list[tuple[bool, ...]] = []
-        while len(sampled) < budget_left:
+        for i in range(filled, budget, 2):
             s = int(rng.choice(tail_sizes, p=probs))
-            members = rng.permutation(m)[:s]
-            mask = _mask_tuple(m, members)
-            sampled.append(mask)
-            if len(sampled) < budget_left:
-                sampled.append(_complement(mask))
-        scale = float(mass[num_full:].sum()) / len(sampled)
-        coalitions.extend(Coalition(mask, scale) for mask in sampled)
-    return coalitions
+            masks[i] = False
+            masks[i, rng.permutation(m)[:s]] = True
+            if i + 1 < budget:
+                masks[i + 1] = ~masks[i]
+        weights[filled:] = float(mass[num_full:].sum()) / (budget - filled)
+    return masks, weights
 
 
-def _background_rows(background: Union[Background, np.ndarray]) -> np.ndarray:
-    if isinstance(background, Background):
-        return background.rows
-    return Background(np.asarray(background)).rows
+def _as_background(background: np.ndarray) -> np.ndarray:
+    bg = np.asarray(background, dtype=np.float64)
+    if bg.ndim != 2 or bg.shape[0] < 1:
+        raise ShapeMismatchError("background must be a non-empty 2D matrix")
+    return bg
 
 
 def _model_output(model_fn: Callable, z: np.ndarray) -> np.ndarray:
@@ -206,32 +175,28 @@ def _masked_values(
     x: np.ndarray,
     background: np.ndarray,
     masks: np.ndarray,
-    chunk_rows: int = 262144,
 ) -> np.ndarray:
     """Mean model output per mask: x where the mask is on, background
     elsewhere. Returns (n_masks, K)."""
     b, d = background.shape
-    n_masks = masks.shape[0]
-    masks_per_chunk = max(1, chunk_rows // b)
+    masks_per_chunk = max(1, _CHUNK_ROWS // b)
     parts = []
-    for start in range(0, n_masks, masks_per_chunk):
+    for start in range(0, masks.shape[0], masks_per_chunk):
         mk = masks[start : start + masks_per_chunk]
-        c = mk.shape[0]
-        on = np.repeat(mk, b, axis=0)
-        z = np.where(on, x[None, :], np.tile(background, (c, 1)))
+        z = np.where(mk[:, None, :], x, background).reshape(-1, d)
         preds = _model_output(model_fn, z)
-        parts.append(preds.reshape(c, b, -1).mean(axis=1))
+        parts.append(preds.reshape(mk.shape[0], b, -1).mean(axis=1))
     return np.concatenate(parts, axis=0)
 
 
 def masked_eval(
     model_fn: Callable,
     x: np.ndarray,
-    background: Union[Background, np.ndarray],
+    background: np.ndarray,
     mask: Sequence[bool],
 ) -> np.ndarray:
     """Background-averaged model output for one coalition mask."""
-    bg = _background_rows(background)
+    bg = _as_background(background)
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     if x.size != bg.shape[1]:
         raise ShapeMismatchError(
@@ -246,7 +211,7 @@ def masked_eval(
 def kernel_shap(
     model_fn: Callable,
     x_rows: np.ndarray,
-    background: Union[Background, np.ndarray],
+    background: np.ndarray,
     budget: Optional[int] = None,
     seed: int = 0,
     feature_names: Optional[Sequence[str]] = None,
@@ -266,7 +231,7 @@ def kernel_shap(
     even after the documented ridge fallback; the design is shared across
     classes, so the failure is reported for the first class.
     """
-    bg = _background_rows(background)
+    bg = _as_background(background)
     x_rows = np.atleast_2d(np.asarray(x_rows, dtype=np.float64))
     n_rows, m = x_rows.shape
     if m < 2:
@@ -276,11 +241,10 @@ def kernel_shap(
             f"background width {bg.shape[1]} vs explained width {m}"
         )
     if budget is None:
-        budget = 2 * m + 2048
+        budget = default_budget(m)
 
-    coalitions = enumerate_or_sample_coalitions(m, budget, seed)
-    z = np.array([c.mask for c in coalitions], dtype=np.float64)
-    w = np.array([c.weight for c in coalitions], dtype=np.float64)
+    masks, w = enumerate_or_sample_coalitions(m, budget, seed)
+    z = masks.astype(np.float64)
 
     fx = _model_output(model_fn, x_rows)  # (n_rows, K)
     f0 = _model_output(model_fn, bg).mean(axis=0)  # (K,)
@@ -292,11 +256,10 @@ def kernel_shap(
     xw = x_design * w[:, None]
     gram = x_design.T @ xw
 
-    masks_bool = z.astype(bool)
     rhs = np.empty((m - 1, n_rows * k))
     deltas = fx - f0[None, :]  # (n_rows, K)
     for i in range(n_rows):
-        v = _masked_values(model_fn, x_rows[i], bg, masks_bool)  # (n_coal, K)
+        v = _masked_values(model_fn, x_rows[i], bg, masks)  # (n_coal, K)
         y2 = (v - f0[None, :]) - z[:, -1:] * deltas[i][None, :]
         rhs[:, i * k : (i + 1) * k] = xw.T @ y2
 
@@ -308,11 +271,10 @@ def kernel_shap(
         except np.linalg.LinAlgError:
             raise SingularSystemError(0) from None
 
+    head = solved.reshape(m - 1, n_rows, k)
     phi = np.empty((k, n_rows, m))
-    for i in range(n_rows):
-        head = solved[:, i * k : (i + 1) * k]  # (m-1, K)
-        phi[:, i, :-1] = head.T
-        phi[:, i, -1] = deltas[i] - head.sum(axis=0)
+    phi[:, :, :-1] = head.transpose(2, 1, 0)
+    phi[:, :, -1] = (deltas - head.sum(axis=0)).T
 
     if feature_names is None:
         feature_names = [f"f{j}" for j in range(m)]
@@ -329,7 +291,7 @@ def kernel_shap(
 def exact_shapley(
     model_fn: Callable,
     x: np.ndarray,
-    background: Union[Background, np.ndarray],
+    background: np.ndarray,
 ) -> np.ndarray:
     """Exact Shapley values by full subset enumeration; (K, M) array.
 
@@ -337,7 +299,7 @@ def exact_shapley(
     |S|! (M-|S|-1)! / M! * (v(S + j) - v(S)), with v the background-averaged
     masked evaluation. Costs 2^M evaluations, so M is capped at 15.
     """
-    bg = _background_rows(background)
+    bg = _as_background(background)
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     m = x.size
     if m > 15:

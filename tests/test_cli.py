@@ -62,6 +62,31 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(args)
 
+    @pytest.mark.parametrize(
+        "doc",
+        [{"epochs": "5"}, {"hidden_dims": "256,112"}, 5, {"epochs": True}],
+        ids=["string-epochs", "string-hidden-dims", "not-an-object", "bool-epochs"],
+    )
+    def test_mistyped_config_is_usage_error(self, tmp_path, capsys, doc):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+
+        class Args:
+            pass
+
+        args = Args()
+        args.config = str(path)
+        from zids.cli import ConfigError, load_config
+
+        with pytest.raises(ConfigError):
+            load_config(args)
+        rc = run_cli("train", "--config", path, "--prepared", tmp_path / "void",
+                     "--out", tmp_path / "x")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestPrepare:
     def test_artifacts(self, small_experiment):
@@ -72,9 +97,8 @@ class TestPrepare:
         assert pp.list_label_columns(prepared / "train.zids") == ["coarse", "fine"]
 
     def test_counts_match_streaming_oracle(self, small_experiment):
-        expected = ds.coarse_counts(
-            ds.parse_kdd(open(small_experiment.corpus)), ds.default_taxonomy()
-        )
+        with open(small_experiment.corpus) as stream:
+            expected = ds.coarse_counts(ds.parse_kdd(stream), ds.default_taxonomy())
         got = dict(
             line.split(",")
             for line in (small_experiment.prepared / "counts.csv")
@@ -178,6 +202,15 @@ class TestTrain:
                      "--epochs", 0)
         assert rc == 1
 
+    @pytest.mark.parametrize("dims", ["abc", "0", ""])
+    def test_bad_hidden_dims_is_usage_error(self, tmp_path, capsys, dims):
+        rc = run_cli("train", "--prepared", tmp_path / "void", "--variant", "truncated",
+                     "--out", tmp_path / "x", "--hidden-dims", dims)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "hidden dims" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_missing_prepared_dir(self, tmp_path):
         rc = run_cli("train", "--prepared", tmp_path / "void",
                      "--variant", "truncated", "--out", tmp_path / "x")
@@ -273,6 +306,14 @@ class TestExplain:
                      "--prepared", small_experiment.prepared,
                      "--out", tmp_path / "bad", "--budget", 64)
         assert rc == 2
+
+    def test_budget_below_two_is_usage_error(self, small_experiment, tmp_path, capsys):
+        model = small_experiment.train("truncated") / "model.zmlp"
+        rc = run_cli("explain", "--model", model,
+                     "--prepared", small_experiment.prepared,
+                     "--out", tmp_path / "tiny", "--budget", 1)
+        assert rc == 1
+        assert "budget" in capsys.readouterr().err
 
 
 class TestLockAndUsage:

@@ -1,5 +1,6 @@
 """Kernel weighting, coalition sampling, the WLS solve, and the exact oracle."""
 
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -44,33 +45,50 @@ class TestKernelWeight:
 
 class TestCoalitions:
     def test_small_budget_enumerates_fully(self):
-        cos = shap.enumerate_or_sample_coalitions(3, 10, seed=0)
-        assert len(cos) == 6
-        sizes = Counter(c.size for c in cos)
-        assert sizes == {1: 3, 2: 3}
-        for c in cos:
-            assert c.weight == pytest.approx(shap.kernel_weight(3, c.size), rel=1e-12)
+        masks, weights = shap.enumerate_or_sample_coalitions(3, 10, seed=0)
+        assert masks.shape == (6, 3) and masks.dtype == bool
+        assert weights.shape == (6,) and weights.dtype == np.float64
+        sizes = masks.sum(axis=1)
+        assert Counter(sizes.tolist()) == {1: 3, 2: 3}
+        for s, w in zip(sizes, weights):
+            assert w == pytest.approx(shap.kernel_weight(3, int(s)), rel=1e-12)
 
     def test_budget_respected_with_pairing(self):
-        cos = shap.enumerate_or_sample_coalitions(20, 2048, seed=5)
-        assert len(cos) == 2048
-        counts = Counter(c.mask for c in cos)
-        for mask, n in counts.items():
-            complement = tuple(not v for v in mask)
-            assert counts[complement] == n
+        for budget in (2048, 2047):
+            masks, weights = shap.enumerate_or_sample_coalitions(20, budget, seed=5)
+            assert masks.shape == (budget, 20)
+            assert weights.shape == (budget,)
+            counts = Counter(map(bytes, masks[: budget - budget % 2]))
+            for mask, n in counts.items():
+                complement = bytes(~np.frombuffer(mask, dtype=bool))
+                assert counts[complement] == n
+        # an odd budget leaves the last draw without its complement
+        assert 0 < masks[-1].sum() < 20
+        assert not np.array_equal(masks[-2], ~masks[-1])
 
     def test_no_constraint_masks(self):
-        cos = shap.enumerate_or_sample_coalitions(12, 500, seed=1)
-        for c in cos:
-            assert 0 < c.size < 12
-            assert c.weight > 0
+        masks, weights = shap.enumerate_or_sample_coalitions(12, 500, seed=1)
+        sizes = masks.sum(axis=1)
+        assert (sizes > 0).all() and (sizes < 12).all()
+        assert (weights > 0).all()
 
     def test_deterministic(self):
         a = shap.enumerate_or_sample_coalitions(15, 300, seed=9)
         b = shap.enumerate_or_sample_coalitions(15, 300, seed=9)
-        assert [(c.mask, c.weight) for c in a] == [(c.mask, c.weight) for c in b]
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
         c = shap.enumerate_or_sample_coalitions(15, 300, seed=10)
-        assert [(x.mask) for x in a] != [(x.mask) for x in c]
+        assert not np.array_equal(a[0], c[0])
+
+    def test_default_explain_set_pinned(self):
+        """Guards the coalition set of the default explain (61 encoded
+        features, default budget): any drift in masks, order or weights
+        shows here."""
+        assert shap.default_budget(61) == 2170
+        masks, weights = shap.enumerate_or_sample_coalitions(61, 2170, seed=0)
+        digest = hashlib.sha256(masks.tobytes() + weights.tobytes()).hexdigest()
+        assert digest == (
+            "07278d2890f206f019b3f222ea802d3dc7012cb0b12a570481bf1eca6cf965d8"
+        )
 
     def test_bad_budget(self):
         with pytest.raises(BadBudgetError):
@@ -106,6 +124,14 @@ class TestMaskedEval:
         fn = random_mlp_fn(4)
         with pytest.raises(ShapeMismatchError):
             shap.masked_eval(fn, np.ones(4), np.ones((3, 5)), [True] * 4)
+
+    @pytest.mark.parametrize("bg", [np.ones(4), np.ones((0, 4))], ids=["1d", "empty"])
+    def test_background_must_be_nonempty_2d(self, bg):
+        fn = random_mlp_fn(4)
+        with pytest.raises(ShapeMismatchError):
+            shap.masked_eval(fn, np.ones(4), bg, [True] * 4)
+        with pytest.raises(ShapeMismatchError):
+            shap.kernel_shap(fn, np.ones((1, 4)), bg)
 
 
 class TestKernelShap:
