@@ -113,6 +113,10 @@ class ExperimentConfig:
         # mlp.TrainConfig checks the training knobs and kernel_shap the
         # budget; these fields would fail later with a traceback or as a
         # data error.
+        if cfg.hidden_dims is not None and (
+            not cfg.hidden_dims or any(d < 1 for d in cfg.hidden_dims)
+        ):
+            raise ConfigError(f"hidden dims must be positive: {cfg.hidden_dims!r}")
         if not 0.0 < cfg.test_fraction < 1.0:
             raise ConfigError(f"test_fraction must be in (0, 1): {cfg.test_fraction}")
         for field_name in ("background_n", "explain_n", "top_k"):
@@ -169,21 +173,27 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _parse_hidden_dims(text: str) -> list[int]:
+    """Comma-separated sizes; ExperimentConfig.resolved checks the values."""
     try:
-        dims = [int(part) for part in text.split(",") if part.strip()]
+        return [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"hidden dims must be comma-separated integers: {text!r}"
         ) from None
-    if not dims or any(d < 1 for d in dims):
-        raise argparse.ArgumentTypeError(f"hidden dims must be positive: {text!r}")
-    return dims
 
 
 @contextlib.contextmanager
 def _locked_dir(path: Path):
-    """One command per output directory; stale locks must be removed by hand."""
-    path.mkdir(parents=True, exist_ok=True)
+    """One command per output directory; stale locks must be removed by hand.
+
+    A directory this command created is removed again when the command
+    fails and leaves it empty.
+    """
+    try:
+        path.mkdir(parents=True)
+        created = True
+    except FileExistsError:
+        created = False
     lock = path / ".zids.lock"
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
@@ -192,13 +202,18 @@ def _locked_dir(path: Path):
             f"output directory is locked by {lock}; remove the file if no "
             "other command is running"
         ) from None
+    succeeded = False
     try:
         os.write(fd, str(os.getpid()).encode("ascii"))
         os.close(fd)
         yield path
+        succeeded = True
     finally:
         with contextlib.suppress(OSError):
             os.unlink(lock)
+        if created and not succeeded:
+            with contextlib.suppress(OSError):
+                path.rmdir()  # fails, and keeps the directory, unless empty
 
 
 def _thread_info() -> dict:
@@ -519,6 +534,10 @@ def cmd_explain(args) -> int:
         per_class_residual = dict(
             zip(test_ds.class_names, residuals.max(axis=1).tolist())
         )
+        budget = cfg.budget
+        if budget is None:
+            budget = kshap.default_budget(test_ds.d)
+        n_masks = min(budget, 2**test_ds.d - 2)  # coalitions kernel_shap drew
         for c, name in enumerate(test_ds.class_names):
             (out_dir / f"shap_{name}.csv").write_bytes(kshap.explanation_csv(expl, c))
         (out_dir / "top5.csv").write_bytes(kshap.top_features_csv(expl, cfg.top_k))
@@ -531,9 +550,7 @@ def cmd_explain(args) -> int:
                     "prepared_dir": str(prepared),
                     "background_n": cfg.background_n,
                     "explain_n": cfg.explain_n,
-                    "budget": cfg.budget
-                    if cfg.budget is not None
-                    else kshap.default_budget(test_ds.d),
+                    "budget": budget,
                     "top_k": cfg.top_k,
                 },
                 "seeds": {
@@ -546,6 +563,11 @@ def cmd_explain(args) -> int:
                     "explained_indices": [int(i) for i in fg_idx],
                 },
                 "efficiency_max_residual": per_class_residual,
+                "numerics": {
+                    "masked_rows": len(fg_idx) * n_masks * len(bg_idx),
+                    "model_rows": expl.model_rows,
+                    "ridge_used": expl.ridge_used,
+                },
             },
         )
         worst = max(per_class_residual.values())

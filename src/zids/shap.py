@@ -27,7 +27,7 @@ from .errors import (
 )
 
 DEFAULT_RIDGE = 1e-10
-_CHUNK_ROWS = 262144  # masked rows per model_fn call
+_CHUNK_ROWS = 1024  # distinct masked rows per model_fn call
 
 
 @dataclass
@@ -35,13 +35,16 @@ class Explanation:
     """Per-class attribution matrices with their base values.
 
     phi has shape (n_classes, n_rows, n_features); base_values[c] is the
-    background mean of output c.
+    background mean of output c. model_rows counts the rows sent to
+    model_fn; ridge_used tells whether the solve needed the ridge fallback.
     """
 
     phi: np.ndarray
     base_values: np.ndarray
     feature_names: list[str]
     class_names: list[str]
+    model_rows: int = 0
+    ridge_used: bool = False
 
     @property
     def n_classes(self) -> int:
@@ -170,23 +173,61 @@ def _model_output(model_fn: Callable, z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _packed_words(bits: np.ndarray) -> np.ndarray:
+    """(rows, d) bool -> (ceil(d / 64), rows) uint64 words; equal rows give
+    equal words."""
+    packed = np.packbits(bits, axis=1)
+    packed = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8)))
+    return packed.view(np.uint64).T
+
+
 def _masked_values(
     model_fn: Callable,
     x: np.ndarray,
     background: np.ndarray,
     masks: np.ndarray,
-) -> np.ndarray:
+) -> tuple[np.ndarray, int]:
     """Mean model output per mask: x where the mask is on, background
-    elsewhere. Returns (n_masks, K)."""
-    b, d = background.shape
-    masks_per_chunk = max(1, _CHUNK_ROWS // b)
+    elsewhere. Returns the (n_masks, K) means and the number of rows sent
+    to model_fn.
+
+    model_fn must be row-wise: each output row depends only on its own
+    input row. The masked row for background row b is bg[b] with x in the
+    masked columns, so it depends only on b and on the mask bits where x
+    and bg[b] differ bit for bit. Each distinct (b, mask & differs[b]) row
+    is built and evaluated once, in chunks of _CHUNK_ROWS rows, and its
+    output is shared by every mask with that key.
+    """
+    b = background.shape[0]
+    n = masks.shape[0]
+    bg_bits = background.view(np.uint64)
+    flip = bg_bits ^ x.view(np.uint64)  # (b, d), nonzero where x and bg[b] differ
+    differs = _packed_words(flip != 0)  # (W, b)
+    keys = differs[:, :, None] & _packed_words(masks)[:, None, :]  # (W, b, n)
+
+    # A stable sort of each background row's keys puts equal keys side by
+    # side; the first of each run stands for its group.
+    order = np.lexsort(keys[::-1], axis=-1)  # (b, n)
+    ordered = np.take_along_axis(keys, order[None], axis=-1)
+    first = np.ones((b, n), dtype=bool)
+    first[:, 1:] = (ordered[:, :, 1:] != ordered[:, :, :-1]).any(axis=0)
+    group = (np.cumsum(first) - 1).reshape(b, n)
+    inverse = np.empty((n, b), dtype=np.intp)  # (mask, b) -> distinct row
+    np.put_along_axis(inverse.T, order, group, axis=1)
+    heads = np.flatnonzero(first)
+    rows_b, rows_mask = heads // n, order.reshape(-1)[heads]
+
+    on = -masks.astype(np.uint64)  # all ones where the mask is on
     parts = []
-    for start in range(0, masks.shape[0], masks_per_chunk):
-        mk = masks[start : start + masks_per_chunk]
-        z = np.where(mk[:, None, :], x, background).reshape(-1, d)
-        preds = _model_output(model_fn, z)
-        parts.append(preds.reshape(mk.shape[0], b, -1).mean(axis=1))
-    return np.concatenate(parts, axis=0)
+    for start in range(0, heads.size, _CHUNK_ROWS):
+        rb = rows_b[start : start + _CHUNK_ROWS]
+        rm = rows_mask[start : start + _CHUNK_ROWS]
+        # where(mask, x, bg[b]) bit for bit: flip bg's bits in masked columns
+        z = bg_bits.take(rb, axis=0)
+        z ^= flip.take(rb, axis=0) & on.take(rm, axis=0)
+        parts.append(_model_output(model_fn, z.view(np.float64)))
+    out = np.concatenate(parts, axis=0)
+    return out.take(inverse, axis=0).mean(axis=1), heads.size
 
 
 def masked_eval(
@@ -205,7 +246,8 @@ def masked_eval(
     masks = np.asarray(mask, dtype=bool).reshape(1, -1)
     if masks.shape[1] != x.size:
         raise ShapeMismatchError(f"mask width {masks.shape[1]} vs row width {x.size}")
-    return _masked_values(model_fn, x, bg, masks)[0]
+    values, _ = _masked_values(model_fn, x, bg, masks)
+    return values[0]
 
 
 def kernel_shap(
@@ -258,14 +300,18 @@ def kernel_shap(
 
     rhs = np.empty((m - 1, n_rows * k))
     deltas = fx - f0[None, :]  # (n_rows, K)
+    model_rows = n_rows + bg.shape[0]
     for i in range(n_rows):
-        v = _masked_values(model_fn, x_rows[i], bg, masks)  # (n_coal, K)
+        v, evaluated = _masked_values(model_fn, x_rows[i], bg, masks)  # (n_coal, K)
+        model_rows += evaluated
         y2 = (v - f0[None, :]) - z[:, -1:] * deltas[i][None, :]
         rhs[:, i * k : (i + 1) * k] = xw.T @ y2
 
+    ridge_used = False
     try:
         solved = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError:
+        ridge_used = True
         try:
             solved = np.linalg.solve(gram + ridge * np.eye(m - 1), rhs)
         except np.linalg.LinAlgError:
@@ -285,6 +331,8 @@ def kernel_shap(
         base_values=f0,
         feature_names=list(feature_names),
         class_names=list(class_names),
+        model_rows=model_rows,
+        ridge_used=ridge_used,
     )
 
 
@@ -312,7 +360,7 @@ def exact_shapley(
     n_masks = 1 << m
     mask_ints = np.arange(n_masks, dtype=np.int64)
     masks = ((mask_ints[:, None] >> np.arange(m)) & 1).astype(bool)
-    v = _masked_values(model_fn, x, bg, masks)  # (n_masks, K)
+    v, _ = _masked_values(model_fn, x, bg, masks)  # (n_masks, K)
     popcount = masks.sum(axis=1)
 
     fact = [math.factorial(i) for i in range(m + 1)]

@@ -64,8 +64,10 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "doc",
-        [{"epochs": "5"}, {"hidden_dims": "256,112"}, 5, {"epochs": True}],
-        ids=["string-epochs", "string-hidden-dims", "not-an-object", "bool-epochs"],
+        [{"epochs": "5"}, {"hidden_dims": "256,112"}, 5, {"epochs": True},
+         {"hidden_dims": []}, {"hidden_dims": [0]}],
+        ids=["string-epochs", "string-hidden-dims", "not-an-object", "bool-epochs",
+             "empty-hidden-dims", "zero-hidden-dim"],
     )
     def test_mistyped_config_is_usage_error(self, tmp_path, capsys, doc):
         path = tmp_path / "config.json"
@@ -201,6 +203,7 @@ class TestTrain:
                      "--variant", "truncated", "--out", tmp_path / "x",
                      "--epochs", 0)
         assert rc == 1
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("dims", ["abc", "0", ""])
     def test_bad_hidden_dims_is_usage_error(self, tmp_path, capsys, dims):
@@ -215,6 +218,7 @@ class TestTrain:
         rc = run_cli("train", "--prepared", tmp_path / "void",
                      "--variant", "truncated", "--out", tmp_path / "x")
         assert rc == 2
+        assert not (tmp_path / "x").exists()
 
 
 class TestEvaluate:
@@ -314,6 +318,18 @@ class TestExplain:
                      "--out", tmp_path / "tiny", "--budget", 1)
         assert rc == 1
         assert "budget" in capsys.readouterr().err
+        assert not (tmp_path / "tiny").exists()
+
+    def test_manifest_records_numerics(self, small_experiment):
+        out = small_experiment.explain("truncated")
+        manifest = json.loads((out / "manifest.json").read_text())
+        numerics = manifest["numerics"]
+        config = manifest["config"]
+        masked = config["explain_n"] * config["budget"] * config["background_n"]
+        assert numerics["masked_rows"] == masked
+        rows = config["explain_n"] + config["background_n"]
+        assert rows < numerics["model_rows"] < rows + masked
+        assert numerics["ridge_used"] is False
 
 
 class TestLockAndUsage:
@@ -324,6 +340,14 @@ class TestLockAndUsage:
         rc = run_cli("train", "--prepared", small_experiment.prepared,
                      "--variant", "truncated", "--out", out)
         assert rc == 1
+
+    def test_failed_command_keeps_existing_out_dir(self, tmp_path):
+        out = tmp_path / "existing"
+        out.mkdir()
+        rc = run_cli("train", "--prepared", tmp_path / "void",
+                     "--variant", "truncated", "--out", out)
+        assert rc == 2
+        assert out.is_dir() and not any(out.iterdir())
 
     def test_lock_released_after_run(self, small_experiment):
         run = small_experiment.train("truncated")

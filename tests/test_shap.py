@@ -95,7 +95,100 @@ class TestCoalitions:
             shap.enumerate_or_sample_coalitions(5, 1, seed=0)
 
 
+def masked_reference(fn, x, bg, masks):
+    """The full broadcast: every (mask, background row) pair evaluated."""
+    z = np.where(masks[:, None, :], x, bg).reshape(-1, x.size)
+    return fn(z).reshape(masks.shape[0], bg.shape[0], -1).mean(axis=1)
+
+
+def sparse_background(d, b, changed, seed):
+    """x plus b background rows that each differ from x in `changed` columns."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=d)
+    bg = np.tile(x, (b, 1))
+    for row in bg:
+        cols = rng.choice(d, size=changed, replace=False)
+        row[cols] = rng.normal(size=changed)
+    return x, bg
+
+
+class CountingFn:
+    """Row-wise model that records the size of every call."""
+
+    def __init__(self, m, seed=0):
+        self.fn = random_mlp_fn(m, seed=seed)
+        self.calls = []
+
+    def __call__(self, z):
+        self.calls.append(z.shape[0])
+        return self.fn(z)
+
+
 class TestMaskedEval:
+    @pytest.mark.parametrize(
+        "case",
+        ["duplicate-background", "x-in-background", "single-background",
+         "two-key-words"],
+    )
+    def test_deduplicated_matches_full_broadcast(self, case):
+        d = 70 if case == "two-key-words" else 12
+        x, bg = sparse_background(d, 9, changed=4, seed=13)
+        if case == "duplicate-background":
+            bg[[3, 7]] = bg[0]
+        elif case == "x-in-background":
+            bg[4] = x
+        elif case == "single-background":
+            bg = bg[:1]
+        else:  # differences on both sides of the 64-column word boundary
+            bg[:, 66] = x[66] + 1.0
+        rng = np.random.default_rng(14)
+        masks = rng.random((200, d)) < 0.5
+        masks[0] = True
+        masks[1] = False
+        fn = random_mlp_fn(d, seed=4)
+        v, evaluated = shap._masked_values(fn, x, bg, masks)
+        assert v.shape == (200, 3)
+        np.testing.assert_allclose(v, masked_reference(fn, x, bg, masks),
+                                   rtol=0, atol=1e-12)
+        assert evaluated < masks.shape[0] * bg.shape[0]
+
+    def test_model_sees_each_distinct_row_once(self):
+        d = 10
+        x, bg = sparse_background(d, 6, changed=2, seed=15)
+        masks = np.random.default_rng(16).random((100, d)) < 0.5
+        fn = CountingFn(d)
+        _, evaluated = shap._masked_values(fn, x, bg, masks)
+        distinct = sum(
+            len({tuple(mask[row != x]) for mask in masks}) for row in bg
+        )
+        assert distinct <= 4 * bg.shape[0]
+        assert sum(fn.calls) == evaluated == distinct
+
+    def test_chunked_runs_bit_identical(self):
+        d = 16
+        x, bg = sparse_background(d, 40, changed=6, seed=17)
+        masks = np.random.default_rng(18).random((300, d)) < 0.5
+        runs = []
+        for _ in range(2):
+            fn = CountingFn(d, seed=5)
+            runs.append(shap._masked_values(fn, x, bg, masks))
+            assert len(fn.calls) > 1
+            assert all(n == shap._CHUNK_ROWS for n in fn.calls[:-1])
+        (a, evaluated), (b, _) = runs
+        assert evaluated > shap._CHUNK_ROWS
+        assert a.tobytes() == b.tobytes()
+        np.testing.assert_allclose(a, masked_reference(fn, x, bg, masks),
+                                   rtol=0, atol=1e-12)
+
+    def test_signed_zero_is_a_difference(self):
+        # -0.0 == 0.0, but the masked row must still carry x's sign bit
+        fn = lambda z: np.signbit(z).astype(np.float64)
+        x = np.array([-0.0, 1.0])
+        bg = np.array([[0.0, 1.0]])
+        masks = np.array([[True, False], [False, True]])
+        v, _ = shap._masked_values(fn, x, bg, masks)
+        assert v.tolist() == [[1.0, 0.0], [0.0, 0.0]]
+
     def test_all_on_is_model_output(self):
         fn = random_mlp_fn(5, seed=2)
         rng = np.random.default_rng(0)
@@ -201,6 +294,15 @@ class TestKernelShap:
         b = shap.kernel_shap(fn, x, bg, budget=256, seed=7)
         assert np.array_equal(a.phi, b.phi)
 
+    def test_model_rows_counts_every_row_sent(self):
+        m = 12
+        x, bg = sparse_background(m, 6, changed=3, seed=19)
+        fn = CountingFn(m)
+        expl = shap.kernel_shap(fn, x[None, :], bg, budget=256, seed=7)
+        assert expl.model_rows == sum(fn.calls)
+        assert expl.model_rows < 1 + 6 + 256 * 6
+        assert expl.ridge_used is False
+
     def test_singular_without_ridge(self):
         # two coalitions cannot identify nine attributions
         fn = random_mlp_fn(10, seed=6)
@@ -216,6 +318,7 @@ class TestKernelShap:
         bg = rng.normal(size=(4, 10))
         x = rng.normal(size=(1, 10))
         expl = shap.kernel_shap(fn, x, bg, budget=2, seed=0)
+        assert expl.ridge_used is True
         residuals = shap.efficiency_residuals(expl, fn(x))
         assert residuals.max() <= 1e-6  # efficiency survives regardless
 
