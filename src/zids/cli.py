@@ -186,14 +186,19 @@ def _parse_hidden_dims(text: str) -> list[int]:
 def _locked_dir(path: Path):
     """One command per output directory; stale locks must be removed by hand.
 
-    A directory this command created is removed again when the command
-    fails and leaves it empty.
+    The directories this command created, the output directory and any
+    missing parents, are removed again, deepest first, when the command
+    fails and leaves them empty.
     """
-    try:
-        path.mkdir(parents=True)
-        created = True
-    except FileExistsError:
-        created = False
+    created = []
+    for directory in reversed((path, *path.parents)):
+        if directory.is_dir():
+            continue
+        try:
+            directory.mkdir()
+        except FileExistsError:
+            continue
+        created.append(directory)
     lock = path / ".zids.lock"
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
@@ -211,9 +216,10 @@ def _locked_dir(path: Path):
     finally:
         with contextlib.suppress(OSError):
             os.unlink(lock)
-        if created and not succeeded:
-            with contextlib.suppress(OSError):
-                path.rmdir()  # fails, and keeps the directory, unless empty
+        if not succeeded:
+            for directory in reversed(created):
+                with contextlib.suppress(OSError):
+                    directory.rmdir()  # fails, and keeps it, unless empty
 
 
 def _thread_info() -> dict:
@@ -302,6 +308,12 @@ def cmd_prepare(args) -> int:
         train_idx, test_idx = pp.split_indices(
             y_fine, len(fine_names), cfg.test_fraction, cfg.split_seed
         )
+        for name, idx in (("train", train_idx), ("test", test_idx)):
+            if idx.size == 0:
+                raise ConfigError(
+                    f"test fraction {cfg.test_fraction} leaves the {name} "
+                    f"split of {n} rows empty"
+                )
         dest_is_test = np.zeros(n, dtype=bool)
         dest_is_test[test_idx] = True
         dest_pos = np.empty(n, dtype=np.int64)

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     BadDimsError,
     CorruptModelError,
+    EmptyInputError,
     NonFiniteLossError,
     ShapeMismatchError,
     VersionMismatchError,
@@ -103,12 +104,6 @@ def count_parameters(model: MlpModel) -> int:
     )
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def _check_shape(model: MlpModel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     if x.ndim != 2 or x.shape[1] != model.dims[0]:
@@ -122,22 +117,50 @@ def _check_input(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return _check_shape(model, x).astype(np.float64, copy=False)
 
 
-def _forward_cached(model: MlpModel, x: np.ndarray):
-    """Forward pass keeping post-activation values for backprop."""
-    activations = [x]
+def _check_labels(y: np.ndarray, n: int, k: int) -> np.ndarray:
+    """y as an array of n class indices, each in 0..k-1."""
+    y = np.asarray(y)
+    if y.ndim != 1 or y.shape[0] != n:
+        raise ShapeMismatchError(f"labels {y.shape} incompatible with {n} rows")
+    if n and (y.min() < 0 or y.max() >= k):
+        raise ShapeMismatchError(f"label out of range for {k} classes")
+    return y
+
+
+def _forward_into(
+    model: MlpModel, x: np.ndarray, acts: list[np.ndarray], row: np.ndarray
+) -> np.ndarray:
+    """Forward pass of the float64 rows x, writing layer i's output into acts[i].
+
+    acts[i] is (n, dims[i+1]) and row an (n, 1) scratch for the softmax row
+    max and row sum. Hidden layers apply the rectifier, the last layer a
+    softmax, each in place. Returns acts[-1], the class probabilities.
+    """
+    last = len(acts) - 1
     h = x
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = h @ w + b
-        h = _softmax(z) if i == last else np.maximum(z, 0.0)
-        activations.append(h)
-    return activations
+    for i, (w, b, z) in enumerate(zip(model.weights, model.biases, acts)):
+        np.matmul(h, w, out=z)
+        z += b
+        if i < last:
+            np.maximum(z, 0.0, out=z)
+        h = z
+    np.max(h, axis=1, keepdims=True, out=row)
+    h -= row
+    np.exp(h, out=h)
+    np.sum(h, axis=1, keepdims=True, out=row)
+    h /= row
+    return h
 
 
 def forward(model: MlpModel, x_batch: np.ndarray) -> np.ndarray:
-    """Class probabilities, one row per input row; rows sum to 1."""
+    """Class probabilities, one row per input row; rows sum to 1.
+
+    Every call returns a new array.
+    """
     x = _check_input(model, x_batch)
-    return _forward_cached(model, x)[-1]
+    n = x.shape[0]
+    acts = [np.empty((n, d)) for d in model.dims[1:]]
+    return _forward_into(model, x, acts, np.empty((n, 1)))
 
 
 def predict(model: MlpModel, x_batch: np.ndarray) -> np.ndarray:
@@ -154,15 +177,21 @@ def predict(model: MlpModel, x_batch: np.ndarray) -> np.ndarray:
 
 
 def _sample_weights(
-    y: np.ndarray, k: int, weights: Optional[ClassWeights]
+    y: np.ndarray, k: int, weights: Optional[ClassWeights], out: np.ndarray
 ) -> np.ndarray:
+    """Class weight of each label in y, written into out; ones if unweighted.
+
+    The labels must already lie in 0..k-1: mode="clip" lets np.take write
+    straight into out, where mode="raise" would buffer.
+    """
     if weights is None:
-        return np.ones(y.shape[0])
+        out.fill(1.0)
+        return out
     if weights.w.size != k:
         raise ShapeMismatchError(
             f"{weights.w.size} class weights for {k} classes"
         )
-    return weights.w[y]
+    return np.take(weights.w, y, out=out, mode="clip")
 
 
 def loss(
@@ -174,11 +203,9 @@ def loss(
     reduce exactly to the unweighted mean.
     """
     probs = np.asarray(probs, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if probs.ndim != 2 or y.ndim != 1 or probs.shape[0] != y.shape[0]:
-        raise ShapeMismatchError(
-            f"probs {probs.shape} incompatible with labels {y.shape}"
-        )
+    if probs.ndim != 2:
+        raise ShapeMismatchError(f"probs {probs.shape} is not a matrix")
+    y = _check_labels(np.asarray(y, dtype=np.int64), probs.shape[0], probs.shape[1])
     nll, weight_sum = _nll_sum(probs, y, weights)
     return nll / weight_sum
 
@@ -187,38 +214,113 @@ def _nll_sum(
     probs: np.ndarray, y: np.ndarray, weights: Optional[ClassWeights]
 ) -> tuple[float, float]:
     """Weighted negative log-likelihood summed over rows, and the weight sum."""
-    w = _sample_weights(y, probs.shape[1], weights)
-    picked = probs[np.arange(y.shape[0]), y]
+    n = y.shape[0]
+    w = _sample_weights(y, probs.shape[1], weights, np.empty(n))
+    return _nll_of_picked(probs[np.arange(n), y], w), float(w.sum())
+
+
+def _nll_of_picked(picked: np.ndarray, w: np.ndarray) -> float:
+    """Sum of -w * log(p) over the rows' true-class probabilities p.
+
+    Overwrites picked.
+    """
     # min() keeps the floored argument <= 1 so the loss never goes negative
     # when float softmax saturates a probability at exactly 1.0
-    nll = -(w * np.log(np.minimum(picked + LOG_FLOOR, 1.0))).sum()
-    return float(nll), float(w.sum())
+    picked += LOG_FLOOR
+    np.minimum(picked, 1.0, out=picked)
+    np.log(picked, out=picked)
+    picked *= w
+    return float(-picked.sum())
 
 
-def _backprop(
+def _parameters(model: MlpModel) -> list[np.ndarray]:
+    """Weights and biases, layer by layer: w0, b0, w1, b1, ..."""
+    return [p for pair in zip(model.weights, model.biases) for p in pair]
+
+
+class _Workspace:
+    """The arrays of one training step, reused from step to step.
+
+    Sized for `rows` input rows; a smaller batch works on views of the
+    leading rows. Backprop leaves its gradients in grads_w and grads_b,
+    and `scratch` holds one pair of arrays per parameter for the update.
+    """
+
+    def __init__(self, model: MlpModel, rows: int):
+        widths = model.dims[1:]
+        self.rows = rows
+        self.x = np.empty((rows, model.dims[0]))
+        self.acts = [np.empty((rows, d)) for d in widths]
+        self.deltas = [np.empty((rows, d)) for d in widths]
+        self.alive = [np.empty((rows, d), dtype=bool) for d in widths[:-1]]
+        self.row = np.empty((rows, 1))
+        self.scale = np.empty((rows, 1))
+        self.y = np.empty(rows, dtype=np.intp)
+        self.flat = np.empty(rows, dtype=np.intp)
+        self.row_start = np.arange(rows, dtype=np.intp) * widths[-1]
+        self.w = np.empty(rows)
+        self.picked = np.empty(rows)
+        self.grads_w = [np.empty_like(w) for w in model.weights]
+        self.grads_b = [np.empty_like(b) for b in model.biases]
+        self.scratch = [
+            (np.empty_like(p), np.empty_like(p)) for p in _parameters(model)
+        ]
+
+    def gradients(self) -> list[np.ndarray]:
+        """Gradients in _parameters() order."""
+        return [g for pair in zip(self.grads_w, self.grads_b) for g in pair]
+
+
+def _loss_and_gradients(
     model: MlpModel,
-    activations: list[np.ndarray],
+    ws: _Workspace,
+    x: np.ndarray,
     y: np.ndarray,
     weights: Optional[ClassWeights],
-):
-    probs = activations[-1]
-    n, k = probs.shape
-    w = _sample_weights(y, k, weights)
-    scale = w / w.sum()
+) -> tuple[float, float]:
+    """Forward pass, weighted loss and backprop of one batch, inside ws.
 
-    delta = probs.copy()
-    delta[np.arange(n), y] -= 1.0
-    delta *= scale[:, None]
+    x is an (n, d) matrix with n <= ws.rows. The gradients of loss() land
+    in ws.grads_w and ws.grads_b. Returns the weighted negative
+    log-likelihood sum and the weight sum of the batch.
+    """
+    n = x.shape[0]
+    yb = ws.y[:n]
+    np.copyto(yb, _check_labels(y, n, model.n_classes), casting="unsafe")
+    xb = ws.x[:n]
+    np.copyto(xb, x, casting="unsafe")
+    acts = [a[:n] for a in ws.acts]
+    probs = _forward_into(model, xb, acts, ws.row[:n])
 
-    grads_w = [np.empty(0)] * len(model.weights)
-    grads_b = [np.empty(0)] * len(model.biases)
+    w = _sample_weights(yb, model.n_classes, weights, ws.w[:n])
+    flat = np.add(ws.row_start[:n], yb, out=ws.flat[:n])  # (i, y[i]) in probs
+    picked = ws.picked[:n]
+    np.take(probs.ravel(), flat, out=picked, mode="clip")  # flat is in range
+    nll = _nll_of_picked(picked, w)
+
+    # d loss / d logits = (probs - onehot(y)) * w / sum(w)
+    delta = ws.deltas[-1][:n]
+    np.copyto(delta, probs)
+    np.take(probs.ravel(), flat, out=picked, mode="clip")
+    picked -= 1.0
+    np.put(delta.ravel(), flat, picked)
+    weight_sum = w.sum()
+    scale = np.divide(w[:, None], weight_sum, out=ws.scale[:n])
+    delta *= scale
+
+    inputs = [xb] + acts[:-1]
     for i in range(len(model.weights) - 1, -1, -1):
-        grads_w[i] = activations[i].T @ delta
-        grads_b[i] = delta.sum(axis=0)
+        np.matmul(inputs[i].T, delta, out=ws.grads_w[i])
+        np.sum(delta, axis=0, out=ws.grads_b[i])
         if i > 0:
-            delta = delta @ model.weights[i].T
-            delta[activations[i] <= 0.0] = 0.0
-    return grads_w, grads_b
+            prev = np.matmul(delta, model.weights[i].T, out=ws.deltas[i - 1][:n])
+            # Zeroes delta where the rectifier cut the unit off. Such an
+            # entry may become -0.0, which no sum or update below can tell
+            # from 0.0; multiplying is several times faster than a masked
+            # assignment on an irregular mask.
+            prev *= np.greater(inputs[i], 0.0, out=ws.alive[i - 1][:n])
+            delta = prev
+    return nll, float(weight_sum)
 
 
 def gradients(
@@ -227,51 +329,61 @@ def gradients(
     y: np.ndarray,
     weights: Optional[ClassWeights] = None,
 ):
-    """Analytic gradients of loss() w.r.t. every weight matrix and bias."""
-    x = _check_input(model, x_batch)
-    y = np.asarray(y, dtype=np.int64)
-    if y.ndim != 1 or y.shape[0] != x.shape[0]:
-        raise ShapeMismatchError(f"labels {y.shape} incompatible with {x.shape}")
-    activations = _forward_cached(model, x)
-    return _backprop(model, activations, y, weights)
+    """Analytic gradients of loss() w.r.t. every weight matrix and bias.
+
+    Every call returns new arrays.
+    """
+    x = _check_shape(model, x_batch)
+    ws = _Workspace(model, x.shape[0])
+    _loss_and_gradients(model, ws, x, y, weights)
+    return ws.grads_w, ws.grads_b
 
 
 class _Adam:
-    def __init__(self, model: MlpModel, config: TrainConfig):
+    def __init__(self, model: MlpModel, config: TrainConfig, rows: int):
         self.lr = config.learning_rate
         self.b1 = config.beta1
         self.b2 = config.beta2
         self.eps = config.eps
         self.t = 0
-        self.m_w = [np.zeros_like(w) for w in model.weights]
-        self.v_w = [np.zeros_like(w) for w in model.weights]
-        self.m_b = [np.zeros_like(b) for b in model.biases]
-        self.v_b = [np.zeros_like(b) for b in model.biases]
+        self.m = [np.zeros_like(p) for p in _parameters(model)]
+        self.v = [np.zeros_like(p) for p in _parameters(model)]
+        self.workspace = _Workspace(model, rows)
 
-    def step(self, model, grads_w, grads_b):
+    def step(self, model: MlpModel) -> None:
+        """Update in place: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+        p -= lr * (m/c1) / (sqrt(v/c2) + eps), in that operation order."""
         self.t += 1
         c1 = 1.0 - self.b1**self.t
         c2 = 1.0 - self.b2**self.t
-        for i in range(len(model.weights)):
-            for p, g, m, v in (
-                (model.weights[i], grads_w[i], self.m_w[i], self.v_w[i]),
-                (model.biases[i], grads_b[i], self.m_b[i], self.v_b[i]),
-            ):
-                m *= self.b1
-                m += (1.0 - self.b1) * g
-                v *= self.b2
-                v += (1.0 - self.b2) * g * g
-                p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        ws = self.workspace
+        for p, g, m, v, (s, r) in zip(
+            _parameters(model), ws.gradients(), self.m, self.v, ws.scratch
+        ):
+            m *= self.b1
+            m += np.multiply(1.0 - self.b1, g, out=s)
+            v *= self.b2
+            np.multiply(1.0 - self.b2, g, out=s)
+            s *= g
+            v += s
+            np.divide(m, c1, out=s)
+            np.multiply(self.lr, s, out=s)
+            np.divide(v, c2, out=r)
+            np.sqrt(r, out=r)
+            r += self.eps
+            s /= r
+            p -= s
 
 
 class _Sgd:
-    def __init__(self, model: MlpModel, config: TrainConfig):
+    def __init__(self, model: MlpModel, config: TrainConfig, rows: int):
         self.lr = config.learning_rate
+        self.workspace = _Workspace(model, rows)
 
-    def step(self, model, grads_w, grads_b):
-        for i in range(len(model.weights)):
-            model.weights[i] -= self.lr * grads_w[i]
-            model.biases[i] -= self.lr * grads_b[i]
+    def step(self, model: MlpModel) -> None:
+        ws = self.workspace
+        for p, g, (s, _) in zip(_parameters(model), ws.gradients(), ws.scratch):
+            p -= np.multiply(self.lr, g, out=s)
 
 
 def optimizer_step(
@@ -281,18 +393,22 @@ def optimizer_step(
     config: TrainConfig,
     state=None,
 ):
-    """One minibatch update; returns (state, batch_loss)."""
+    """One minibatch update; returns (state, batch_loss).
+
+    The state owns the step's workspace, sized to the first batch and
+    replaced when a larger batch arrives.
+    """
+    x = _check_shape(model, x_batch)
+    n = x.shape[0]
     if state is None:
-        state = _Adam(model, config) if config.optimizer == "adam" else _Sgd(
-            model, config
-        )
-    x = _check_input(model, x_batch)
-    y = np.asarray(y, dtype=np.int64)
-    activations = _forward_cached(model, x)
-    batch_loss = loss(activations[-1], y, config.class_weights)
-    grads_w, grads_b = _backprop(model, activations, y, config.class_weights)
-    state.step(model, grads_w, grads_b)
-    return state, batch_loss
+        state = (_Adam if config.optimizer == "adam" else _Sgd)(model, config, n)
+    elif n > state.workspace.rows:
+        state.workspace = _Workspace(model, n)
+    nll, weight_sum = _loss_and_gradients(
+        model, state.workspace, x, y, config.class_weights
+    )
+    state.step(model)
+    return state, nll / weight_sum
 
 
 def _evaluate(
@@ -329,6 +445,9 @@ def train(
     applies one optimizer step per minibatch. No early stopping; the
     history always has exactly config.epochs entries.
     """
+    for name, data in (("training", train_ds), ("validation", val_ds)):
+        if data.n == 0:
+            raise EmptyInputError(f"the {name} set has no rows")
     if train_ds.d != model.dims[0] or val_ds.d != model.dims[0]:
         raise ShapeMismatchError(
             f"data width {train_ds.d}/{val_ds.d} vs model width {model.dims[0]}"

@@ -153,6 +153,18 @@ class TestPrepare:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fraction, empty", [(0.00001, "test"), (0.99999, "train")])
+    def test_empty_split_is_usage_error(
+        self, small_experiment, tmp_path, capsys, fraction, empty
+    ):
+        out = tmp_path / "prepared"
+        rc = run_cli("prepare", "--data", small_experiment.corpus, "--out", out,
+                     "--test-fraction", fraction)
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"{empty} split" in err[0]
+        assert not out.exists()
+
     def test_gzip_input(self, tmp_path):
         import gzip
 
@@ -219,6 +231,30 @@ class TestTrain:
                      "--variant", "truncated", "--out", tmp_path / "x")
         assert rc == 2
         assert not (tmp_path / "x").exists()
+        rc = run_cli("train", "--prepared", tmp_path / "void",
+                     "--variant", "truncated", "--out", tmp_path / "a" / "b" / "c")
+        assert rc == 2
+        assert not (tmp_path / "a").exists()
+
+    def test_empty_validation_set_is_data_error(
+        self, small_experiment, tmp_path, capsys
+    ):
+        prepared = tmp_path / "prepared"
+        prepared.mkdir()
+        source = small_experiment.prepared
+        (prepared / "train.zids").write_bytes((source / "train.zids").read_bytes())
+        x, scaling, columns = pp.read_container_columns(source / "test.zids")
+        pp.write_container(
+            prepared / "test.zids", x[:0], scaling,
+            [pp.LabelColumn(c.name, c.class_names, c.y[:0]) for c in columns],
+        )
+        out = tmp_path / "x"
+        rc = run_cli("train", "--prepared", prepared, "--variant", "truncated",
+                     "--out", out)
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "validation set has no rows" in err[0]
+        assert not out.exists()
 
 
 class TestEvaluate:

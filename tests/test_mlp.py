@@ -1,5 +1,7 @@
 """Network engine: init, forward, loss, gradients, training, persistence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -282,6 +284,164 @@ class TestTrain:
         assert lines[0] == "epoch,train_loss,val_loss,val_accuracy"
         assert len(lines) == 3
         assert lines[1].startswith("1,0.5,")
+
+
+class ReferenceTrainer:
+    """The training step written with fresh arrays for every intermediate:
+    forward, loss, backprop and the Adam/SGD update as they were before the
+    step moved into a reused workspace. The workspace step must match it
+    bit for bit."""
+
+    def __init__(self, model, config):
+        self.model = model
+        self.config = config
+        self.t = 0
+        params = [p for pair in zip(model.weights, model.biases) for p in pair]
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+
+    def step(self, x, y):
+        model, cfg = self.model, self.config
+        x = np.asarray(x, dtype=np.float64)
+        y = np.asarray(y, dtype=np.int64)
+        activations = [x]
+        h = x
+        last = len(model.weights) - 1
+        for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+            z = h @ w + b
+            if i == last:
+                shifted = z - z.max(axis=1, keepdims=True)
+                e = np.exp(shifted)
+                h = e / e.sum(axis=1, keepdims=True)
+            else:
+                h = np.maximum(z, 0.0)
+            activations.append(h)
+        probs = h
+        n = probs.shape[0]
+        cw = cfg.class_weights
+        sw = np.ones(n) if cw is None else cw.w[y]
+        picked = probs[np.arange(n), y]
+        nll = -(sw * np.log(np.minimum(picked + mlp.LOG_FLOOR, 1.0))).sum()
+        batch_loss = float(nll) / float(sw.sum())
+
+        delta = probs.copy()
+        delta[np.arange(n), y] -= 1.0
+        delta *= (sw / sw.sum())[:, None]
+        grads_w = [None] * len(model.weights)
+        grads_b = [None] * len(model.weights)
+        for i in range(last, -1, -1):
+            grads_w[i] = activations[i].T @ delta
+            grads_b[i] = delta.sum(axis=0)
+            if i > 0:
+                delta = delta @ model.weights[i].T
+                delta[activations[i] <= 0.0] = 0.0
+
+        params = [p for pair in zip(model.weights, model.biases) for p in pair]
+        grads = [g for pair in zip(grads_w, grads_b) for g in pair]
+        if cfg.optimizer == "sgd":
+            for p, g in zip(params, grads):
+                p -= cfg.learning_rate * g
+            return batch_loss
+        self.t += 1
+        c1 = 1.0 - cfg.beta1**self.t
+        c2 = 1.0 - cfg.beta2**self.t
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            m *= cfg.beta1
+            m += (1.0 - cfg.beta1) * g
+            v *= cfg.beta2
+            v += (1.0 - cfg.beta2) * g * g
+            p -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + cfg.eps)
+        return batch_loss
+
+
+class TestWorkspaceStep:
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_bit_identical_to_reference(self, optimizer, weighted):
+        rng = np.random.default_rng(21)
+        weights = ClassWeights(np.array([0.3, 1.7, 1.0])) if weighted else None
+        cfg = mlp.TrainConfig(batch_size=8, learning_rate=3e-2,
+                              optimizer=optimizer, class_weights=weights)
+        model = mlp.init([5, 7, 6, 3], seed=4)
+        ref = ReferenceTrainer(mlp.init([5, 7, 6, 3], seed=4), cfg)
+        state = None
+        # full batches, a partial last batch, and a batch larger than
+        # batch_size, which replaces the workspace
+        for n in (8, 8, 3, 8, 13, 8, 5, 13):
+            x = rng.normal(size=(n, 5)).astype(np.float32)
+            y = rng.integers(0, 3, size=n).astype(np.int32)
+            state, batch_loss = mlp.optimizer_step(model, x, y, cfg, state)
+            assert batch_loss == ref.step(x, y)
+            for ours, theirs in zip(model.weights + model.biases,
+                                    ref.model.weights + ref.model.biases):
+                assert np.array_equal(ours, theirs)
+        assert state.workspace.rows == 13
+
+    def test_gradients_match_reference_backprop(self):
+        rng = np.random.default_rng(8)
+        weights = ClassWeights(np.array([0.5, 1.5, 1.0]))
+        model = mlp.init([4, 6, 3], seed=2)
+        x = rng.normal(size=(9, 4))
+        y = rng.integers(0, 3, size=9)
+        gw, gb = mlp.gradients(model, x, y, weights)
+        cfg = mlp.TrainConfig(learning_rate=1.0, optimizer="sgd",
+                              class_weights=weights)
+        ref = ReferenceTrainer(mlp.init([4, 6, 3], seed=2), cfg)
+        ref.step(x, y)  # with lr = 1 the SGD update is exactly p - g
+        for p, g, q in zip(model.weights + model.biases, gw + gb,
+                           ref.model.weights + ref.model.biases):
+            assert np.array_equal(p - g, q)
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_step_allocates_no_batch_sized_array(self, optimizer):
+        rng = np.random.default_rng(0)
+        model = mlp.init([122, 256, 112, 4], seed=0)
+        cfg = mlp.TrainConfig(optimizer=optimizer,
+                              class_weights=ClassWeights(np.full(4, 1.0)))
+        x = rng.normal(size=(1024, 122)).astype(np.float32)
+        y = rng.integers(0, 4, size=1024).astype(np.int32)
+        state, _ = mlp.optimizer_step(model, x, y, cfg)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            mlp.optimizer_step(model, x[:1000], y[:1000], cfg, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        one_activation = 1024 * 256 * 8
+        assert peak - start < one_activation // 8
+
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_label_out_of_range_rejected(self, label):
+        model = mlp.init([2, 4, 3], seed=0)
+        y = np.array([0, label])
+        with pytest.raises(ShapeMismatchError):
+            mlp.optimizer_step(model, np.ones((2, 2)), y, mlp.TrainConfig())
+        with pytest.raises(ShapeMismatchError):
+            mlp.gradients(model, np.ones((2, 2)), y)
+
+
+class TestOutputsDoNotAlias:
+    """Callers keep what forward() and gradients() return (kernel_shap keeps
+    every chunk's output), so a later call must not write into it."""
+
+    def test_forward(self):
+        model = mlp.init([5, 6, 4], seed=1)
+        rng = np.random.default_rng(0)
+        first = mlp.forward(model, rng.normal(size=(10, 5)))
+        kept = first.copy()
+        mlp.forward(model, rng.normal(size=(10, 5)))
+        mlp.forward(model, rng.normal(size=(4, 5)))
+        assert np.array_equal(first, kept)
+
+    def test_gradients(self):
+        model = mlp.init([5, 6, 4], seed=1)
+        rng = np.random.default_rng(0)
+        gw, gb = mlp.gradients(model, rng.normal(size=(10, 5)),
+                               rng.integers(0, 4, size=10))
+        kept = [g.copy() for g in gw + gb]
+        mlp.gradients(model, rng.normal(size=(10, 5)), rng.integers(0, 4, size=10))
+        assert all(np.array_equal(g, k) for g, k in zip(gw + gb, kept))
 
 
 class TestPersistence:
