@@ -457,16 +457,27 @@ def cmd_train(args) -> int:
 
 
 def _pick_column(path: Path, n_classes: int) -> pp.EncodedDataset:
-    """The container label column whose class count matches the model."""
+    """The one container label column whose class count matches the model.
+
+    A model file does not record which column it was trained on, so two
+    matching columns (a corpus with exactly four fine labels) cannot be
+    told apart and are rejected.
+    """
     x, scaling, columns = pp.read_container_columns(path)
-    for column in columns:
-        if len(column.class_names) == n_classes:
-            return pp.EncodedDataset(
-                x=x, y=column.y, class_names=list(column.class_names), scaling=scaling
-            )
-    raise ShapeMismatchError(
-        f"no label column with {n_classes} classes in {path}; "
-        f"available: {[(c.name, len(c.class_names)) for c in columns]}"
+    matching = [c for c in columns if len(c.class_names) == n_classes]
+    if not matching:
+        raise ShapeMismatchError(
+            f"no label column with {n_classes} classes in {path}; "
+            f"available: {[(c.name, len(c.class_names)) for c in columns]}"
+        )
+    if len(matching) > 1:
+        raise ShapeMismatchError(
+            f"label columns {[c.name for c in matching]} in {path} all have "
+            f"{n_classes} classes; cannot tell which one the model was trained on"
+        )
+    (column,) = matching
+    return pp.EncodedDataset(
+        x=x, y=column.y, class_names=list(column.class_names), scaling=scaling
     )
 
 
@@ -546,10 +557,6 @@ def cmd_explain(args) -> int:
         per_class_residual = dict(
             zip(test_ds.class_names, residuals.max(axis=1).tolist())
         )
-        budget = cfg.budget
-        if budget is None:
-            budget = kshap.default_budget(test_ds.d)
-        n_masks = min(budget, 2**test_ds.d - 2)  # coalitions kernel_shap drew
         for c, name in enumerate(test_ds.class_names):
             (out_dir / f"shap_{name}.csv").write_bytes(kshap.explanation_csv(expl, c))
         (out_dir / "top5.csv").write_bytes(kshap.top_features_csv(expl, cfg.top_k))
@@ -562,7 +569,7 @@ def cmd_explain(args) -> int:
                     "prepared_dir": str(prepared),
                     "background_n": cfg.background_n,
                     "explain_n": cfg.explain_n,
-                    "budget": budget,
+                    "budget": expl.budget,
                     "top_k": cfg.top_k,
                 },
                 "seeds": {
@@ -576,7 +583,7 @@ def cmd_explain(args) -> int:
                 },
                 "efficiency_max_residual": per_class_residual,
                 "numerics": {
-                    "masked_rows": len(fg_idx) * n_masks * len(bg_idx),
+                    "masked_rows": expl.masked_rows,
                     "model_rows": expl.model_rows,
                     "ridge_used": expl.ridge_used,
                 },

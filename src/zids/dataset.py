@@ -11,12 +11,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .errors import (
-    EmptyInputError,
     FieldTypeError,
     MalformedLineError,
     UnknownLabelError,
@@ -133,6 +132,7 @@ _UNAUTHORIZED_LABELS = (
 )
 
 
+# Used only by perfbench/spans.py, which rebinds iter_kdd by name.
 @dataclass(frozen=True)
 class RawRecord:
     """One connection: 41 feature strings in wire order plus the fine label.
@@ -195,9 +195,6 @@ class LabelTaxonomy:
         except KeyError:
             raise UnknownLabelError(label) from None
 
-    def labels_in(self, category: str) -> tuple[str, ...]:
-        return tuple(l for l, c in self.mapping.items() if c == category)
-
 
 def default_taxonomy() -> LabelTaxonomy:
     """The four-way grouping of the KDD99 fine labels.
@@ -214,16 +211,6 @@ def default_taxonomy() -> LabelTaxonomy:
     for label in _UNAUTHORIZED_LABELS:
         mapping[label] = UNAUTHORIZED
     return LabelTaxonomy(mapping=mapping)
-
-
-_Line = Union[str, bytes]
-_Stream = Union[IO[str], IO[bytes], Iterable[_Line]]
-
-
-def _decode(line: _Line) -> str:
-    if isinstance(line, bytes):
-        return line.decode("utf-8")
-    return line
 
 
 BLOCK_ROWS = 1024  # records per RecordBlock; larger blocks raise prepare's peak RSS
@@ -291,8 +278,9 @@ def _continuous(lines: list[str], line_numbers: list[int]) -> np.ndarray:
     return _checked_floats(lines, line_numbers)
 
 
-def iter_blocks(stream: _Stream) -> Iterator[RecordBlock]:
-    """Stream RecordBlocks of up to BLOCK_ROWS records off a KDD99 file.
+def iter_blocks(stream: Iterable[str]) -> Iterator[RecordBlock]:
+    """Stream RecordBlocks of up to BLOCK_ROWS records off a KDD99 file
+    opened in text mode (or any iterable of lines).
 
     Memory is bounded by one block; safe for the full 700MB file. Empty
     lines are skipped. Labels come out lowercased with the trailing dot
@@ -308,7 +296,7 @@ def iter_blocks(stream: _Stream) -> Iterator[RecordBlock]:
     categorical: list[tuple[str, str, str]] = []
     labels: list[str] = []
     for line_no, raw in enumerate(stream, start=1):
-        line = _decode(raw).strip()
+        line = raw.strip()
         if not line:
             continue
         parts = line.split(",")
@@ -332,7 +320,8 @@ def iter_blocks(stream: _Stream) -> Iterator[RecordBlock]:
                           _continuous(lines, line_numbers))
 
 
-def iter_kdd(stream: _Stream) -> Iterator[RawRecord]:
+# Used only by perfbench/spans.py, which rebinds iter_kdd by name.
+def iter_kdd(stream: Iterable[str]) -> Iterator[RawRecord]:
     """Stream RawRecords off a KDD99 file (see iter_blocks).
 
     Feature values are kept as the strings on the line.
@@ -340,39 +329,6 @@ def iter_kdd(stream: _Stream) -> Iterator[RawRecord]:
     for block in iter_blocks(stream):
         for line, label in zip(block.lines, block.labels):
             yield RawRecord(values=tuple(line.split(",")[:-1]), label=label)
-
-
-def parse_kdd(stream: _Stream) -> list[RawRecord]:
-    """Parse a whole KDD99 stream into a record list (see iter_kdd)."""
-    return list(iter_kdd(stream))
-
-
-def format_kdd(record: RawRecord) -> str:
-    """One KDD99 wire line for the record, trailing dot included."""
-    return ",".join(record.values) + f",{record.label}."
-
-
-def serialize_kdd(records: Iterable[RawRecord]) -> str:
-    """Records back to KDD99 text; parse_kdd(serialize_kdd(r)) == r."""
-    return "".join(format_kdd(r) + "\n" for r in records)
-
-
-def build_schema(records: Iterable[RawRecord]) -> FeatureSchema:
-    """Collect the observed vocabulary of each categorical feature.
-
-    Order-insensitive: vocabularies are the sorted distinct values.
-    """
-    observed: dict[int, set[str]] = {pos: set() for pos in CATEGORICAL_POSITIONS}
-    count = 0
-    for record in records:
-        count += 1
-        for pos in CATEGORICAL_POSITIONS:
-            observed[pos].add(record.values[pos])
-    if count == 0:
-        raise EmptyInputError("build_schema needs at least one record")
-    return schema_from_vocabularies(
-        {FEATURE_NAMES[pos]: sorted(observed[pos]) for pos in CATEGORICAL_POSITIONS}
-    )
 
 
 def schema_from_vocabularies(vocabularies: Mapping[str, Iterable[str]]) -> FeatureSchema:
@@ -389,16 +345,6 @@ def schema_from_vocabularies(vocabularies: Mapping[str, Iterable[str]]) -> Featu
         for pos in CATEGORICAL_POSITIONS
     }
     return FeatureSchema(features=features, vocabularies=vocab)
-
-
-def coarse_counts(
-    records: Iterable[RawRecord], taxonomy: LabelTaxonomy
-) -> dict[str, int]:
-    """Per-category record counts, in canonical category order."""
-    counts = {category: 0 for category in CATEGORIES}
-    for record in records:
-        counts[taxonomy.category_of(record.label)] += 1
-    return counts
 
 
 def counts_csv(counts: Mapping[str, int]) -> bytes:

@@ -21,7 +21,6 @@ from .errors import (
     MissingClassError,
     OutOfRangeError,
     UnknownCategoryError,
-    UnknownLabelError,
 )
 
 CONTAINER_MAGIC = b"ZIDS"
@@ -53,14 +52,6 @@ class EncodedDataset:
     @property
     def k(self) -> int:
         return len(self.class_names)
-
-    def subset(self, indices: np.ndarray) -> "EncodedDataset":
-        return EncodedDataset(
-            x=self.x[indices],
-            y=self.y[indices],
-            class_names=list(self.class_names),
-            scaling=list(self.scaling),
-        )
 
 
 @dataclass(frozen=True)
@@ -136,62 +127,6 @@ def apply_scaling(x: np.ndarray, scaling: Sequence[tuple[float, float]]) -> None
     x[:, :n_continuous] = (x[:, :n_continuous] - mins) * inv
 
 
-def encode(
-    records: Sequence[ds.RawRecord],
-    schema: ds.FeatureSchema,
-    taxonomy: ds.LabelTaxonomy,
-    granularity: str = "coarse",
-    scaling: Optional[Sequence[tuple[float, float]]] = None,
-    class_names: Optional[Sequence[str]] = None,
-) -> EncodedDataset:
-    """Encode records to a dense matrix with integer class labels.
-
-    granularity "coarse" buckets labels through the taxonomy into the four
-    categories; "fine" keeps the attack names as classes. When scaling is
-    None it is fitted on these records, otherwise applied as given; the
-    same fit-or-apply convention holds for class_names, which lets a test
-    set reuse the training class order.
-
-    The records go through the block parser and encode_block as their
-    wire lines, the path prepare takes, so both agree bit for bit.
-    """
-    if granularity not in ("coarse", "fine"):
-        raise ValueError(f"granularity must be 'coarse' or 'fine': {granularity!r}")
-    if len(records) == 0:
-        raise ValueError("encode needs at least one record")
-
-    if granularity == "coarse":
-        names = list(class_names) if class_names is not None else list(ds.CATEGORIES)
-        index = {name: i for i, name in enumerate(names)}
-        y = np.empty(len(records), dtype=np.int32)
-        for i, record in enumerate(records):
-            category = taxonomy.category_of(record.label)
-            if category not in index:
-                raise UnknownLabelError(record.label)
-            y[i] = index[category]
-    else:
-        if class_names is not None:
-            names = list(class_names)
-        else:
-            names = sorted({r.label for r in records})
-        index = {name: i for i, name in enumerate(names)}
-        y = np.empty(len(records), dtype=np.int32)
-        for i, record in enumerate(records):
-            try:
-                y[i] = index[record.label]
-            except KeyError:
-                raise UnknownLabelError(record.label) from None
-
-    blocks = ds.iter_blocks(ds.format_kdd(r) for r in records)
-    x = np.concatenate([encode_block(block, schema) for block in blocks])
-    if scaling is None:
-        scaling = fit_scaling(x, len(ds.CONTINUOUS_POSITIONS))
-    else:
-        scaling = list(scaling)
-    apply_scaling(x, scaling)
-    return EncodedDataset(x=x, y=y, class_names=names, scaling=list(scaling))
-
-
 def allocate_test_count(n_c: int, test_fraction: float) -> int:
     """Test-row allocation for one class: nearest count by remainder.
 
@@ -230,14 +165,6 @@ def split_indices(
     return train_idx, test_idx
 
 
-def stratified_split(
-    data: EncodedDataset, test_fraction: float, seed: int
-) -> tuple[EncodedDataset, EncodedDataset]:
-    """Partition into stratified train and test subsets (see split_indices)."""
-    train_idx, test_idx = split_indices(data.y, data.k, test_fraction, seed)
-    return data.subset(train_idx), data.subset(test_idx)
-
-
 def class_weights(y: np.ndarray, k: int) -> ClassWeights:
     """Balanced inverse-frequency weights N/(K*n_c), rescaled to mean 1."""
     counts = np.bincount(np.asarray(y, dtype=np.int64), minlength=k)
@@ -255,11 +182,6 @@ def sample_indices(n_total: int, n: int, seed: int) -> np.ndarray:
     if not 1 <= n <= n_total:
         raise OutOfRangeError(f"sample size {n} not in 1..{n_total}")
     return np.random.default_rng(seed).permutation(n_total)[:n]
-
-
-def sample_rows(data: EncodedDataset, n: int, seed: int) -> EncodedDataset:
-    """Seeded uniform sample of n rows, kept in drawn order."""
-    return data.subset(sample_indices(data.n, n, seed))
 
 
 # --- container format ------------------------------------------------------
@@ -385,12 +307,6 @@ def read_container_columns(path):
         if fh.read(1):
             raise CorruptContainerError("trailing bytes after last column")
     return x, [(lo, hi) for lo, hi in scaling], columns
-
-
-def list_label_columns(path) -> list[str]:
-    """Names of the label columns stored in a container."""
-    _, _, columns = read_container_columns(path)
-    return [c.name for c in columns]
 
 
 def read_container(path, label_column: Optional[str] = None) -> EncodedDataset:

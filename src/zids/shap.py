@@ -35,7 +35,9 @@ class Explanation:
     """Per-class attribution matrices with their base values.
 
     phi has shape (n_classes, n_rows, n_features); base_values[c] is the
-    background mean of output c. model_rows counts the rows sent to
+    background mean of output c. budget is the coalition budget the call
+    resolved, masked_rows the masked rows it averaged over (rows times
+    coalitions times background rows), model_rows the rows sent to
     model_fn; ridge_used tells whether the solve needed the ridge fallback.
     """
 
@@ -43,6 +45,8 @@ class Explanation:
     base_values: np.ndarray
     feature_names: list[str]
     class_names: list[str]
+    budget: int = 0
+    masked_rows: int = 0
     model_rows: int = 0
     ridge_used: bool = False
 
@@ -156,7 +160,8 @@ def enumerate_or_sample_coalitions(
 
 
 def _as_background(background: np.ndarray) -> np.ndarray:
-    bg = np.asarray(background, dtype=np.float64)
+    # C order: _masked_values reinterprets rows as uint64 words
+    bg = np.ascontiguousarray(background, dtype=np.float64)
     if bg.ndim != 2 or bg.shape[0] < 1:
         raise ShapeMismatchError("background must be a non-empty 2D matrix")
     return bg
@@ -238,7 +243,7 @@ def masked_eval(
 ) -> np.ndarray:
     """Background-averaged model output for one coalition mask."""
     bg = _as_background(background)
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    x = np.ascontiguousarray(x, dtype=np.float64).reshape(-1)
     if x.size != bg.shape[1]:
         raise ShapeMismatchError(
             f"row width {x.size} vs background width {bg.shape[1]}"
@@ -274,7 +279,7 @@ def kernel_shap(
     classes, so the failure is reported for the first class.
     """
     bg = _as_background(background)
-    x_rows = np.atleast_2d(np.asarray(x_rows, dtype=np.float64))
+    x_rows = np.ascontiguousarray(np.atleast_2d(x_rows), dtype=np.float64)
     n_rows, m = x_rows.shape
     if m < 2:
         raise OutOfRangeError(f"need at least 2 features to explain: {m}")
@@ -331,6 +336,8 @@ def kernel_shap(
         base_values=f0,
         feature_names=list(feature_names),
         class_names=list(class_names),
+        budget=budget,
+        masked_rows=n_rows * masks.shape[0] * bg.shape[0],
         model_rows=model_rows,
         ridge_used=ridge_used,
     )
@@ -348,7 +355,7 @@ def exact_shapley(
     masked evaluation. Costs 2^M evaluations, so M is capped at 15.
     """
     bg = _as_background(background)
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    x = np.ascontiguousarray(x, dtype=np.float64).reshape(-1)
     m = x.size
     if m > 15:
         raise TooManyFeaturesError(f"exact enumeration capped at 15 features: {m}")

@@ -18,7 +18,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .dataset import FEATURE_NAMES, RawRecord, format_kdd
+from .dataset import FEATURE_NAMES
 
 # Counts mirror the full file's ordering: DoS >> Normal >> Probe >> UA.
 DEFAULT_PROFILE: dict[str, int] = {
@@ -394,14 +394,15 @@ _BUILDERS = {
 }
 
 
-def generate_records(
+def generate_lines(
     profile: Optional[Mapping[str, int]] = None, seed: int = 0
-) -> list[RawRecord]:
-    """Deterministic record list for the profile, in shuffled order."""
+) -> list[str]:
+    """Deterministic KDD99 wire lines for the profile, in shuffled order,
+    each with its dot-terminated label and no line terminator."""
     if profile is None:
         profile = DEFAULT_PROFILE
     rng = np.random.default_rng(seed)
-    records: list[RawRecord] = []
+    lines: list[str] = []
     for label in sorted(profile):
         builder = _BUILDERS.get(label)
         for _ in range(profile[label]):
@@ -409,17 +410,17 @@ def generate_records(
                 row = builder(rng)
             else:
                 row = _ua_row(rng, label)
-            records.append(RawRecord(values=tuple(row), label=label))
-    order = rng.permutation(len(records))
-    return [records[i] for i in order]
+            lines.append(",".join(row) + f",{label}.")
+    order = rng.permutation(len(lines))
+    return [lines[i] for i in order]
 
 
 def write_corpus(
     path, profile: Optional[Mapping[str, int]] = None, seed: int = 0
 ) -> int:
     """Write a corpus file in KDD99 wire format; returns the row count."""
-    records = generate_records(profile, seed)
+    lines = generate_lines(profile, seed)
     with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(format_kdd(record) + "\n")
-    return len(records)
+        for line in lines:
+            fh.write(line + "\n")
+    return len(lines)

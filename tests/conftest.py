@@ -43,6 +43,12 @@ def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
 
 
+def read_counts(path: Path) -> dict:
+    """category -> count from a prepared counts.csv."""
+    rows = path.read_text().strip().splitlines()[1:]
+    return {name: int(value) for name, value in (row.split(",") for row in rows)}
+
+
 class Experiment:
     """Lazy prepare/train/evaluate/explain over one corpus, cached per session."""
 

@@ -13,7 +13,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 
 import json
 import os
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from zids import preprocess as pp
 from zids import synthetic
 from zids.preprocess import ClassWeights
 
-from conftest import SMALL_PROFILE, Experiment, run_cli
+from conftest import SMALL_PROFILE, Experiment, read_counts, run_cli
 from test_metrics import brute_force_scores
 from test_mlp import finite_difference_gradients, max_relative_error
 
@@ -62,7 +61,7 @@ def test_criterion_1_category_counts_exact(tmp_path):
     out = tmp_path / "prep_full"
     rc = run_cli("prepare", "--data", FULL_DATA, "--out", out, "--seed", 0)
     assert rc == 0
-    counts = _read_counts(out / "counts.csv")
+    counts = read_counts(out / "counts.csv")
     expected = {
         "DoS": 3_883_370,
         "Normal": 972_781,
@@ -81,11 +80,6 @@ def test_criterion_1_category_counts_exact(tmp_path):
     )
 
 
-def _read_counts(path: Path) -> dict:
-    lines = path.read_text().strip().splitlines()[1:]
-    return {name: int(value) for name, value in (l.split(",") for l in lines)}
-
-
 def _degraded_counts_ok(counts) -> bool:
     ordered = (
         counts["DoS"] > counts["Normal"] > counts["Probe"]
@@ -101,7 +95,7 @@ def test_criterion_1_degraded_subset(tmp_path):
         out = tmp_path / name
         assert run_cli("prepare", "--data", TENPCT_DATA, "--out", out, "--seed", 0) == 0
         outs.append(out)
-    counts = _read_counts(outs[0] / "counts.csv")
+    counts = read_counts(outs[0] / "counts.csv")
     stable = (outs[0] / "counts.csv").read_bytes() == (outs[1] / "counts.csv").read_bytes()
     check(
         "1d",
@@ -112,7 +106,7 @@ def test_criterion_1_degraded_subset(tmp_path):
 
 
 def test_criterion_1_synthetic_analog(experiment, tmp_path):
-    counts = _read_counts(experiment.prepared / "counts.csv")
+    counts = read_counts(experiment.prepared / "counts.csv")
     again = tmp_path / "again"
     assert run_cli("prepare", "--data", experiment.corpus, "--out", again,
                    "--seed", 0) == 0

@@ -3,6 +3,7 @@ exit codes."""
 
 import hashlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -96,11 +97,18 @@ class TestPrepare:
         for name in ("train.zids", "test.zids", "schema.json", "counts.csv",
                      "manifest.json"):
             assert (prepared / name).exists()
-        assert pp.list_label_columns(prepared / "train.zids") == ["coarse", "fine"]
+        _, _, columns = pp.read_container_columns(prepared / "train.zids")
+        assert [c.name for c in columns] == ["coarse", "fine"]
 
     def test_counts_match_streaming_oracle(self, small_experiment):
+        tax = ds.default_taxonomy()
         with open(small_experiment.corpus) as stream:
-            expected = ds.coarse_counts(ds.parse_kdd(stream), ds.default_taxonomy())
+            seen = Counter(
+                tax.category_of(label)
+                for block in ds.iter_blocks(stream)
+                for label in block.labels
+            )
+        expected = {category: seen[category] for category in ds.CATEGORIES}
         got = dict(
             line.split(",")
             for line in (small_experiment.prepared / "counts.csv")
@@ -148,6 +156,12 @@ class TestPrepare:
         }
         assert got == expected
 
+    def test_corpus_digest_pinned(self, small_experiment):
+        """Pins the generator's wire text, which the containers above do not
+        see in full: "0.00" and "0.0" parse to the same float."""
+        digest = hashlib.sha256(small_experiment.corpus.read_bytes()).hexdigest()
+        assert digest == "1ba6c5b26445df007f89c18e799ccdda685befd716a0ac9ba0f8863d027cfac2"
+
     def test_missing_file_exit_code(self, tmp_path, capsys):
         rc = run_cli("prepare", "--data", tmp_path / "nope.kdd", "--out", tmp_path / "o")
         assert rc == 2
@@ -169,9 +183,9 @@ class TestPrepare:
         import gzip
 
         corpus = tmp_path / "c.kdd.gz"
-        records = synthetic.generate_records({"normal": 30, "smurf": 30}, seed=0)
+        lines = synthetic.generate_lines({"normal": 30, "smurf": 30}, seed=0)
         with gzip.open(corpus, "wt") as fh:
-            fh.write(ds.serialize_kdd(records))
+            fh.write("".join(line + "\n" for line in lines))
         rc = run_cli("prepare", "--data", corpus, "--out", tmp_path / "out", "--seed", 1)
         assert rc == 0
 
@@ -288,6 +302,26 @@ class TestEvaluate:
                      "--test", tmp_path / "otherprep" / "test.zids",
                      "--out", tmp_path / "res")
         assert rc == 2
+
+    def test_ambiguous_label_column_is_data_error(self, tmp_path, capsys):
+        # four fine labels: the fine and the coarse column both have 4 classes
+        corpus = tmp_path / "four.kdd"
+        synthetic.write_corpus(
+            corpus, {"normal": 300, "smurf": 300, "neptune": 200, "satan": 100}, seed=0
+        )
+        prepared, run = tmp_path / "prep", tmp_path / "run"
+        assert run_cli("prepare", "--data", corpus, "--out", prepared,
+                       "--seed", 0) == 0
+        assert run_cli("train", "--prepared", prepared, "--variant", "base",
+                       "--out", run, "--seed", 0, "--epochs", 2) == 0
+        capsys.readouterr()
+        out = tmp_path / "eval"
+        rc = run_cli("evaluate", "--model", run / "model.zmlp",
+                     "--test", prepared / "test.zids", "--out", out)
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "['coarse', 'fine']" in err[0]
+        assert not out.exists()
 
     def test_report_command_pretty_prints(self, small_experiment, capsys):
         small_experiment.evaluate("truncated")

@@ -7,9 +7,8 @@ import pytest
 
 from zids import dataset as ds
 from zids import synthetic
-from conftest import run_cli
+from conftest import read_counts, run_cli
 from zids.errors import (
-    EmptyInputError,
     FieldTypeError,
     MalformedLineError,
     UnknownLabelError,
@@ -31,31 +30,46 @@ def make_line(label="normal.", protocol="tcp", service="http", flag="SF"):
     return ",".join(values) + f",{label}"
 
 
+def parse(text):
+    """Every block of a KDD99 text, as a file opened in text mode yields it."""
+    return list(ds.iter_blocks(io.StringIO(text)))
+
+
+def labels(blocks):
+    return [label for block in blocks for label in block.labels]
+
+
+def prepare(tmp_path, lines, name="prepared"):
+    """Run `zids prepare` on the lines; returns its exit code and output dir."""
+    corpus = tmp_path / f"{name}.kdd"
+    corpus.write_text("".join(line + "\n" for line in lines))
+    out = tmp_path / name
+    return run_cli("prepare", "--data", corpus, "--out", out, "--seed", 0), out
+
+
+def prepared_schema(out):
+    return ds.FeatureSchema.from_json((out / "schema.json").read_text())
+
+
 class TestParse:
     def test_basic_line(self):
-        records = ds.parse_kdd(io.StringIO(make_line("normal.")))
-        assert len(records) == 1
-        assert records[0].label == "normal"
-        assert len(records[0].values) == 41
-        assert records[0].values[1] == "tcp"
+        (block,) = parse(make_line("normal."))
+        assert len(block) == 1
+        assert block.labels[0] == "normal"
+        assert len(block.categorical[0]) + block.continuous.shape[1] == 41
+        assert block.categorical[0][0] == "tcp"
 
     def test_label_normalization(self):
-        records = ds.parse_kdd(io.StringIO(make_line("SMURF.")))
-        assert records[0].label == "smurf"
-
-    def test_bytes_stream(self):
-        records = ds.parse_kdd(io.BytesIO(make_line().encode()))
-        assert records[0].label == "normal"
+        assert labels(parse(make_line("SMURF."))) == ["smurf"]
 
     def test_empty_lines_skipped(self):
         text = "\n" + make_line() + "\n\n" + make_line("smurf.") + "\n"
-        records = ds.parse_kdd(io.StringIO(text))
-        assert [r.label for r in records] == ["normal", "smurf"]
+        assert labels(parse(text)) == ["normal", "smurf"]
 
     def test_wrong_field_count(self):
         short = ",".join(["0"] * 40) + ",normal."
         with pytest.raises(MalformedLineError) as err:
-            ds.parse_kdd(io.StringIO(short))
+            parse(short)
         assert err.value.field_count == 41
         assert err.value.line_no == 1
 
@@ -64,7 +78,7 @@ class TestParse:
         values[1], values[2], values[3] = "tcp", "http", "SF"
         values[4] = "abc"
         with pytest.raises(FieldTypeError) as err:
-            ds.parse_kdd(io.StringIO(",".join(values) + ",normal."))
+            parse(",".join(values) + ",normal.")
         assert err.value.column == 4
 
     @pytest.mark.parametrize("bad", ["-1", "inf", "nan"])
@@ -73,12 +87,12 @@ class TestParse:
         values[1], values[2], values[3] = "tcp", "http", "SF"
         values[0] = bad
         with pytest.raises(FieldTypeError):
-            ds.parse_kdd(io.StringIO(",".join(values) + ",normal."))
+            parse(",".join(values) + ",normal.")
 
     def test_line_numbers_count_raw_lines(self):
         text = make_line() + "\n\n" + ",".join(["0"] * 40) + ",x.\n"
         with pytest.raises(MalformedLineError) as err:
-            ds.parse_kdd(io.StringIO(text))
+            parse(text)
         assert err.value.line_no == 3
 
     def test_type_error_wins_over_later_malformed_line(self):
@@ -87,7 +101,7 @@ class TestParse:
         values[7] = "x"
         text = ",".join(values) + ",normal.\n" + ",".join(["0"] * 40) + ",normal.\n"
         with pytest.raises(FieldTypeError) as err:
-            ds.parse_kdd(io.StringIO(text))
+            parse(text)
         assert (err.value.line_no, err.value.column) == (1, 7)
 
     def test_bad_cell_past_first_block_has_absolute_line(self):
@@ -95,13 +109,13 @@ class TestParse:
         lines[1500] = make_line().replace(",215,", ",-215,", 1)
         assert 1500 > ds.BLOCK_ROWS
         with pytest.raises(FieldTypeError) as err:
-            ds.parse_kdd(io.StringIO("\n".join(lines)))
+            parse("\n".join(lines))
         assert (err.value.line_no, err.value.column) == (1501, 4)
 
     def test_blocks_keep_line_numbers_and_values(self):
         lines = [make_line(label="SMURF.")] * (ds.BLOCK_ROWS + 3)
         lines[-1] = make_line().replace(",215,", ",1_000,", 1)  # float() only
-        blocks = list(ds.iter_blocks(io.StringIO("\n\n".join(lines))))
+        blocks = parse("\n\n".join(lines))
         assert [len(b) for b in blocks] == [ds.BLOCK_ROWS, 3]
         assert blocks[1].line_numbers == [2 * i + 1 for i in range(ds.BLOCK_ROWS, ds.BLOCK_ROWS + 3)]
         assert blocks[0].labels[0] == "smurf"
@@ -110,12 +124,11 @@ class TestParse:
         assert blocks[0].continuous.dtype == np.float64
         assert blocks[0].continuous[0, src_bytes] == 215.0
         assert blocks[1].continuous[-1, src_bytes] == 1000.0
-        assert ds.parse_kdd(io.StringIO(lines[-1]))[0].values[4] == "1_000"
+        assert blocks[1].lines[-1].split(",")[4] == "1_000"
 
     def test_prepare_reports_bad_cell(self, tmp_path, capsys):
         corpus = tmp_path / "bad.kdd"
-        records = synthetic.generate_records({"normal": 30, "smurf": 30}, seed=0)
-        lines = ds.serialize_kdd(records).splitlines()
+        lines = synthetic.generate_lines({"normal": 30, "smurf": 30}, seed=0)
         parts = lines[41].split(",")
         parts[9] = "lots"
         lines[41] = ",".join(parts)
@@ -127,44 +140,63 @@ class TestParse:
         assert len(err.strip().splitlines()) == 1
 
     def test_round_trip(self):
-        records = synthetic.generate_records(profile={"normal": 40, "smurf": 25}, seed=3)
-        text = ds.serialize_kdd(records)
-        again = ds.parse_kdd(io.StringIO(text))
-        assert again == records
+        lines = synthetic.generate_lines(profile={"normal": 40, "smurf": 25}, seed=3)
+        text = "".join(line + "\n" for line in lines)
+        blocks = parse(text)
+        assert "".join(line + "\n" for b in blocks for line in b.lines) == text
+        assert labels(blocks) == [line.rsplit(",", 1)[1][:-1] for line in lines]
+        fields = [line.split(",") for line in lines]
+        assert [c for b in blocks for c in b.categorical] == [
+            tuple(f[1:4]) for f in fields
+        ]
+        continuous = np.concatenate([b.continuous for b in blocks])
+        expected = [[float(f[i]) for i in ds.CONTINUOUS_POSITIONS] for f in fields]
+        assert np.array_equal(continuous, np.array(expected))
 
 
 class TestSchema:
-    def test_vocabulary_sorted(self):
-        lines = [
+    def test_vocabulary_sorted(self, tmp_path):
+        rc, out = prepare(tmp_path, [
             make_line(protocol="tcp"),
             make_line(protocol="udp"),
             make_line(protocol="icmp"),
-        ]
-        schema = ds.build_schema(ds.parse_kdd(io.StringIO("\n".join(lines))))
+        ])
+        assert rc == 0
+        schema = prepared_schema(out)
         assert schema.vocabularies["protocol_type"] == ("icmp", "tcp", "udp")
 
-    def test_single_record_vocabularies(self):
-        schema = ds.build_schema(ds.parse_kdd(io.StringIO(make_line())))
-        assert all(len(v) == 1 for v in schema.vocabularies.values())
+    def test_single_record_vocabularies(self, tmp_path):
+        # two copies of one line: a single row leaves the test split empty
+        rc, out = prepare(tmp_path, [make_line()] * 2)
+        assert rc == 0
+        assert all(len(v) == 1 for v in prepared_schema(out).vocabularies.values())
 
-    def test_empty_input(self):
-        with pytest.raises(EmptyInputError):
-            ds.build_schema([])
+    def test_empty_input(self, tmp_path, capsys):
+        rc, out = prepare(tmp_path, ["", ""])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "no records" in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
-    def test_order_insensitive(self):
-        records = synthetic.generate_records(profile={"normal": 60, "neptune": 40}, seed=1)
-        schema_a = ds.build_schema(records)
-        schema_b = ds.build_schema(list(reversed(records)))
-        assert schema_a == schema_b
+    def test_order_insensitive(self, tmp_path):
+        lines = synthetic.generate_lines(profile={"normal": 60, "neptune": 40}, seed=1)
+        rc_a, out_a = prepare(tmp_path, lines, "forward")
+        rc_b, out_b = prepare(tmp_path, lines[::-1], "reversed")
+        assert rc_a == rc_b == 0
+        assert prepared_schema(out_a) == prepared_schema(out_b)
 
-    def test_descriptor_kinds(self):
-        schema = ds.build_schema(ds.parse_kdd(io.StringIO(make_line())))
+    def test_descriptor_kinds(self, tmp_path):
+        rc, out = prepare(tmp_path, [make_line()] * 2)
+        assert rc == 0
+        schema = prepared_schema(out)
         assert len(schema.features) == 41
         kinds = [f.kind for f in schema.features]
         assert [i for i, k in enumerate(kinds) if k == "categorical"] == [1, 2, 3]
 
     def test_json_round_trip(self):
-        schema = ds.build_schema(ds.parse_kdd(io.StringIO(make_line())))
+        schema = ds.schema_from_vocabularies(
+            {"protocol_type": ["tcp"], "service": ["http", "ftp"], "flag": ["SF"]}
+        )
         assert ds.FeatureSchema.from_json(schema.to_json()) == schema
 
 
@@ -189,7 +221,7 @@ class TestTaxonomy:
 
     def test_only_normal_is_normal(self):
         tax = ds.default_taxonomy()
-        assert tax.labels_in(ds.NORMAL) == ("normal",)
+        assert [l for l, c in tax.mapping.items() if c == ds.NORMAL] == ["normal"]
 
     def test_unknown_label(self):
         with pytest.raises(UnknownLabelError) as err:
@@ -198,29 +230,33 @@ class TestTaxonomy:
 
 
 class TestCoarseCounts:
-    def test_hand_counts(self):
-        lines = [make_line("normal."), make_line("smurf."), make_line("smurf."),
-                 make_line("satan."), make_line("spy.")]
-        counts = ds.coarse_counts(
-            ds.parse_kdd(io.StringIO("\n".join(lines))), ds.default_taxonomy()
-        )
+    def test_hand_counts(self, tmp_path):
+        rc, out = prepare(tmp_path, [
+            make_line("normal."), make_line("smurf."), make_line("smurf."),
+            make_line("satan."), make_line("spy."),
+        ])
+        assert rc == 0
+        counts = read_counts(out / "counts.csv")
         assert counts == {ds.NORMAL: 1, ds.DOS: 2, ds.PROBE: 1, ds.UNAUTHORIZED: 1}
 
     def test_empty(self):
-        counts = ds.coarse_counts([], ds.default_taxonomy())
-        assert all(v == 0 for v in counts.values())
-        assert list(counts) == list(ds.CATEGORIES)
+        lines = ds.counts_csv({}).decode().strip().splitlines()[1:]
+        assert [line.split(",")[0] for line in lines] == list(ds.CATEGORIES)
+        assert all(line.split(",")[1] == "0" for line in lines)
 
-    def test_counts_sum_to_total(self):
-        records = synthetic.generate_records(seed=2, profile={
+    def test_counts_sum_to_total(self, tmp_path):
+        lines = synthetic.generate_lines(seed=2, profile={
             "normal": 90, "smurf": 200, "satan": 12, "spy": 2, "perl": 3})
-        counts = ds.coarse_counts(records, ds.default_taxonomy())
-        assert sum(counts.values()) == len(records)
+        rc, out = prepare(tmp_path, lines)
+        assert rc == 0
+        assert sum(read_counts(out / "counts.csv").values()) == len(lines)
 
-    def test_unknown_label_raises(self):
-        record = ds.RawRecord(values=("0",) * 41, label="mystery")
-        with pytest.raises(UnknownLabelError):
-            ds.coarse_counts([record], ds.default_taxonomy())
+    def test_unknown_label_raises(self, tmp_path, capsys):
+        rc, out = prepare(tmp_path, [make_line(), make_line("mystery.")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "mystery" in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
     def test_counts_csv_shape(self):
         text = ds.counts_csv({c: i for i, c in enumerate(ds.CATEGORIES)}).decode()

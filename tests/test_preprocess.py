@@ -1,6 +1,6 @@
 """Encoding, stratified splitting, class weights, sampling, container I/O."""
 
-import io
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ import pytest
 from zids import dataset as ds
 from zids import preprocess as pp
 from zids import synthetic
+from conftest import read_counts, run_cli
 from zids.errors import (
     CorruptContainerError,
     DegenerateClassError,
@@ -18,14 +19,61 @@ from zids.errors import (
 )
 
 
+PROFILE = {
+    "normal": 300, "smurf": 500, "neptune": 150, "satan": 30,
+    "ipsweep": 20, "guess_passwd": 12, "warezclient": 10, "spy": 2,
+}
+
+
+@dataclass
+class Corpus:
+    """The profile's lines through the block path: unscaled encoded rows,
+    the schema of their vocabularies and their coarse class indices."""
+
+    lines: list
+    labels: list
+    schema: ds.FeatureSchema
+    x: np.ndarray
+    y: np.ndarray
+    k: int = len(ds.CATEGORIES)
+
+    @property
+    def n(self):
+        return self.x.shape[0]
+
+    def scaled(self, fit_rows=None):
+        """x min-max scaled on its first fit_rows rows (all by default)."""
+        x = self.x.copy()
+        n_cont = len(ds.CONTINUOUS_POSITIONS)
+        scaling = pp.fit_scaling(x[:fit_rows], n_cont)
+        pp.apply_scaling(x, scaling)
+        return x, scaling
+
+
 @pytest.fixture(scope="module")
 def corpus():
-    records = synthetic.generate_records(seed=4, profile={
-        "normal": 300, "smurf": 500, "neptune": 150, "satan": 30,
-        "ipsweep": 20, "guess_passwd": 12, "warezclient": 10, "spy": 2,
+    lines = synthetic.generate_lines(seed=4, profile=PROFILE)
+    blocks = list(ds.iter_blocks(lines))
+    categorical = [c for block in blocks for c in block.categorical]
+    schema = ds.schema_from_vocabularies({
+        ds.FEATURE_NAMES[pos]: values
+        for pos, values in zip(ds.CATEGORICAL_POSITIONS, zip(*categorical))
     })
-    schema = ds.build_schema(records)
-    return records, schema, ds.default_taxonomy()
+    x = np.concatenate([pp.encode_block(block, schema) for block in blocks])
+    labels = [label for block in blocks for label in block.labels]
+    tax = ds.default_taxonomy()
+    y = np.array([ds.CATEGORIES.index(tax.category_of(l)) for l in labels])
+    return Corpus(lines, labels, schema, x, y)
+
+
+@pytest.fixture(scope="module")
+def prepared(corpus, tmp_path_factory):
+    """`zids prepare` output for the same lines."""
+    root = tmp_path_factory.mktemp("prepare")
+    path = root / "corpus.kdd"
+    path.write_text("".join(line + "\n" for line in corpus.lines))
+    assert run_cli("prepare", "--data", path, "--out", root / "out", "--seed", 0) == 0
+    return root / "out"
 
 
 class TestEncode:
@@ -40,76 +88,69 @@ class TestEncode:
         assert len(pp.encoded_feature_names(schema)) == 122
 
     def test_one_hot_blocks(self, corpus):
-        records, schema, tax = corpus
-        enc = pp.encode(records, schema, tax)
         n_cont = len(ds.CONTINUOUS_POSITIONS)
         base = n_cont
         for pos in ds.CATEGORICAL_POSITIONS:
-            size = len(schema.vocabularies[ds.FEATURE_NAMES[pos]])
-            block = enc.x[:, base : base + size]
+            size = len(corpus.schema.vocabularies[ds.FEATURE_NAMES[pos]])
+            block = corpus.x[:, base : base + size]
             assert np.all(block.sum(axis=1) == 1.0)
             assert set(np.unique(block)) <= {0.0, 1.0}
             base += size
-        assert enc.d == pp.encoded_width(schema)
+        assert corpus.x.shape[1] == pp.encoded_width(corpus.schema)
 
-    def test_coarse_classes(self, corpus):
-        records, schema, tax = corpus
-        enc = pp.encode(records, schema, tax, granularity="coarse")
-        assert enc.class_names == list(ds.CATEGORIES)
-        assert enc.k == 4
-        assert enc.y.min() >= 0 and enc.y.max() < 4
+    def test_coarse_classes(self, prepared):
+        for split in ("train", "test"):
+            enc = pp.read_container(prepared / f"{split}.zids", "coarse")
+            assert enc.class_names == list(ds.CATEGORIES)
+            assert enc.k == 4
+            assert enc.y.min() >= 0 and enc.y.max() < 4
 
-    def test_fine_classes_sorted(self, corpus):
-        records, schema, tax = corpus
-        enc = pp.encode(records, schema, tax, granularity="fine")
-        assert enc.class_names == sorted({r.label for r in records})
+    def test_fine_classes_sorted(self, corpus, prepared):
+        enc = pp.read_container(prepared / "train.zids", "fine")
+        assert enc.class_names == sorted(set(corpus.labels))
 
-    def test_label_histogram_matches_coarse_counts(self, corpus):
-        records, schema, tax = corpus
-        enc = pp.encode(records, schema, tax)
-        counts = ds.coarse_counts(records, tax)
-        hist = np.bincount(enc.y, minlength=4)
+    def test_label_histogram_matches_counts_csv(self, prepared):
+        hist = sum(
+            np.bincount(pp.read_container(prepared / f"{split}.zids", "coarse").y,
+                        minlength=4)
+            for split in ("train", "test")
+        )
+        counts = read_counts(prepared / "counts.csv")
         assert [counts[c] for c in ds.CATEGORIES] == list(hist)
 
     def test_scaling_in_unit_interval_on_fit_data(self, corpus):
-        records, schema, tax = corpus
-        enc = pp.encode(records, schema, tax)
+        x, _ = corpus.scaled()
         n_cont = len(ds.CONTINUOUS_POSITIONS)
-        cont = enc.x[:, :n_cont]
+        cont = x[:, :n_cont]
         assert cont.min() >= 0.0 and cont.max() <= 1.0
 
     def test_constant_feature_scales_to_zero(self, corpus):
-        records, schema, tax = corpus
-        enc = pp.encode(records, schema, tax)
+        x, scaling = corpus.scaled()
         # num_outbound_cmds is always zero in the corpus
         col = ds.CONTINUOUS_POSITIONS.index(
             ds.FEATURE_NAMES.index("num_outbound_cmds")
         )
-        assert np.all(enc.x[:, col] == 0.0)
-        lo, hi = enc.scaling[col]
+        assert np.all(x[:, col] == 0.0)
+        lo, hi = scaling[col]
         assert lo == hi
 
     def test_applied_scaling_may_exceed_unit(self, corpus):
-        records, schema, tax = corpus
-        fit = pp.encode(records[:100], schema, tax)
-        applied = pp.encode(records, schema, tax, scaling=fit.scaling)
+        x, _ = corpus.scaled(fit_rows=100)
         n_cont = len(ds.CONTINUOUS_POSITIONS)
-        assert applied.x[:, :n_cont].max() >= 1.0  # out-of-range values allowed
+        assert x[:, :n_cont].max() >= 1.0  # out-of-range values allowed
 
-    def test_shared_class_names(self, corpus):
-        records, schema, tax = corpus
-        names = sorted({r.label for r in records})
-        enc = pp.encode(records[:50], schema, tax, granularity="fine",
-                        class_names=names)
-        assert enc.class_names == names
+    def test_shared_class_names(self, corpus, prepared):
+        names = sorted(set(corpus.labels))
+        for split in ("train", "test"):
+            enc = pp.read_container(prepared / f"{split}.zids", "fine")
+            assert enc.class_names == names
 
     def test_unknown_category(self, corpus):
-        records, schema, tax = corpus
-        bad_values = list(records[0].values)
-        bad_values[2] = "no_such_service"
-        bad = ds.RawRecord(values=tuple(bad_values), label=records[0].label)
+        parts = corpus.lines[0].split(",")
+        parts[2] = "no_such_service"
+        (block,) = ds.iter_blocks([",".join(parts)])
         with pytest.raises(UnknownCategoryError) as err:
-            pp.encode([bad], schema, tax)
+            pp.encode_block(block, corpus.schema)
         assert err.value.feature == "service"
 
 
@@ -125,32 +166,25 @@ class TestStratifiedSplit:
         assert 0 in train and 0 not in test
 
     def test_partition(self, corpus):
-        records, schema, tax = corpus
-        enc = pp.encode(records, schema, tax)
-        train_idx, test_idx = pp.split_indices(enc.y, enc.k, 0.33, seed=9)
+        train_idx, test_idx = pp.split_indices(corpus.y, corpus.k, 0.33, seed=9)
         assert np.intersect1d(train_idx, test_idx).size == 0
         assert np.array_equal(
-            np.sort(np.concatenate([train_idx, test_idx])), np.arange(enc.n)
+            np.sort(np.concatenate([train_idx, test_idx])), np.arange(corpus.n)
         )
-        train, test = pp.stratified_split(enc, 0.33, seed=9)
-        assert train.n + test.n == enc.n
+        assert train_idx.size + test_idx.size == corpus.n
 
     def test_per_class_bound(self, corpus):
-        records, schema, tax = corpus
-        enc = pp.encode(records, schema, tax)
-        _, test = pp.stratified_split(enc, 0.33, seed=9)
-        for c in range(enc.k):
-            n_c = int((enc.y == c).sum())
-            t_c = int((test.y == c).sum())
+        _, test_idx = pp.split_indices(corpus.y, corpus.k, 0.33, seed=9)
+        for c in range(corpus.k):
+            n_c = int((corpus.y == c).sum())
+            t_c = int((corpus.y[test_idx] == c).sum())
             assert abs(t_c - n_c * 0.33) < 1.0
 
     def test_determinism(self, corpus):
-        records, schema, tax = corpus
-        enc = pp.encode(records, schema, tax)
-        a = pp.split_indices(enc.y, enc.k, 0.33, seed=5)
-        b = pp.split_indices(enc.y, enc.k, 0.33, seed=5)
+        a = pp.split_indices(corpus.y, corpus.k, 0.33, seed=5)
+        b = pp.split_indices(corpus.y, corpus.k, 0.33, seed=5)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-        c = pp.split_indices(enc.y, enc.k, 0.33, seed=6)
+        c = pp.split_indices(corpus.y, corpus.k, 0.33, seed=6)
         assert not np.array_equal(a[1], c[1])
 
     def test_degenerate_class(self):
@@ -183,10 +217,8 @@ class TestClassWeights:
         assert np.allclose(w.w, [0.2, 1.8], atol=1e-12)
 
     def test_rarest_class_heaviest(self, corpus):
-        records, schema, tax = corpus
-        enc = pp.encode(records, schema, tax)
-        w = pp.class_weights(enc.y, enc.k)
-        counts = np.bincount(enc.y, minlength=enc.k)
+        w = pp.class_weights(corpus.y, corpus.k)
+        counts = np.bincount(corpus.y, minlength=corpus.k)
         assert np.argmax(w.w) == np.argmin(counts)
         assert abs(w.w.mean() - 1.0) <= 1e-12
 
@@ -203,12 +235,10 @@ class TestClassWeights:
 
 class TestSampleRows:
     def test_full_sample_is_permutation(self, corpus):
-        records, schema, tax = corpus
-        enc = pp.encode(records, schema, tax)
-        sampled = pp.sample_rows(enc, enc.n, seed=3)
-        assert sampled.n == enc.n
-        assert not np.array_equal(sampled.y, enc.y)  # actually permuted
-        assert np.array_equal(np.sort(sampled.y), np.sort(enc.y))
+        sampled = corpus.y[pp.sample_indices(corpus.n, corpus.n, seed=3)]
+        assert sampled.size == corpus.n
+        assert not np.array_equal(sampled, corpus.y)  # actually permuted
+        assert np.array_equal(np.sort(sampled), np.sort(corpus.y))
 
     def test_determinism(self):
         assert np.array_equal(pp.sample_indices(100, 10, 7), pp.sample_indices(100, 10, 7))
@@ -251,7 +281,8 @@ class TestContainer:
         path, _, _, columns = self.make(tmp_path)
         fine = pp.read_container(path, "fine")
         assert np.array_equal(fine.y, columns[1].y)
-        assert pp.list_label_columns(path) == ["coarse", "fine"]
+        _, _, stored = pp.read_container_columns(path)
+        assert [c.name for c in stored] == ["coarse", "fine"]
         with pytest.raises(CorruptContainerError):
             pp.read_container(path, "nope")
 

@@ -294,6 +294,26 @@ class TestKernelShap:
         b = shap.kernel_shap(fn, x, bg, budget=256, seed=7)
         assert np.array_equal(a.phi, b.phi)
 
+    def test_fortran_ordered_inputs_match_c_order(self):
+        rng = np.random.default_rng(23)
+        m = 20
+        fn = random_mlp_fn(m, seed=8)
+        bg = rng.normal(size=(6, m))
+        x = rng.normal(size=(3, m))
+        bg_f, x_f = np.asfortranarray(bg), np.asfortranarray(x)
+        c = shap.kernel_shap(fn, x, bg, budget=256, seed=1)
+        f = shap.kernel_shap(fn, x_f, bg_f, budget=256, seed=1)
+        assert np.array_equal(f.phi, c.phi)
+        mask = rng.random(m) < 0.5
+        assert np.array_equal(shap.masked_eval(fn, x_f[0], bg_f, mask),
+                              shap.masked_eval(fn, x[0], bg, mask))
+        small = 12  # exact_shapley stops at 15 features
+        fn = random_mlp_fn(small, seed=8)
+        assert np.array_equal(
+            shap.exact_shapley(fn, x_f[0, :small], np.asfortranarray(bg[:, :small])),
+            shap.exact_shapley(fn, x[0, :small], bg[:, :small]),
+        )
+
     def test_model_rows_counts_every_row_sent(self):
         m = 12
         x, bg = sparse_background(m, 6, changed=3, seed=19)
@@ -302,6 +322,11 @@ class TestKernelShap:
         assert expl.model_rows == sum(fn.calls)
         assert expl.model_rows < 1 + 6 + 256 * 6
         assert expl.ridge_used is False
+        assert (expl.budget, expl.masked_rows) == (256, 256 * 6)
+        expl = shap.kernel_shap(fn, x[None, :], bg, seed=7)
+        assert (expl.budget, expl.masked_rows) == (2 * m + 2048, (2 * m + 2048) * 6)
+        expl = shap.kernel_shap(fn, x[None, :], bg, budget=2**m, seed=7)
+        assert (expl.budget, expl.masked_rows) == (2**m, (2**m - 2) * 6)
 
     def test_singular_without_ridge(self):
         # two coalitions cannot identify nine attributions
