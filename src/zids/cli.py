@@ -396,10 +396,9 @@ def cmd_train(args) -> int:
     prepared = Path(cfg.prepared_dir)
     out_dir = Path(cfg.output_dir)
     granularity, weighted, default_hidden = VARIANTS[cfg.variant]
-    column = "fine" if granularity == "fine" else "coarse"
 
     with _locked_dir(out_dir):
-        train_ds, test_ds = _load_split(prepared, column)
+        train_ds, test_ds = _load_split(prepared, granularity)
         hidden = cfg.hidden_dims if cfg.hidden_dims is not None else list(default_hidden)
         dims = [train_ds.d] + list(hidden) + [train_ds.k]
         weights = pp.class_weights(train_ds.y, train_ds.k) if weighted else None
@@ -416,6 +415,8 @@ def cmd_train(args) -> int:
             raise ConfigError(str(exc)) from None
 
         model = mlp.init(dims, cfg.train_seed)
+        model.label_column = granularity
+        model.class_names = train_ds.class_names
         # Per the training regime, the full test split doubles as the
         # per-epoch validation set.
         model, history = mlp.train(model, train_ds, test_ds, train_config)
@@ -456,29 +457,22 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _pick_column(path: Path, n_classes: int) -> pp.EncodedDataset:
-    """The one container label column whose class count matches the model.
+def _read_for_model(path: Path, model: mlp.MlpModel) -> pp.EncodedDataset:
+    """The container under the label column the model was trained on.
 
-    A model file does not record which column it was trained on, so two
-    matching columns (a corpus with exactly four fine labels) cannot be
-    told apart and are rejected.
+    Its class names and width must be the model's.
     """
-    x, scaling, columns = pp.read_container_columns(path)
-    matching = [c for c in columns if len(c.class_names) == n_classes]
-    if not matching:
+    data = pp.read_container(path, model.label_column)
+    if data.class_names != model.class_names:
         raise ShapeMismatchError(
-            f"no label column with {n_classes} classes in {path}; "
-            f"available: {[(c.name, len(c.class_names)) for c in columns]}"
+            f"column {model.label_column!r} of {path} has classes "
+            f"{data.class_names}; the model predicts {model.class_names}"
         )
-    if len(matching) > 1:
+    if data.d != model.dims[0]:
         raise ShapeMismatchError(
-            f"label columns {[c.name for c in matching]} in {path} all have "
-            f"{n_classes} classes; cannot tell which one the model was trained on"
+            f"container width {data.d} vs model width {model.dims[0]}"
         )
-    (column,) = matching
-    return pp.EncodedDataset(
-        x=x, y=column.y, class_names=list(column.class_names), scaling=scaling
-    )
+    return data
 
 
 def cmd_evaluate(args) -> int:
@@ -486,11 +480,7 @@ def cmd_evaluate(args) -> int:
     test_path = Path(args.test)
     out_dir = Path(args.out)
     with _locked_dir(out_dir):
-        test_ds = _pick_column(test_path, model.n_classes)
-        if test_ds.d != model.dims[0]:
-            raise ShapeMismatchError(
-                f"container width {test_ds.d} vs model width {model.dims[0]}"
-            )
+        test_ds = _read_for_model(test_path, model)
         preds = mlp.predict(model, test_ds.x)
         cm = metrics.confusion(test_ds.y, preds, test_ds.k, test_ds.class_names)
         rep = metrics.report(cm)
@@ -518,19 +508,15 @@ def cmd_evaluate(args) -> int:
 def cmd_explain(args) -> int:
     cfg = load_config(args)
     model = mlp.load(args.model)
+    if model.label_column != "coarse":
+        raise ShapeMismatchError(
+            f"explain needs a coarse model; this one predicts the "
+            f"{model.label_column!r} column"
+        )
     prepared = Path(cfg.prepared_dir)
     out_dir = Path(cfg.output_dir)
     with _locked_dir(out_dir):
-        test_ds = pp.read_container(prepared / "test.zids", "coarse")
-        if model.n_classes != test_ds.k:
-            raise ShapeMismatchError(
-                f"explain needs a coarse model: model has {model.n_classes} "
-                f"classes, container {test_ds.k}"
-            )
-        if test_ds.d != model.dims[0]:
-            raise ShapeMismatchError(
-                f"container width {test_ds.d} vs model width {model.dims[0]}"
-            )
+        test_ds = _read_for_model(prepared / "test.zids", model)
         schema = ds.FeatureSchema.from_json(
             (prepared / "schema.json").read_text(encoding="utf-8")
         )

@@ -7,6 +7,7 @@ promoted per batch.
 
 from __future__ import annotations
 
+import io
 import struct
 import zlib
 from dataclasses import dataclass
@@ -23,9 +24,10 @@ from .errors import (
     VersionMismatchError,
 )
 from .preprocess import ClassWeights, EncodedDataset
+from .preprocess import _read_exact, _read_names, _read_str, _write_names, _write_str
 
 MODEL_MAGIC = b"ZMLP"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 LOG_FLOOR = 1e-12  # added inside log() so hard zeros stay finite
 _CHUNK_ROWS = 65536  # rows per forward pass in predict() and _evaluate()
@@ -36,12 +38,15 @@ class MlpModel:
     """Layer sizes plus per-layer weight matrices and bias vectors.
 
     weights[i] has shape (dims[i], dims[i+1]); hidden layers use the
-    rectifier, the output is a softmax over dims[-1] classes.
+    rectifier, the output is a softmax over dims[-1] classes, named by
+    class_names in the container label column `label_column`.
     """
 
     dims: list[int]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    label_column: str
+    class_names: list[str]
 
     @property
     def n_classes(self) -> int:
@@ -82,7 +87,10 @@ TrainHistory = list  # of EpochStats, one per epoch
 
 
 def init(dims: Sequence[int], seed: int) -> MlpModel:
-    """Glorot-uniform weights, zero biases, deterministic per seed."""
+    """Glorot-uniform weights, zero biases, deterministic per seed.
+
+    The classes are named class_0, class_1, ... under no label column.
+    """
     dims = [int(d) for d in dims]
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise BadDimsError(f"dims must be >= 2 positive sizes: {dims}")
@@ -93,7 +101,8 @@ def init(dims: Sequence[int], seed: int) -> MlpModel:
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
-    return MlpModel(dims=dims, weights=weights, biases=biases)
+    class_names = [f"class_{i}" for i in range(dims[-1])]
+    return MlpModel(dims, weights, biases, label_column="", class_names=class_names)
 
 
 def count_parameters(model: MlpModel) -> int:
@@ -489,19 +498,20 @@ def history_csv(history: Sequence[EpochStats]) -> bytes:
 
 
 def save(model: MlpModel, path) -> None:
-    """Write the model: dims header, float64 little-endian parameters,
-    trailing CRC32 of the payload."""
-    payload = bytearray()
-    payload += struct.pack("<I", len(model.dims))
-    payload += struct.pack(f"<{len(model.dims)}I", *model.dims)
+    """Write the model: dims, label column and class names, float64
+    little-endian parameters, trailing CRC32 of the payload."""
+    payload = io.BytesIO()
+    payload.write(struct.pack(f"<{len(model.dims) + 1}I", len(model.dims), *model.dims))
+    _write_str(payload, model.label_column)
+    _write_names(payload, model.class_names)
     for w, b in zip(model.weights, model.biases):
-        payload += np.ascontiguousarray(w, dtype="<f8").tobytes()
-        payload += np.ascontiguousarray(b, dtype="<f8").tobytes()
+        payload.write(np.ascontiguousarray(w, dtype="<f8"))
+        payload.write(np.ascontiguousarray(b, dtype="<f8"))
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
         fh.write(struct.pack("<I", MODEL_VERSION))
-        fh.write(payload)
-        fh.write(struct.pack("<I", zlib.crc32(payload)))
+        fh.write(payload.getbuffer())
+        fh.write(struct.pack("<I", zlib.crc32(payload.getbuffer())))
 
 
 def load(path) -> MlpModel:
@@ -516,25 +526,26 @@ def load(path) -> MlpModel:
     payload, stored = blob[8:-4], blob[-4:]
     if struct.pack("<I", zlib.crc32(payload)) != stored:
         raise CorruptModelError("checksum mismatch")
+    body = io.BytesIO(payload)
     try:
-        (n_dims,) = struct.unpack_from("<I", payload, 0)
-        dims = list(struct.unpack_from(f"<{n_dims}I", payload, 4))
-        offset = 4 + 4 * n_dims
+        (n_dims,) = struct.unpack("<I", _read_exact(body, 4))
+        dims = list(struct.unpack(f"<{n_dims}I", _read_exact(body, 4 * n_dims)))
+        label_column = _read_str(body)
+        class_names = _read_names(body)
         weights = []
         biases = []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            w_bytes = fan_in * fan_out * 8
-            w = np.frombuffer(payload, dtype="<f8", count=fan_in * fan_out,
-                              offset=offset).reshape(fan_in, fan_out)
-            offset += w_bytes
-            b = np.frombuffer(payload, dtype="<f8", count=fan_out, offset=offset)
-            offset += fan_out * 8
-            weights.append(w.copy())
-            biases.append(b.copy())
-    except (struct.error, ValueError) as exc:
+            w = np.frombuffer(_read_exact(body, 8 * fan_in * fan_out), dtype="<f8")
+            weights.append(w.reshape(fan_in, fan_out).copy())
+            biases.append(np.frombuffer(_read_exact(body, 8 * fan_out), "<f8").copy())
+    except (EOFError, struct.error, ValueError) as exc:
         raise CorruptModelError(str(exc)) from None
-    if offset != len(payload):
+    if body.read(1):
         raise CorruptModelError("payload length mismatch")
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise CorruptModelError(f"bad dims {dims}")
-    return MlpModel(dims=dims, weights=weights, biases=biases)
+    if len(class_names) != dims[-1]:
+        raise CorruptModelError(
+            f"{len(class_names)} class names for {dims[-1]} classes"
+        )
+    return MlpModel(dims, weights, biases, label_column, class_names)

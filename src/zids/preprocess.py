@@ -7,10 +7,13 @@ values within a block in vocabulary order.
 
 from __future__ import annotations
 
+import io
 import math
+import os
 import struct
+import zlib
 from dataclasses import dataclass
-from typing import BinaryIO, Optional, Sequence
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
@@ -21,10 +24,11 @@ from .errors import (
     MissingClassError,
     OutOfRangeError,
     UnknownCategoryError,
+    VersionMismatchError,
 )
 
 CONTAINER_MAGIC = b"ZIDS"
-CONTAINER_VERSION = 1
+CONTAINER_VERSION = 2
 
 
 @dataclass
@@ -187,14 +191,12 @@ def sample_indices(n_total: int, n: int, seed: int) -> np.ndarray:
 # --- container format ------------------------------------------------------
 #
 # Little-endian throughout:
-#   magic "ZIDS" | version u32 | N u64 | d u32 | K u32
-#   primary class names (u32 count, then u32 length + UTF-8 each)
+#   magic "ZIDS" | version u32 | N u64 | d u32
 #   scaling table (u32 count, then f64 min, f64 max each)
 #   matrix, row-major f32
-#   primary labels, u16
-#   primary column name (u32 length + UTF-8)
-#   extra label columns (u32 count, then per column: name, u32 K,
-#   class names, u16 labels)
+#   label columns (u32 count, then per column: name as u32 length +
+#   UTF-8, class names as u32 count + names, N u16 labels)
+#   CRC32 of every byte before it, u32
 
 
 @dataclass
@@ -219,7 +221,7 @@ def _write_names(fh: BinaryIO, names: Sequence[str]) -> None:
 def _read_exact(fh: BinaryIO, count: int) -> bytes:
     raw = fh.read(count)
     if len(raw) != count:
-        raise CorruptContainerError("unexpected end of file")
+        raise EOFError("unexpected end of file")
     return raw
 
 
@@ -239,89 +241,73 @@ def write_container(
     scaling: Sequence[tuple[float, float]],
     columns: Sequence[LabelColumn],
 ) -> None:
-    """Persist a matrix with one or more label columns; bit-exact output."""
-    if len(columns) == 0:
-        raise ValueError("at least one label column is required")
+    """Persist a matrix with its label columns; bit-exact output."""
+    x = np.ascontiguousarray(x, dtype="<f4")
     n, d = x.shape
-    primary = columns[0]
+    head = CONTAINER_MAGIC + struct.pack("<IQII", CONTAINER_VERSION, n, d, len(scaling))
+    head += b"".join(struct.pack("<dd", lo, hi) for lo, hi in scaling)
+    labels = io.BytesIO()
+    labels.write(struct.pack("<I", len(columns)))
+    for column in columns:
+        _write_str(labels, column.name)
+        _write_names(labels, column.class_names)
+        labels.write(column.y.astype("<u2"))
+    crc = zlib.crc32(labels.getbuffer(), zlib.crc32(x, zlib.crc32(head)))
     with open(path, "wb") as fh:
-        fh.write(CONTAINER_MAGIC)
-        fh.write(
-            struct.pack("<IQII", CONTAINER_VERSION, n, d, len(primary.class_names))
-        )
-        _write_names(fh, primary.class_names)
-        fh.write(struct.pack("<I", len(scaling)))
-        for lo, hi in scaling:
-            fh.write(struct.pack("<dd", lo, hi))
-        np.ascontiguousarray(x, dtype="<f4").tofile(fh)
-        primary.y.astype("<u2").tofile(fh)
-        _write_str(fh, primary.name)
-        fh.write(struct.pack("<I", len(columns) - 1))
-        for column in columns[1:]:
-            _write_str(fh, column.name)
-            fh.write(struct.pack("<I", len(column.class_names)))
-            _write_names(fh, column.class_names)
-            fh.write(column.y.astype("<u2").tobytes())
+        fh.write(head)
+        fh.write(x)
+        fh.write(labels.getbuffer())
+        fh.write(struct.pack("<I", crc))
 
 
 def read_container_columns(path):
-    """Parse a container once: (matrix, scaling, label columns)."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CONTAINER_MAGIC:
-            raise CorruptContainerError(f"bad magic {magic!r}")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
-        if version != CONTAINER_VERSION:
-            from .errors import VersionMismatchError
+    """Parse a container once: (matrix, scaling, label columns).
 
-            raise VersionMismatchError(version, CONTAINER_VERSION)
-        n, d, k = struct.unpack("<QII", _read_exact(fh, 16))
-        primary_names = _read_names(fh)
-        if len(primary_names) != k:
-            raise CorruptContainerError("class name count disagrees with header")
-        (n_scaling,) = struct.unpack("<I", _read_exact(fh, 4))
-        scaling = [
-            struct.unpack("<dd", _read_exact(fh, 16)) for _ in range(n_scaling)
-        ]
-        x = np.fromfile(fh, dtype="<f4", count=n * d)
-        if x.size != n * d:
-            raise CorruptContainerError("unexpected end of file")
-        x = x.reshape(n, d)
-        y = np.fromfile(fh, dtype="<u2", count=n)
-        if y.size != n:
-            raise CorruptContainerError("unexpected end of file")
-        y = y.astype(np.int32)
-        primary_name = _read_str(fh)
-        (n_extra,) = struct.unpack("<I", _read_exact(fh, 4))
-        columns = [LabelColumn(primary_name, primary_names, y)]
-        for _ in range(n_extra):
-            name = _read_str(fh)
-            (k2,) = struct.unpack("<I", _read_exact(fh, 4))
-            names2 = _read_names(fh)
-            if len(names2) != k2:
-                raise CorruptContainerError("extra column class count mismatch")
-            y2 = np.fromfile(fh, dtype="<u2", count=n)
-            if y2.size != n:
-                raise CorruptContainerError("unexpected end of file")
-            columns.append(LabelColumn(name, names2, y2.astype(np.int32)))
-        if fh.read(1):
+    Sizes from the header are checked against the file before anything
+    is allocated, and the labels are parsed only once the checksum holds.
+    """
+    try:
+        with open(path, "rb") as fh:
+            head = _read_exact(fh, 24)
+            if head[:4] != CONTAINER_MAGIC:
+                raise CorruptContainerError(f"bad magic {head[:4]!r}")
+            version, n, d, n_scaling = struct.unpack_from("<IQII", head, 4)
+            if version != CONTAINER_VERSION:
+                raise VersionMismatchError(version, CONTAINER_VERSION)
+            left = os.fstat(fh.fileno()).st_size - len(head) - 4
+            if 16 * n_scaling + 4 * n * d > left:
+                raise CorruptContainerError("header sizes exceed the file")
+            table = _read_exact(fh, 16 * n_scaling)
+            x = np.empty((n, d), dtype="<f4")
+            fh.readinto(x)  # a short read fails the checksum
+            rest = fh.read()
+        crc = zlib.crc32(table, zlib.crc32(head))
+        crc = zlib.crc32(rest[:-4], zlib.crc32(x, crc))
+        if rest[-4:] != struct.pack("<I", crc):
+            raise CorruptContainerError("checksum mismatch")
+        labels = io.BytesIO(rest[:-4])
+        columns = []
+        for _ in range(struct.unpack("<I", _read_exact(labels, 4))[0]):
+            name = _read_str(labels)
+            class_names = _read_names(labels)
+            y = np.frombuffer(_read_exact(labels, 2 * n), dtype="<u2")
+            columns.append(LabelColumn(name, class_names, y.astype(np.int32)))
+        if labels.read(1):
             raise CorruptContainerError("trailing bytes after last column")
-    return x, [(lo, hi) for lo, hi in scaling], columns
+    except (EOFError, struct.error, ValueError) as exc:
+        raise CorruptContainerError(str(exc)) from None
+    return x, list(struct.iter_unpack("<dd", table)), columns
 
 
-def read_container(path, label_column: Optional[str] = None) -> EncodedDataset:
-    """Load a container, selecting a label column (default: the primary)."""
+def read_container(path, label_column: str) -> EncodedDataset:
+    """Load a container under one of its label columns, chosen by name."""
     x, scaling, columns = read_container_columns(path)
-    if label_column is None:
-        chosen = columns[0]
-    else:
-        by_name = {c.name: c for c in columns}
-        if label_column not in by_name:
-            raise CorruptContainerError(
-                f"no label column {label_column!r}; available: "
-                f"{[c.name for c in columns]}"
-            )
-        chosen = by_name[label_column]
+    by_name = {c.name: c for c in columns}
+    if label_column not in by_name:
+        raise CorruptContainerError(
+            f"no label column {label_column!r}; available: {list(by_name)}"
+        )
+    chosen = by_name[label_column]
     return EncodedDataset(
         x=x,
         y=chosen.y,

@@ -136,7 +136,7 @@ class TestPrepare:
         assert data["fine_classes"] == len(SMALL_PROFILE)
 
     def test_scaling_fits_train_only(self, small_experiment):
-        train = pp.read_container(small_experiment.prepared / "train.zids")
+        train = pp.read_container(small_experiment.prepared / "train.zids", "coarse")
         n_cont = len(ds.CONTINUOUS_POSITIONS)
         assert train.x[:, :n_cont].min() >= 0.0
         assert train.x[:, :n_cont].max() <= 1.0
@@ -145,8 +145,8 @@ class TestPrepare:
         """Guards the encoding against drift: any change to parsing,
         encoding, splitting, scaling or the container bytes shows here."""
         expected = {
-            "train.zids": "ca95ff190f5d3e6e78e52e550339e24f44ef686bd8ed882dc5c6c00a8a79bb82",
-            "test.zids": "15d841ecafc9b36a3c1b421caa4d1b932f90fed933622156789d0ac36d5b9ca4",
+            "train.zids": "ad7d7490acb358c9426af205fffc71d63827839fb849a529bbef8e8ba3602ff5",
+            "test.zids": "1fc99aa014e242eaaf6af685b0fb55b250a6d1ffa6a31d86a7139e91dea24199",
             "schema.json": "fa35f4703e850596aae9d1be9b82a7018abef6301ad965fd2a05d45d22d00e3a",
             "counts.csv": "e5026a2778992373417f38d555a0fcfcb75b2a6b95e62c942244ad775b438f79",
         }
@@ -154,6 +154,26 @@ class TestPrepare:
             name: hashlib.sha256((small_experiment.prepared / name).read_bytes()).hexdigest()
             for name in expected
         }
+        assert got == expected
+
+    def test_container_contents_pinned(self, small_experiment):
+        """Pins what the containers hold, apart from their layout: the
+        digests were taken from the format-1 files of the same corpus."""
+        expected = {
+            "train.zids": "3ff7ad8a5b02b1eb92d025c5de34d3a0cf7d7737638684abb906952a6b1c4a10",
+            "test.zids": "97274a4d07bfdb2537e18d95f366b7c95ed93a89fc0f0cec9c9e5fa41806e043",
+        }
+        got = {}
+        for name in expected:
+            x, scaling, columns = pp.read_container_columns(
+                small_experiment.prepared / name
+            )
+            h = hashlib.sha256(np.ascontiguousarray(x, dtype="<f4").tobytes())
+            h.update(np.asarray(scaling, dtype="<f8").tobytes())
+            for c in columns:
+                h.update(json.dumps([c.name, c.class_names]).encode("utf-8"))
+                h.update(np.asarray(c.y, dtype="<u2").tobytes())
+            got[name] = h.hexdigest()
         assert got == expected
 
     def test_corpus_digest_pinned(self, small_experiment):
@@ -303,24 +323,64 @@ class TestEvaluate:
                      "--out", tmp_path / "res")
         assert rc == 2
 
-    def test_ambiguous_label_column_is_data_error(self, tmp_path, capsys):
-        # four fine labels: the fine and the coarse column both have 4 classes
+    def test_four_fine_labels_each_model_reads_its_own_column(
+        self, tmp_path, capsys
+    ):
+        # The fine and the coarse column both have 4 classes; each model
+        # is scored under the column its file names.
         corpus = tmp_path / "four.kdd"
         synthetic.write_corpus(
             corpus, {"normal": 300, "smurf": 300, "neptune": 200, "satan": 100}, seed=0
         )
-        prepared, run = tmp_path / "prep", tmp_path / "run"
+        prepared = tmp_path / "prep"
         assert run_cli("prepare", "--data", corpus, "--out", prepared,
                        "--seed", 0) == 0
-        assert run_cli("train", "--prepared", prepared, "--variant", "base",
-                       "--out", run, "--seed", 0, "--epochs", 2) == 0
+        expected = {"base": ["neptune", "normal", "satan", "smurf"],
+                    "truncated": list(ds.CATEGORIES)}
+        for variant, class_names in expected.items():
+            run, out = tmp_path / variant, tmp_path / f"eval_{variant}"
+            assert run_cli("train", "--prepared", prepared, "--variant", variant,
+                           "--out", run, "--seed", 0, "--epochs", 2) == 0
+            assert run_cli("evaluate", "--model", run / "model.zmlp",
+                           "--test", prepared / "test.zids", "--out", out) == 0
+            rep = json.loads((out / "report.json").read_text())
+            assert [c["name"] for c in rep["classes"]] == class_names
+            manifest = json.loads((run / "manifest.json").read_text())
+            assert rep["accuracy"] == manifest["result"]["final_val_accuracy"]
         capsys.readouterr()
-        out = tmp_path / "eval"
-        rc = run_cli("evaluate", "--model", run / "model.zmlp",
-                     "--test", prepared / "test.zids", "--out", out)
+        out = tmp_path / "explain_base"
+        rc = run_cli("explain", "--model", tmp_path / "base" / "model.zmlp",
+                     "--prepared", prepared, "--out", out, "--budget", 64)
         assert rc == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and "['coarse', 'fine']" in err[0]
+        assert len(err) == 1 and "coarse model" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "variant", ["base", "weighted-base", "truncated", "weighted-truncated"]
+    )
+    def test_accuracy_equals_final_validation_accuracy(
+        self, small_experiment, variant
+    ):
+        # the full test split is the validation set of every epoch
+        rep = small_experiment.evaluate(variant)
+        manifest = json.loads(
+            (small_experiment.train(variant) / "manifest.json").read_text()
+        )
+        assert rep["accuracy"] == manifest["result"]["final_val_accuracy"]
+
+    def test_format_1_container_is_data_error(self, small_experiment, tmp_path, capsys):
+        blob = bytearray((small_experiment.prepared / "test.zids").read_bytes())
+        blob[4:8] = (1).to_bytes(4, "little")
+        old = tmp_path / "test.zids"
+        old.write_bytes(bytes(blob))
+        out = tmp_path / "eval"
+        rc = run_cli("evaluate", "--model",
+                     small_experiment.train("truncated") / "model.zmlp",
+                     "--test", old, "--out", out)
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["data error: unsupported format version 1 (supported: 2)"]
         assert not out.exists()
 
     def test_report_command_pretty_prints(self, small_experiment, capsys):

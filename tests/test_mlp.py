@@ -447,10 +447,14 @@ class TestOutputsDoNotAlias:
 class TestPersistence:
     def test_round_trip_bit_exact(self, tmp_path):
         model = mlp.init([7, 5, 3], seed=13)
+        model.label_column = "coarse"
+        model.class_names = ["Normal", "DoS", "Probe"]
         path = tmp_path / "model.zmlp"
         mlp.save(model, path)
         loaded = mlp.load(path)
         assert loaded.dims == model.dims
+        assert loaded.label_column == "coarse"
+        assert loaded.class_names == ["Normal", "DoS", "Probe"]
         assert all(np.array_equal(a, b) for a, b in zip(loaded.weights, model.weights))
         assert all(np.array_equal(a, b) for a, b in zip(loaded.biases, model.biases))
 
@@ -490,4 +494,17 @@ class TestPersistence:
         blob[4] = 42
         path.write_bytes(bytes(blob))
         with pytest.raises(VersionMismatchError):
+            mlp.load(path)
+
+    def test_init_names_classes_under_no_column(self):
+        model = mlp.init([4, 3], 0)
+        assert model.label_column == ""
+        assert model.class_names == ["class_0", "class_1", "class_2"]
+
+    def test_class_name_count_must_match_outputs(self, tmp_path):
+        path = tmp_path / "model.zmlp"
+        model = mlp.init([4, 3], 0)
+        model.class_names = ["a", "b"]
+        mlp.save(model, path)
+        with pytest.raises(CorruptModelError, match="2 class names for 3 classes"):
             mlp.load(path)

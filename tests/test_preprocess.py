@@ -256,22 +256,23 @@ class TestSampleRows:
 
 
 class TestContainer:
-    def make(self, tmp_path, extra=True):
+    def make(self, tmp_path):
         rng = np.random.default_rng(0)
         x = rng.random((20, 7)).astype(np.float32)
         scaling = [(0.0, 1.0)] * 4
-        y1 = rng.integers(0, 4, 20).astype(np.int32)
-        columns = [pp.LabelColumn("coarse", ["a", "b", "c", "d"], y1)]
-        if extra:
-            y2 = rng.integers(0, 6, 20).astype(np.int32)
-            columns.append(pp.LabelColumn("fine", [f"f{i}" for i in range(6)], y2))
+        columns = [
+            pp.LabelColumn("coarse", ["a", "b", "c", "d"],
+                           rng.integers(0, 4, 20).astype(np.int32)),
+            pp.LabelColumn("fine", [f"f{i}" for i in range(6)],
+                           rng.integers(0, 6, 20).astype(np.int32)),
+        ]
         path = tmp_path / "data.zids"
         pp.write_container(path, x, scaling, columns)
         return path, x, scaling, columns
 
     def test_round_trip(self, tmp_path):
         path, x, scaling, columns = self.make(tmp_path)
-        loaded = pp.read_container(path)
+        loaded = pp.read_container(path, "coarse")
         assert np.array_equal(loaded.x, x)
         assert np.array_equal(loaded.y, columns[0].y)
         assert loaded.class_names == columns[0].class_names
@@ -297,7 +298,7 @@ class TestContainer:
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(CorruptContainerError):
-            pp.read_container(path)
+            pp.read_container_columns(path)
 
     def test_bad_magic(self, tmp_path):
         path, *_ = self.make(tmp_path)
@@ -305,13 +306,13 @@ class TestContainer:
         blob[:4] = b"NOPE"
         path.write_bytes(bytes(blob))
         with pytest.raises(CorruptContainerError):
-            pp.read_container(path)
+            pp.read_container_columns(path)
 
     def test_trailing_bytes(self, tmp_path):
         path, *_ = self.make(tmp_path)
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(CorruptContainerError):
-            pp.read_container(path)
+            pp.read_container_columns(path)
 
     def test_version_mismatch(self, tmp_path):
         path, *_ = self.make(tmp_path)
@@ -319,4 +320,24 @@ class TestContainer:
         blob[4] = 99
         path.write_bytes(bytes(blob))
         with pytest.raises(VersionMismatchError):
-            pp.read_container(path)
+            pp.read_container_columns(path)
+
+    def test_checksum_covers_every_byte(self, tmp_path):
+        path, *_ = self.make(tmp_path)
+        blob = path.read_bytes()
+        for at in range(8, len(blob)):  # past magic and version
+            damaged = bytearray(blob)
+            damaged[at] ^= 0x01
+            path.write_bytes(bytes(damaged))
+            with pytest.raises(CorruptContainerError):
+                pp.read_container_columns(path)
+
+    @pytest.mark.parametrize("at", [12, 14, 15])
+    def test_row_count_checked_before_allocating(self, tmp_path, at):
+        # a flipped high byte of N asks for terabytes or overflows N*d
+        path, *_ = self.make(tmp_path)
+        blob = bytearray(path.read_bytes())
+        blob[at] ^= 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptContainerError, match="header sizes"):
+            pp.read_container_columns(path)
