@@ -8,6 +8,7 @@ byte (timestamps aside).
 from __future__ import annotations
 
 import argparse
+import array
 import contextlib
 import gzip
 import json
@@ -31,6 +32,7 @@ from .errors import (
     BadDimsError,
     EmptyInputError,
     NonFiniteLossError,
+    NotUtf8Error,
     ShapeMismatchError,
     SingularSystemError,
     ZidsError,
@@ -150,7 +152,7 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
     if config_path:
         try:
             doc = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(doc, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -243,50 +245,48 @@ def _write_manifest(out_dir: Path, command: str, body: dict) -> None:
     )
 
 
-def _open_data(path: str):
-    if str(path).endswith(".gz"):
-        return gzip.open(path, "rt", encoding="utf-8")
-    return open(path, "r", encoding="utf-8")
+@contextlib.contextmanager
+def _open_text(path):
+    """A UTF-8 text file, gunzipped if its name ends in .gz. A byte that
+    does not decode, read anywhere in the block, is a data error naming
+    the file."""
+    opener = gzip.open if str(path).endswith(".gz") else open
+    try:
+        with opener(path, "rt", encoding="utf-8") as stream:
+            yield stream
+    except UnicodeDecodeError as exc:
+        raise NotUtf8Error(path, exc) from None
 
 
 def cmd_prepare(args) -> int:
     cfg = load_config(args)
     data_path = cfg.data_path
     out_dir = Path(args.out if args.out is not None else cfg.prepared_dir)
-    taxonomy = ds.default_taxonomy()
 
     with _locked_dir(out_dir):
-        # Pass 1: vocabularies, fine labels, category counts. Streaming by
-        # block; only int32 label codes are retained.
-        vocab_sets = [set() for _ in ds.CATEGORICAL_POSITIONS]
-        label_index: dict[str, int] = {}
-        code_blocks: list[np.ndarray] = []
-        with _open_data(data_path) as stream:
+        # Pass 1: the four string fields (protocol_type, service, flag,
+        # label) become int32 codes in first-seen order.
+        indexes = [{} for _ in range(4)]
+        first_seen = [array.array("i") for _ in range(4)]
+        with _open_text(data_path) as stream:
             for block in ds.iter_blocks(stream):
-                for vocab, values in zip(vocab_sets, zip(*block.categorical)):
-                    vocab.update(values)
-                codes = np.empty(len(block), dtype=np.int32)
-                for i, label in enumerate(block.labels):
-                    if label not in label_index:
-                        taxonomy.category_of(label)  # total-coverage check
-                        label_index[label] = len(label_index)
-                    codes[i] = label_index[label]
-                code_blocks.append(codes)
-        if not code_blocks:
+                fields = (*zip(*block.categorical), block.labels)
+                for values, index, codes in zip(fields, indexes, first_seen):
+                    pp.intern(values, index, codes)
+        if not first_seen[0]:
             raise EmptyInputError(f"no records in {data_path}")
-        y_tmp = np.concatenate(code_blocks)
-        del code_blocks
-        n = y_tmp.size
-
-        fine_names = sorted(label_index)
-        remap = np.empty(len(fine_names), dtype=np.int32)
-        for label, tmp_idx in label_index.items():
-            remap[tmp_idx] = fine_names.index(label)
-        y_fine = remap[y_tmp]
-        del y_tmp
+        # Each field renumbered once to its sorted vocabulary.
+        vocabs, codes = [], []
+        for index, field_codes in zip(indexes, first_seen):
+            vocab, field_codes = pp.sort_codes(index, field_codes)
+            vocabs.append(vocab)
+            codes.append(field_codes)
+        del first_seen
+        fine_names, y_fine = vocabs.pop(), codes.pop()
+        n = y_fine.size
 
         fine_to_cat = np.asarray(
-            [ds.CATEGORIES.index(taxonomy.category_of(l)) for l in fine_names],
+            [ds.CATEGORIES.index(ds.CATEGORY_OF[l]) for l in fine_names],
             dtype=np.int32,
         )
         y_coarse = fine_to_cat[y_fine]
@@ -296,10 +296,7 @@ def cmd_prepare(args) -> int:
         }
 
         schema = ds.schema_from_vocabularies(
-            {
-                ds.FEATURE_NAMES[p]: vocab
-                for p, vocab in zip(ds.CATEGORICAL_POSITIONS, vocab_sets)
-            }
+            dict(zip((ds.FEATURE_NAMES[p] for p in ds.CATEGORICAL_POSITIONS), vocabs))
         )
         d = pp.encoded_width(schema)
 
@@ -320,21 +317,26 @@ def cmd_prepare(args) -> int:
         dest_pos[train_idx] = np.arange(train_idx.size)
         dest_pos[test_idx] = np.arange(test_idx.size)
 
-        # Pass 2: encode block by block, scattering rows into the
-        # preallocated split matrices.
+        # The one-hot columns are set from the codes; pass 2 then copies
+        # only the continuous values into the preallocated split matrices.
+        n_cont = len(ds.CONTINUOUS_POSITIONS)
         x_train = np.zeros((train_idx.size, d), dtype=np.float32)
         x_test = np.zeros((test_idx.size, d), dtype=np.float32)
+        base = n_cont
+        for field_codes, vocab in zip(codes, vocabs):
+            for x, idx in ((x_train, train_idx), (x_test, test_idx)):
+                x[np.arange(idx.size), base + field_codes[idx]] = 1.0
+            base += len(vocab)
+        del codes
         start = 0
-        with _open_data(data_path) as stream:
+        with _open_text(data_path) as stream:
             for block in ds.iter_blocks(stream):
                 rows = slice(start, start + len(block))
                 start = rows.stop
-                x = pp.encode_block(block, schema)
                 is_test = dest_is_test[rows]
-                x_test[dest_pos[rows][is_test]] = x[is_test]
-                x_train[dest_pos[rows][~is_test]] = x[~is_test]
+                x_test[dest_pos[rows][is_test], :n_cont] = block.continuous[is_test]
+                x_train[dest_pos[rows][~is_test], :n_cont] = block.continuous[~is_test]
 
-        n_cont = len(ds.CONTINUOUS_POSITIONS)
         scaling = pp.fit_scaling(x_train, n_cont)
         pp.apply_scaling(x_train, scaling)
         pp.apply_scaling(x_test, scaling)
@@ -517,9 +519,13 @@ def cmd_explain(args) -> int:
     out_dir = Path(cfg.output_dir)
     with _locked_dir(out_dir):
         test_ds = _read_for_model(prepared / "test.zids", model)
-        schema = ds.FeatureSchema.from_json(
-            (prepared / "schema.json").read_text(encoding="utf-8")
-        )
+        with _open_text(prepared / "schema.json") as fh:
+            schema = ds.FeatureSchema.from_json(fh.read())
+        if pp.encoded_width(schema) != test_ds.d:
+            raise ShapeMismatchError(
+                f"schema.json describes {pp.encoded_width(schema)} encoded "
+                f"columns; test.zids has {test_ds.d}"
+            )
         feature_names = pp.encoded_feature_names(schema)
 
         bg_idx = pp.sample_indices(test_ds.n, cfg.background_n, cfg.background_seed)
@@ -583,7 +589,8 @@ def cmd_explain(args) -> int:
 
 
 def cmd_report(args) -> int:
-    doc = json.loads(Path(args.report).read_text(encoding="utf-8"))
+    with _open_text(args.report) as fh:
+        doc = json.load(fh)
     rep = metrics.report_from_dict(doc)
     sys.stdout.write(metrics.render_report(rep, "text").decode("utf-8"))
     return EXIT_OK

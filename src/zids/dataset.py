@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     FieldTypeError,
     MalformedLineError,
+    MalformedSchemaError,
     UnknownLabelError,
 )
 
@@ -175,42 +176,29 @@ class FeatureSchema:
 
     @staticmethod
     def from_json(text: str) -> "FeatureSchema":
-        doc = json.loads(text)
-        features = tuple(
-            FeatureDescriptor(f["name"], f["kind"]) for f in doc["features"]
-        )
-        vocabularies = {k: tuple(v) for k, v in doc["vocabularies"].items()}
-        return FeatureSchema(features=features, vocabularies=vocabularies)
-
-
-@dataclass(frozen=True)
-class LabelTaxonomy:
-    """Total mapping from fine attack labels to the four parent categories."""
-
-    mapping: Mapping[str, str]
-
-    def category_of(self, label: str) -> str:
+        """The schema of a document to_json wrote, formatting aside; any
+        other document raises MalformedSchemaError."""
         try:
-            return self.mapping[label]
-        except KeyError:
-            raise UnknownLabelError(label) from None
+            doc = json.loads(text)
+            schema = schema_from_vocabularies(doc["vocabularies"])
+        except (ValueError, LookupError, TypeError) as exc:
+            raise MalformedSchemaError(f"malformed feature schema: {exc!r}") from None
+        if schema.to_json() != json.dumps(doc, indent=2, sort_keys=True):
+            raise MalformedSchemaError(
+                "malformed feature schema: not the 41 features with sorted vocabularies"
+            )
+        return schema
 
 
-def default_taxonomy() -> LabelTaxonomy:
-    """The four-way grouping of the KDD99 fine labels.
-
-    Covers the 23 labels of the training file plus the extended test-only
-    labels (apache2, mscan, saint, ...), so corpora from either file map
-    without gaps.
-    """
-    mapping: dict[str, str] = {"normal": NORMAL}
-    for label in _DOS_LABELS:
-        mapping[label] = DOS
-    for label in _PROBE_LABELS:
-        mapping[label] = PROBE
-    for label in _UNAUTHORIZED_LABELS:
-        mapping[label] = UNAUTHORIZED
-    return LabelTaxonomy(mapping=mapping)
+# Fine label -> category: the 23 labels of the training file plus the
+# test-only labels (apache2, mscan, saint, ...), so either file maps
+# without gaps.
+CATEGORY_OF = {
+    "normal": NORMAL,
+    **dict.fromkeys(_DOS_LABELS, DOS),
+    **dict.fromkeys(_PROBE_LABELS, PROBE),
+    **dict.fromkeys(_UNAUTHORIZED_LABELS, UNAUTHORIZED),
+}
 
 
 BLOCK_ROWS = 1024  # records per RecordBlock; larger blocks raise prepare's peak RSS
@@ -222,9 +210,9 @@ class RecordBlock:
 
     Row i came from stream line line_numbers[i] (1-based, blank lines
     counted); lines[i] is that line stripped. categorical[i] holds the
-    (protocol_type, service, flag) values, labels[i] the normalized label,
-    and continuous[i] the 38 continuous features in CONTINUOUS_POSITIONS
-    order as float64.
+    (protocol_type, service, flag) values, labels[i] the normalized label
+    (a key of CATEGORY_OF), and continuous[i] the 38 continuous features
+    in CONTINUOUS_POSITIONS order as float64.
     """
 
     line_numbers: list[int]
@@ -287,9 +275,10 @@ def iter_blocks(stream: Iterable[str]) -> Iterator[RecordBlock]:
     removed.
 
     Raises MalformedLineError when a line does not have 42 fields or has
-    an empty label, and FieldTypeError when a continuous field is not a
-    finite non-negative number. When a block holds both, the error on the
-    earlier line is raised.
+    an empty label, UnknownLabelError when the label is not in
+    CATEGORY_OF, and FieldTypeError when a continuous field is not a
+    finite non-negative number. Of several errors, the one on the earliest
+    line is raised.
     """
     line_numbers: list[int] = []
     lines: list[str] = []
@@ -303,9 +292,11 @@ def iter_blocks(stream: Iterable[str]) -> Iterator[RecordBlock]:
         label = parts[-1].lower()
         if label.endswith("."):
             label = label[:-1]
-        if len(parts) != NUM_FIELDS or not label:
+        if len(parts) != NUM_FIELDS or label not in CATEGORY_OF:
             if lines:
                 _continuous(lines, line_numbers)  # an earlier bad cell wins
+            if len(parts) == NUM_FIELDS and label:
+                raise UnknownLabelError(line_no, label)
             raise MalformedLineError(line_no, len(parts))
         line_numbers.append(line_no)
         lines.append(line)

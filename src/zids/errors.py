@@ -38,20 +38,24 @@ class EmptyInputError(ZidsError):
 
 
 class UnknownLabelError(ZidsError):
-    """A record label is not covered by the taxonomy or class list."""
+    """A record label has no category in dataset.CATEGORY_OF."""
 
-    def __init__(self, label: str):
+    def __init__(self, line_no: int, label: str):
+        self.line_no = line_no
         self.label = label
-        super().__init__(f"unknown label: {label!r}")
+        super().__init__(f"line {line_no}: unknown label: {label!r}")
 
 
-class UnknownCategoryError(ZidsError):
-    """A categorical value is absent from the schema vocabulary."""
+class NotUtf8Error(ZidsError):
+    """An input file holds bytes that are not UTF-8 text."""
 
-    def __init__(self, feature: str, value: str):
-        self.feature = feature
-        self.value = value
-        super().__init__(f"feature {feature!r}: value {value!r} not in vocabulary")
+    def __init__(self, path, error: UnicodeDecodeError):
+        self.path = str(path)
+        super().__init__(f"{path}: not UTF-8 text: {error.reason}")
+
+
+class MalformedSchemaError(ZidsError):
+    """A schema document is not one that FeatureSchema.to_json writes."""
 
 
 class DegenerateClassError(ZidsError):

@@ -30,6 +30,9 @@ MODEL_MAGIC = b"ZMLP"
 MODEL_VERSION = 2
 
 LOG_FLOOR = 1e-12  # added inside log() so hard zeros stay finite
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 _CHUNK_ROWS = 65536  # rows per forward pass in predict() and _evaluate()
 
 
@@ -59,9 +62,6 @@ class TrainConfig:
     batch_size: int = 1024
     learning_rate: float = 1e-3
     optimizer: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     class_weights: Optional[ClassWeights] = None
 
@@ -81,9 +81,6 @@ class EpochStats:
     train_loss: float
     val_loss: float
     val_accuracy: float
-
-
-TrainHistory = list  # of EpochStats, one per epoch
 
 
 def init(dims: Sequence[int], seed: int) -> MlpModel:
@@ -351,9 +348,6 @@ def gradients(
 class _Adam:
     def __init__(self, model: MlpModel, config: TrainConfig, rows: int):
         self.lr = config.learning_rate
-        self.b1 = config.beta1
-        self.b2 = config.beta2
-        self.eps = config.eps
         self.t = 0
         self.m = [np.zeros_like(p) for p in _parameters(model)]
         self.v = [np.zeros_like(p) for p in _parameters(model)]
@@ -361,25 +355,26 @@ class _Adam:
 
     def step(self, model: MlpModel) -> None:
         """Update in place: m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
-        p -= lr * (m/c1) / (sqrt(v/c2) + eps), in that operation order."""
+        p -= lr * (m/c1) / (sqrt(v/c2) + eps), in that operation order,
+        with (b1, b2, eps) = (ADAM_BETA1, ADAM_BETA2, ADAM_EPS)."""
         self.t += 1
-        c1 = 1.0 - self.b1**self.t
-        c2 = 1.0 - self.b2**self.t
+        c1 = 1.0 - ADAM_BETA1**self.t
+        c2 = 1.0 - ADAM_BETA2**self.t
         ws = self.workspace
         for p, g, m, v, (s, r) in zip(
             _parameters(model), ws.gradients(), self.m, self.v, ws.scratch
         ):
-            m *= self.b1
-            m += np.multiply(1.0 - self.b1, g, out=s)
-            v *= self.b2
-            np.multiply(1.0 - self.b2, g, out=s)
+            m *= ADAM_BETA1
+            m += np.multiply(1.0 - ADAM_BETA1, g, out=s)
+            v *= ADAM_BETA2
+            np.multiply(1.0 - ADAM_BETA2, g, out=s)
             s *= g
             v += s
             np.divide(m, c1, out=s)
             np.multiply(self.lr, s, out=s)
             np.divide(v, c2, out=r)
             np.sqrt(r, out=r)
-            r += self.eps
+            r += ADAM_EPS
             s /= r
             p -= s
 

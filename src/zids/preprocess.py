@@ -7,6 +7,7 @@ values within a block in vocabulary order.
 
 from __future__ import annotations
 
+import array
 import io
 import math
 import os
@@ -23,7 +24,6 @@ from .errors import (
     DegenerateClassError,
     MissingClassError,
     OutOfRangeError,
-    UnknownCategoryError,
     VersionMismatchError,
 )
 
@@ -90,23 +90,19 @@ def encoded_feature_names(schema: ds.FeatureSchema) -> list[str]:
     return names
 
 
-def encode_block(block: ds.RecordBlock, schema: ds.FeatureSchema) -> np.ndarray:
-    """Unscaled encoded rows of one block: raw continuous values plus one-hot blocks."""
-    x = np.zeros((len(block), encoded_width(schema)), dtype=np.float32)
-    base = len(ds.CONTINUOUS_POSITIONS)
-    x[:, :base] = block.continuous
-    rows = np.arange(len(block))
-    for j, pos in enumerate(ds.CATEGORICAL_POSITIONS):
-        feature = ds.FEATURE_NAMES[pos]
-        vocab = schema.vocabularies[feature]
-        index = {value: i for i, value in enumerate(vocab)}
-        try:
-            cols = [index[values[j]] for values in block.categorical]
-        except KeyError as exc:
-            raise UnknownCategoryError(feature, exc.args[0]) from None
-        x[rows, base + np.asarray(cols, dtype=np.intp)] = 1.0
-        base += len(vocab)
-    return x
+def intern(values: Sequence[str], index: dict[str, int], codes: array.array) -> None:
+    """Append the code of each value in index to codes. index grows by
+    each unseen value under the next code, so codes follow first-seen
+    order."""
+    codes.fromlist([index.setdefault(v, len(index)) for v in values])
+
+
+def sort_codes(index: dict[str, int], codes: array.array) -> tuple[list[str], np.ndarray]:
+    """The sorted vocabulary of index, and int32 codes renumbered to match it."""
+    vocab = sorted(index)
+    rank = {value: i for i, value in enumerate(vocab)}
+    remap = np.asarray([rank[v] for v in index], dtype=np.int32)
+    return vocab, remap[np.frombuffer(codes, dtype=np.int32)]
 
 
 def fit_scaling(x: np.ndarray, n_continuous: int) -> list[tuple[float, float]]:

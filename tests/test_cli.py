@@ -101,10 +101,9 @@ class TestPrepare:
         assert [c.name for c in columns] == ["coarse", "fine"]
 
     def test_counts_match_streaming_oracle(self, small_experiment):
-        tax = ds.default_taxonomy()
         with open(small_experiment.corpus) as stream:
             seen = Counter(
-                tax.category_of(label)
+                ds.CATEGORY_OF[label]
                 for block in ds.iter_blocks(stream)
                 for label in block.labels
             )

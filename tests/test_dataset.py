@@ -202,31 +202,42 @@ class TestSchema:
 
 class TestTaxonomy:
     def test_key_assignments(self):
-        tax = ds.default_taxonomy()
-        assert tax.category_of("smurf") == ds.DOS
-        assert tax.category_of("neptune") == ds.DOS
-        assert tax.category_of("normal") == ds.NORMAL
-        assert tax.category_of("spy") == ds.UNAUTHORIZED
-        assert tax.category_of("satan") == ds.PROBE
+        assert ds.CATEGORY_OF["smurf"] == ds.DOS
+        assert ds.CATEGORY_OF["neptune"] == ds.DOS
+        assert ds.CATEGORY_OF["normal"] == ds.NORMAL
+        assert ds.CATEGORY_OF["spy"] == ds.UNAUTHORIZED
+        assert ds.CATEGORY_OF["satan"] == ds.PROBE
 
     def test_total_over_training_labels(self):
-        tax = ds.default_taxonomy()
-        for label in TRAINING_LABELS:
-            tax.category_of(label)  # must not raise
+        assert set(TRAINING_LABELS) <= set(ds.CATEGORY_OF)
 
     def test_extended_labels_covered(self):
-        tax = ds.default_taxonomy()
-        for label in ("apache2", "mscan", "saint", "snmpguess", "httptunnel", "xterm"):
-            tax.category_of(label)
+        extended = {"apache2", "mscan", "saint", "snmpguess", "httptunnel", "xterm"}
+        assert extended <= set(ds.CATEGORY_OF)
 
     def test_only_normal_is_normal(self):
-        tax = ds.default_taxonomy()
-        assert [l for l, c in tax.mapping.items() if c == ds.NORMAL] == ["normal"]
+        assert [l for l, c in ds.CATEGORY_OF.items() if c == ds.NORMAL] == ["normal"]
 
     def test_unknown_label(self):
         with pytest.raises(UnknownLabelError) as err:
-            ds.default_taxonomy().category_of("quantum_worm")
-        assert err.value.label == "quantum_worm"
+            parse(make_line() + "\n\n" + make_line("Quantum_Worm."))
+        assert (err.value.line_no, err.value.label) == (3, "quantum_worm")
+
+    @pytest.mark.parametrize("later", ["bad_cell", "41_fields"])
+    def test_unknown_label_wins_over_later_bad_line(self, later):
+        line_2 = {
+            "bad_cell": make_line().replace(",215,", ",-215,", 1),
+            "41_fields": ",".join(["0"] * 40) + ",normal.",
+        }[later]
+        with pytest.raises(UnknownLabelError) as err:
+            parse(make_line("mystery.") + "\n" + line_2)
+        assert (err.value.line_no, err.value.label) == (1, "mystery")
+
+    def test_bad_cell_wins_over_later_unknown_label(self):
+        bad_cell = make_line().replace(",215,", ",-215,", 1)
+        with pytest.raises(FieldTypeError) as err:
+            parse(bad_cell + "\n" + make_line("mystery."))
+        assert err.value.line_no == 1
 
 
 class TestCoarseCounts:
@@ -255,7 +266,7 @@ class TestCoarseCounts:
         rc, out = prepare(tmp_path, [make_line(), make_line("mystery.")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "mystery" in err and len(err.strip().splitlines()) == 1
+        assert err == "data error: line 2: unknown label: 'mystery'\n"
         assert not out.exists()
 
     def test_counts_csv_shape(self):

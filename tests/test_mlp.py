@@ -343,14 +343,14 @@ class ReferenceTrainer:
                 p -= cfg.learning_rate * g
             return batch_loss
         self.t += 1
-        c1 = 1.0 - cfg.beta1**self.t
-        c2 = 1.0 - cfg.beta2**self.t
+        c1 = 1.0 - mlp.ADAM_BETA1**self.t
+        c2 = 1.0 - mlp.ADAM_BETA2**self.t
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * g * g
-            p -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + cfg.eps)
+            m *= mlp.ADAM_BETA1
+            m += (1.0 - mlp.ADAM_BETA1) * g
+            v *= mlp.ADAM_BETA2
+            v += (1.0 - mlp.ADAM_BETA2) * g * g
+            p -= cfg.learning_rate * (m / c1) / (np.sqrt(v / c2) + mlp.ADAM_EPS)
         return batch_loss
 
 

@@ -14,7 +14,6 @@ from zids.errors import (
     DegenerateClassError,
     MissingClassError,
     OutOfRangeError,
-    UnknownCategoryError,
     VersionMismatchError,
 )
 
@@ -27,12 +26,11 @@ PROFILE = {
 
 @dataclass
 class Corpus:
-    """The profile's lines through the block path: unscaled encoded rows,
-    the schema of their vocabularies and their coarse class indices."""
+    """The profile's lines through the block path: their unscaled
+    continuous values and their coarse class indices."""
 
     lines: list
     labels: list
-    schema: ds.FeatureSchema
     x: np.ndarray
     y: np.ndarray
     k: int = len(ds.CATEGORIES)
@@ -44,8 +42,7 @@ class Corpus:
     def scaled(self, fit_rows=None):
         """x min-max scaled on its first fit_rows rows (all by default)."""
         x = self.x.copy()
-        n_cont = len(ds.CONTINUOUS_POSITIONS)
-        scaling = pp.fit_scaling(x[:fit_rows], n_cont)
+        scaling = pp.fit_scaling(x[:fit_rows], x.shape[1])
         pp.apply_scaling(x, scaling)
         return x, scaling
 
@@ -54,16 +51,10 @@ class Corpus:
 def corpus():
     lines = synthetic.generate_lines(seed=4, profile=PROFILE)
     blocks = list(ds.iter_blocks(lines))
-    categorical = [c for block in blocks for c in block.categorical]
-    schema = ds.schema_from_vocabularies({
-        ds.FEATURE_NAMES[pos]: values
-        for pos, values in zip(ds.CATEGORICAL_POSITIONS, zip(*categorical))
-    })
-    x = np.concatenate([pp.encode_block(block, schema) for block in blocks])
+    x = np.concatenate([block.continuous for block in blocks]).astype(np.float32)
     labels = [label for block in blocks for label in block.labels]
-    tax = ds.default_taxonomy()
-    y = np.array([ds.CATEGORIES.index(tax.category_of(l)) for l in labels])
-    return Corpus(lines, labels, schema, x, y)
+    y = np.array([ds.CATEGORIES.index(ds.CATEGORY_OF[l]) for l in labels])
+    return Corpus(lines, labels, x, y)
 
 
 @pytest.fixture(scope="module")
@@ -87,16 +78,30 @@ class TestEncode:
         assert pp.encoded_width(schema) == 122
         assert len(pp.encoded_feature_names(schema)) == 122
 
-    def test_one_hot_blocks(self, corpus):
+    def test_one_hot_blocks(self, corpus, prepared):
+        """Each container row holds its line's continuous values, scaled,
+        and a one-hot of each categorical value, in schema order."""
+        schema = ds.FeatureSchema.from_json((prepared / "schema.json").read_text())
+        fine = sorted(set(corpus.labels))
+        y_fine = np.array([fine.index(label) for label in corpus.labels])
+        fields = [line.split(",") for line in corpus.lines]
         n_cont = len(ds.CONTINUOUS_POSITIONS)
-        base = n_cont
-        for pos in ds.CATEGORICAL_POSITIONS:
-            size = len(corpus.schema.vocabularies[ds.FEATURE_NAMES[pos]])
-            block = corpus.x[:, base : base + size]
-            assert np.all(block.sum(axis=1) == 1.0)
-            assert set(np.unique(block)) <= {0.0, 1.0}
-            base += size
-        assert corpus.x.shape[1] == pp.encoded_width(corpus.schema)
+        splits = pp.split_indices(y_fine, len(fine), 0.33, seed=0)
+        for name, idx in zip(("train", "test"), splits):
+            enc = pp.read_container(prepared / f"{name}.zids", "fine")
+            assert enc.d == pp.encoded_width(schema)
+            assert np.array_equal(enc.y, y_fine[idx])
+            cont = corpus.x[idx]
+            pp.apply_scaling(cont, enc.scaling)
+            assert np.array_equal(enc.x[:, :n_cont], cont)
+            base = n_cont
+            for pos in ds.CATEGORICAL_POSITIONS:
+                vocab = schema.vocabularies[ds.FEATURE_NAMES[pos]]
+                one_hot = np.zeros((idx.size, len(vocab)), dtype=np.float32)
+                one_hot[np.arange(idx.size),
+                        [vocab.index(fields[i][pos]) for i in idx]] = 1.0
+                assert np.array_equal(enc.x[:, base:base + len(vocab)], one_hot)
+                base += len(vocab)
 
     def test_coarse_classes(self, prepared):
         for split in ("train", "test"):
@@ -145,13 +150,6 @@ class TestEncode:
             enc = pp.read_container(prepared / f"{split}.zids", "fine")
             assert enc.class_names == names
 
-    def test_unknown_category(self, corpus):
-        parts = corpus.lines[0].split(",")
-        parts[2] = "no_such_service"
-        (block,) = ds.iter_blocks([",".join(parts)])
-        with pytest.raises(UnknownCategoryError) as err:
-            pp.encode_block(block, corpus.schema)
-        assert err.value.feature == "service"
 
 
 class TestStratifiedSplit:
