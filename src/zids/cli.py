@@ -521,12 +521,12 @@ def cmd_explain(args) -> int:
         test_ds = _read_for_model(prepared / "test.zids", model)
         with _open_text(prepared / "schema.json") as fh:
             schema = ds.FeatureSchema.from_json(fh.read())
-        if pp.encoded_width(schema) != test_ds.d:
+        feature_names = pp.encoded_feature_names(schema)
+        if len(feature_names) != test_ds.d:
             raise ShapeMismatchError(
-                f"schema.json describes {pp.encoded_width(schema)} encoded "
+                f"schema.json describes {len(feature_names)} encoded "
                 f"columns; test.zids has {test_ds.d}"
             )
-        feature_names = pp.encoded_feature_names(schema)
 
         bg_idx = pp.sample_indices(test_ds.n, cfg.background_n, cfg.background_seed)
         fg_idx = pp.sample_indices(test_ds.n, cfg.explain_n, cfg.explain_seed)
