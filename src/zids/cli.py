@@ -13,8 +13,10 @@ import contextlib
 import gzip
 import json
 import os
+import socket
 import sys
 import time
+import zlib
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Optional, Union, get_args, get_origin, get_type_hints
@@ -30,6 +32,8 @@ from . import shap as kshap
 from .errors import (
     BadBudgetError,
     BadDimsError,
+    ChangedInputError,
+    DamagedGzipError,
     EmptyInputError,
     NonFiniteLossError,
     NotUtf8Error,
@@ -184,10 +188,66 @@ def _parse_hidden_dims(text: str) -> list[int]:
         ) from None
 
 
+def _dead_owner(text: str) -> Optional[int]:
+    """The pid of a lock whose text says "pid host", if that host is this
+    one and no process has the pid any more; None for any other lock."""
+    pid, _, host = text.partition(" ")
+    if host != socket.gethostname() or not pid.isdigit() or int(pid) < 1:
+        return None
+    try:
+        os.kill(int(pid), 0)
+    except ProcessLookupError:
+        return int(pid)
+    except OSError:
+        pass  # the process exists and belongs to someone else
+    return None
+
+
+def _take_lock(lock: Path) -> int:
+    """Create the lock exclusively, taking over a stale one: a lock this
+    host wrote for a process that has since died."""
+    try:
+        return os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
+        pass
+    locked = ConfigError(
+        f"output directory is locked by {lock}; remove the file if no "
+        "other command is running"
+    )
+    try:
+        text = lock.read_text(encoding="utf-8", errors="replace")
+    except FileNotFoundError:
+        text = ""
+    pid = _dead_owner(text)
+    if pid is None:
+        raise locked
+    # Renaming claims the stale file atomically; a racing command that
+    # renamed a fresh lock instead puts it back.
+    claimed = lock.with_name(f"{lock.name}.{os.getpid()}")
+    try:
+        os.rename(lock, claimed)
+    except FileNotFoundError:
+        raise locked from None
+    try:
+        if claimed.read_text(encoding="utf-8", errors="replace") != text:
+            with contextlib.suppress(FileExistsError):
+                os.link(claimed, lock)
+            raise locked
+    finally:
+        claimed.unlink()
+    print(f"warning: took over the lock {lock} of dead process {pid}", file=sys.stderr)
+    try:
+        return os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
+        raise locked from None
+
+
 @contextlib.contextmanager
 def _locked_dir(path: Path):
-    """One command per output directory; stale locks must be removed by hand.
+    """One command per output directory.
 
+    The lock file holds "pid host". A lock left by a process of this
+    host that has died is taken over; any other lock stops the command.
     The directories this command created, the output directory and any
     missing parents, are removed again, deepest first, when the command
     fails and leaves them empty.
@@ -202,16 +262,10 @@ def _locked_dir(path: Path):
             continue
         created.append(directory)
     lock = path / ".zids.lock"
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise ConfigError(
-            f"output directory is locked by {lock}; remove the file if no "
-            "other command is running"
-        ) from None
+    fd = _take_lock(lock)
     succeeded = False
     try:
-        os.write(fd, str(os.getpid()).encode("ascii"))
+        os.write(fd, f"{os.getpid()} {socket.gethostname()}".encode("utf-8"))
         os.close(fd)
         yield path
         succeeded = True
@@ -248,14 +302,16 @@ def _write_manifest(out_dir: Path, command: str, body: dict) -> None:
 @contextlib.contextmanager
 def _open_text(path):
     """A UTF-8 text file, gunzipped if its name ends in .gz. A byte that
-    does not decode, read anywhere in the block, is a data error naming
-    the file."""
+    does not decode, or gzip data that is cut short or damaged, read
+    anywhere in the block, is a data error naming the file."""
     opener = gzip.open if str(path).endswith(".gz") else open
     try:
         with opener(path, "rt", encoding="utf-8") as stream:
             yield stream
     except UnicodeDecodeError as exc:
         raise NotUtf8Error(path, exc) from None
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise DamagedGzipError(path, exc) from None
 
 
 def cmd_prepare(args) -> int:
@@ -264,15 +320,22 @@ def cmd_prepare(args) -> int:
     out_dir = Path(args.out if args.out is not None else cfg.prepared_dir)
 
     with _locked_dir(out_dir):
-        # Pass 1: the four string fields (protocol_type, service, flag,
-        # label) become int32 codes in first-seen order.
+        # Pass 1 reads only the four string fields (protocol_type,
+        # service, flag, label); each becomes int32 codes in first-seen
+        # order.
         indexes = [{} for _ in range(4)]
         first_seen = [array.array("i") for _ in range(4)]
         with _open_text(data_path) as stream:
-            for block in ds.iter_blocks(stream):
-                fields = (*zip(*block.categorical), block.labels)
+            scan = ds.StringFields(stream)
+            for fields in scan:
                 for values, index, codes in zip(fields, indexes, first_seen):
                     pp.intern(values, index, codes)
+        if scan.error is not None:
+            # A bad cell on an earlier line wins over pass 1's error.
+            with _open_text(data_path) as stream:
+                for _ in ds.iter_continuous(stream, stop=scan.error.line_no):
+                    pass
+            raise scan.error
         if not first_seen[0]:
             raise EmptyInputError(f"no records in {data_path}")
         # Each field renumbered once to its sorted vocabulary.
@@ -305,19 +368,13 @@ def cmd_prepare(args) -> int:
         train_idx, test_idx = pp.split_indices(
             y_fine, len(fine_names), cfg.test_fraction, cfg.split_seed
         )
-        for name, idx in (("train", train_idx), ("test", test_idx)):
-            if idx.size == 0:
-                raise ConfigError(
-                    f"test fraction {cfg.test_fraction} leaves the {name} "
-                    f"split of {n} rows empty"
-                )
         dest_is_test = np.zeros(n, dtype=bool)
         dest_is_test[test_idx] = True
         dest_pos = np.empty(n, dtype=np.int64)
         dest_pos[train_idx] = np.arange(train_idx.size)
         dest_pos[test_idx] = np.arange(test_idx.size)
 
-        # The one-hot columns are set from the codes; pass 2 then copies
+        # The one-hot columns are set from the codes; pass 2 then converts
         # only the continuous values into the preallocated split matrices.
         n_cont = len(ds.CONTINUOUS_POSITIONS)
         x_train = np.zeros((train_idx.size, d), dtype=np.float32)
@@ -330,12 +387,23 @@ def cmd_prepare(args) -> int:
         del codes
         start = 0
         with _open_text(data_path) as stream:
-            for block in ds.iter_blocks(stream):
+            for block in ds.iter_continuous(stream):
                 rows = slice(start, start + len(block))
                 start = rows.stop
+                if start > n:
+                    continue  # counted for the error below
                 is_test = dest_is_test[rows]
-                x_test[dest_pos[rows][is_test], :n_cont] = block.continuous[is_test]
-                x_train[dest_pos[rows][~is_test], :n_cont] = block.continuous[~is_test]
+                x_test[dest_pos[rows][is_test], :n_cont] = block[is_test]
+                x_train[dest_pos[rows][~is_test], :n_cont] = block[~is_test]
+        if start != n:
+            raise ChangedInputError(data_path, n, start)
+        # Checked only now: a bad cell in a one-row file is the data error.
+        for name, idx in (("train", train_idx), ("test", test_idx)):
+            if idx.size == 0:
+                raise ConfigError(
+                    f"test fraction {cfg.test_fraction} leaves the {name} "
+                    f"split of {n} rows empty"
+                )
 
         scaling = pp.fit_scaling(x_train, n_cont)
         pp.apply_scaling(x_train, scaling)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .errors import (
     MalformedLineError,
     MalformedSchemaError,
     UnknownLabelError,
+    ZidsError,
 )
 
 # The 41 per-connection features, in wire order.
@@ -201,36 +202,64 @@ CATEGORY_OF = {
 }
 
 
-BLOCK_ROWS = 1024  # records per RecordBlock; larger blocks raise prepare's peak RSS
+BLOCK_ROWS = 1024  # rows per block of either reader; larger blocks raise prepare's peak RSS
 
 
-@dataclass(frozen=True)
-class RecordBlock:
-    """Up to BLOCK_ROWS consecutive records, validated and half-parsed.
+class StringFields:
+    """The four string fields of a KDD99 stream, without its numbers.
 
-    Row i came from stream line line_numbers[i] (1-based, blank lines
-    counted); lines[i] is that line stripped. categorical[i] holds the
-    (protocol_type, service, flag) values, labels[i] the normalized label
-    (a key of CATEGORY_OF), and continuous[i] the 38 continuous features
-    in CONTINUOUS_POSITIONS order as float64.
+    Iterating reads the stream (a file opened in text mode, or any
+    iterable of lines) once and yields (protocol_type, service, flag,
+    label) lists for blocks of up to BLOCK_ROWS rows. Blank lines are
+    skipped; labels come out lowercased with the trailing dot removed,
+    so each is a key of CATEGORY_OF. No continuous value is converted.
+
+    Each line must have 42 fields and a known label. At the first line
+    that does not, iteration stops and .error holds its
+    MalformedLineError or UnknownLabelError, unraised: a bad cell on an
+    earlier line, which only iter_continuous finds, must win over it.
     """
 
-    line_numbers: list[int]
-    lines: list[str]
-    categorical: list[tuple[str, str, str]]
-    labels: list[str]
-    continuous: np.ndarray
+    def __init__(self, stream: Iterable[str]):
+        self._stream = stream
+        self.error: Optional[ZidsError] = None
 
-    def __len__(self) -> int:
-        return len(self.lines)
+    def __iter__(self) -> Iterator[tuple[list[str], list[str], list[str], list[str]]]:
+        protocols, services, flags, labels = [], [], [], []
+        for line_no, raw in enumerate(self._stream, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            fields = line.count(",") + 1
+            label = line[line.rfind(",") + 1:].lower().removesuffix(".")
+            if fields != NUM_FIELDS or label not in CATEGORY_OF:
+                self.error = (
+                    UnknownLabelError(line_no, label)
+                    if fields == NUM_FIELDS and label
+                    else MalformedLineError(line_no, fields)
+                )
+                break
+            _, protocol, service, flag, _ = line.split(",", 4)
+            protocols.append(protocol)
+            services.append(service)
+            flags.append(flag)
+            labels.append(label)
+            if len(labels) == BLOCK_ROWS:
+                yield protocols, services, flags, labels
+                protocols, services, flags, labels = [], [], [], []
+        if labels:
+            yield protocols, services, flags, labels
 
 
 def _checked_floats(lines: list[str], line_numbers: list[int]) -> np.ndarray:
     """Continuous values cell by cell with float(); raises FieldTypeError
-    at the first cell that is not a finite non-negative number."""
+    at the first cell that is not a finite non-negative number, and
+    MalformedLineError at a line without 42 fields."""
     x = np.empty((len(lines), len(CONTINUOUS_POSITIONS)))
     for row, (line_no, line) in enumerate(zip(line_numbers, lines)):
         parts = line.split(",")
+        if len(parts) != NUM_FIELDS:
+            raise MalformedLineError(line_no, len(parts))
         for ci, col in enumerate(CONTINUOUS_POSITIONS):
             try:
                 v = float(parts[col])
@@ -266,60 +295,49 @@ def _continuous(lines: list[str], line_numbers: list[int]) -> np.ndarray:
     return _checked_floats(lines, line_numbers)
 
 
-def iter_blocks(stream: Iterable[str]) -> Iterator[RecordBlock]:
-    """Stream RecordBlocks of up to BLOCK_ROWS records off a KDD99 file
-    opened in text mode (or any iterable of lines).
+def iter_continuous(stream: Iterable[str], stop: Optional[int] = None) -> Iterator[np.ndarray]:
+    """The continuous features of a KDD99 stream: one (rows, 38) float64
+    block, in CONTINUOUS_POSITIONS order, per BLOCK_ROWS non-blank lines.
 
-    Memory is bounded by one block; safe for the full 700MB file. Empty
-    lines are skipped. Labels come out lowercased with the trailing dot
-    removed.
-
-    Raises MalformedLineError when a line does not have 42 fields or has
-    an empty label, UnknownLabelError when the label is not in
-    CATEGORY_OF, and FieldTypeError when a continuous field is not a
-    finite non-negative number. Of several errors, the one on the earliest
-    line is raised.
+    Reading ends before line `stop` (1-based, blank lines counted), or at
+    the end of the stream. The lines are taken to have the structure
+    StringFields checks; only the cell-by-cell fallback notices one that
+    does not. Raises FieldTypeError at the first cell that is not a
+    finite non-negative number.
     """
-    line_numbers: list[int] = []
     lines: list[str] = []
-    categorical: list[tuple[str, str, str]] = []
-    labels: list[str] = []
+    line_numbers: list[int] = []
     for line_no, raw in enumerate(stream, start=1):
+        if line_no == stop:
+            break
         line = raw.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        label = parts[-1].lower()
-        if label.endswith("."):
-            label = label[:-1]
-        if len(parts) != NUM_FIELDS or label not in CATEGORY_OF:
-            if lines:
-                _continuous(lines, line_numbers)  # an earlier bad cell wins
-            if len(parts) == NUM_FIELDS and label:
-                raise UnknownLabelError(line_no, label)
-            raise MalformedLineError(line_no, len(parts))
-        line_numbers.append(line_no)
-        lines.append(line)
-        categorical.append((parts[1], parts[2], parts[3]))
-        labels.append(label)
-        if len(lines) == BLOCK_ROWS:
-            yield RecordBlock(line_numbers, lines, categorical, labels,
-                              _continuous(lines, line_numbers))
-            line_numbers, lines, categorical, labels = [], [], [], []
+        if line:
+            lines.append(line)
+            line_numbers.append(line_no)
+            if len(lines) == BLOCK_ROWS:
+                yield _continuous(lines, line_numbers)
+                lines, line_numbers = [], []
     if lines:
-        yield RecordBlock(line_numbers, lines, categorical, labels,
-                          _continuous(lines, line_numbers))
+        yield _continuous(lines, line_numbers)
 
 
 # Used only by perfbench/spans.py, which rebinds iter_kdd by name.
 def iter_kdd(stream: Iterable[str]) -> Iterator[RawRecord]:
-    """Stream RawRecords off a KDD99 file (see iter_blocks).
-
-    Feature values are kept as the strings on the line.
+    """RawRecords of a KDD99 stream, with prepare's errors: of several,
+    the one on the earliest line. Feature values are kept as the strings
+    on the line. Holds the whole stream in memory.
     """
-    for block in iter_blocks(stream):
-        for line, label in zip(block.lines, block.labels):
-            yield RawRecord(values=tuple(line.split(",")[:-1]), label=label)
+    lines = list(stream)
+    scan = StringFields(lines)
+    labels = [label for block in scan for label in block[3]]
+    stop = scan.error.line_no if scan.error is not None else None
+    for _ in iter_continuous(lines, stop):
+        pass  # a bad cell before the structural error wins
+    if scan.error is not None:
+        raise scan.error
+    records = filter(None, (line.strip() for line in lines))
+    for line, label in zip(records, labels):
+        yield RawRecord(values=tuple(line.split(",")[:-1]), label=label)
 
 
 def schema_from_vocabularies(vocabularies: Mapping[str, Iterable[str]]) -> FeatureSchema:

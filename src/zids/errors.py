@@ -54,6 +54,26 @@ class NotUtf8Error(ZidsError):
         super().__init__(f"{path}: not UTF-8 text: {error.reason}")
 
 
+class DamagedGzipError(ZidsError):
+    """A .gz input file is cut short or its compressed data is damaged."""
+
+    def __init__(self, path, error: Exception):
+        self.path = str(path)
+        super().__init__(f"{path}: damaged gzip file: {error}")
+
+
+class ChangedInputError(ZidsError):
+    """An input file read twice gave a different number of records the
+    second time."""
+
+    def __init__(self, path, first: int, second: int):
+        self.path = str(path)
+        super().__init__(
+            f"{path}: {first} records on the first read, {second} on the "
+            "second; the file changed while it was read"
+        )
+
+
 class MalformedSchemaError(ZidsError):
     """A schema document is not one that FeatureSchema.to_json writes."""
 

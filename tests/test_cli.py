@@ -3,6 +3,10 @@ exit codes."""
 
 import hashlib
 import json
+import os
+import socket
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -10,7 +14,7 @@ import pytest
 
 from zids import dataset as ds
 from zids import preprocess as pp
-from zids import synthetic
+from zids import cli, synthetic
 from zids.cli import ExperimentConfig, main
 from conftest import SMALL_PROFILE, run_cli
 
@@ -102,11 +106,13 @@ class TestPrepare:
 
     def test_counts_match_streaming_oracle(self, small_experiment):
         with open(small_experiment.corpus) as stream:
+            scan = ds.StringFields(stream)
             seen = Counter(
                 ds.CATEGORY_OF[label]
-                for block in ds.iter_blocks(stream)
-                for label in block.labels
+                for *_, labels in scan
+                for label in labels
             )
+        assert scan.error is None
         expected = {category: seen[category] for category in ds.CATEGORIES}
         got = dict(
             line.split(",")
@@ -469,6 +475,51 @@ class TestLockAndUsage:
         rc = run_cli("train", "--prepared", small_experiment.prepared,
                      "--variant", "truncated", "--out", out)
         assert rc == 1
+
+    @staticmethod
+    def dead_pid():
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()
+        return child.pid
+
+    def prepare_into_locked(self, small_experiment, tmp_path, lock_text):
+        out = tmp_path / "locked"
+        out.mkdir()
+        (out / ".zids.lock").write_text(lock_text)
+        rc = run_cli("prepare", "--data", small_experiment.corpus, "--out", out)
+        return rc, out
+
+    def test_stale_lock_taken_over(self, small_experiment, tmp_path, capsys):
+        pid = self.dead_pid()
+        rc, out = self.prepare_into_locked(
+            small_experiment, tmp_path, f"{pid} {socket.gethostname()}")
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert err == (f"warning: took over the lock {out / '.zids.lock'} "
+                       f"of dead process {pid}\n")
+        assert (out / "train.zids").is_file()
+        assert not (out / ".zids.lock").exists()
+
+    @pytest.mark.parametrize("owner", ["live_pid", "other_host", "no_host"])
+    def test_lock_kept(self, small_experiment, tmp_path, capsys, owner):
+        host = socket.gethostname()
+        lock_text = {
+            "live_pid": f"{os.getpid()} {host}",
+            "other_host": f"{self.dead_pid()} not-{host}",
+            "no_host": str(self.dead_pid()),
+        }[owner]
+        rc, out = self.prepare_into_locked(small_experiment, tmp_path, lock_text)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: output directory is locked")
+        assert (out / ".zids.lock").read_text() == lock_text
+        assert sorted(p.name for p in out.iterdir()) == [".zids.lock"]
+
+    def test_lock_names_pid_and_host(self, tmp_path):
+        out = tmp_path / "out"
+        with cli._locked_dir(out):
+            text = (out / ".zids.lock").read_text()
+        assert text == f"{os.getpid()} {socket.gethostname()}"
 
     def test_failed_command_keeps_existing_out_dir(self, tmp_path):
         out = tmp_path / "existing"

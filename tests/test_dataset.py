@@ -31,12 +31,21 @@ def make_line(label="normal.", protocol="tcp", service="http", flag="SF"):
 
 
 def parse(text):
-    """Every block of a KDD99 text, as a file opened in text mode yields it."""
-    return list(ds.iter_blocks(io.StringIO(text)))
+    """The string-field blocks and continuous blocks of a KDD99 text, read
+    as `zids prepare` reads it: a bad cell before the first structural
+    error wins over that error."""
+    scan = ds.StringFields(io.StringIO(text))
+    fields = list(scan)
+    stop = scan.error.line_no if scan.error else None
+    continuous = list(ds.iter_continuous(io.StringIO(text), stop))
+    if scan.error is not None:
+        raise scan.error
+    return fields, continuous
 
 
-def labels(blocks):
-    return [label for block in blocks for label in block.labels]
+def labels(text):
+    fields, _ = parse(text)
+    return [label for *_, block_labels in fields for label in block_labels]
 
 
 def prepare(tmp_path, lines, name="prepared"):
@@ -53,18 +62,17 @@ def prepared_schema(out):
 
 class TestParse:
     def test_basic_line(self):
-        (block,) = parse(make_line("normal."))
-        assert len(block) == 1
-        assert block.labels[0] == "normal"
-        assert len(block.categorical[0]) + block.continuous.shape[1] == 41
-        assert block.categorical[0][0] == "tcp"
+        (fields,), (continuous,) = parse(make_line("normal."))
+        assert fields == (["tcp"], ["http"], ["SF"], ["normal"])
+        assert len(fields) - 1 + continuous.shape[1] == 41
+        assert continuous.shape == (1, 38)
 
     def test_label_normalization(self):
-        assert labels(parse(make_line("SMURF."))) == ["smurf"]
+        assert labels(make_line("SMURF.")) == ["smurf"]
 
     def test_empty_lines_skipped(self):
         text = "\n" + make_line() + "\n\n" + make_line("smurf.") + "\n"
-        assert labels(parse(text)) == ["normal", "smurf"]
+        assert labels(text) == ["normal", "smurf"]
 
     def test_wrong_field_count(self):
         short = ",".join(["0"] * 40) + ",normal."
@@ -72,6 +80,19 @@ class TestParse:
             parse(short)
         assert err.value.field_count == 41
         assert err.value.line_no == 1
+
+    def test_string_fields_record_their_error(self):
+        text = make_line() + "\n" + make_line("mystery.") + "\n" + make_line()
+        scan = ds.StringFields(io.StringIO(text))
+        assert [block[3] for block in scan] == [["normal"]]
+        assert isinstance(scan.error, UnknownLabelError)
+        assert (scan.error.line_no, scan.error.label) == (2, "mystery")
+
+    def test_string_fields_convert_no_number(self):
+        bad_cell = make_line().replace(",215,", ",abc,", 1)
+        scan = ds.StringFields(io.StringIO(bad_cell))
+        assert list(scan) == [(["tcp"], ["http"], ["SF"], ["normal"])]
+        assert scan.error is None
 
     def test_bad_continuous_field(self):
         values = ["0"] * ds.NUM_FEATURES
@@ -112,19 +133,28 @@ class TestParse:
             parse("\n".join(lines))
         assert (err.value.line_no, err.value.column) == (1501, 4)
 
+    def test_continuous_stops_before_line(self):
+        text = make_line() + "\n\n" + make_line().replace(",215,", ",-1,", 1)
+        (block,) = ds.iter_continuous(io.StringIO(text), stop=3)
+        assert block.shape == (1, 38)
+
     def test_blocks_keep_line_numbers_and_values(self):
         lines = [make_line(label="SMURF.")] * (ds.BLOCK_ROWS + 3)
         lines[-1] = make_line().replace(",215,", ",1_000,", 1)  # float() only
-        blocks = parse("\n\n".join(lines))
-        assert [len(b) for b in blocks] == [ds.BLOCK_ROWS, 3]
-        assert blocks[1].line_numbers == [2 * i + 1 for i in range(ds.BLOCK_ROWS, ds.BLOCK_ROWS + 3)]
-        assert blocks[0].labels[0] == "smurf"
-        assert blocks[0].categorical[0] == ("tcp", "http", "SF")
+        text = "\n\n".join(lines)
+        fields, continuous = parse(text)
+        assert [len(b[3]) for b in fields] == [ds.BLOCK_ROWS, 3]
+        assert [len(b) for b in continuous] == [ds.BLOCK_ROWS, 3]
+        assert fields[0][3][0] == "smurf"
+        assert tuple(f[0] for f in fields[0][:3]) == ("tcp", "http", "SF")
         src_bytes = ds.CONTINUOUS_POSITIONS.index(4)
-        assert blocks[0].continuous.dtype == np.float64
-        assert blocks[0].continuous[0, src_bytes] == 215.0
-        assert blocks[1].continuous[-1, src_bytes] == 1000.0
-        assert blocks[1].lines[-1].split(",")[4] == "1_000"
+        assert continuous[0].dtype == np.float64
+        assert continuous[0][0, src_bytes] == 215.0
+        assert continuous[1][-1, src_bytes] == 1000.0
+        # Line numbers count the blank lines: the last row is line 2n - 1.
+        with pytest.raises(FieldTypeError) as err:
+            parse(text.replace(",1_000,", ",1_000x,"))
+        assert err.value.line_no == 2 * len(lines) - 1
 
     def test_prepare_reports_bad_cell(self, tmp_path, capsys):
         corpus = tmp_path / "bad.kdd"
@@ -141,17 +171,23 @@ class TestParse:
 
     def test_round_trip(self):
         lines = synthetic.generate_lines(profile={"normal": 40, "smurf": 25}, seed=3)
-        text = "".join(line + "\n" for line in lines)
-        blocks = parse(text)
-        assert "".join(line + "\n" for b in blocks for line in b.lines) == text
-        assert labels(blocks) == [line.rsplit(",", 1)[1][:-1] for line in lines]
-        fields = [line.split(",") for line in lines]
-        assert [c for b in blocks for c in b.categorical] == [
-            tuple(f[1:4]) for f in fields
-        ]
-        continuous = np.concatenate([b.continuous for b in blocks])
-        expected = [[float(f[i]) for i in ds.CONTINUOUS_POSITIONS] for f in fields]
-        assert np.array_equal(continuous, np.array(expected))
+        fields, continuous = parse("".join(line + "\n" for line in lines))
+        split = [line.split(",") for line in lines]
+        for i, column in enumerate((1, 2, 3, 41)):
+            got = [v for block in fields for v in block[i]]
+            assert got == [f[column].removesuffix(".") for f in split]
+        expected = [[float(f[i]) for i in ds.CONTINUOUS_POSITIONS] for f in split]
+        assert np.array_equal(np.concatenate(continuous), np.array(expected))
+
+    def test_iter_kdd(self):
+        text = make_line("SMURF.") + "\n\n" + make_line()
+        records = list(ds.iter_kdd(io.StringIO(text)))
+        assert [r.label for r in records] == ["smurf", "normal"]
+        assert records[0].values == tuple(make_line().split(",")[:-1])
+        bad_cell = make_line().replace(",215,", ",-215,", 1)
+        with pytest.raises(FieldTypeError) as err:
+            list(ds.iter_kdd([bad_cell, make_line("mystery.")]))
+        assert err.value.line_no == 1
 
 
 class TestSchema:

@@ -1,6 +1,9 @@
 """Damaged artifacts and inputs: the command that reads one exits with one
 stderr line, no traceback and no output directory."""
 
+import contextlib
+import gzip
+import io
 import json
 import os
 import shutil
@@ -11,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import zids
-from zids import synthetic
+from zids import cli, synthetic
 from conftest import run_cli
 
 # (artifact, command that reads it)
@@ -150,6 +153,86 @@ def test_non_utf8_config_is_usage_error(tmp_path, capsys):
                  "--out", out)
     err = assert_one_line_error(capsys, rc, 1, out)
     assert err.startswith("error: config file is not valid JSON")
+
+
+def corpus_lines():
+    """The lines of a 400-row corpus."""
+    return synthetic.generate_lines({"normal": 200, "smurf": 200}, seed=0)
+
+
+@pytest.mark.parametrize("fault", ["truncated", "xored"])
+def test_damaged_gzip_corpus_is_data_error(tmp_path, capsys, fault):
+    corpus = tmp_path / "corpus.kdd.gz"
+    with gzip.open(corpus, "wt", encoding="utf-8") as fh:
+        fh.write("".join(line + "\n" for line in corpus_lines()))
+    blob = bytearray(corpus.read_bytes())
+    if fault == "truncated":
+        del blob[len(blob) // 2:]
+    else:
+        for at in range(12, 30):
+            blob[at] ^= 0x5A
+    corpus.write_bytes(bytes(blob))
+    out = tmp_path / "out"
+    rc = run_cli("prepare", "--data", corpus, "--out", out)
+    err = assert_one_line_error(capsys, rc, 2, out)
+    assert err.startswith(f"data error: {corpus}: damaged gzip file:")
+
+
+def make_line(label="normal.", src_bytes="215"):
+    values = ["0"] * 41
+    values[1:6] = "tcp", "http", "SF", src_bytes, "45076"
+    return ",".join(values) + f",{label}"
+
+
+FORTY_ONE_FIELDS = ",".join(["0"] * 40) + ",normal."
+
+# The error prepare reports, by the earliest bad line, though pass 1 finds
+# structural errors and pass 2 bad cells.
+PRECEDENCE = {
+    "one_row_bad_cell": (
+        [make_line(src_bytes="abc")], "data error: line 1, column 4:"),
+    "bad_cell_then_41_fields": (
+        [make_line(src_bytes="abc"), FORTY_ONE_FIELDS], "data error: line 1, column 4:"),
+    "unknown_label_then_bad_cell": (
+        [make_line("mystery."), make_line(src_bytes="abc")],
+        "data error: line 1: unknown label: 'mystery'"),
+    "bad_cell_in_second_block": (
+        [make_line()] * 1500 + [make_line(src_bytes="-215")]
+        + [make_line()] * 98 + [FORTY_ONE_FIELDS],
+        "data error: line 1501, column 4:"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRECEDENCE))
+def test_prepare_reports_earliest_error(tmp_path, capsys, case):
+    lines, message = PRECEDENCE[case]
+    corpus = tmp_path / "corpus.kdd"
+    corpus.write_text("".join(line + "\n" for line in lines))
+    out = tmp_path / "out"
+    rc = run_cli("prepare", "--data", corpus, "--out", out)
+    err = assert_one_line_error(capsys, rc, 2, out)
+    assert err.startswith(message)
+
+
+def test_corpus_that_changes_between_passes(tmp_path, capsys, monkeypatch):
+    corpus = tmp_path / "corpus.kdd"
+    lines = corpus_lines()
+    corpus.write_text("".join(line + "\n" for line in lines))
+    opens = []
+
+    @contextlib.contextmanager
+    def second_open_one_row_short(path):
+        opens.append(path)
+        shown = lines if len(opens) == 1 else lines[:-1]
+        yield io.StringIO("".join(line + "\n" for line in shown))
+
+    monkeypatch.setattr(cli, "_open_text", second_open_one_row_short)
+    out = tmp_path / "out"
+    rc = run_cli("prepare", "--data", corpus, "--out", out)
+    err = assert_one_line_error(capsys, rc, 2, out)
+    assert err == (f"data error: {corpus}: 400 records on the first read, "
+                   "399 on the second; the file changed while it was read\n")
+    assert len(opens) == 2
 
 
 def test_entry_point_exit_code(tmp_path):

@@ -26,7 +26,7 @@ PROFILE = {
 
 @dataclass
 class Corpus:
-    """The profile's lines through the block path: their unscaled
+    """The profile's lines through prepare's two readers: their unscaled
     continuous values and their coarse class indices."""
 
     lines: list
@@ -50,9 +50,8 @@ class Corpus:
 @pytest.fixture(scope="module")
 def corpus():
     lines = synthetic.generate_lines(seed=4, profile=PROFILE)
-    blocks = list(ds.iter_blocks(lines))
-    x = np.concatenate([block.continuous for block in blocks]).astype(np.float32)
-    labels = [label for block in blocks for label in block.labels]
+    x = np.concatenate(list(ds.iter_continuous(lines))).astype(np.float32)
+    labels = [label for *_, block in ds.StringFields(lines) for label in block]
     y = np.array([ds.CATEGORIES.index(ds.CATEGORY_OF[l]) for l in labels])
     return Corpus(lines, labels, x, y)
 
