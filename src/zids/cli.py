@@ -23,7 +23,7 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _blas
 from . import dataset as ds
 from . import metrics
 from . import mlp
@@ -279,7 +279,8 @@ def _locked_dir(path: Path):
 
 
 def _thread_info() -> dict:
-    info = {"cpu_count": os.cpu_count()}
+    # blas_threads is None when numpy bundles no OpenBLAS
+    info = {"cpu_count": os.cpu_count(), "blas_threads": _blas.get_num_threads()}
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         if var in os.environ:
             info[var] = os.environ[var]
@@ -646,6 +647,8 @@ def cmd_explain(args) -> int:
                     "masked_rows": expl.masked_rows,
                     "model_rows": expl.model_rows,
                     "ridge_used": expl.ridge_used,
+                    "gram_condition": expl.gram_condition,
+                    "workers": expl.workers,
                 },
             },
         )

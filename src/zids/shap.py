@@ -12,12 +12,14 @@ from __future__ import annotations
 import csv
 import io
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import _blas
 from .errors import (
     BadBudgetError,
     OutOfRangeError,
@@ -39,6 +41,9 @@ class Explanation:
     resolved, masked_rows the masked rows it averaged over (rows times
     coalitions times background rows), model_rows the rows sent to
     model_fn; ridge_used tells whether the solve needed the ridge fallback.
+    gram_condition is the 2-norm condition number of the (m-1)^2 Gram
+    matrix of the solve, and workers the number of threads the explained
+    rows ran on.
     """
 
     phi: np.ndarray
@@ -49,6 +54,8 @@ class Explanation:
     masked_rows: int = 0
     model_rows: int = 0
     ridge_used: bool = False
+    gram_condition: float = 0.0
+    workers: int = 1
 
     @property
     def n_classes(self) -> int:
@@ -186,29 +193,25 @@ def _packed_words(bits: np.ndarray) -> np.ndarray:
     return packed.view(np.uint64).T
 
 
-def _masked_values(
-    model_fn: Callable,
-    x: np.ndarray,
-    background: np.ndarray,
-    masks: np.ndarray,
-) -> tuple[np.ndarray, int]:
-    """Mean model output per mask: x where the mask is on, background
-    elsewhere. Returns the (n_masks, K) means and the number of rows sent
-    to model_fn.
+def _mask_arrays(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """What _masked_values reads of an (n, d) bool mask set, built once per
+    set: its packed words (W, n) and, per mask, a (d,) uint64 row that is
+    all ones where the mask is on."""
+    return _packed_words(masks), -masks.astype(np.uint64)
 
-    model_fn must be row-wise: each output row depends only on its own
-    input row. The masked row for background row b is bg[b] with x in the
-    masked columns, so it depends only on b and on the mask bits where x
-    and bg[b] differ bit for bit. Each distinct (b, mask & differs[b]) row
-    is built and evaluated once, in chunks of _CHUNK_ROWS rows, and its
-    output is shared by every mask with that key.
+
+def _distinct_rows(
+    differs: np.ndarray, mask_words: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group the masks of each background row by key, mask & differs[b].
+
+    Returns inverse, the (n, b) index of each (mask, b) pair's distinct row,
+    and rows_b and rows_mask, the pair that stands for each distinct row.
+    The (W, b, n) keys and the sort live only in here, so one row's peak
+    memory stays small while other rows run beside it.
     """
-    b = background.shape[0]
-    n = masks.shape[0]
-    bg_bits = background.view(np.uint64)
-    flip = bg_bits ^ x.view(np.uint64)  # (b, d), nonzero where x and bg[b] differ
-    differs = _packed_words(flip != 0)  # (W, b)
-    keys = differs[:, :, None] & _packed_words(masks)[:, None, :]  # (W, b, n)
+    b, n = differs.shape[1], mask_words.shape[1]
+    keys = differs[:, :, None] & mask_words[:, None, :]  # (W, b, n)
 
     # A stable sort of each background row's keys puts equal keys side by
     # side; the first of each run stands for its group.
@@ -220,11 +223,33 @@ def _masked_values(
     inverse = np.empty((n, b), dtype=np.intp)  # (mask, b) -> distinct row
     np.put_along_axis(inverse.T, order, group, axis=1)
     heads = np.flatnonzero(first)
-    rows_b, rows_mask = heads // n, order.reshape(-1)[heads]
+    return inverse, heads // n, order.reshape(-1)[heads]
 
-    on = -masks.astype(np.uint64)  # all ones where the mask is on
+
+def _masked_values(
+    model_fn: Callable,
+    x: np.ndarray,
+    background: np.ndarray,
+    mask_words: np.ndarray,
+    on: np.ndarray,
+) -> tuple[np.ndarray, int]:
+    """Mean model output per mask: x where the mask is on, background
+    elsewhere. The masks come as _mask_arrays gives them. Returns the
+    (n_masks, K) means and the number of rows sent to model_fn.
+
+    model_fn must be row-wise: each output row depends only on its own
+    input row. The masked row for background row b is bg[b] with x in the
+    masked columns, so it depends only on b and on the mask bits where x
+    and bg[b] differ bit for bit. Each distinct (b, mask & differs[b]) row
+    is built and evaluated once, in chunks of _CHUNK_ROWS rows, and its
+    output is shared by every mask with that key.
+    """
+    bg_bits = background.view(np.uint64)
+    flip = bg_bits ^ x.view(np.uint64)  # (b, d), nonzero where x and bg[b] differ
+    inverse, rows_b, rows_mask = _distinct_rows(_packed_words(flip != 0), mask_words)
+
     parts = []
-    for start in range(0, heads.size, _CHUNK_ROWS):
+    for start in range(0, rows_b.size, _CHUNK_ROWS):
         rb = rows_b[start : start + _CHUNK_ROWS]
         rm = rows_mask[start : start + _CHUNK_ROWS]
         # where(mask, x, bg[b]) bit for bit: flip bg's bits in masked columns
@@ -232,7 +257,13 @@ def _masked_values(
         z ^= flip.take(rb, axis=0) & on.take(rm, axis=0)
         parts.append(_model_output(model_fn, z.view(np.float64)))
     out = np.concatenate(parts, axis=0)
-    return out.take(inverse, axis=0).mean(axis=1), heads.size
+    # gather and average _CHUNK_ROWS masks at a time: the (masks, b, K)
+    # gather of all masks at once would be the largest array of the call
+    means = [
+        out.take(inverse[start : start + _CHUNK_ROWS], axis=0).mean(axis=1)
+        for start in range(0, inverse.shape[0], _CHUNK_ROWS)
+    ]
+    return np.concatenate(means, axis=0), rows_b.size
 
 
 def masked_eval(
@@ -251,7 +282,7 @@ def masked_eval(
     masks = np.asarray(mask, dtype=bool).reshape(1, -1)
     if masks.shape[1] != x.size:
         raise ShapeMismatchError(f"mask width {masks.shape[1]} vs row width {x.size}")
-    values, _ = _masked_values(model_fn, x, bg, masks)
+    values, _ = _masked_values(model_fn, x, bg, *_mask_arrays(masks))
     return values[0]
 
 
@@ -273,6 +304,14 @@ def kernel_shap(
     f(x) - base) is eliminated by substituting the last feature, which
     makes it hold exactly. Under full coalition enumeration the solution
     equals the exact Shapley values.
+
+    The explained rows are independent and run on a pool of threads, one
+    per thread that OpenBLAS had, with OpenBLAS set to 1 thread process-wide
+    for the pool's lifetime and restored afterwards, also on error. So
+    model_fn may be called from several threads at once; it must not share
+    mutable state between calls. The result does not depend on the pool
+    size, but at a different OpenBLAS thread count the Gram product and
+    solve may differ in the last bits.
 
     Raises SingularSystemError when the coalition design is rank-deficient
     even after the documented ridge fallback; the design is shared across
@@ -305,12 +344,23 @@ def kernel_shap(
 
     rhs = np.empty((m - 1, n_rows * k))
     deltas = fx - f0[None, :]  # (n_rows, K)
-    model_rows = n_rows + bg.shape[0]
-    for i in range(n_rows):
-        v, evaluated = _masked_values(model_fn, x_rows[i], bg, masks)  # (n_coal, K)
-        model_rows += evaluated
+    mask_words, on = _mask_arrays(masks)
+
+    def explain_row(i: int) -> int:
+        # each row writes only its own columns of rhs
+        v, evaluated = _masked_values(model_fn, x_rows[i], bg, mask_words, on)
         y2 = (v - f0[None, :]) - z[:, -1:] * deltas[i][None, :]
         rhs[:, i * k : (i + 1) * k] = xw.T @ y2
+        return evaluated
+
+    # One worker per core that BLAS had, with BLAS itself at 1 thread: idle
+    # OpenBLAS threads spin and would slow the workers down. map cancels the
+    # rows not yet started when one raises, and the error reaches the caller.
+    with _blas.single_threaded() as cores:
+        workers = max(1, min(cores, n_rows))
+        with ThreadPoolExecutor(workers) as pool:
+            evaluated = sum(pool.map(explain_row, range(n_rows)))
+    model_rows = n_rows + bg.shape[0] + evaluated
 
     ridge_used = False
     try:
@@ -340,6 +390,8 @@ def kernel_shap(
         masked_rows=n_rows * masks.shape[0] * bg.shape[0],
         model_rows=model_rows,
         ridge_used=ridge_used,
+        gram_condition=float(np.linalg.cond(gram)),
+        workers=workers,
     )
 
 
@@ -367,7 +419,7 @@ def exact_shapley(
     n_masks = 1 << m
     mask_ints = np.arange(n_masks, dtype=np.int64)
     masks = ((mask_ints[:, None] >> np.arange(m)) & 1).astype(bool)
-    v, _ = _masked_values(model_fn, x, bg, masks)  # (n_masks, K)
+    v, _ = _masked_values(model_fn, x, bg, *_mask_arrays(masks))  # (n_masks, K)
     popcount = masks.sum(axis=1)
 
     fact = [math.factorial(i) for i in range(m + 1)]

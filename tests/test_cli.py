@@ -1,6 +1,7 @@
 """End-to-end command behavior on a small corpus: artifacts, determinism,
 exit codes."""
 
+import contextlib
 import hashlib
 import json
 import os
@@ -14,7 +15,7 @@ import pytest
 
 from zids import dataset as ds
 from zids import preprocess as pp
-from zids import cli, synthetic
+from zids import _blas, cli, synthetic
 from zids.cli import ExperimentConfig, main
 from conftest import SMALL_PROFILE, run_cli
 
@@ -465,6 +466,36 @@ class TestExplain:
         rows = config["explain_n"] + config["background_n"]
         assert rows < numerics["model_rows"] < rows + masked
         assert numerics["ridge_used"] is False
+        assert 1.0 <= numerics["gram_condition"] < 1e6
+        blas_threads = manifest["threads"]["blas_threads"]
+        assert blas_threads is None or isinstance(blas_threads, int)
+        assert numerics["workers"] == min(blas_threads or 1, config["explain_n"])
+
+    def test_one_worker_writes_the_same_artifacts(self, small_experiment,
+                                                  tmp_path, monkeypatch):
+        pooled = small_experiment.explain("truncated")
+        pinned = _blas.single_threaded
+
+        @contextlib.contextmanager
+        def one_worker():  # BLAS still at 1 thread, as under the pool
+            with pinned():
+                yield 1
+
+        monkeypatch.setattr(_blas, "single_threaded", one_worker)
+        out = tmp_path / "serial"
+        rc = run_cli("explain", "--model",
+                     small_experiment.train("truncated") / "model.zmlp",
+                     "--prepared", small_experiment.prepared, "--out", out,
+                     "--seed", small_experiment.seed, "--budget", 300,
+                     "--explain-n", 12, "--background-n", 25)
+        assert rc == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["numerics"]["workers"] == 1
+        names = sorted(p.name for p in pooled.iterdir())
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            if name != "manifest.json":
+                assert (out / name).read_bytes() == (pooled / name).read_bytes(), name
 
 
 class TestLockAndUsage:

@@ -1,12 +1,14 @@
 """Kernel weighting, coalition sampling, the WLS solve, and the exact oracle."""
 
+import contextlib
 import hashlib
+import itertools
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from zids import mlp, shap
+from zids import _blas, mlp, shap
 from zids.errors import (
     BadBudgetError,
     OutOfRangeError,
@@ -146,7 +148,7 @@ class TestMaskedEval:
         masks[0] = True
         masks[1] = False
         fn = random_mlp_fn(d, seed=4)
-        v, evaluated = shap._masked_values(fn, x, bg, masks)
+        v, evaluated = shap._masked_values(fn, x, bg, *shap._mask_arrays(masks))
         assert v.shape == (200, 3)
         np.testing.assert_allclose(v, masked_reference(fn, x, bg, masks),
                                    rtol=0, atol=1e-12)
@@ -157,7 +159,7 @@ class TestMaskedEval:
         x, bg = sparse_background(d, 6, changed=2, seed=15)
         masks = np.random.default_rng(16).random((100, d)) < 0.5
         fn = CountingFn(d)
-        _, evaluated = shap._masked_values(fn, x, bg, masks)
+        _, evaluated = shap._masked_values(fn, x, bg, *shap._mask_arrays(masks))
         distinct = sum(
             len({tuple(mask[row != x]) for mask in masks}) for row in bg
         )
@@ -171,7 +173,7 @@ class TestMaskedEval:
         runs = []
         for _ in range(2):
             fn = CountingFn(d, seed=5)
-            runs.append(shap._masked_values(fn, x, bg, masks))
+            runs.append(shap._masked_values(fn, x, bg, *shap._mask_arrays(masks)))
             assert len(fn.calls) > 1
             assert all(n == shap._CHUNK_ROWS for n in fn.calls[:-1])
         (a, evaluated), (b, _) = runs
@@ -186,7 +188,7 @@ class TestMaskedEval:
         x = np.array([-0.0, 1.0])
         bg = np.array([[0.0, 1.0]])
         masks = np.array([[True, False], [False, True]])
-        v, _ = shap._masked_values(fn, x, bg, masks)
+        v, _ = shap._masked_values(fn, x, bg, *shap._mask_arrays(masks))
         assert v.tolist() == [[1.0, 0.0], [0.0, 0.0]]
 
     def test_all_on_is_model_output(self):
@@ -351,6 +353,110 @@ class TestKernelShap:
         fn = lambda z: z
         with pytest.raises(OutOfRangeError):
             shap.kernel_shap(fn, np.ones((1, 1)), np.ones((2, 1)))
+
+
+def fake_cores(monkeypatch, cores):
+    """kernel_shap sees `cores` BLAS threads to fill, with BLAS still set to
+    1 thread while its pool runs."""
+    real = _blas.single_threaded
+
+    @contextlib.contextmanager
+    def single_threaded():
+        with real():
+            yield cores
+
+    monkeypatch.setattr(_blas, "single_threaded", single_threaded)
+
+
+@contextlib.contextmanager
+def blas_threads(n):
+    """OpenBLAS at n threads for the block; skips without OpenBLAS."""
+    before = _blas.get_num_threads()
+    if before is None:
+        pytest.skip("numpy bundles no OpenBLAS")
+    setter = _blas._functions()[1]
+    setter(n)
+    try:
+        yield
+    finally:
+        setter(before)
+
+
+class ThirdCallFails(Exception):
+    pass
+
+
+class TestRowPool:
+    @staticmethod
+    def explain(fn, n_rows):
+        rng = np.random.default_rng(31)
+        m = 12
+        bg = rng.normal(size=(8, m))
+        x = rng.normal(size=(n_rows, m))
+        return shap.kernel_shap(fn, x, bg, budget=256, seed=4)
+
+    @staticmethod
+    def same_bytes(a, b):
+        assert a.phi.tobytes() == b.phi.tobytes()
+        assert a.base_values.tobytes() == b.base_values.tobytes()
+        assert a.model_rows == b.model_rows
+
+    @pytest.mark.parametrize("n_rows", [1, 3, 7])  # 3 is fewer rows than workers
+    def test_pool_matches_one_worker(self, monkeypatch, n_rows):
+        fn = random_mlp_fn(12, seed=9)
+        fake_cores(monkeypatch, 1)
+        serial = self.explain(fn, n_rows)
+        assert serial.workers == 1
+        fake_cores(monkeypatch, 4)
+        for _ in range(2):  # a later call in the process gives the same bytes
+            pooled = self.explain(fn, n_rows)
+            assert pooled.workers == min(4, n_rows)
+            self.same_bytes(pooled, serial)
+
+    def test_without_openblas_one_worker_same_bytes(self, monkeypatch):
+        fn = random_mlp_fn(12, seed=9)
+        monkeypatch.setattr(_blas, "_functions", lambda: None)
+        assert _blas.get_num_threads() is None
+        with _blas.single_threaded() as cores:
+            assert cores == 1
+        serial = self.explain(fn, 7)
+        assert serial.workers == 1
+        monkeypatch.undo()
+        fake_cores(monkeypatch, 4)
+        self.same_bytes(self.explain(fn, 7), serial)
+
+    @staticmethod
+    def fails_on_third_call():
+        inner = random_mlp_fn(12, seed=9)
+        calls = itertools.count(1)
+
+        def fn(z):
+            if next(calls) == 3:  # the first masked chunk, inside the pool
+                raise ThirdCallFails("model failed on call 3")
+            return inner(z)
+
+        return fn
+
+    def test_model_error_reaches_caller(self, monkeypatch):
+        fake_cores(monkeypatch, 4)
+        with pytest.raises(ThirdCallFails, match="model failed on call 3"):
+            self.explain(self.fails_on_third_call(), 7)
+
+    def test_blas_thread_count_restored(self):
+        inner = random_mlp_fn(12, seed=9)
+        seen = []
+
+        def fn(z):
+            seen.append(_blas.get_num_threads())
+            return inner(z)
+
+        with blas_threads(2):
+            assert self.explain(fn, 7).workers == 2
+            assert seen[:2] == [2, 2] and set(seen[2:]) == {1}  # pool at 1
+            assert _blas.get_num_threads() == 2
+            with pytest.raises(ThirdCallFails):
+                self.explain(self.fails_on_third_call(), 7)
+            assert _blas.get_num_threads() == 2
 
 
 class TestExactShapley:
