@@ -380,11 +380,8 @@ def cmd_prepare(args) -> int:
         n_cont = len(ds.CONTINUOUS_POSITIONS)
         x_train = np.zeros((train_idx.size, d), dtype=np.float32)
         x_test = np.zeros((test_idx.size, d), dtype=np.float32)
-        base = n_cont
-        for field_codes, vocab in zip(codes, vocabs):
-            for x, idx in ((x_train, train_idx), (x_test, test_idx)):
-                x[np.arange(idx.size), base + field_codes[idx]] = 1.0
-            base += len(vocab)
+        for x, idx in ((x_train, train_idx), (x_test, test_idx)):
+            pp.set_one_hot(x, codes, idx, schema)
         del codes
         start = 0
         with _open_text(data_path) as stream:

@@ -21,6 +21,11 @@ from .errors import (
     ShapeMismatchError,
 )
 
+# Precision of a class the model never predicts: 0/0, reported as 1.0, as
+# such rows usually are for models that simply ignore a class. The class's
+# recall is 0 all the same, so its F1 is 0.
+EMPTY_PREDICTION_PRECISION = 1.0
+
 
 @dataclass
 class ConfusionMatrix:
@@ -88,15 +93,12 @@ def confusion(
     return ConfusionMatrix(m=m, class_names=list(class_names))
 
 
-def report(
-    cm: ConfusionMatrix, empty_prediction_precision: float = 1.0
-) -> ClassificationReport:
+def report(cm: ConfusionMatrix) -> ClassificationReport:
     """Per-class precision/recall/F1 plus accuracy and both averages.
 
-    A class that is never predicted has an undefined precision; it defaults
-    to 1.0 (empty_prediction_precision), matching how such rows are usually
-    reported for models that simply ignore a class. Recall of a class with
-    zero support is 0, and F1 is 0 whenever precision + recall is 0.
+    A class that is never predicted has an undefined precision; it is
+    reported as EMPTY_PREDICTION_PRECISION. Recall of a class with zero
+    support is 0, and F1 is 0 whenever precision + recall is 0.
     """
     m = cm.m.astype(np.int64)
     total = int(m.sum())
@@ -110,7 +112,7 @@ def report(
     per_class = []
     for c in range(k):
         precision = (
-            diag[c] / col_sums[c] if col_sums[c] > 0 else empty_prediction_precision
+            diag[c] / col_sums[c] if col_sums[c] > 0 else EMPTY_PREDICTION_PRECISION
         )
         recall = diag[c] / row_sums[c] if row_sums[c] > 0 else 0.0
         f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0

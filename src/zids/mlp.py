@@ -2,7 +2,9 @@
 analytic backpropagation, Adam/SGD training loop, and model files.
 
 All parameter math runs in float64; input matrices may be float32 and are
-promoted per batch.
+promoted per batch. Inference over many rows (predict() and the per-epoch
+validation of train()) goes through one helper, _probability_blocks(), so
+its float64 activations stay a few thousand rows tall whatever the input.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ LOG_FLOOR = 1e-12  # added inside log() so hard zeros stay finite
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-_CHUNK_ROWS = 65536  # rows per forward pass in predict() and _evaluate()
+_SUM_ROWS = 65536  # rows per block of _probability_blocks(), one loss sum each
+_FORWARD_ROWS = 4096  # least rows per forward() call inside a block
 
 
 @dataclass
@@ -169,16 +172,39 @@ def forward(model: MlpModel, x_batch: np.ndarray) -> np.ndarray:
     return _forward_into(model, x, acts, np.empty((n, 1)))
 
 
+def _probability_blocks(model: MlpModel, x: np.ndarray):
+    """Yield (rows, probs) for each _SUM_ROWS-row block of x, in order:
+    rows is the block's slice of x and probs its class probabilities.
+
+    x must have the model's width. forward() sees each block as
+    np.array_split pieces of _FORWARD_ROWS to 2 * _FORWARD_ROWS - 1 rows,
+    or as one piece when the block is shorter, so the float64 activations
+    and the float64 copy of the input never grow past such a piece. On
+    the nets tests/test_mlp.py checks, these pieces give the same bits as
+    one forward() of the whole block; a short tail piece (range() chunks)
+    does not.
+    """
+    for start in range(0, x.shape[0], _SUM_ROWS):
+        rows = slice(start, start + _SUM_ROWS)
+        block = x[rows]
+        probs = np.empty((block.shape[0], model.n_classes))
+        parts = max(1, block.shape[0] // _FORWARD_ROWS)
+        for out, piece in zip(
+            np.array_split(probs, parts), np.array_split(block, parts)
+        ):
+            out[...] = forward(model, piece)
+        yield rows, probs
+
+
 def predict(model: MlpModel, x_batch: np.ndarray) -> np.ndarray:
     """Argmax class per row; ties resolve to the lowest index.
 
-    Runs forward() on _CHUNK_ROWS rows at a time to bound memory.
+    Memory stays bounded: see _probability_blocks().
     """
     x = _check_shape(model, x_batch)
     preds = np.empty(x.shape[0], dtype=np.intp)
-    for start in range(0, x.shape[0], _CHUNK_ROWS):
-        rows = slice(start, start + _CHUNK_ROWS)
-        preds[rows] = np.argmax(forward(model, x[rows]), axis=1)
+    for rows, probs in _probability_blocks(model, x):
+        preds[rows] = np.argmax(probs, axis=1)
     return preds
 
 
@@ -421,15 +447,16 @@ def _evaluate(
     y: np.ndarray,
     weights: Optional[ClassWeights],
 ) -> tuple[float, float]:
-    """Full-pass loss and accuracy, _CHUNK_ROWS rows at a time."""
+    """Full-pass loss and accuracy over the blocks of _probability_blocks().
+
+    The loss is summed once per block, then the block sums in order.
+    """
     n = x.shape[0]
     total_nll = 0.0
     total_w = 0.0
     correct = 0
-    for start in range(0, n, _CHUNK_ROWS):
-        rows = slice(start, start + _CHUNK_ROWS)
+    for rows, probs in _probability_blocks(model, x):
         yb = np.asarray(y[rows], dtype=np.int64)
-        probs = forward(model, x[rows])
         nll, weight_sum = _nll_sum(probs, yb, weights)
         total_nll += nll
         total_w += weight_sum

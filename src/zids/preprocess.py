@@ -90,6 +90,26 @@ def encoded_feature_names(schema: ds.FeatureSchema) -> list[str]:
     return names
 
 
+def set_one_hot(
+    x: np.ndarray,
+    codes: Sequence[np.ndarray],
+    take: np.ndarray,
+    schema: ds.FeatureSchema,
+) -> None:
+    """Set the one-hot columns of x from categorical codes, in place.
+
+    codes holds one code vector per categorical feature in schema order,
+    each code an index into that feature's vocabulary. Row i of x takes
+    the codes at take[i]. Only the 1.0 entries are written, so the one-hot
+    columns of x must be zero before.
+    """
+    base = len(ds.CONTINUOUS_POSITIONS)
+    rows = np.arange(take.size)
+    for pos, field_codes in zip(ds.CATEGORICAL_POSITIONS, codes):
+        x[rows, base + field_codes[take]] = 1.0
+        base += len(schema.vocabularies[ds.FEATURE_NAMES[pos]])
+
+
 def intern(values: Sequence[str], index: dict[str, int], codes: array.array) -> None:
     """Append the code of each value in index to codes. index grows by
     each unseen value under the next code, so codes follow first-seen

@@ -63,20 +63,12 @@ class TestReport:
 
     def test_never_predicted_class(self):
         # class 1 exists but is never predicted: precision 1 (by the
-        # default convention), recall 0, f1 0
+        # EMPTY_PREDICTION_PRECISION convention), recall 0, f1 0
         y_true = np.array([0, 1, 1, 0])
         y_pred = np.array([0, 0, 0, 0])
         rep = metrics.report(metrics.confusion(y_true, y_pred, 2))
         s = rep.per_class[1]
         assert (s.precision, s.recall, s.f1) == (1.0, 0.0, 0.0)
-
-    def test_zero_division_flag(self):
-        y_true = np.array([0, 1, 1, 0])
-        y_pred = np.array([0, 0, 0, 0])
-        rep = metrics.report(
-            metrics.confusion(y_true, y_pred, 2), empty_prediction_precision=0.0
-        )
-        assert rep.per_class[1].precision == 0.0
 
     def test_accuracy_is_trace_over_total(self):
         rng = np.random.default_rng(4)

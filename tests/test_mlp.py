@@ -104,11 +104,97 @@ class TestForward:
         model = mlp.init([2, 4, 2], seed=0)
         weights = ClassWeights(np.array([0.5, 1.5]))
         probs = mlp.forward(model, data.x)
-        monkeypatch.setattr(mlp, "_CHUNK_ROWS", 64)  # 200 rows: four chunks
+        # 200 rows: blocks of 64, 64, 64 and 8 rows, the long ones in
+        # forward() calls of 16 rows
+        monkeypatch.setattr(mlp, "_SUM_ROWS", 64)
+        monkeypatch.setattr(mlp, "_FORWARD_ROWS", 16)
         assert np.array_equal(mlp.predict(model, data.x), np.argmax(probs, axis=1))
         val_loss, val_accuracy = mlp._evaluate(model, data.x, data.y, weights)
         assert val_loss == pytest.approx(mlp.loss(probs, data.y, weights), rel=1e-12)
         assert val_accuracy == np.mean(np.argmax(probs, axis=1) == data.y)
+
+
+# The truncated and base nets at the synthetic corpus width; the row counts
+# are the 1x and 10x test splits, and sizes around one _SUM_ROWS block.
+INFERENCE_DIMS = ([61, 112, 4], [61, 256, 112, 23])
+INFERENCE_ROWS = (5000, 9159, 26046, 65537, 91582)
+
+
+class TestInferenceBlocks:
+    @pytest.mark.parametrize("n", INFERENCE_ROWS)
+    @pytest.mark.parametrize("dims", INFERENCE_DIMS, ids=str)
+    def test_bit_identical_to_one_forward_per_block(self, dims, n):
+        # Rows cut into range() chunks of _FORWARD_ROWS end in a short
+        # chunk, which changes the last bits of the [61, 112, 4] net.
+        model = mlp.init(dims, seed=0)
+        x = np.random.default_rng(n).random((n, dims[0]), dtype=np.float32)
+        covered = 0
+        for rows, probs in mlp._probability_blocks(model, x):
+            assert rows.start == covered
+            assert np.array_equal(probs, mlp.forward(model, x[rows]))
+            covered += probs.shape[0]
+        assert covered == n
+
+    @pytest.mark.parametrize(
+        "n, calls",
+        [
+            (3000, [3000]),
+            (9159, [4580, 4579]),
+            (70000, [4096] * 16 + [4464]),
+        ],
+    )
+    def test_forward_call_sizes(self, monkeypatch, n, calls):
+        model = mlp.init([5, 3, 4], seed=0)
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(n, 5)).astype(np.float32)
+        y = rng.integers(0, 4, n)
+        seen = []
+        forward = mlp.forward
+
+        def recording_forward(model, x_batch):
+            seen.append(x_batch.shape[0])
+            return forward(model, x_batch)
+
+        monkeypatch.setattr(mlp, "forward", recording_forward)
+        mlp.predict(model, x)
+        assert seen == calls
+        seen.clear()
+        mlp._evaluate(model, x, y, None)
+        assert seen == calls
+
+    def test_loss_summed_per_block(self):
+        # The float sum of a block's losses differs from the sum of its
+        # pieces' sums, so the history's val_loss pins where the sums are.
+        model = mlp.init([61, 112, 4], seed=0)
+        rng = np.random.default_rng(1)
+        x = rng.random((70000, 61), dtype=np.float32)
+        y = rng.integers(0, 4, 70000)
+        weights = ClassWeights(np.array([0.25, 0.5, 1.25, 2.0]))
+        nll = weight_sum = correct = 0
+        for start in (0, 65536):
+            rows = slice(start, start + 65536)
+            probs = mlp.forward(model, x[rows])
+            block_nll, block_weight = mlp._nll_sum(probs, y[rows], weights)
+            nll += block_nll
+            weight_sum += block_weight
+            correct += int((np.argmax(probs, axis=1) == y[rows]).sum())
+        val_loss, val_accuracy = mlp._evaluate(model, x, y, weights)
+        assert val_loss == nll / weight_sum
+        assert val_accuracy == correct / 70000
+
+    def test_predict_peak_memory(self):
+        # One forward() of the whole block would hold 65,536 float64 rows
+        # of every layer: 205 MB of activations on this net.
+        model = mlp.init([61, 256, 112, 23], seed=0)
+        x = np.random.default_rng(0).random((65536, 61), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            mlp.predict(model, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 64 * 2**20
 
 
 class TestLoss:

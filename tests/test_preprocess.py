@@ -77,6 +77,33 @@ class TestEncode:
         assert pp.encoded_width(schema) == 122
         assert len(pp.encoded_feature_names(schema)) == 122
 
+    def test_set_one_hot_names_its_columns(self):
+        """Row i gets a 1.0 in the column named after each field's value at
+        take[i], and nothing else changes."""
+        vocab = {"protocol_type": ["icmp", "tcp", "udp"],
+                 "service": ["ftp", "http", "smtp", "telnet"],
+                 "flag": ["S0", "SF"]}
+        schema = ds.schema_from_vocabularies(vocab)
+        codes = [np.array([2, 0, 1], dtype=np.int32),
+                 np.array([3, 1, 0], dtype=np.int32),
+                 np.array([0, 1, 1], dtype=np.int32)]
+        take = np.array([1, 1, 2, 0])
+        n_cont = len(ds.CONTINUOUS_POSITIONS)
+        x = np.zeros((take.size, pp.encoded_width(schema)), dtype=np.float32)
+        x[:, :n_cont] = 7.0
+        pp.set_one_hot(x, codes, take, schema)
+        names = pp.encoded_feature_names(schema)
+        hot = [[names[j] for j in np.flatnonzero(row[n_cont:] == 1.0) + n_cont]
+               for row in x]
+        assert hot == [
+            ["protocol_type=icmp", "service=http", "flag=SF"],
+            ["protocol_type=icmp", "service=http", "flag=SF"],
+            ["protocol_type=tcp", "service=ftp", "flag=SF"],
+            ["protocol_type=udp", "service=telnet", "flag=S0"],
+        ]
+        assert np.all(x[:, :n_cont] == 7.0)
+        assert x[:, n_cont:].sum() == 3 * take.size
+
     def test_one_hot_blocks(self, corpus, prepared):
         """Each container row holds its line's continuous values, scaled,
         and a one-hot of each categorical value, in schema order."""
