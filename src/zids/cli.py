@@ -29,6 +29,7 @@ from . import metrics
 from . import mlp
 from . import preprocess as pp
 from . import shap as kshap
+from ._atomic import write_atomic
 from .errors import (
     BadBudgetError,
     BadDimsError,
@@ -295,9 +296,8 @@ def _write_manifest(out_dir: Path, command: str, body: dict) -> None:
         "threads": _thread_info(),
     }
     doc.update(body)
-    (out_dir / "manifest.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    write_atomic(out_dir / "manifest.json", [text.encode("utf-8")])
 
 
 @contextlib.contextmanager
@@ -322,30 +322,30 @@ def cmd_prepare(args) -> int:
 
     with _locked_dir(out_dir):
         # Pass 1 reads only the four string fields (protocol_type,
-        # service, flag, label); each becomes int32 codes in first-seen
-        # order.
+        # service, flag, label); each block's distinct values are interned
+        # into int32 codes, in no useful order until sort_codes.
         indexes = [{} for _ in range(4)]
-        first_seen = [array.array("i") for _ in range(4)]
+        interned = [array.array("i") for _ in range(4)]
         with _open_text(data_path) as stream:
             scan = ds.StringFields(stream)
             for fields in scan:
-                for values, index, codes in zip(fields, indexes, first_seen):
-                    pp.intern(values, index, codes)
+                for (values, value_codes), index, codes in zip(fields, indexes, interned):
+                    pp.intern(values, value_codes, index, codes)
         if scan.error is not None:
             # A bad cell on an earlier line wins over pass 1's error.
             with _open_text(data_path) as stream:
                 for _ in ds.iter_continuous(stream, stop=scan.error.line_no):
                     pass
             raise scan.error
-        if not first_seen[0]:
+        if not interned[0]:
             raise EmptyInputError(f"no records in {data_path}")
         # Each field renumbered once to its sorted vocabulary.
         vocabs, codes = [], []
-        for index, field_codes in zip(indexes, first_seen):
+        for index, field_codes in zip(indexes, interned):
             vocab, field_codes = pp.sort_codes(index, field_codes)
             vocabs.append(vocab)
             codes.append(field_codes)
-        del first_seen
+        del interned
         fine_names, y_fine = vocabs.pop(), codes.pop()
         n = y_fine.size
 
@@ -384,8 +384,9 @@ def cmd_prepare(args) -> int:
             pp.set_one_hot(x, codes, idx, schema)
         del codes
         start = 0
+        pass_2 = ds.ChunkStats()
         with _open_text(data_path) as stream:
-            for block in ds.iter_continuous(stream):
+            for block in ds.iter_continuous(stream, stats=pass_2):
                 rows = slice(start, start + len(block))
                 start = rows.stop
                 if start > n:
@@ -421,8 +422,8 @@ def cmd_prepare(args) -> int:
                 ],
             )
 
-        (out_dir / "schema.json").write_text(schema.to_json() + "\n", encoding="utf-8")
-        (out_dir / "counts.csv").write_bytes(ds.counts_csv(counts))
+        write_atomic(out_dir / "schema.json", [(schema.to_json() + "\n").encode("utf-8")])
+        write_atomic(out_dir / "counts.csv", [ds.counts_csv(counts)])
         _write_manifest(
             out_dir,
             "prepare",
@@ -432,6 +433,9 @@ def cmd_prepare(args) -> int:
                     "test_fraction": cfg.test_fraction,
                 },
                 "seeds": {"split": cfg.split_seed},
+                # per pass: text chunks read, and those that took the
+                # per-line path
+                "chunks": {"pass_1": asdict(scan.stats), "pass_2": asdict(pass_2)},
                 "data": {
                     "rows": n,
                     "train_rows": int(train_idx.size),
@@ -490,7 +494,7 @@ def cmd_train(args) -> int:
         model, history = mlp.train(model, train_ds, test_ds, train_config)
 
         mlp.save(model, out_dir / "model.zmlp")
-        (out_dir / "history.csv").write_bytes(mlp.history_csv(history))
+        write_atomic(out_dir / "history.csv", [mlp.history_csv(history)])
         _write_manifest(
             out_dir,
             "train",
@@ -554,8 +558,8 @@ def cmd_evaluate(args) -> int:
         rep = metrics.report(cm)
         for fmt in ("text", "csv", "json"):
             suffix = {"text": "txt", "csv": "csv", "json": "json"}[fmt]
-            (out_dir / f"report.{suffix}").write_bytes(metrics.render_report(rep, fmt))
-        (out_dir / "confusion.csv").write_bytes(metrics.render_confusion_csv(cm))
+            write_atomic(out_dir / f"report.{suffix}", [metrics.render_report(rep, fmt)])
+        write_atomic(out_dir / "confusion.csv", [metrics.render_confusion_csv(cm)])
         _write_manifest(
             out_dir,
             "evaluate",
@@ -616,8 +620,8 @@ def cmd_explain(args) -> int:
             zip(test_ds.class_names, residuals.max(axis=1).tolist())
         )
         for c, name in enumerate(test_ds.class_names):
-            (out_dir / f"shap_{name}.csv").write_bytes(kshap.explanation_csv(expl, c))
-        (out_dir / "top5.csv").write_bytes(kshap.top_features_csv(expl, cfg.top_k))
+            write_atomic(out_dir / f"shap_{name}.csv", [kshap.explanation_csv(expl, c)])
+        write_atomic(out_dir / "top5.csv", [kshap.top_features_csv(expl, cfg.top_k)])
         _write_manifest(
             out_dir,
             "explain",

@@ -8,12 +8,14 @@ the remaining 38 are non-negative numbers.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     FieldTypeError,
@@ -203,16 +205,164 @@ CATEGORY_OF = {
 
 
 BLOCK_ROWS = 1024  # rows per block of either reader; larger blocks raise prepare's peak RSS
+CHUNK_CHARS = 1 << 18  # characters per read; larger reads were no faster and left more heap resident
+_MAX_SPAN_CHARS = 64  # a chunk with a wider string field takes the per-line path
+
+_NEWLINE, _COMMA, _SPACE = 0x0A, 0x2C, 0x20
+# _LOW_BYTES[k] keeps the first k bytes of a little-endian 8-byte word.
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+
+_Chunk = Union[str, list[str]]  # text of whole lines, or a list of lines
+
+
+@dataclass
+class ChunkStats:
+    """The chunks one reader read, and how many took the per-line path."""
+
+    chunks: int = 0
+    per_line: int = 0
+
+
+def _chunks(stream: Iterable[str]) -> Iterator[_Chunk]:
+    """Runs of whole lines of a stream, in order.
+
+    A text stream is read CHUNK_CHARS characters at a time, then to the
+    end of the line that read stopped in; each chunk ends in "\n" (a
+    last line without one gets one). Any other iterable of lines gives
+    lists of up to BLOCK_ROWS lines. The readers count lines as they
+    split the chunks.
+    """
+    if not hasattr(stream, "read"):
+        lines = iter(stream)
+        while batch := list(itertools.islice(lines, BLOCK_ROWS)):
+            yield batch
+        return
+    while text := stream.read(CHUNK_CHARS):
+        if not text.endswith("\n"):
+            text += stream.readline()
+        yield text if text.endswith("\n") else text + "\n"
+
+
+def _lines(chunk: _Chunk) -> list[str]:
+    return chunk if isinstance(chunk, list) else chunk.split("\n")[:-1]
+
+
+def _plain(chunk: _Chunk) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """(bytes, newline offsets) of a text chunk whose lines need no
+    strip() and none of which is blank: ASCII, and no byte below 0x21
+    but "\n", which neither starts it nor follows another. None for any
+    other chunk."""
+    if not isinstance(chunk, str) or not chunk.isascii():
+        return None
+    raw = np.frombuffer(chunk.encode("ascii"), dtype=np.uint8)
+    ends = np.flatnonzero(raw <= _SPACE)
+    if (raw[ends] != _NEWLINE).any() or ends[0] == 0 or (np.diff(ends) == 1).any():
+        return None
+    return raw, ends
+
+
+def _renumbered(values: list[str], codes: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """Row i holds values[codes[i]], and values may repeat: the distinct
+    values, in order of first listing, and int32 codes into them."""
+    index: dict[str, int] = {}
+    remap = np.array([index.setdefault(v, len(index)) for v in values], dtype=np.int32)
+    return list(index), remap[codes]
+
+
+def _span_words(padded: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The bytes padded[starts[i]:stops[i]] of each row, NUL-filled to
+    whole 8-byte words: an (n, words) uint64 array. padded must run at
+    least _MAX_SPAN_CHARS bytes past the last stop."""
+    widths = stops - starts
+    k = max(1, (int(widths.max()) + 7) // 8)
+    words = sliding_window_view(padded, 8 * k)[starts].view("<u8")
+    words &= _LOW_BYTES[np.clip(widths[:, None] - 8 * np.arange(k), 0, 8)]
+    return words
+
+
+def _span_text(words: np.ndarray) -> list[str]:
+    return [v.decode("ascii") for v in words.view(f"S{8 * words.shape[1]}").ravel().tolist()]
+
+
+def _distinct_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(index of the first row of each distinct row, int32 code of each
+    row), the distinct rows in sorted order."""
+    order = np.lexsort(words.T)
+    ordered = words[order]
+    new = np.empty(len(order), dtype=bool)
+    new[0] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
+    codes = np.empty(len(order), dtype=np.int32)
+    codes[order] = np.cumsum(new) - 1
+    return order[new], codes
+
+
+def _fast_string_fields(chunk: _Chunk) -> Optional[tuple]:
+    """The four string fields of a chunk, each as (values, codes), taken
+    with numpy from the comma offsets; None when the chunk needs the
+    per-line path: not plain (_plain), a line without exactly 41 commas,
+    a string field wider than _MAX_SPAN_CHARS, or an unknown label."""
+    plain = _plain(chunk)
+    if plain is None:
+        return None
+    raw, ends = plain
+    commas = np.flatnonzero(raw == _COMMA)
+    if commas.size != (NUM_FIELDS - 1) * ends.size:
+        return None
+    commas = commas.reshape(ends.size, NUM_FIELDS - 1)
+    if (commas[:, -1] > ends).any() or (commas[1:, 0] < ends[:-1]).any():
+        return None
+    # One "tcp,http,SF" span per row, and its label span.
+    spans = ((commas[:, 0] + 1, commas[:, 3]), (commas[:, -1] + 1, ends))
+    if max(int((stop - start).max()) for start, stop in spans) > _MAX_SPAN_CHARS:
+        return None
+    padded = np.concatenate([raw, np.zeros(_MAX_SPAN_CHARS, dtype=np.uint8)])
+    middle, label = (_span_words(padded, start, stop) for start, stop in spans)
+    first, codes = _distinct_rows(np.concatenate([middle, label], axis=1))
+    labels = [v.lower().removesuffix(".") for v in _span_text(label[first])]
+    if not all(v in CATEGORY_OF for v in labels):
+        return None
+    triples = [v.split(",") for v in _span_text(middle[first])]
+    return (
+        *(_renumbered([t[f] for t in triples], codes) for f in range(3)),
+        _renumbered(labels, codes),
+    )
+
+
+def _block(runs: list) -> tuple:
+    """The four (values, codes) pairs of one block from its runs of rows;
+    values are the distinct values the block holds."""
+    fields = []
+    for pieces in zip(*runs):
+        values, codes = [], []
+        for piece_values, piece_codes in pieces:
+            codes.append(piece_codes + len(values))
+            values += piece_values
+        codes = np.concatenate(codes)
+        # a run cut from a chunk lists values that only other blocks hold
+        used = np.flatnonzero(np.bincount(codes, minlength=len(values)))
+        renumber = np.empty(len(values), dtype=np.int32)
+        renumber[used] = np.arange(used.size, dtype=np.int32)
+        fields.append(_renumbered([values[i] for i in used], renumber[codes]))
+    return tuple(fields)
 
 
 class StringFields:
     """The four string fields of a KDD99 stream, without its numbers.
 
     Iterating reads the stream (a file opened in text mode, or any
-    iterable of lines) once and yields (protocol_type, service, flag,
-    label) lists for blocks of up to BLOCK_ROWS rows. Blank lines are
-    skipped; labels come out lowercased with the trailing dot removed,
-    so each is a key of CATEGORY_OF. No continuous value is converted.
+    iterable of lines) once and yields, for blocks of up to BLOCK_ROWS
+    rows, one (values, codes) pair per field in the order protocol_type,
+    service, flag, label: values are the block's distinct values, in no
+    particular order, and row i of the block holds values[codes[i]]
+    (codes are int32). Blank lines are skipped; labels come out
+    lowercased with the trailing dot removed, so each is a key of
+    CATEGORY_OF. No continuous value is converted.
+
+    Text is read in chunks of whole lines (CHUNK_CHARS characters). A
+    plain chunk (see _plain) of lines with 42 fields and known labels is
+    split at its comma offsets with numpy; any other chunk runs the
+    per-line code, which finds every error. .stats counts both.
 
     Each line must have 42 fields and a known label. At the first line
     that does not, iteration stops and .error holds its
@@ -223,10 +373,42 @@ class StringFields:
     def __init__(self, stream: Iterable[str]):
         self._stream = stream
         self.error: Optional[ZidsError] = None
+        self.stats = ChunkStats()
 
-    def __iter__(self) -> Iterator[tuple[list[str], list[str], list[str], list[str]]]:
-        protocols, services, flags, labels = [], [], [], []
-        for line_no, raw in enumerate(self._stream, start=1):
+    def __iter__(self) -> Iterator[tuple[tuple[list[str], np.ndarray], ...]]:
+        runs: list = []  # runs of rows of the current block
+        rows = 0
+        line_no = 1  # of the chunk's first line
+        for chunk in _chunks(self._stream):
+            self.stats.chunks += 1
+            run = _fast_string_fields(chunk)
+            if run is None:
+                self.stats.per_line += 1
+                lines = _lines(chunk)
+                run = self._per_line(line_no, lines)
+                line_no += len(lines)
+            else:
+                line_no += run[0][1].size
+            n, start = run[0][1].size, 0
+            while start < n:
+                stop = min(n, start + BLOCK_ROWS - rows)
+                runs.append([(values, codes[start:stop]) for values, codes in run])
+                rows += stop - start
+                start = stop
+                if rows == BLOCK_ROWS:
+                    yield _block(runs)
+                    runs, rows = [], 0
+            if self.error is not None:
+                break
+        if rows:
+            yield _block(runs)
+
+    def _per_line(self, line_no: int, lines: list[str]) -> tuple:
+        """The (values, codes) of each field over the lines, numbered from
+        line_no, up to the first bad one, whose error goes to .error."""
+        columns: tuple[list[str], ...] = ([], [], [], [])
+        protocols, services, flags, labels = columns
+        for line_no, raw in enumerate(lines, start=line_no):
             line = raw.strip()
             if not line:
                 continue
@@ -244,14 +426,11 @@ class StringFields:
             services.append(service)
             flags.append(flag)
             labels.append(label)
-            if len(labels) == BLOCK_ROWS:
-                yield protocols, services, flags, labels
-                protocols, services, flags, labels = [], [], [], []
-        if labels:
-            yield protocols, services, flags, labels
+        rows = np.arange(len(labels))
+        return tuple(_renumbered(column, rows) for column in columns)
 
 
-def _checked_floats(lines: list[str], line_numbers: list[int]) -> np.ndarray:
+def _checked_floats(lines: list[str], line_numbers: Sequence[int]) -> np.ndarray:
     """Continuous values cell by cell with float(); raises FieldTypeError
     at the first cell that is not a finite non-negative number, and
     MalformedLineError at a line without 42 fields."""
@@ -271,7 +450,7 @@ def _checked_floats(lines: list[str], line_numbers: list[int]) -> np.ndarray:
     return x
 
 
-def _continuous(lines: list[str], line_numbers: list[int]) -> np.ndarray:
+def _continuous(lines: list[str], line_numbers: Sequence[int]) -> np.ndarray:
     """The (rows, 38) float64 continuous block of well-formed lines.
 
     np.loadtxt parses a subset of what float() accepts (no "1_000", no
@@ -295,7 +474,11 @@ def _continuous(lines: list[str], line_numbers: list[int]) -> np.ndarray:
     return _checked_floats(lines, line_numbers)
 
 
-def iter_continuous(stream: Iterable[str], stop: Optional[int] = None) -> Iterator[np.ndarray]:
+def iter_continuous(
+    stream: Iterable[str],
+    stop: Optional[int] = None,
+    stats: Optional[ChunkStats] = None,
+) -> Iterator[np.ndarray]:
     """The continuous features of a KDD99 stream: one (rows, 38) float64
     block, in CONTINUOUS_POSITIONS order, per BLOCK_ROWS non-blank lines.
 
@@ -304,16 +487,44 @@ def iter_continuous(stream: Iterable[str], stop: Optional[int] = None) -> Iterat
     StringFields checks; only the cell-by-cell fallback notices one that
     does not. Raises FieldTypeError at the first cell that is not a
     finite non-negative number.
+
+    The stream is read in the chunks StringFields reads. A chunk of
+    plain lines (no blank line, nothing to strip) is split at its
+    newlines; any other chunk is stripped line by line. `stats`, if
+    given, counts both.
     """
+    stats = stats if stats is not None else ChunkStats()
     lines: list[str] = []
     line_numbers: list[int] = []
-    for line_no, raw in enumerate(stream, start=1):
-        if line_no == stop:
+    line_no = 1  # of the chunk's first line
+    chunks = _chunks(stream)
+    while stop is None or line_no < stop:  # reads no chunk past stop
+        chunk = next(chunks, None)
+        if chunk is None:
             break
-        line = raw.strip()
-        if line:
-            lines.append(line)
-            line_numbers.append(line_no)
+        stats.chunks += 1
+        raw_lines = _lines(chunk)
+        end = line_no + len(raw_lines)
+        if stop is not None and stop < end:
+            del raw_lines[stop - line_no:]
+        if _plain(chunk) is not None:
+            new = raw_lines
+            numbers: Sequence[int] = range(line_no, line_no + len(new))
+        else:
+            stats.per_line += 1
+            new, numbers = [], []
+            for number, raw in enumerate(raw_lines, start=line_no):
+                line = raw.strip()
+                if line:
+                    new.append(line)
+                    numbers.append(number)
+        line_no = end
+        start = 0
+        while start < len(new):
+            take = start + BLOCK_ROWS - len(lines)
+            lines.extend(new[start:take])
+            line_numbers.extend(numbers[start:take])
+            start = take
             if len(lines) == BLOCK_ROWS:
                 yield _continuous(lines, line_numbers)
                 lines, line_numbers = [], []
@@ -329,7 +540,7 @@ def iter_kdd(stream: Iterable[str]) -> Iterator[RawRecord]:
     """
     lines = list(stream)
     scan = StringFields(lines)
-    labels = [label for block in scan for label in block[3]]
+    labels = [values[c] for *_, (values, codes) in scan for c in codes.tolist()]
     stop = scan.error.line_no if scan.error is not None else None
     for _ in iter_continuous(lines, stop):
         pass  # a bad cell before the structural error wins

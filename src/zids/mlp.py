@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._atomic import write_atomic
 from .errors import (
     BadDimsError,
     CorruptModelError,
@@ -529,11 +530,12 @@ def save(model: MlpModel, path) -> None:
     for w, b in zip(model.weights, model.biases):
         payload.write(np.ascontiguousarray(w, dtype="<f8"))
         payload.write(np.ascontiguousarray(b, dtype="<f8"))
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<I", MODEL_VERSION))
-        fh.write(payload.getbuffer())
-        fh.write(struct.pack("<I", zlib.crc32(payload.getbuffer())))
+    write_atomic(path, [
+        MODEL_MAGIC,
+        struct.pack("<I", MODEL_VERSION),
+        payload.getbuffer(),
+        struct.pack("<I", zlib.crc32(payload.getbuffer())),
+    ])
 
 
 def load(path) -> MlpModel:

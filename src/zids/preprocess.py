@@ -19,6 +19,7 @@ from typing import BinaryIO, Sequence
 import numpy as np
 
 from . import dataset as ds
+from ._atomic import write_atomic
 from .errors import (
     CorruptContainerError,
     DegenerateClassError,
@@ -110,11 +111,15 @@ def set_one_hot(
         base += len(schema.vocabularies[ds.FEATURE_NAMES[pos]])
 
 
-def intern(values: Sequence[str], index: dict[str, int], codes: array.array) -> None:
-    """Append the code of each value in index to codes. index grows by
-    each unseen value under the next code, so codes follow first-seen
-    order."""
-    codes.fromlist([index.setdefault(v, len(index)) for v in values])
+def intern(
+    values: Sequence[str], value_codes: np.ndarray, index: dict[str, int], codes: array.array
+) -> None:
+    """Append to codes the index code of each row of a block whose row i
+    holds values[value_codes[i]]. index grows by each value it lacks, in
+    the order of values, under the next free code; so the codes follow no
+    useful order until sort_codes renumbers them."""
+    remap = np.asarray([index.setdefault(v, len(index)) for v in values], dtype=np.int32)
+    codes.frombytes(remap[value_codes].tobytes())
 
 
 def sort_codes(index: dict[str, int], codes: array.array) -> tuple[list[str], np.ndarray]:
@@ -144,7 +149,9 @@ def apply_scaling(x: np.ndarray, scaling: Sequence[tuple[float, float]]) -> None
     inv = np.zeros_like(ranges)
     nonzero = ranges > 0
     inv[nonzero] = 1.0 / ranges[nonzero]
-    x[:, :n_continuous] = (x[:, :n_continuous] - mins) * inv
+    continuous = x[:, :n_continuous]  # a view: no (n, 38) temporaries
+    continuous -= mins
+    continuous *= inv
 
 
 def allocate_test_count(n_c: int, test_fraction: float) -> int:
@@ -269,11 +276,7 @@ def write_container(
         _write_names(labels, column.class_names)
         labels.write(column.y.astype("<u2"))
     crc = zlib.crc32(labels.getbuffer(), zlib.crc32(x, zlib.crc32(head)))
-    with open(path, "wb") as fh:
-        fh.write(head)
-        fh.write(x)
-        fh.write(labels.getbuffer())
-        fh.write(struct.pack("<I", crc))
+    write_atomic(path, [head, x, labels.getbuffer(), struct.pack("<I", crc)])
 
 
 def read_container_columns(path):

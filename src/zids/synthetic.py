@@ -18,6 +18,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
+from ._atomic import write_atomic
 from .dataset import FEATURE_NAMES
 
 # Counts mirror the full file's ordering: DoS >> Normal >> Probe >> UA.
@@ -420,7 +421,5 @@ def write_corpus(
 ) -> int:
     """Write a corpus file in KDD99 wire format; returns the row count."""
     lines = generate_lines(profile, seed)
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+    write_atomic(path, ((line + "\n").encode("utf-8") for line in lines))
     return len(lines)

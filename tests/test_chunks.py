@@ -1,0 +1,252 @@
+"""The chunked readers of `dataset` against their per-line path.
+
+Both readers split a plain chunk with numpy and run the per-line code on
+any other; forcing every chunk onto the per-line path must not change
+anything prepare takes from a corpus. The chunks are a few hundred
+characters, so lines and errors straddle chunk boundaries.
+"""
+
+import array
+import gzip
+import io
+import json
+
+import pytest
+
+from zids import cli
+from zids import dataset as ds
+from zids import preprocess as pp
+from zids import synthetic
+from zids.errors import ZidsError
+
+LINES = synthetic.generate_lines({"normal": 30, "smurf": 25, "satan": 5}, seed=5)
+
+
+def edited(edit):
+    lines = list(LINES)
+    edit(lines)
+    return lines
+
+
+def with_cell(line, column, value):
+    parts = line.split(",")
+    parts[column] = value
+    return ",".join(parts)
+
+
+def joined(lines, end="\n"):
+    return "".join(line + end for line in lines)
+
+
+def blank_lines(lines):
+    for at in (40, 21, 20, 0):
+        lines.insert(at, "")
+    lines.insert(30, " \t ")
+
+
+def spaces_and_tabs(lines):
+    lines[3] = "  " + lines[3]
+    lines[9] = lines[9] + "\t "
+    lines[10] = "\t" + lines[10] + " "
+
+
+def label_case(lines):
+    lines[4] = lines[4].rsplit(",", 1)[0] + ",SMURF."
+    lines[12] = lines[12].rsplit(",", 1)[0] + ",smurf"
+    lines[13] = lines[13].rsplit(",", 1)[0] + ",Normal"
+
+
+def non_ascii_service(lines):
+    lines[7] = with_cell(lines[7], 2, "café")
+    lines[31] = with_cell(lines[31], 2, "ħttp")
+
+
+def wide_service(lines):
+    lines[25] = with_cell(lines[25], 2, "s" * 700)  # wider than a chunk
+
+
+def bad_cell_then_41_fields(lines):
+    lines[8] = with_cell(lines[8], 5, "-3")
+    lines[50] = lines[50].split(",", 1)[1]
+
+
+def fields_41_then_43(lines):
+    """82 commas over two lines, as two good lines have."""
+    lines[15] = lines[15].split(",", 1)[1]
+    lines[16] = "0," + lines[16]
+
+
+def fields_43_then_41(lines):
+    lines[15] = "0," + lines[15]
+    lines[16] = lines[16].split(",", 1)[1]
+
+
+def unknown_label_then_bad_cell(lines):
+    lines[33] = lines[33].rsplit(",", 1)[0] + ",quantum."
+    lines[45] = with_cell(lines[45], 7, "x")
+
+
+def bad_cell_in_last_line(lines):
+    lines[-1] = with_cell(lines[-1], 22, "1e999")
+
+
+# name -> corpus text
+CORPORA = {
+    "plain": joined(LINES),
+    "crlf": joined(LINES[:30]) + joined(LINES[30:], "\r\n"),
+    "lone_cr": joined(LINES[:20]) + LINES[20] + "\r" + joined(LINES[21:]),
+    "blank_lines": joined(edited(blank_lines)),
+    "spaces_and_tabs": joined(edited(spaces_and_tabs)),
+    "label_case": joined(edited(label_case)),
+    "non_ascii_service": joined(edited(non_ascii_service)),
+    "no_final_newline": joined(LINES)[:-1],
+    "wide_service": joined(edited(wide_service)),
+    "bad_cell_then_41_fields": joined(edited(bad_cell_then_41_fields)),
+    "fields_41_then_43": joined(edited(fields_41_then_43)),
+    "fields_43_then_41": joined(edited(fields_43_then_41)),
+    "unknown_label_then_bad_cell": joined(edited(unknown_label_then_bad_cell)),
+    "bad_cell_in_last_line": joined(edited(bad_cell_in_last_line)),
+}
+
+
+def outcome(open_stream):
+    """Everything prepare's two passes take from a corpus: each block's
+    rows and distinct values per field, the sorted vocabularies and codes,
+    the continuous blocks and the error that prepare reports, if any."""
+    indexes = [{} for _ in range(4)]
+    interned = [array.array("i") for _ in range(4)]
+    blocks = []
+    with open_stream() as stream:
+        scan = ds.StringFields(stream)
+        for block in scan:
+            blocks.append([([values[c] for c in codes], sorted(values))
+                           for values, codes in block])
+            for (values, codes), index, out in zip(block, indexes, interned):
+                pp.intern(values, codes, index, out)
+    vocabularies = [
+        (vocab, codes.tolist())
+        for vocab, codes in (pp.sort_codes(i, c) for i, c in zip(indexes, interned))
+    ]
+    continuous = []
+    stats = ds.ChunkStats()
+    error = scan.error
+    try:
+        with open_stream() as stream:
+            stop = None if scan.error is None else scan.error.line_no
+            for block in ds.iter_continuous(stream, stop, stats):
+                continuous.append(block.tolist())
+    except ZidsError as exc:
+        error = exc
+    described = None if error is None else (
+        type(error).__name__, error.line_no, getattr(error, "column", None),
+        getattr(error, "label", None), str(error))
+    return {
+        "blocks": blocks,
+        "vocabularies": vocabularies,
+        "continuous": continuous,
+        "error": described,
+    }, (scan.stats, stats)
+
+
+@pytest.fixture(params=[257, 1000])
+def small_chunks(request, monkeypatch):
+    monkeypatch.setattr(ds, "CHUNK_CHARS", request.param)
+    return monkeypatch
+
+
+def compare(open_stream, small_chunks):
+    got, (pass_1, pass_2) = outcome(open_stream)
+    with small_chunks.context() as m:
+        m.setattr(ds, "_plain", lambda chunk: None)
+        expected, (per_line_1, per_line_2) = outcome(open_stream)
+    assert got == expected
+    assert per_line_1.per_line == per_line_1.chunks
+    assert per_line_2.per_line == per_line_2.chunks
+    # the numpy path took part, on at least one chunk of each pass
+    assert pass_1.per_line < pass_1.chunks
+    assert pass_2.per_line < pass_2.chunks
+    return got, pass_1, pass_2
+
+
+# The corpora with a line that pass 1 cannot take on the numpy path.
+PER_LINE = {"blank_lines", "spaces_and_tabs", "non_ascii_service", "wide_service",
+            "bad_cell_then_41_fields", "fields_41_then_43", "fields_43_then_41",
+            "unknown_label_then_bad_cell"}
+
+
+@pytest.mark.parametrize("name", sorted(CORPORA))
+def test_file_matches_per_line_path(tmp_path, small_chunks, name):
+    path = tmp_path / f"{name}.kdd"
+    path.write_bytes(CORPORA[name].encode("utf-8"))
+    _, pass_1, _ = compare(lambda: cli._open_text(path), small_chunks)
+    # _open_text turns "\r\n" and a lone "\r" into "\n"
+    assert (pass_1.per_line > 0) == (name in PER_LINE)
+
+
+@pytest.mark.parametrize("name", sorted(CORPORA))
+def test_text_matches_per_line_path(small_chunks, name):
+    text = CORPORA[name]
+    _, pass_1, _ = compare(lambda: io.StringIO(text), small_chunks)
+    # StringIO keeps each "\r" in its line, for the per-line path to strip
+    # or count as part of a field
+    assert (pass_1.per_line > 0) == (name in PER_LINE | {"crlf", "lone_cr"})
+
+
+def test_gzip_matches_per_line_path(tmp_path, small_chunks):
+    path = tmp_path / "corpus.kdd.gz"
+    with gzip.open(path, "wb") as fh:
+        fh.write(CORPORA["blank_lines"].encode("utf-8"))
+    got, _, _ = compare(lambda: cli._open_text(path), small_chunks)
+    assert got["error"] is None
+
+
+def test_errors_straddle_chunks(tmp_path, small_chunks):
+    path = tmp_path / "corpus.kdd"
+    path.write_text(CORPORA["bad_cell_then_41_fields"])
+    got, _, _ = compare(lambda: cli._open_text(path), small_chunks)
+    assert got["error"][:3] == ("FieldTypeError", 9, 5)
+    path.write_text(CORPORA["unknown_label_then_bad_cell"])
+    got, _, _ = compare(lambda: cli._open_text(path), small_chunks)
+    assert got["error"][:4] == ("UnknownLabelError", 34, None, "quantum")
+
+
+def test_blocks_straddle_chunks(monkeypatch):
+    """1,500 plain lines in one chunk and in 1,000-character chunks give
+    the same blocks of 1,024 and 476 rows."""
+    lines = synthetic.generate_lines({"normal": 900, "neptune": 600}, seed=2)
+    text = joined(lines)
+    whole, _ = outcome(lambda: io.StringIO(text))
+    monkeypatch.setattr(ds, "CHUNK_CHARS", 1000)
+    cut, (pass_1, _) = outcome(lambda: io.StringIO(text))
+    assert cut == whole
+    assert [len(b[0][0]) for b in cut["blocks"]] == [ds.BLOCK_ROWS, 476]
+    assert [len(b) for b in cut["continuous"]] == [ds.BLOCK_ROWS, 476]
+    assert pass_1.per_line == 0 and pass_1.chunks > 100
+
+
+def test_block_values_are_the_blocks_own():
+    """A chunk cut at a block boundary: each block lists only the values
+    its rows hold."""
+    http = with_cell(LINES[0], 2, "http")
+    lines = [http] * ds.BLOCK_ROWS + [with_cell(http, 2, "ftp")] * 10
+    blocks = list(ds.StringFields(io.StringIO(joined(lines))))
+    assert [block[1][0] for block in blocks] == [["http"], ["ftp"]]
+    for block in blocks:
+        for values, codes in block:
+            assert codes.dtype.name == "int32"
+            assert sorted(set(codes.tolist())) == list(range(len(values)))
+
+
+def test_manifest_counts_chunks(tmp_path, monkeypatch):
+    monkeypatch.setattr(ds, "CHUNK_CHARS", 1000)
+    corpus = tmp_path / "corpus.kdd"
+    corpus.write_text(CORPORA["blank_lines"])
+    out = tmp_path / "prepared"
+    assert cli.main(["prepare", "--data", str(corpus), "--out", str(out)]) == 0
+    chunks = json.loads((out / "manifest.json").read_text())["chunks"]
+    _, (pass_1, pass_2) = outcome(lambda: cli._open_text(corpus))
+    assert chunks == {
+        "pass_1": {"chunks": pass_1.chunks, "per_line": pass_1.per_line},
+        "pass_2": {"chunks": pass_2.chunks, "per_line": pass_2.per_line},
+    }
+    assert chunks["pass_1"]["chunks"] > chunks["pass_1"]["per_line"] > 0

@@ -109,9 +109,9 @@ class TestPrepare:
         with open(small_experiment.corpus) as stream:
             scan = ds.StringFields(stream)
             seen = Counter(
-                ds.CATEGORY_OF[label]
-                for *_, labels in scan
-                for label in labels
+                ds.CATEGORY_OF[labels[code]]
+                for *_, (labels, codes) in scan
+                for code in codes
             )
         assert scan.error is None
         expected = {category: seen[category] for category in ds.CATEGORIES}

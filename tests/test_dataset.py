@@ -30,12 +30,18 @@ def make_line(label="normal.", protocol="tcp", service="http", flag="SF"):
     return ",".join(values) + f",{label}"
 
 
+def decoded(block):
+    """A StringFields block as (protocols, services, flags, labels) lists
+    with one value per row."""
+    return tuple([values[c] for c in codes] for values, codes in block)
+
+
 def parse(text):
     """The string-field blocks and continuous blocks of a KDD99 text, read
     as `zids prepare` reads it: a bad cell before the first structural
     error wins over that error."""
     scan = ds.StringFields(io.StringIO(text))
-    fields = list(scan)
+    fields = [decoded(block) for block in scan]
     stop = scan.error.line_no if scan.error else None
     continuous = list(ds.iter_continuous(io.StringIO(text), stop))
     if scan.error is not None:
@@ -84,14 +90,14 @@ class TestParse:
     def test_string_fields_record_their_error(self):
         text = make_line() + "\n" + make_line("mystery.") + "\n" + make_line()
         scan = ds.StringFields(io.StringIO(text))
-        assert [block[3] for block in scan] == [["normal"]]
+        assert [decoded(block)[3] for block in scan] == [["normal"]]
         assert isinstance(scan.error, UnknownLabelError)
         assert (scan.error.line_no, scan.error.label) == (2, "mystery")
 
     def test_string_fields_convert_no_number(self):
         bad_cell = make_line().replace(",215,", ",abc,", 1)
         scan = ds.StringFields(io.StringIO(bad_cell))
-        assert list(scan) == [(["tcp"], ["http"], ["SF"], ["normal"])]
+        assert [decoded(block) for block in scan] == [(["tcp"], ["http"], ["SF"], ["normal"])]
         assert scan.error is None
 
     def test_bad_continuous_field(self):

@@ -1,6 +1,7 @@
 """Damaged artifacts and inputs: the command that reads one exits with one
 stderr line, no traceback and no output directory."""
 
+import ast
 import contextlib
 import gzip
 import io
@@ -15,6 +16,7 @@ import pytest
 
 import zids
 from zids import cli, synthetic
+from zids import dataset as ds
 from conftest import run_cli
 
 # (artifact, command that reads it)
@@ -233,6 +235,82 @@ def test_corpus_that_changes_between_passes(tmp_path, capsys, monkeypatch):
     assert err == (f"data error: {corpus}: 400 records on the first read, "
                    "399 on the second; the file changed while it was read\n")
     assert len(opens) == 2
+
+
+@pytest.mark.parametrize("gap, message", [
+    (ds.CHUNK_CHARS // 10, "not UTF-8 text: invalid start byte"),
+    (ds.CHUNK_CHARS + 50_000, "line 2: expected 42 fields, found 41"),
+])
+def test_bad_byte_after_structural_error(tmp_path, capsys, gap, message):
+    """A non-UTF-8 byte wins over an earlier structural error when it lies
+    in the same read of about CHUNK_CHARS characters; past that read, the
+    structural error wins."""
+    n = gap // (len(make_line()) + 1) + 3
+    blob = "".join(line + "\n" for line in [make_line(), FORTY_ONE_FIELDS]
+                   + [make_line()] * n).encode("utf-8")
+    at = blob.index(b",http,", gap)
+    corpus = tmp_path / "corpus.kdd"
+    corpus.write_bytes(blob[:at + 1] + b"\xff" + blob[at + 2:])
+    out = tmp_path / "out"
+    rc = run_cli("prepare", "--data", corpus, "--out", out)
+    err = assert_one_line_error(capsys, rc, 2, out)
+    assert err.startswith("data error:") and message in err
+
+
+@pytest.mark.parametrize("out_exists", [True, False])
+def test_failed_replace_keeps_earlier_artifacts(tmp_path, capsys, monkeypatch, out_exists):
+    """Every artifact is written to a temporary file that then replaces
+    it: when the replace fails, the earlier artifacts stay as they were
+    and no temporary file is left."""
+    corpus = tmp_path / "corpus.kdd"
+    corpus.write_text("".join(line + "\n" for line in corpus_lines()))
+    out = tmp_path / "out"
+    if out_exists:
+        assert run_cli("prepare", "--data", corpus, "--out", out, "--seed", 0) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()} if out_exists else None
+    capsys.readouterr()
+
+    def refuse(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    rc = run_cli("prepare", "--data", corpus, "--out", out, "--seed", 1)
+    err = assert_one_line_error(capsys, rc, 2, None if out_exists else out)
+    assert err == "data error: [Errno 28] No space left on device\n"
+    if out_exists:
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def _writes(call: ast.Call) -> bool:
+    """Whether a call writes a file other than through write_atomic:
+    Path.write_text/write_bytes, or an open() whose mode writes."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    modes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+    return any(isinstance(m, ast.Constant) and isinstance(m.value, str)
+               and set(m.value) & set("wax+") for m in modes)
+
+
+def test_every_write_goes_through_write_atomic():
+    offenders = []
+    for path in sorted(Path(zids.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        helper = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "write_atomic"
+            for node in ast.walk(fn)
+        }
+        offenders += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in helper and _writes(node)
+        ]
+    assert offenders == []
 
 
 def test_entry_point_exit_code(tmp_path):

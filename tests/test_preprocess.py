@@ -51,7 +51,9 @@ class Corpus:
 def corpus():
     lines = synthetic.generate_lines(seed=4, profile=PROFILE)
     x = np.concatenate(list(ds.iter_continuous(lines))).astype(np.float32)
-    labels = [label for *_, block in ds.StringFields(lines) for label in block]
+    labels = [
+        values[code] for *_, (values, codes) in ds.StringFields(lines) for code in codes
+    ]
     y = np.array([ds.CATEGORIES.index(ds.CATEGORY_OF[l]) for l in labels])
     return Corpus(lines, labels, x, y)
 
