@@ -40,6 +40,7 @@ from .errors import (
     NotUtf8Error,
     ShapeMismatchError,
     SingularSystemError,
+    VocabularyTooLargeError,
     ZidsError,
 )
 
@@ -363,6 +364,13 @@ def cmd_prepare(args) -> int:
             dict(zip((ds.FEATURE_NAMES[p] for p in ds.CATEGORICAL_POSITIONS), vocabs))
         )
         d = pp.encoded_width(schema)
+        widths = pp.one_hot_widths(schema)
+        for pos, width in zip(ds.CATEGORICAL_POSITIONS, widths):
+            if width > pp.MAX_VOCABULARY:
+                raise VocabularyTooLargeError(
+                    ds.FEATURE_NAMES[pos], width, pp.MAX_VOCABULARY
+                )
+        codes = np.array(codes, dtype=np.uint16)  # (fields, n), all in range
 
         # The split is stratified on the fine labels; the coarse view
         # rides on the same rows.
@@ -375,14 +383,11 @@ def cmd_prepare(args) -> int:
         dest_pos[train_idx] = np.arange(train_idx.size)
         dest_pos[test_idx] = np.arange(test_idx.size)
 
-        # The one-hot columns are set from the codes; pass 2 then converts
-        # only the continuous values into the preallocated split matrices.
+        # Containers keep the categorical fields as codes; pass 2 converts
+        # the continuous values straight into the split matrices.
         n_cont = len(ds.CONTINUOUS_POSITIONS)
-        x_train = np.zeros((train_idx.size, d), dtype=np.float32)
-        x_test = np.zeros((test_idx.size, d), dtype=np.float32)
-        for x, idx in ((x_train, train_idx), (x_test, test_idx)):
-            pp.set_one_hot(x, codes, idx, schema)
-        del codes
+        x_train = np.empty((train_idx.size, n_cont), dtype=np.float32)
+        x_test = np.empty((test_idx.size, n_cont), dtype=np.float32)
         start = 0
         pass_2 = ds.ChunkStats()
         with _open_text(data_path) as stream:
@@ -392,8 +397,8 @@ def cmd_prepare(args) -> int:
                 if start > n:
                     continue  # counted for the error below
                 is_test = dest_is_test[rows]
-                x_test[dest_pos[rows][is_test], :n_cont] = block[is_test]
-                x_train[dest_pos[rows][~is_test], :n_cont] = block[~is_test]
+                x_test[dest_pos[rows][is_test]] = block[is_test]
+                x_train[dest_pos[rows][~is_test]] = block[~is_test]
         if start != n:
             raise ChangedInputError(data_path, n, start)
         # Checked only now: a bad cell in a one-row file is the data error.
@@ -408,19 +413,22 @@ def cmd_prepare(args) -> int:
         pp.apply_scaling(x_train, scaling)
         pp.apply_scaling(x_test, scaling)
 
+        container_bytes = {}
         for name, x, idx in (
             ("train", x_train, train_idx),
             ("test", x_test, test_idx),
         ):
+            path = out_dir / f"{name}.zids"
             pp.write_container(
-                out_dir / f"{name}.zids",
-                x,
+                path,
+                pp.Rows(x, codes[:, idx], widths),
                 scaling,
                 [
                     pp.LabelColumn("coarse", list(ds.CATEGORIES), y_coarse[idx]),
                     pp.LabelColumn("fine", fine_names, y_fine[idx]),
                 ],
             )
+            container_bytes[path.name] = path.stat().st_size
 
         write_atomic(out_dir / "schema.json", [(schema.to_json() + "\n").encode("utf-8")])
         write_atomic(out_dir / "counts.csv", [ds.counts_csv(counts)])
@@ -441,6 +449,7 @@ def cmd_prepare(args) -> int:
                     "train_rows": int(train_idx.size),
                     "test_rows": int(test_idx.size),
                     "encoded_width": d,
+                    "container_bytes": container_bytes,
                     "fine_classes": len(fine_names),
                     "coarse_classes": len(ds.CATEGORIES),
                     "vocabulary_sizes": schema.vocabulary_sizes(),
@@ -553,7 +562,7 @@ def cmd_evaluate(args) -> int:
     out_dir = Path(args.out)
     with _locked_dir(out_dir):
         test_ds = _read_for_model(test_path, model)
-        preds = mlp.predict(model, test_ds.x)
+        preds = mlp.predict(model, test_ds.rows())
         cm = metrics.confusion(test_ds.y, preds, test_ds.k, test_ds.class_names)
         rep = metrics.report(cm)
         for fmt in ("text", "csv", "json"):
@@ -592,16 +601,18 @@ def cmd_explain(args) -> int:
         with _open_text(prepared / "schema.json") as fh:
             schema = ds.FeatureSchema.from_json(fh.read())
         feature_names = pp.encoded_feature_names(schema)
-        if len(feature_names) != test_ds.d:
+        widths = tuple(pp.one_hot_widths(schema))
+        if len(feature_names) != test_ds.d or widths != test_ds.widths:
             raise ShapeMismatchError(
-                f"schema.json describes {len(feature_names)} encoded "
-                f"columns; test.zids has {test_ds.d}"
+                f"schema.json describes {len(feature_names)} encoded columns, "
+                f"one-hot blocks {list(widths)}; test.zids has {test_ds.d}, "
+                f"blocks {list(test_ds.widths)}"
             )
 
         bg_idx = pp.sample_indices(test_ds.n, cfg.background_n, cfg.background_seed)
         fg_idx = pp.sample_indices(test_ds.n, cfg.explain_n, cfg.explain_seed)
-        background = test_ds.x[bg_idx].astype(np.float64)
-        foreground = test_ds.x[fg_idx].astype(np.float64)
+        background = test_ds.rows(bg_idx).dense()
+        foreground = test_ds.rows(fg_idx).dense()
 
         def model_fn(z):
             return mlp.forward(model, z)
@@ -650,6 +661,9 @@ def cmd_explain(args) -> int:
                     "ridge_used": expl.ridge_used,
                     "gram_condition": expl.gram_condition,
                     "workers": expl.workers,
+                    "constant_features": dict(
+                        zip(("min", "max"), expl.constant_features)
+                    ),
                 },
             },
         )

@@ -74,6 +74,19 @@ class ChangedInputError(ZidsError):
         )
 
 
+class VocabularyTooLargeError(ZidsError):
+    """A categorical field has more distinct values than its container
+    codes can number."""
+
+    def __init__(self, feature: str, size: int, limit: int):
+        self.feature = feature
+        self.size = size
+        super().__init__(
+            f"feature {feature} has {size} distinct values; containers "
+            f"hold at most {limit}"
+        )
+
+
 class MalformedSchemaError(ZidsError):
     """A schema document is not one that FeatureSchema.to_json writes."""
 

@@ -1,10 +1,12 @@
 """Dense feed-forward classifier: forward pass, weighted cross-entropy,
 analytic backpropagation, Adam/SGD training loop, and model files.
 
-All parameter math runs in float64; input matrices may be float32 and are
-promoted per batch. Inference over many rows (predict() and the per-epoch
-validation of train()) goes through one helper, _probability_blocks(), so
-its float64 activations stay a few thousand rows tall whatever the input.
+All parameter math runs in float64. Batch inputs are dense matrices, which
+may be float32, or preprocess.Rows, which are made dense one batch or one
+inference piece at a time. Inference over many rows (predict() and the
+per-epoch validation of train()) goes through one helper,
+_probability_blocks(), so its float64 activations and dense inputs stay a
+few thousand rows tall whatever the input.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .errors import (
     ShapeMismatchError,
     VersionMismatchError,
 )
-from .preprocess import ClassWeights, EncodedDataset
+from .preprocess import ClassWeights, EncodedDataset, Rows
 from .preprocess import _read_exact, _read_names, _read_str, _write_names, _write_str
 
 MODEL_MAGIC = b"ZMLP"
@@ -127,6 +129,17 @@ def _check_input(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return _check_shape(model, x).astype(np.float64, copy=False)
 
 
+def _check_rows(model: MlpModel, x_batch) -> Rows:
+    """x_batch, Rows or a dense matrix, as Rows of the model's width."""
+    if isinstance(x_batch, Rows):
+        if x_batch.d != model.dims[0]:
+            raise ShapeMismatchError(
+                f"input width {x_batch.d} does not match model width {model.dims[0]}"
+            )
+        return x_batch
+    return Rows(_check_shape(model, x_batch))
+
+
 def _check_labels(y: np.ndarray, n: int, k: int) -> np.ndarray:
     """y as an array of n class indices, each in 0..k-1."""
     y = np.asarray(y)
@@ -173,37 +186,41 @@ def forward(model: MlpModel, x_batch: np.ndarray) -> np.ndarray:
     return _forward_into(model, x, acts, np.empty((n, 1)))
 
 
-def _probability_blocks(model: MlpModel, x: np.ndarray):
+def _probability_blocks(model: MlpModel, x):
     """Yield (rows, probs) for each _SUM_ROWS-row block of x, in order:
-    rows is the block's slice of x and probs its class probabilities.
+    rows is the block's slice of x's rows and probs its class
+    probabilities.
 
-    x must have the model's width. forward() sees each block as
-    np.array_split pieces of _FORWARD_ROWS to 2 * _FORWARD_ROWS - 1 rows,
-    or as one piece when the block is shorter, so the float64 activations
-    and the float64 copy of the input never grow past such a piece. On
-    the nets tests/test_mlp.py checks, these pieces give the same bits as
-    one forward() of the whole block; a short tail piece (range() chunks)
-    does not.
+    x is Rows or a dense matrix of the model's width. forward() sees each
+    block as np.array_split pieces of _FORWARD_ROWS to 2 * _FORWARD_ROWS - 1
+    rows, or as one piece when the block is shorter, each made dense on
+    its own; so the float64 activations and the dense input never grow
+    past such a piece. On the nets tests/test_mlp.py checks, these pieces
+    give the same bits as one forward() of the whole block; a short tail
+    piece (range() chunks) does not.
     """
-    for start in range(0, x.shape[0], _SUM_ROWS):
-        rows = slice(start, start + _SUM_ROWS)
-        block = x[rows]
-        probs = np.empty((block.shape[0], model.n_classes))
-        parts = max(1, block.shape[0] // _FORWARD_ROWS)
-        for out, piece in zip(
-            np.array_split(probs, parts), np.array_split(block, parts)
-        ):
-            out[...] = forward(model, piece)
+    data = _check_rows(model, x)
+    n = len(data)
+    for start in range(0, n, _SUM_ROWS):
+        rows = slice(start, min(start + _SUM_ROWS, n))
+        probs = np.empty((rows.stop - start, model.n_classes))
+        parts = max(1, probs.shape[0] // _FORWARD_ROWS)
+        at = start
+        for out in np.array_split(probs, parts):
+            m = out.shape[0]
+            out[...] = forward(model, data[at : at + m].dense())
+            at += m
         yield rows, probs
 
 
-def predict(model: MlpModel, x_batch: np.ndarray) -> np.ndarray:
-    """Argmax class per row; ties resolve to the lowest index.
+def predict(model: MlpModel, x_batch) -> np.ndarray:
+    """Argmax class per row of x_batch, Rows or a dense matrix; ties
+    resolve to the lowest index.
 
     Memory stays bounded: see _probability_blocks().
     """
-    x = _check_shape(model, x_batch)
-    preds = np.empty(x.shape[0], dtype=np.intp)
+    x = _check_rows(model, x_batch)
+    preds = np.empty(len(x), dtype=np.intp)
     for rows, probs in _probability_blocks(model, x):
         preds[rows] = np.argmax(probs, axis=1)
     return preds
@@ -307,21 +324,20 @@ class _Workspace:
 def _loss_and_gradients(
     model: MlpModel,
     ws: _Workspace,
-    x: np.ndarray,
+    x: Rows,
     y: np.ndarray,
     weights: Optional[ClassWeights],
 ) -> tuple[float, float]:
     """Forward pass, weighted loss and backprop of one batch, inside ws.
 
-    x is an (n, d) matrix with n <= ws.rows. The gradients of loss() land
-    in ws.grads_w and ws.grads_b. Returns the weighted negative
-    log-likelihood sum and the weight sum of the batch.
+    x holds n <= ws.rows rows, made dense straight into ws.x. The gradients
+    of loss() land in ws.grads_w and ws.grads_b. Returns the weighted
+    negative log-likelihood sum and the weight sum of the batch.
     """
-    n = x.shape[0]
+    n = len(x)
     yb = ws.y[:n]
     np.copyto(yb, _check_labels(y, n, model.n_classes), casting="unsafe")
-    xb = ws.x[:n]
-    np.copyto(xb, x, casting="unsafe")
+    xb = x.dense(ws.x[:n])
     acts = [a[:n] for a in ws.acts]
     probs = _forward_into(model, xb, acts, ws.row[:n])
 
@@ -366,8 +382,8 @@ def gradients(
 
     Every call returns new arrays.
     """
-    x = _check_shape(model, x_batch)
-    ws = _Workspace(model, x.shape[0])
+    x = _check_rows(model, x_batch)
+    ws = _Workspace(model, len(x))
     _loss_and_gradients(model, ws, x, y, weights)
     return ws.grads_w, ws.grads_b
 
@@ -424,13 +440,14 @@ def optimizer_step(
     config: TrainConfig,
     state=None,
 ):
-    """One minibatch update; returns (state, batch_loss).
+    """One minibatch update on x_batch, Rows or a dense matrix; returns
+    (state, batch_loss).
 
     The state owns the step's workspace, sized to the first batch and
     replaced when a larger batch arrives.
     """
-    x = _check_shape(model, x_batch)
-    n = x.shape[0]
+    x = _check_rows(model, x_batch)
+    n = len(x)
     if state is None:
         state = (_Adam if config.optimizer == "adam" else _Sgd)(model, config, n)
     elif n > state.workspace.rows:
@@ -444,7 +461,7 @@ def optimizer_step(
 
 def _evaluate(
     model: MlpModel,
-    x: np.ndarray,
+    x,
     y: np.ndarray,
     weights: Optional[ClassWeights],
 ) -> tuple[float, float]:
@@ -452,7 +469,8 @@ def _evaluate(
 
     The loss is summed once per block, then the block sums in order.
     """
-    n = x.shape[0]
+    x = _check_rows(model, x)
+    n = len(x)
     total_nll = 0.0
     total_w = 0.0
     correct = 0
@@ -485,7 +503,7 @@ def train(
             f"data width {train_ds.d}/{val_ds.d} vs model width {model.dims[0]}"
         )
     k = model.n_classes
-    if train_ds.y.max(initial=-1) >= k or val_ds.y.max(initial=-1) >= k:
+    if train_ds.y.max() >= k or val_ds.y.max() >= k:
         raise ShapeMismatchError(f"label out of range for {k} classes")
 
     rng = np.random.default_rng(config.seed)
@@ -497,12 +515,12 @@ def train(
         for start in range(0, train_ds.n, config.batch_size):
             take = perm[start : start + config.batch_size]
             state, batch_loss = optimizer_step(
-                model, train_ds.x[take], train_ds.y[take], config, state
+                model, train_ds.rows(take), train_ds.y[take], config, state
             )
             batch_losses.append(batch_loss)
         train_loss = float(np.mean(batch_losses))
         val_loss, val_accuracy = _evaluate(
-            model, val_ds.x, val_ds.y, config.class_weights
+            model, val_ds.rows(), val_ds.y, config.class_weights
         )
         if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
             raise NonFiniteLossError(epoch)

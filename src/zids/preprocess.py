@@ -1,8 +1,11 @@
-"""Dense encoding, stratified splitting, class weights, and container I/O.
+"""Encoding, stratified splitting, class weights, and container I/O.
 
 Encoded layout: the 38 continuous features (min-max scaled) in schema
 order, then one one-hot block per categorical feature in schema order,
-values within a block in vocabulary order.
+values within a block in vocabulary order. Datasets and containers store
+the continuous columns as float32 and each categorical field as one u16
+code per row; Rows.dense() writes the one-hot layout, a few rows at a
+time, for the model.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ import math
 import os
 import struct
 import zlib
-from dataclasses import dataclass
-from typing import BinaryIO, Sequence
+from dataclasses import dataclass, field, replace
+from typing import BinaryIO, Optional, Sequence, Union
 
 import numpy as np
 
@@ -29,22 +32,79 @@ from .errors import (
 )
 
 CONTAINER_MAGIC = b"ZIDS"
-CONTAINER_VERSION = 2
+CONTAINER_VERSION = 3
+MAX_VOCABULARY = 65535  # values per categorical field: containers store u16 codes
+
+
+@dataclass
+class Rows:
+    """Encoded rows, not yet dense: rows `take` (an index array or a slice)
+    of the float columns x, the codes and the one-hot block widths.
+
+    x is (n, f); codes is (fields, n), one code per row of each coded
+    field, with field j one-hot encoded into a block of widths[j] columns.
+    A dense (n, d) matrix is the case with no coded fields.
+    """
+
+    x: np.ndarray
+    codes: Optional[np.ndarray] = None
+    widths: tuple = ()
+    take: Union[slice, np.ndarray] = field(default_factory=lambda: slice(None))
+
+    def __post_init__(self):
+        if self.codes is None:
+            self.codes = np.empty((0, self.x.shape[0]), dtype=np.uint16)
+        self.widths = tuple(self.widths)
+
+    def __len__(self) -> int:
+        if isinstance(self.take, slice):
+            return len(range(self.x.shape[0])[self.take])
+        return len(self.take)
+
+    @property
+    def d(self) -> int:
+        """Width of the dense rows: the float columns and every block."""
+        return self.x.shape[1] + sum(self.widths)
+
+    def __getitem__(self, part: slice) -> "Rows":
+        """The rows at positions `part` of these rows."""
+        if not isinstance(self.take, slice):
+            return replace(self, take=self.take[part])
+        r = range(self.x.shape[0])[self.take][part]
+        if r.step < 0:
+            return replace(self, take=np.arange(r.start, r.stop, r.step))
+        return replace(self, take=slice(r.start, r.stop, r.step))
+
+    def dense(self, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """These rows as a dense float64 (len(self), d) matrix: the float
+        columns, then the one-hot blocks. Written into out when given."""
+        if out is None:
+            out = np.empty((len(self), self.d))
+        f, take = self.x.shape[1], self.take
+        # take() gathers rows several times faster than fancy indexing
+        out[:, :f] = self.x[take] if isinstance(take, slice) else self.x.take(take, 0)
+        out[:, f:] = 0.0
+        set_one_hot(out, self.codes, take, self.widths)
+        return out
 
 
 @dataclass
 class EncodedDataset:
-    """Dense numeric matrix with integer class labels.
+    """Encoded rows with integer class labels.
 
-    x is float32 (row-major), y holds indices into class_names, and
-    scaling records the fitted (min, max) per continuous feature in
-    schema order.
+    x holds the stored float columns (float32, row-major): the scaled
+    continuous features. codes and widths are the coded fields, as in
+    Rows; a dataset built from a dense matrix has none (codes None). y
+    holds indices into class_names, and scaling records the fitted
+    (min, max) per continuous feature in schema order.
     """
 
     x: np.ndarray
     y: np.ndarray
     class_names: list[str]
     scaling: list[tuple[float, float]]
+    codes: Optional[np.ndarray] = None
+    widths: tuple = ()
 
     @property
     def n(self) -> int:
@@ -52,11 +112,16 @@ class EncodedDataset:
 
     @property
     def d(self) -> int:
-        return self.x.shape[1]
+        """Width of the dense encoded rows."""
+        return self.x.shape[1] + sum(self.widths)
 
     @property
     def k(self) -> int:
         return len(self.class_names)
+
+    def rows(self, take: Union[slice, np.ndarray] = slice(None)) -> Rows:
+        """Rows `take` of the dataset, all by default; see Rows.dense()."""
+        return Rows(self.x, self.codes, self.widths, take)
 
 
 @dataclass(frozen=True)
@@ -76,10 +141,17 @@ class ClassWeights:
         object.__setattr__(self, "w", w)
 
 
+def one_hot_widths(schema: ds.FeatureSchema) -> list[int]:
+    """Vocabulary size of each categorical feature, in schema order."""
+    return [
+        len(schema.vocabularies[ds.FEATURE_NAMES[pos]])
+        for pos in ds.CATEGORICAL_POSITIONS
+    ]
+
+
 def encoded_width(schema: ds.FeatureSchema) -> int:
     """Width of the encoded matrix: continuous count plus vocabulary sizes."""
-    n_cont = len(ds.CONTINUOUS_POSITIONS)
-    return n_cont + sum(len(v) for v in schema.vocabularies.values())
+    return len(ds.CONTINUOUS_POSITIONS) + sum(one_hot_widths(schema))
 
 
 def encoded_feature_names(schema: ds.FeatureSchema) -> list[str]:
@@ -94,21 +166,22 @@ def encoded_feature_names(schema: ds.FeatureSchema) -> list[str]:
 def set_one_hot(
     x: np.ndarray,
     codes: Sequence[np.ndarray],
-    take: np.ndarray,
-    schema: ds.FeatureSchema,
+    take: Union[slice, np.ndarray],
+    widths: Sequence[int],
 ) -> None:
     """Set the one-hot columns of x from categorical codes, in place.
 
-    codes holds one code vector per categorical feature in schema order,
-    each code an index into that feature's vocabulary. Row i of x takes
-    the codes at take[i]. Only the 1.0 entries are written, so the one-hot
-    columns of x must be zero before.
+    The one-hot blocks are the last sum(widths) columns of x, one block of
+    widths[j] columns per field. codes holds one code vector per field,
+    each code an index into its block. Row i of x takes the codes at
+    take[i]. Only the 1.0 entries are written, so the one-hot columns of x
+    must be zero before.
     """
-    base = len(ds.CONTINUOUS_POSITIONS)
-    rows = np.arange(take.size)
-    for pos, field_codes in zip(ds.CATEGORICAL_POSITIONS, codes):
-        x[rows, base + field_codes[take]] = 1.0
-        base += len(schema.vocabularies[ds.FEATURE_NAMES[pos]])
+    base = x.shape[1] - sum(widths)
+    rows = np.arange(x.shape[0])
+    for field_codes, width in zip(codes, widths):
+        x[rows, np.add(field_codes[take], base, dtype=np.intp)] = 1.0
+        base += width
 
 
 def intern(
@@ -215,8 +288,11 @@ def sample_indices(n_total: int, n: int, seed: int) -> np.ndarray:
 #
 # Little-endian throughout:
 #   magic "ZIDS" | version u32 | N u64 | d u32
-#   scaling table (u32 count, then f64 min, f64 max each)
-#   matrix, row-major f32
+#   scaling table (u32 count F, then f64 min, f64 max each): one entry per
+#     stored float column
+#   one-hot blocks (u32 count B, then u32 width each), which add up to d - F
+#   float columns, row-major f32, N x F
+#   codes, u16, N per block in block order, each below its block's width
 #   label columns (u32 count, then per column: name as u32 length +
 #   UTF-8, class names as u32 count + names, N u16 labels)
 #   CRC32 of every byte before it, u32
@@ -260,67 +336,105 @@ def _read_names(fh: BinaryIO) -> list[str]:
 
 def write_container(
     path,
-    x: np.ndarray,
+    rows: Rows,
     scaling: Sequence[tuple[float, float]],
     columns: Sequence[LabelColumn],
 ) -> None:
-    """Persist a matrix with its label columns; bit-exact output."""
-    x = np.ascontiguousarray(x, dtype="<f4")
-    n, d = x.shape
-    head = CONTAINER_MAGIC + struct.pack("<IQII", CONTAINER_VERSION, n, d, len(scaling))
+    """Persist encoded rows with their label columns; bit-exact output.
+
+    scaling holds one (min, max) per float column of rows.
+    """
+    x = np.ascontiguousarray(rows.x[rows.take], dtype="<f4")
+    codes = np.ascontiguousarray(rows.codes[:, rows.take], dtype="<u2")
+    n, n_float = x.shape
+    if n_float != len(scaling):
+        raise ValueError(f"{len(scaling)} scaling entries for {n_float} float columns")
+    head = CONTAINER_MAGIC + struct.pack("<IQII", CONTAINER_VERSION, n, rows.d, n_float)
     head += b"".join(struct.pack("<dd", lo, hi) for lo, hi in scaling)
+    head += struct.pack(f"<I{len(rows.widths)}I", len(rows.widths), *rows.widths)
     labels = io.BytesIO()
     labels.write(struct.pack("<I", len(columns)))
     for column in columns:
         _write_str(labels, column.name)
         _write_names(labels, column.class_names)
-        labels.write(column.y.astype("<u2"))
-    crc = zlib.crc32(labels.getbuffer(), zlib.crc32(x, zlib.crc32(head)))
-    write_atomic(path, [head, x, labels.getbuffer(), struct.pack("<I", crc)])
+        labels.write(np.ascontiguousarray(column.y, dtype="<u2"))
+    crc = zlib.crc32(head)
+    for part in (x, codes, labels.getbuffer()):
+        crc = zlib.crc32(part, crc)
+    write_atomic(path, [head, x, codes, labels.getbuffer(), struct.pack("<I", crc)])
 
 
 def read_container_columns(path):
-    """Parse a container once: (matrix, scaling, label columns).
+    """Parse a container once: (rows, scaling, label columns).
 
-    Sizes from the header are checked against the file before anything
-    is allocated, and the labels are parsed only once the checksum holds.
+    rows covers every row of the file; each column's y is a read-only u16
+    view of the bytes read. Sizes from the header are checked against the
+    file before anything is allocated; the codes, block widths and labels
+    are checked once the checksum holds.
     """
     try:
         with open(path, "rb") as fh:
             head = _read_exact(fh, 24)
             if head[:4] != CONTAINER_MAGIC:
                 raise CorruptContainerError(f"bad magic {head[:4]!r}")
-            version, n, d, n_scaling = struct.unpack_from("<IQII", head, 4)
+            version, n, d, n_float = struct.unpack_from("<IQII", head, 4)
             if version != CONTAINER_VERSION:
                 raise VersionMismatchError(version, CONTAINER_VERSION)
             left = os.fstat(fh.fileno()).st_size - len(head) - 4
-            if 16 * n_scaling + 4 * n * d > left:
+            if 16 * n_float + 4 * n * n_float > left:
                 raise CorruptContainerError("header sizes exceed the file")
-            table = _read_exact(fh, 16 * n_scaling)
-            x = np.empty((n, d), dtype="<f4")
+            table = _read_exact(fh, 16 * n_float)
+            raw_count = _read_exact(fh, 4)
+            (n_blocks,) = struct.unpack("<I", raw_count)
+            left -= len(table) + 4
+            if 4 * n_blocks + n * (4 * n_float + 2 * n_blocks) > left:
+                raise CorruptContainerError("header sizes exceed the file")
+            raw_widths = _read_exact(fh, 4 * n_blocks)
+            x = np.empty((n, n_float), dtype="<f4")
+            codes = np.empty((n_blocks, n), dtype="<u2")
             fh.readinto(x)  # a short read fails the checksum
+            fh.readinto(codes)
             rest = fh.read()
-        crc = zlib.crc32(table, zlib.crc32(head))
-        crc = zlib.crc32(rest[:-4], zlib.crc32(x, crc))
+        crc = zlib.crc32(head)
+        body = memoryview(rest)[:-4]
+        for part in (table, raw_count, raw_widths, x, codes, body):
+            crc = zlib.crc32(part, crc)
         if rest[-4:] != struct.pack("<I", crc):
             raise CorruptContainerError("checksum mismatch")
-        labels = io.BytesIO(rest[:-4])
+        widths = struct.unpack(f"<{n_blocks}I", raw_widths)
+        if sum(widths) != d - n_float:
+            raise CorruptContainerError(
+                f"one-hot block widths {list(widths)} do not add up to "
+                f"{d} - {n_float} columns"
+            )
+        for j, (field_codes, width) in enumerate(zip(codes, widths)):
+            if n and field_codes.max() >= width:
+                raise CorruptContainerError(
+                    f"code {field_codes.max()} of field {j} is not below "
+                    f"its block width {width}"
+                )
+        labels = io.BytesIO(rest)
         columns = []
         for _ in range(struct.unpack("<I", _read_exact(labels, 4))[0]):
             name = _read_str(labels)
             class_names = _read_names(labels)
-            y = np.frombuffer(_read_exact(labels, 2 * n), dtype="<u2")
-            columns.append(LabelColumn(name, class_names, y.astype(np.int32)))
-        if labels.read(1):
-            raise CorruptContainerError("trailing bytes after last column")
+            at = labels.tell()
+            if at + 2 * n > len(body):
+                raise EOFError("unexpected end of label columns")
+            y = np.frombuffer(rest, dtype="<u2", count=n, offset=at)
+            labels.seek(at + 2 * n)
+            columns.append(LabelColumn(name, class_names, y))
+        if labels.tell() != len(body):
+            raise CorruptContainerError("label columns do not end at the checksum")
     except (EOFError, struct.error, ValueError) as exc:
         raise CorruptContainerError(str(exc)) from None
-    return x, list(struct.iter_unpack("<dd", table)), columns
+    rows = Rows(x, codes, widths)
+    return rows, list(struct.iter_unpack("<dd", table)), columns
 
 
 def read_container(path, label_column: str) -> EncodedDataset:
     """Load a container under one of its label columns, chosen by name."""
-    x, scaling, columns = read_container_columns(path)
+    rows, scaling, columns = read_container_columns(path)
     by_name = {c.name: c for c in columns}
     if label_column not in by_name:
         raise CorruptContainerError(
@@ -328,8 +442,10 @@ def read_container(path, label_column: str) -> EncodedDataset:
         )
     chosen = by_name[label_column]
     return EncodedDataset(
-        x=x,
+        x=rows.x,
         y=chosen.y,
         class_names=list(chosen.class_names),
         scaling=scaling,
+        codes=rows.codes,
+        widths=rows.widths,
     )

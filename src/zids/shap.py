@@ -43,7 +43,9 @@ class Explanation:
     model_fn; ridge_used tells whether the solve needed the ridge fallback.
     gram_condition is the 2-norm condition number of the (m-1)^2 Gram
     matrix of the solve, and workers the number of threads the explained
-    rows ran on.
+    rows ran on. constant_features is the (min, max) over the explained
+    rows of the number of columns where the row equals every background
+    row bit for bit, so that no coalition can vary them.
     """
 
     phi: np.ndarray
@@ -56,6 +58,7 @@ class Explanation:
     ridge_used: bool = False
     gram_condition: float = 0.0
     workers: int = 1
+    constant_features: tuple[int, int] = (0, 0)
 
     @property
     def n_classes(self) -> int:
@@ -328,6 +331,10 @@ def kernel_shap(
         )
     if budget is None:
         budget = default_budget(m)
+    bg_bits = bg.view(np.uint64)
+    constant = [
+        int((bg_bits == row).all(axis=0).sum()) for row in x_rows.view(np.uint64)
+    ]
 
     masks, w = enumerate_or_sample_coalitions(m, budget, seed)
     z = masks.astype(np.float64)
@@ -392,6 +399,7 @@ def kernel_shap(
         ridge_used=ridge_used,
         gram_condition=float(np.linalg.cond(gram)),
         workers=workers,
+        constant_features=(min(constant, default=0), max(constant, default=0)),
     )
 
 

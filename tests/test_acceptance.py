@@ -288,8 +288,8 @@ def test_criterion_7_shapley_oracle(experiment):
     model = mlp.load(experiment.train("truncated") / "model.zmlp")
     test_ds = pp.read_container(experiment.prepared / "test.zids", "coarse")
     fn = lambda z: mlp.forward(model, z)
-    background = test_ds.x[pp.sample_indices(test_ds.n, 20, 1)].astype(np.float64)
-    rows = test_ds.x[pp.sample_indices(test_ds.n, 4, 2)].astype(np.float64)
+    background = test_ds.rows(pp.sample_indices(test_ds.n, 20, 1)).dense()
+    rows = test_ds.rows(pp.sample_indices(test_ds.n, 4, 2)).dense()
     expl = shap.kernel_shap(fn, rows, background, budget=300, seed=0)
     residual = float(shap.efficiency_residuals(expl, fn(rows)).max())
 

@@ -151,8 +151,8 @@ class TestPrepare:
         """Guards the encoding against drift: any change to parsing,
         encoding, splitting, scaling or the container bytes shows here."""
         expected = {
-            "train.zids": "ad7d7490acb358c9426af205fffc71d63827839fb849a529bbef8e8ba3602ff5",
-            "test.zids": "1fc99aa014e242eaaf6af685b0fb55b250a6d1ffa6a31d86a7139e91dea24199",
+            "train.zids": "45983b3088eca2eb5ef193b33eb56aa9b2ff527291ac5dbae18a324eb4cfcff6",
+            "test.zids": "eb868992fcd81eaa47861dcadefb40979866cbbe191cde9415f21d23bf521a78",
             "schema.json": "fa35f4703e850596aae9d1be9b82a7018abef6301ad965fd2a05d45d22d00e3a",
             "counts.csv": "e5026a2778992373417f38d555a0fcfcb75b2a6b95e62c942244ad775b438f79",
         }
@@ -164,16 +164,18 @@ class TestPrepare:
 
     def test_container_contents_pinned(self, small_experiment):
         """Pins what the containers hold, apart from their layout: the
-        digests were taken from the format-1 files of the same corpus."""
+        digests were taken from the format-1 files of the same corpus, whose
+        rows were stored dense."""
         expected = {
             "train.zids": "3ff7ad8a5b02b1eb92d025c5de34d3a0cf7d7737638684abb906952a6b1c4a10",
             "test.zids": "97274a4d07bfdb2537e18d95f366b7c95ed93a89fc0f0cec9c9e5fa41806e043",
         }
         got = {}
         for name in expected:
-            x, scaling, columns = pp.read_container_columns(
+            rows, scaling, columns = pp.read_container_columns(
                 small_experiment.prepared / name
             )
+            x = rows.dense()
             h = hashlib.sha256(np.ascontiguousarray(x, dtype="<f4").tobytes())
             h.update(np.asarray(scaling, dtype="<f8").tobytes())
             for c in columns:
@@ -283,9 +285,9 @@ class TestTrain:
         prepared.mkdir()
         source = small_experiment.prepared
         (prepared / "train.zids").write_bytes((source / "train.zids").read_bytes())
-        x, scaling, columns = pp.read_container_columns(source / "test.zids")
+        rows, scaling, columns = pp.read_container_columns(source / "test.zids")
         pp.write_container(
-            prepared / "test.zids", x[:0], scaling,
+            prepared / "test.zids", rows[:0], scaling,
             [pp.LabelColumn(c.name, c.class_names, c.y[:0]) for c in columns],
         )
         out = tmp_path / "x"
@@ -386,7 +388,7 @@ class TestEvaluate:
                      "--test", old, "--out", out)
         assert rc == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["data error: unsupported format version 1 (supported: 2)"]
+        assert err == ["data error: unsupported format version 1 (supported: 3)"]
         assert not out.exists()
 
     def test_report_command_pretty_prints(self, small_experiment, capsys):
@@ -470,6 +472,21 @@ class TestExplain:
         blas_threads = manifest["threads"]["blas_threads"]
         assert blas_threads is None or isinstance(blas_threads, int)
         assert numerics["workers"] == min(blas_threads or 1, config["explain_n"])
+
+    def test_manifest_counts_constant_features(self, small_experiment):
+        """Per explained row, the encoded columns where it equals every
+        background row; the manifest keeps their least and most."""
+        manifest = json.loads(
+            (small_experiment.explain("truncated") / "manifest.json").read_text()
+        )
+        test = pp.read_container(small_experiment.prepared / "test.zids", "coarse")
+        samples = manifest["samples"]
+        bg = test.rows(np.array(samples["background_indices"])).dense()
+        rows = test.rows(np.array(samples["explained_indices"])).dense()
+        counts = [int((bg == row).all(axis=0).sum()) for row in rows]
+        assert manifest["numerics"]["constant_features"] == {
+            "min": min(counts), "max": max(counts)}
+        assert 0 < min(counts) < test.d
 
     def test_one_worker_writes_the_same_artifacts(self, small_experiment,
                                                   tmp_path, monkeypatch):

@@ -8,14 +8,17 @@ import io
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
 
 import zids
 from zids import cli, synthetic
+from zids import preprocess as pp
 from zids import dataset as ds
 from conftest import run_cli
 
@@ -91,6 +94,13 @@ SCHEMA_FAULTS = {
     "service_3_short": (
         lambda doc: {**doc, "vocabularies": {
             **doc["vocabularies"], "service": doc["vocabularies"]["service"][:-3]}},
+        "encoded columns",
+    ),
+    # the same encoded width, cut into other one-hot blocks
+    "service_1_short_flag_1_long": (
+        lambda doc: {**doc, "vocabularies": {
+            **doc["vocabularies"], "service": doc["vocabularies"]["service"][:-1],
+            "flag": doc["vocabularies"]["flag"] + ["zz"]}},
         "encoded columns",
     ),
     "flag_5_long": (
@@ -328,3 +338,108 @@ def test_entry_point_exit_code(tmp_path):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("data error:") and "not UTF-8" in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+def recrc(blob: bytearray) -> bytes:
+    """The blob with its trailing CRC32 recomputed over the bytes before it."""
+    blob[-4:] = zlib.crc32(blob[:-4]).to_bytes(4, "little")
+    return bytes(blob)
+
+
+def container_layout(blob: bytes) -> dict:
+    """Offsets of a format-3 container's sections."""
+    n, d, n_float = struct.unpack_from("<QII", blob, 8)
+    at = 24 + 16 * n_float
+    (n_blocks,) = struct.unpack_from("<I", blob, at)
+    widths = list(struct.unpack_from(f"<{n_blocks}I", blob, at + 4))
+    codes = at + 4 + 4 * n_blocks + 4 * n * n_float
+    return {"n": n, "widths_at": at + 4, "widths": widths, "codes_at": codes}
+
+
+def wide_block_widths(blob: bytearray) -> None:
+    layout = container_layout(blob)
+    struct.pack_into("<I", blob, layout["widths_at"], layout["widths"][0] + 1)
+
+
+def out_of_range_code(blob: bytearray) -> None:
+    # the last row's service code set to the width of its block
+    layout = container_layout(blob)
+    at = layout["codes_at"] + 2 * (2 * layout["n"] - 1)
+    struct.pack_into("<H", blob, at, layout["widths"][1])
+
+
+# faults that keep the checksum valid, by the message they give
+CRAFTED = {
+    "block_widths": (wide_block_widths, "do not add up to"),
+    "code": (out_of_range_code, "of field 1 is not below its block width"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(CRAFTED))
+@pytest.mark.parametrize("artifact, command", READERS[:4])
+def test_crafted_container_is_one_line_data_error(
+    small_experiment, tmp_path, capsys, artifact, command, fault
+):
+    craft, message = CRAFTED[fault]
+    prepared = tmp_path / "prepared"
+    shutil.copytree(small_experiment.prepared, prepared)
+    path = prepared / artifact
+    blob = bytearray(path.read_bytes())
+    craft(blob)
+    path.write_bytes(recrc(blob))
+    model = small_experiment.train("truncated") / "model.zmlp"
+    out = tmp_path / "out"
+    argv = {
+        "train": ("train", "--prepared", prepared, "--variant", "truncated",
+                  "--epochs", 1),
+        "evaluate": ("evaluate", "--model", model, "--test", path),
+        "explain": ("explain", "--model", model, "--prepared", prepared,
+                    "--budget", 64),
+    }[command]
+    capsys.readouterr()
+    rc = run_cli(*argv, "--out", out)
+    err = assert_one_line_error(capsys, rc, 2, out)
+    assert err.startswith("data error: corrupt dataset container:") and message in err
+
+
+def test_format_2_container_is_one_line_data_error(small_experiment, tmp_path, capsys):
+    path = tmp_path / "test.zids"
+    blob = bytearray((small_experiment.prepared / "test.zids").read_bytes())
+    blob[4:8] = (2).to_bytes(4, "little")
+    path.write_bytes(recrc(blob))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = run_cli("evaluate", "--model",
+                 small_experiment.train("truncated") / "model.zmlp",
+                 "--test", path, "--out", out)
+    err = assert_one_line_error(capsys, rc, 2, out)
+    assert err == "data error: unsupported format version 2 (supported: 3)\n"
+
+
+@pytest.mark.parametrize("out_exists", [True, False])
+def test_vocabulary_past_code_range_is_data_error(
+    tmp_path, capsys, monkeypatch, out_exists
+):
+    """A categorical field with more values than u16 codes can number
+    stops prepare before any container is written."""
+    corpus = tmp_path / "corpus.kdd"
+    lines = corpus_lines()
+    corpus.write_text("".join(line + "\n" for line in lines))
+    out = tmp_path / "out"
+    if out_exists:
+        assert run_cli("prepare", "--data", corpus, "--out", out, "--seed", 0) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()} if out_exists else None
+    services = len({line.split(",")[2] for line in lines})
+    monkeypatch.setattr(pp, "MAX_VOCABULARY", services - 1)
+
+    def no_write(*args):
+        raise AssertionError("a container was written")
+
+    monkeypatch.setattr(pp, "write_container", no_write)
+    capsys.readouterr()
+    rc = run_cli("prepare", "--data", corpus, "--out", out, "--seed", 1)
+    err = assert_one_line_error(capsys, rc, 2, None if out_exists else out)
+    assert err == (f"data error: feature service has {services} distinct values; "
+                   f"containers hold at most {services - 1}\n")
+    if out_exists:
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before

@@ -93,7 +93,7 @@ class TestEncode:
         n_cont = len(ds.CONTINUOUS_POSITIONS)
         x = np.zeros((take.size, pp.encoded_width(schema)), dtype=np.float32)
         x[:, :n_cont] = 7.0
-        pp.set_one_hot(x, codes, take, schema)
+        pp.set_one_hot(x, codes, take, pp.one_hot_widths(schema))
         names = pp.encoded_feature_names(schema)
         hot = [[names[j] for j in np.flatnonzero(row[n_cont:] == 1.0) + n_cont]
                for row in x]
@@ -118,17 +118,20 @@ class TestEncode:
         for name, idx in zip(("train", "test"), splits):
             enc = pp.read_container(prepared / f"{name}.zids", "fine")
             assert enc.d == pp.encoded_width(schema)
+            assert enc.widths == tuple(pp.one_hot_widths(schema))
             assert np.array_equal(enc.y, y_fine[idx])
             cont = corpus.x[idx]
             pp.apply_scaling(cont, enc.scaling)
-            assert np.array_equal(enc.x[:, :n_cont], cont)
+            assert np.array_equal(enc.x, cont)
+            dense = enc.rows().dense()
+            assert np.array_equal(dense[:, :n_cont], cont)
             base = n_cont
             for pos in ds.CATEGORICAL_POSITIONS:
                 vocab = schema.vocabularies[ds.FEATURE_NAMES[pos]]
                 one_hot = np.zeros((idx.size, len(vocab)), dtype=np.float32)
                 one_hot[np.arange(idx.size),
                         [vocab.index(fields[i][pos]) for i in idx]] = 1.0
-                assert np.array_equal(enc.x[:, base:base + len(vocab)], one_hot)
+                assert np.array_equal(dense[:, base:base + len(vocab)], one_hot)
                 base += len(vocab)
 
     def test_coarse_classes(self, prepared):
@@ -284,7 +287,8 @@ class TestSampleRows:
 class TestContainer:
     def make(self, tmp_path):
         rng = np.random.default_rng(0)
-        x = rng.random((20, 7)).astype(np.float32)
+        x = rng.random((20, 4)).astype(np.float32)
+        codes = np.stack([rng.integers(0, w, 20) for w in (2, 5)]).astype(np.uint16)
         scaling = [(0.0, 1.0)] * 4
         columns = [
             pp.LabelColumn("coarse", ["a", "b", "c", "d"],
@@ -293,16 +297,36 @@ class TestContainer:
                            rng.integers(0, 6, 20).astype(np.int32)),
         ]
         path = tmp_path / "data.zids"
-        pp.write_container(path, x, scaling, columns)
+        pp.write_container(path, pp.Rows(x, codes, (2, 5)), scaling, columns)
         return path, x, scaling, columns
 
     def test_round_trip(self, tmp_path):
         path, x, scaling, columns = self.make(tmp_path)
         loaded = pp.read_container(path, "coarse")
         assert np.array_equal(loaded.x, x)
+        assert loaded.widths == (2, 5) and loaded.d == 11
         assert np.array_equal(loaded.y, columns[0].y)
         assert loaded.class_names == columns[0].class_names
         assert loaded.scaling == scaling
+        dense = loaded.rows().dense()
+        assert np.array_equal(dense[:, :4], x)
+        assert np.all(dense[:, 4:6].sum(axis=1) == 1)
+        assert np.all(dense[:, 6:].sum(axis=1) == 1)
+
+    def test_rows_make_dense_in_pieces(self, tmp_path):
+        path, *_ = self.make(tmp_path)
+        rows, _, _ = pp.read_container_columns(path)
+        whole = rows.dense()
+        take = np.array([19, 3, 3, 0, 7])
+        assert np.array_equal(rows[5:15].dense(), whole[5:15])
+        assert np.array_equal(rows[::-3].dense(), whole[::-3])
+        assert np.array_equal(rows[2:][1:4].dense(), whole[3:6])
+        assert len(rows[5:15]) == 10
+        subset = pp.Rows(rows.x, rows.codes, rows.widths, take)
+        assert np.array_equal(subset.dense(), whole[take])
+        assert np.array_equal(subset[1:4].dense(), whole[take[1:4]])
+        # a dense matrix is the case with no coded fields
+        assert np.array_equal(pp.Rows(whole, take=take).dense(), whole[take])
 
     def test_select_column(self, tmp_path):
         path, _, _, columns = self.make(tmp_path)
@@ -316,7 +340,8 @@ class TestContainer:
     def test_bit_identical_rewrite(self, tmp_path):
         path, x, scaling, columns = self.make(tmp_path)
         second = tmp_path / "again.zids"
-        pp.write_container(second, x, scaling, columns)
+        rows, _, _ = pp.read_container_columns(path)
+        pp.write_container(second, rows, scaling, columns)
         assert path.read_bytes() == second.read_bytes()
 
     def test_truncated(self, tmp_path):

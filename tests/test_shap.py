@@ -241,6 +241,22 @@ class TestKernelShap:
         expl = shap.kernel_shap(fn, x[None, :], bg, budget=2**4, seed=0)
         assert abs(expl.phi[0, 0, 3]) <= 1e-8
 
+    def test_constant_features_counted_per_row(self):
+        # row 0 equals every background row in columns 1 and 4; row 1 only
+        # in column 4, and its -0.0 in column 2 differs from 0.0 bit for bit
+        rng = np.random.default_rng(12)
+        bg = rng.normal(size=(5, 6))
+        bg[:, 1] = 2.5
+        bg[:, 2] = 0.0
+        bg[:, 4] = -1.0
+        x = rng.normal(size=(2, 6))
+        x[0, [1, 4]] = 2.5, -1.0
+        x[1, [1, 2, 4]] = 3.0, -0.0, -1.0
+        fn = random_mlp_fn(6, seed=3)
+        expl = shap.kernel_shap(fn, x, bg, budget=64, seed=0)
+        assert expl.constant_features == (1, 2)
+        assert shap.kernel_shap(fn, x[:1], bg, budget=64, seed=0).constant_features == (2, 2)
+
     def test_linear_model_closed_form(self):
         rng = np.random.default_rng(7)
         c = np.array([1.5, -2.0, 0.7])
