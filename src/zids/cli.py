@@ -323,7 +323,7 @@ def cmd_prepare(args) -> int:
 
     with _locked_dir(out_dir):
         # Pass 1 reads only the four string fields (protocol_type,
-        # service, flag, label); each block's distinct values are interned
+        # service, flag, label); each chunk's distinct values are interned
         # into int32 codes, in no useful order until sort_codes.
         indexes = [{} for _ in range(4)]
         interned = [array.array("i") for _ in range(4)]

@@ -8,11 +8,11 @@ the remaining 38 are non-negative numbers.
 
 from __future__ import annotations
 
-import itertools
+import io
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -204,15 +204,12 @@ CATEGORY_OF = {
 }
 
 
-BLOCK_ROWS = 1024  # rows per block of either reader; larger blocks raise prepare's peak RSS
 CHUNK_CHARS = 1 << 18  # characters per read; larger reads were no faster and left more heap resident
 _MAX_SPAN_CHARS = 64  # a chunk with a wider string field takes the per-line path
 
 _NEWLINE, _COMMA, _SPACE = 0x0A, 0x2C, 0x20
 # _LOW_BYTES[k] keeps the first k bytes of a little-endian 8-byte word.
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
-
-_Chunk = Union[str, list[str]]  # text of whole lines, or a list of lines
 
 
 @dataclass
@@ -223,36 +220,28 @@ class ChunkStats:
     per_line: int = 0
 
 
-def _chunks(stream: Iterable[str]) -> Iterator[_Chunk]:
-    """Runs of whole lines of a stream, in order.
-
-    A text stream is read CHUNK_CHARS characters at a time, then to the
-    end of the line that read stopped in; each chunk ends in "\n" (a
-    last line without one gets one). Any other iterable of lines gives
-    lists of up to BLOCK_ROWS lines. The readers count lines as they
-    split the chunks.
+def _chunks(stream: TextIO) -> Iterator[str]:
+    """Runs of whole lines of a text stream, in order: CHUNK_CHARS
+    characters at a time, then to the end of the line that read stopped
+    in. Each chunk ends in "\n" (a last line without one gets one). The
+    readers count lines as they split the chunks.
     """
-    if not hasattr(stream, "read"):
-        lines = iter(stream)
-        while batch := list(itertools.islice(lines, BLOCK_ROWS)):
-            yield batch
-        return
     while text := stream.read(CHUNK_CHARS):
         if not text.endswith("\n"):
             text += stream.readline()
         yield text if text.endswith("\n") else text + "\n"
 
 
-def _lines(chunk: _Chunk) -> list[str]:
-    return chunk if isinstance(chunk, list) else chunk.split("\n")[:-1]
+def _lines(chunk: str) -> list[str]:
+    return chunk.split("\n")[:-1]
 
 
-def _plain(chunk: _Chunk) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """(bytes, newline offsets) of a text chunk whose lines need no
-    strip() and none of which is blank: ASCII, and no byte below 0x21
-    but "\n", which neither starts it nor follows another. None for any
-    other chunk."""
-    if not isinstance(chunk, str) or not chunk.isascii():
+def _plain(chunk: str) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """(bytes, newline offsets) of a chunk whose lines need no strip()
+    and none of which is blank: ASCII, and no byte below 0x21 but "\n",
+    which neither starts it nor follows another. None for any other
+    chunk."""
+    if not chunk.isascii():
         return None
     raw = np.frombuffer(chunk.encode("ascii"), dtype=np.uint8)
     ends = np.flatnonzero(raw <= _SPACE)
@@ -297,7 +286,7 @@ def _distinct_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[new], codes
 
 
-def _fast_string_fields(chunk: _Chunk) -> Optional[tuple]:
+def _fast_string_fields(chunk: str) -> Optional[tuple]:
     """The four string fields of a chunk, each as (values, codes), taken
     with numpy from the comma offsets; None when the chunk needs the
     per-line path: not plain (_plain), a line without exactly 41 commas,
@@ -329,38 +318,19 @@ def _fast_string_fields(chunk: _Chunk) -> Optional[tuple]:
     )
 
 
-def _block(runs: list) -> tuple:
-    """The four (values, codes) pairs of one block from its runs of rows;
-    values are the distinct values the block holds."""
-    fields = []
-    for pieces in zip(*runs):
-        values, codes = [], []
-        for piece_values, piece_codes in pieces:
-            codes.append(piece_codes + len(values))
-            values += piece_values
-        codes = np.concatenate(codes)
-        # a run cut from a chunk lists values that only other blocks hold
-        used = np.flatnonzero(np.bincount(codes, minlength=len(values)))
-        renumber = np.empty(len(values), dtype=np.int32)
-        renumber[used] = np.arange(used.size, dtype=np.int32)
-        fields.append(_renumbered([values[i] for i in used], renumber[codes]))
-    return tuple(fields)
-
-
 class StringFields:
     """The four string fields of a KDD99 stream, without its numbers.
 
-    Iterating reads the stream (a file opened in text mode, or any
-    iterable of lines) once and yields, for blocks of up to BLOCK_ROWS
-    rows, one (values, codes) pair per field in the order protocol_type,
-    service, flag, label: values are the block's distinct values, in no
-    particular order, and row i of the block holds values[codes[i]]
-    (codes are int32). Blank lines are skipped; labels come out
-    lowercased with the trailing dot removed, so each is a key of
-    CATEGORY_OF. No continuous value is converted.
+    Iterating reads a text stream once, in chunks of whole lines (see
+    _chunks), and yields for each chunk one (values, codes) pair per
+    field in the order protocol_type, service, flag, label: values are
+    the chunk's distinct values, in no particular order, and row i of the
+    chunk holds values[codes[i]] (codes are int32). Blank lines are
+    skipped, so a chunk may hold no row; labels come out lowercased with
+    the trailing dot removed, so each is a key of CATEGORY_OF. No
+    continuous value is converted.
 
-    Text is read in chunks of whole lines (CHUNK_CHARS characters). A
-    plain chunk (see _plain) of lines with 42 fields and known labels is
+    A plain chunk (see _plain) of lines with 42 fields and known labels is
     split at its comma offsets with numpy; any other chunk runs the
     per-line code, which finds every error. .stats counts both.
 
@@ -370,38 +340,26 @@ class StringFields:
     earlier line, which only iter_continuous finds, must win over it.
     """
 
-    def __init__(self, stream: Iterable[str]):
+    def __init__(self, stream: TextIO):
         self._stream = stream
         self.error: Optional[ZidsError] = None
         self.stats = ChunkStats()
 
     def __iter__(self) -> Iterator[tuple[tuple[list[str], np.ndarray], ...]]:
-        runs: list = []  # runs of rows of the current block
-        rows = 0
         line_no = 1  # of the chunk's first line
         for chunk in _chunks(self._stream):
             self.stats.chunks += 1
-            run = _fast_string_fields(chunk)
-            if run is None:
+            fields = _fast_string_fields(chunk)
+            if fields is None:
                 self.stats.per_line += 1
                 lines = _lines(chunk)
-                run = self._per_line(line_no, lines)
+                fields = self._per_line(line_no, lines)
                 line_no += len(lines)
             else:
-                line_no += run[0][1].size
-            n, start = run[0][1].size, 0
-            while start < n:
-                stop = min(n, start + BLOCK_ROWS - rows)
-                runs.append([(values, codes[start:stop]) for values, codes in run])
-                rows += stop - start
-                start = stop
-                if rows == BLOCK_ROWS:
-                    yield _block(runs)
-                    runs, rows = [], 0
+                line_no += fields[0][1].size
+            yield fields
             if self.error is not None:
                 break
-        if rows:
-            yield _block(runs)
 
     def _per_line(self, line_no: int, lines: list[str]) -> tuple:
         """The (values, codes) of each field over the lines, numbered from
@@ -417,7 +375,7 @@ class StringFields:
             if fields != NUM_FIELDS or label not in CATEGORY_OF:
                 self.error = (
                     UnknownLabelError(line_no, label)
-                    if fields == NUM_FIELDS and label
+                    if fields == NUM_FIELDS
                     else MalformedLineError(line_no, fields)
                 )
                 break
@@ -475,12 +433,13 @@ def _continuous(lines: list[str], line_numbers: Sequence[int]) -> np.ndarray:
 
 
 def iter_continuous(
-    stream: Iterable[str],
+    stream: TextIO,
     stop: Optional[int] = None,
     stats: Optional[ChunkStats] = None,
 ) -> Iterator[np.ndarray]:
-    """The continuous features of a KDD99 stream: one (rows, 38) float64
-    block, in CONTINUOUS_POSITIONS order, per BLOCK_ROWS non-blank lines.
+    """The continuous features of a KDD99 text stream: one (rows, 38)
+    float64 block, in CONTINUOUS_POSITIONS order, for each chunk that
+    holds rows.
 
     Reading ends before line `stop` (1-based, blank lines counted), or at
     the end of the stream. The lines are taken to have the structure
@@ -494,8 +453,6 @@ def iter_continuous(
     given, counts both.
     """
     stats = stats if stats is not None else ChunkStats()
-    lines: list[str] = []
-    line_numbers: list[int] = []
     line_no = 1  # of the chunk's first line
     chunks = _chunks(stream)
     while stop is None or line_no < stop:  # reads no chunk past stop
@@ -503,46 +460,34 @@ def iter_continuous(
         if chunk is None:
             break
         stats.chunks += 1
-        raw_lines = _lines(chunk)
-        end = line_no + len(raw_lines)
+        lines = _lines(chunk)
+        end = line_no + len(lines)
         if stop is not None and stop < end:
-            del raw_lines[stop - line_no:]
-        if _plain(chunk) is not None:
-            new = raw_lines
-            numbers: Sequence[int] = range(line_no, line_no + len(new))
-        else:
+            del lines[stop - line_no:]
+        numbers: Sequence[int] = range(line_no, line_no + len(lines))
+        if _plain(chunk) is None:
             stats.per_line += 1
-            new, numbers = [], []
-            for number, raw in enumerate(raw_lines, start=line_no):
-                line = raw.strip()
-                if line:
-                    new.append(line)
-                    numbers.append(number)
+            stripped = [line.strip() for line in lines]
+            numbers = [number for number, line in zip(numbers, stripped) if line]
+            lines = list(filter(None, stripped))
         line_no = end
-        start = 0
-        while start < len(new):
-            take = start + BLOCK_ROWS - len(lines)
-            lines.extend(new[start:take])
-            line_numbers.extend(numbers[start:take])
-            start = take
-            if len(lines) == BLOCK_ROWS:
-                yield _continuous(lines, line_numbers)
-                lines, line_numbers = [], []
-    if lines:
-        yield _continuous(lines, line_numbers)
+        if lines:
+            yield _continuous(lines, numbers)
 
 
 # Used only by perfbench/spans.py, which rebinds iter_kdd by name.
 def iter_kdd(stream: Iterable[str]) -> Iterator[RawRecord]:
-    """RawRecords of a KDD99 stream, with prepare's errors: of several,
-    the one on the earliest line. Feature values are kept as the strings
-    on the line. Holds the whole stream in memory.
+    """RawRecords of a KDD99 stream (a text file, or any iterable of
+    lines), with prepare's errors: of several, the one on the earliest
+    line. Feature values are kept as the strings on the line. Holds the
+    whole stream in memory.
     """
-    lines = list(stream)
-    scan = StringFields(lines)
+    lines = [line.removesuffix("\n") for line in stream]
+    text = "\n".join(lines)
+    scan = StringFields(io.StringIO(text))
     labels = [values[c] for *_, (values, codes) in scan for c in codes.tolist()]
     stop = scan.error.line_no if scan.error is not None else None
-    for _ in iter_continuous(lines, stop):
+    for _ in iter_continuous(io.StringIO(text), stop):
         pass  # a bad cell before the structural error wins
     if scan.error is not None:
         raise scan.error

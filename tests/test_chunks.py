@@ -211,30 +211,61 @@ def test_errors_straddle_chunks(tmp_path, small_chunks):
 
 
 def test_blocks_straddle_chunks(monkeypatch):
-    """1,500 plain lines in one chunk and in 1,000-character chunks give
-    the same blocks of 1,024 and 476 rows."""
+    """1,500 plain lines in 1,000-character chunks: every chunk takes the
+    numpy path and gives each pass one block of its rows, and the rows,
+    vocabularies and values are those of the lines read as one chunk."""
     lines = synthetic.generate_lines({"normal": 900, "neptune": 600}, seed=2)
     text = joined(lines)
     whole, _ = outcome(lambda: io.StringIO(text))
+    assert len(whole["blocks"]) == len(whole["continuous"]) == 1
     monkeypatch.setattr(ds, "CHUNK_CHARS", 1000)
-    cut, (pass_1, _) = outcome(lambda: io.StringIO(text))
-    assert cut == whole
-    assert [len(b[0][0]) for b in cut["blocks"]] == [ds.BLOCK_ROWS, 476]
-    assert [len(b) for b in cut["continuous"]] == [ds.BLOCK_ROWS, 476]
-    assert pass_1.per_line == 0 and pass_1.chunks > 100
+    cut, (pass_1, pass_2) = outcome(lambda: io.StringIO(text))
+    assert pass_1.per_line == pass_2.per_line == 0
+    assert pass_1.chunks == pass_2.chunks == len(cut["blocks"]) > 100
+    assert [len(b[0][0]) for b in cut["blocks"]] == [len(b) for b in cut["continuous"]]
+    for field in range(4):
+        rows = [v for block in cut["blocks"] for v in block[field][0]]
+        assert rows == whole["blocks"][0][field][0]
+    assert [row for block in cut["continuous"] for row in block] == whole["continuous"][0]
+    assert (cut["vocabularies"], cut["error"]) == (whole["vocabularies"], None)
 
 
-def test_block_values_are_the_blocks_own():
-    """A chunk cut at a block boundary: each block lists only the values
-    its rows hold."""
+def test_block_values_are_the_blocks_own(monkeypatch):
+    """Each block, from the numpy path or the per-line one, lists only the
+    values its rows hold, as int32 codes that use every value."""
+    monkeypatch.setattr(ds, "CHUNK_CHARS", 1000)
     http = with_cell(LINES[0], 2, "http")
-    lines = [http] * ds.BLOCK_ROWS + [with_cell(http, 2, "ftp")] * 10
-    blocks = list(ds.StringFields(io.StringIO(joined(lines))))
-    assert [block[1][0] for block in blocks] == [["http"], ["ftp"]]
+    lines = [http] * 30 + [with_cell(http, 2, "ftp")] * 30
+    lines.insert(45, "")  # sends the chunk that holds it to the per-line path
+    scan = ds.StringFields(io.StringIO(joined(lines)))
+    blocks = list(scan)
+    assert 0 < scan.stats.per_line < scan.stats.chunks == len(blocks)
+    assert blocks[0][1][0] == ["http"] and blocks[-1][1][0] == ["ftp"]
+    assert any(sorted(block[1][0]) == ["ftp", "http"] for block in blocks)
     for block in blocks:
         for values, codes in block:
             assert codes.dtype.name == "int32"
             assert sorted(set(codes.tolist())) == list(range(len(values)))
+
+
+def test_artifacts_do_not_depend_on_chunk_size(tmp_path, monkeypatch):
+    """Interning follows the chunks, but the vocabularies are sorted after
+    pass 1, so prepare writes the same bytes at any chunk size."""
+    lines = synthetic.generate_lines(
+        {"normal": 150, "smurf": 100, "neptune": 30, "satan": 20}, seed=7)
+    text = joined(lines[:100]) + "\n" + joined(lines[100:200], "\r\n") + joined(lines[200:])
+    corpus = tmp_path / "corpus.kdd"
+    corpus.write_bytes(text.encode("utf-8"))
+    artifacts = []
+    for chars in (257, 1000, ds.CHUNK_CHARS):
+        monkeypatch.setattr(ds, "CHUNK_CHARS", chars)
+        out = tmp_path / f"prepared_{chars}"
+        assert cli.main(["prepare", "--data", str(corpus), "--out", str(out), "--seed", "0"]) == 0
+        artifacts.append({name: (out / name).read_bytes()
+                          for name in ("train.zids", "test.zids", "schema.json", "counts.csv")})
+        pass_1 = json.loads((out / "manifest.json").read_text())["chunks"]["pass_1"]
+        assert pass_1["per_line"] > 0  # the chunk with the blank line
+    assert artifacts[0] == artifacts[1] == artifacts[2]
 
 
 def test_manifest_counts_chunks(tmp_path, monkeypatch):

@@ -131,10 +131,11 @@ class TestParse:
             parse(text)
         assert (err.value.line_no, err.value.column) == (1, 7)
 
-    def test_bad_cell_past_first_block_has_absolute_line(self):
+    def test_bad_cell_past_first_block_has_absolute_line(self, monkeypatch):
+        monkeypatch.setattr(ds, "CHUNK_CHARS", 10_000)
         lines = [make_line()] * 1600
         lines[1500] = make_line().replace(",215,", ",-215,", 1)
-        assert 1500 > ds.BLOCK_ROWS
+        assert len("\n".join(lines[:1500])) > 10 * ds.CHUNK_CHARS
         with pytest.raises(FieldTypeError) as err:
             parse("\n".join(lines))
         assert (err.value.line_no, err.value.column) == (1501, 4)
@@ -144,19 +145,21 @@ class TestParse:
         (block,) = ds.iter_continuous(io.StringIO(text), stop=3)
         assert block.shape == (1, 38)
 
-    def test_blocks_keep_line_numbers_and_values(self):
-        lines = [make_line(label="SMURF.")] * (ds.BLOCK_ROWS + 3)
+    def test_blocks_keep_line_numbers_and_values(self, monkeypatch):
+        monkeypatch.setattr(ds, "CHUNK_CHARS", 10_000)
+        lines = [make_line(label="SMURF.")] * 1027
         lines[-1] = make_line().replace(",215,", ",1_000,", 1)  # float() only
         text = "\n\n".join(lines)
         fields, continuous = parse(text)
-        assert [len(b[3]) for b in fields] == [ds.BLOCK_ROWS, 3]
-        assert [len(b) for b in continuous] == [ds.BLOCK_ROWS, 3]
+        assert len(fields) == len(continuous) > 10  # one block per chunk
+        assert [len(b[3]) for b in fields] == [len(b) for b in continuous]
+        assert sum(len(b) for b in continuous) == len(lines)
         assert fields[0][3][0] == "smurf"
         assert tuple(f[0] for f in fields[0][:3]) == ("tcp", "http", "SF")
         src_bytes = ds.CONTINUOUS_POSITIONS.index(4)
         assert continuous[0].dtype == np.float64
         assert continuous[0][0, src_bytes] == 215.0
-        assert continuous[1][-1, src_bytes] == 1000.0
+        assert continuous[-1][-1, src_bytes] == 1000.0
         # Line numbers count the blank lines: the last row is line 2n - 1.
         with pytest.raises(FieldTypeError) as err:
             parse(text.replace(",1_000,", ",1_000x,"))
@@ -265,6 +268,13 @@ class TestTaxonomy:
             parse(make_line() + "\n\n" + make_line("Quantum_Worm."))
         assert (err.value.line_no, err.value.label) == (3, "quantum_worm")
 
+    @pytest.mark.parametrize("label", ["", "."])
+    def test_empty_label_is_unknown(self, label):
+        """42 fields with an empty label: not a wrong field count."""
+        with pytest.raises(UnknownLabelError) as err:
+            parse("\n".join([make_line()] * 3 + [make_line(label)]))
+        assert (err.value.line_no, err.value.label) == (4, "")
+
     @pytest.mark.parametrize("later", ["bad_cell", "41_fields"])
     def test_unknown_label_wins_over_later_bad_line(self, later):
         line_2 = {
@@ -309,6 +319,14 @@ class TestCoarseCounts:
         assert rc == 2
         err = capsys.readouterr().err
         assert err == "data error: line 2: unknown label: 'mystery'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("label", ["", "."])
+    def test_empty_label_raises(self, tmp_path, capsys, label):
+        rc, out = prepare(tmp_path, [make_line()] * 3 + [make_line(label)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "data error: line 4: unknown label: ''\n"
         assert not out.exists()
 
     def test_counts_csv_shape(self):

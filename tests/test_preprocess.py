@@ -1,5 +1,6 @@
 """Encoding, stratified splitting, class weights, sampling, container I/O."""
 
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,9 +51,12 @@ class Corpus:
 @pytest.fixture(scope="module")
 def corpus():
     lines = synthetic.generate_lines(seed=4, profile=PROFILE)
-    x = np.concatenate(list(ds.iter_continuous(lines))).astype(np.float32)
+    text = "".join(line + "\n" for line in lines)
+    x = np.concatenate(list(ds.iter_continuous(io.StringIO(text)))).astype(np.float32)
     labels = [
-        values[code] for *_, (values, codes) in ds.StringFields(lines) for code in codes
+        values[code]
+        for *_, (values, codes) in ds.StringFields(io.StringIO(text))
+        for code in codes
     ]
     y = np.array([ds.CATEGORIES.index(ds.CATEGORY_OF[l]) for l in labels])
     return Corpus(lines, labels, x, y)

@@ -1,11 +1,14 @@
-"""README's Library use block runs as written, so the documented API keeps
-up with the code."""
+"""README's Library use block runs as written, and the code and tests it
+names exist, so the documentation keeps up with the code."""
 
+import ast
+import importlib
 import re
 import shutil
 from pathlib import Path
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def library_use_block() -> str:
@@ -22,3 +25,32 @@ def test_library_use_block_runs(small_experiment, tmp_path, monkeypatch, capsys)
     out = capsys.readouterr().out
     assert "Weighted average" in out  # the rendered report
     assert out.rstrip().splitlines()[-1].count(",") == 3  # a top5.csv row
+
+
+def test_named_code_exists():
+    """Every backticked `module.name` of the package's modules resolves."""
+    text = README.read_text(encoding="utf-8")
+    names = re.findall(r"`((?:dataset|preprocess|mlp|shap|metrics|cli)(?:\.\w+)+)", text)
+    assert names
+    for name in names:
+        module, *attributes = name.split(".")
+        found = importlib.import_module(f"zids.{module}")
+        for attribute in attributes:
+            assert hasattr(found, attribute), f"README names {name}, which is gone"
+            found = getattr(found, attribute)
+
+
+def test_named_tests_exist():
+    """Every tests/...::... node id names a test function or method."""
+    text = README.read_text(encoding="utf-8")
+    node_ids = re.findall(r"(tests/\w+\.py(?:::\w+)+)", text)
+    assert node_ids
+    for node_id in node_ids:
+        path, *names = node_id.split("::")
+        assert (ROOT / path).is_file(), f"README names {node_id}, which is gone"
+        scope = ast.parse((ROOT / path).read_text(encoding="utf-8"))
+        for name in names:
+            defs = {node.name: node for node in scope.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+            assert name in defs, f"README names {node_id}, which is gone"
+            scope = defs[name]
