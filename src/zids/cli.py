@@ -130,6 +130,10 @@ class ExperimentConfig:
         for field_name in ("background_n", "explain_n", "top_k"):
             if getattr(cfg, field_name) < 1:
                 raise ConfigError(f"{field_name} must be >= 1")
+        for field_name in ("seed", "split_seed", "train_seed", "background_seed",
+                           "explain_seed", "coalition_seed"):
+            if getattr(cfg, field_name) < 0:
+                raise ConfigError(f"{field_name} must be >= 0: {getattr(cfg, field_name)}")
         return cfg
 
 
@@ -360,16 +364,15 @@ def cmd_prepare(args) -> int:
             for i, category in enumerate(ds.CATEGORIES)
         }
 
-        schema = ds.schema_from_vocabularies(
-            dict(zip((ds.FEATURE_NAMES[p] for p in ds.CATEGORICAL_POSITIONS), vocabs))
+        fields = tuple(
+            (ds.FEATURE_NAMES[pos], tuple(vocab))
+            for pos, vocab in zip(ds.CATEGORICAL_POSITIONS, vocabs)
         )
-        d = pp.encoded_width(schema)
-        widths = pp.one_hot_widths(schema)
-        for pos, width in zip(ds.CATEGORICAL_POSITIONS, widths):
-            if width > pp.MAX_VOCABULARY:
-                raise VocabularyTooLargeError(
-                    ds.FEATURE_NAMES[pos], width, pp.MAX_VOCABULARY
-                )
+        for name, values in fields:
+            if len(values) > pp.MAX_VOCABULARY:
+                raise VocabularyTooLargeError(name, len(values), pp.MAX_VOCABULARY)
+        float_names = tuple(ds.FEATURE_NAMES[pos] for pos in ds.CONTINUOUS_POSITIONS)
+        d = len(float_names) + sum(len(values) for _, values in fields)
         codes = np.array(codes, dtype=np.uint16)  # (fields, n), all in range
 
         # The split is stratified on the fine labels; the coarse view
@@ -421,7 +424,7 @@ def cmd_prepare(args) -> int:
             path = out_dir / f"{name}.zids"
             pp.write_container(
                 path,
-                pp.Rows(x, codes[:, idx], widths),
+                pp.Rows(x, codes[:, idx], fields, float_names),
                 scaling,
                 [
                     pp.LabelColumn("coarse", list(ds.CATEGORIES), y_coarse[idx]),
@@ -430,7 +433,7 @@ def cmd_prepare(args) -> int:
             )
             container_bytes[path.name] = path.stat().st_size
 
-        write_atomic(out_dir / "schema.json", [(schema.to_json() + "\n").encode("utf-8")])
+        write_atomic(out_dir / "schema.json", [ds.schema_json(dict(fields))])
         write_atomic(out_dir / "counts.csv", [ds.counts_csv(counts)])
         _write_manifest(
             out_dir,
@@ -452,7 +455,7 @@ def cmd_prepare(args) -> int:
                     "container_bytes": container_bytes,
                     "fine_classes": len(fine_names),
                     "coarse_classes": len(ds.CATEGORIES),
-                    "vocabulary_sizes": schema.vocabulary_sizes(),
+                    "vocabulary_sizes": {name: len(values) for name, values in fields},
                     "category_counts": counts,
                 },
             },
@@ -467,7 +470,7 @@ def cmd_prepare(args) -> int:
 def _load_split(prepared: Path, column: str):
     train = pp.read_container(prepared / "train.zids", column)
     test = pp.read_container(prepared / "test.zids", column)
-    if train.d != test.d or train.class_names != test.class_names:
+    if train.feature_names != test.feature_names or train.class_names != test.class_names:
         raise ShapeMismatchError("train and test containers disagree")
     return train, test
 
@@ -598,16 +601,6 @@ def cmd_explain(args) -> int:
     out_dir = Path(cfg.output_dir)
     with _locked_dir(out_dir):
         test_ds = _read_for_model(prepared / "test.zids", model)
-        with _open_text(prepared / "schema.json") as fh:
-            schema = ds.FeatureSchema.from_json(fh.read())
-        feature_names = pp.encoded_feature_names(schema)
-        widths = tuple(pp.one_hot_widths(schema))
-        if len(feature_names) != test_ds.d or widths != test_ds.widths:
-            raise ShapeMismatchError(
-                f"schema.json describes {len(feature_names)} encoded columns, "
-                f"one-hot blocks {list(widths)}; test.zids has {test_ds.d}, "
-                f"blocks {list(test_ds.widths)}"
-            )
 
         bg_idx = pp.sample_indices(test_ds.n, cfg.background_n, cfg.background_seed)
         fg_idx = pp.sample_indices(test_ds.n, cfg.explain_n, cfg.explain_seed)
@@ -623,7 +616,7 @@ def cmd_explain(args) -> int:
             background,
             budget=cfg.budget,
             seed=cfg.coalition_seed,
-            feature_names=feature_names,
+            feature_names=test_ds.feature_names,
             class_names=test_ds.class_names,
         )
         residuals = kshap.efficiency_residuals(expl, model_fn(foreground))

@@ -1,9 +1,13 @@
-"""KDD99 wire format, feature schema, and the four-category label taxonomy.
+"""KDD99 wire format, the names and kinds of its features, and the
+four-category label taxonomy.
 
 The KDD Cup 1999 connection records are comma-separated lines with 41
 feature fields followed by a label field that usually carries a trailing
 dot ("smurf."). Three features (protocol_type, service, flag) are symbolic;
-the remaining 38 are non-negative numbers.
+the remaining 38 are non-negative numbers. The containers `prepare` writes
+name their own columns; schema_json renders the features and the observed
+vocabularies as the schema.json document, written for people to read and
+read back by no command.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import (
     FieldTypeError,
     MalformedLineError,
-    MalformedSchemaError,
     UnknownLabelError,
     ZidsError,
 )
@@ -146,51 +149,6 @@ class RawRecord:
 
     values: tuple[str, ...]
     label: str
-
-
-@dataclass(frozen=True)
-class FeatureDescriptor:
-    name: str
-    kind: str  # "continuous" or "categorical"
-
-
-@dataclass(frozen=True)
-class FeatureSchema:
-    """The 41 feature descriptors plus observed categorical vocabularies.
-
-    Vocabularies are sorted and deduplicated, so the schema is independent
-    of record order.
-    """
-
-    features: tuple[FeatureDescriptor, ...]
-    vocabularies: dict[str, tuple[str, ...]]
-
-    def vocabulary_sizes(self) -> dict[str, int]:
-        return {name: len(v) for name, v in self.vocabularies.items()}
-
-    def to_json(self) -> str:
-        doc = {
-            "features": [
-                {"name": f.name, "kind": f.kind} for f in self.features
-            ],
-            "vocabularies": {k: list(v) for k, v in self.vocabularies.items()},
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "FeatureSchema":
-        """The schema of a document to_json wrote, formatting aside; any
-        other document raises MalformedSchemaError."""
-        try:
-            doc = json.loads(text)
-            schema = schema_from_vocabularies(doc["vocabularies"])
-        except (ValueError, LookupError, TypeError) as exc:
-            raise MalformedSchemaError(f"malformed feature schema: {exc!r}") from None
-        if schema.to_json() != json.dumps(doc, indent=2, sort_keys=True):
-            raise MalformedSchemaError(
-                "malformed feature schema: not the 41 features with sorted vocabularies"
-            )
-        return schema
 
 
 # Fine label -> category: the 23 labels of the training file plus the
@@ -496,20 +454,19 @@ def iter_kdd(stream: Iterable[str]) -> Iterator[RawRecord]:
         yield RawRecord(values=tuple(line.split(",")[:-1]), label=label)
 
 
-def schema_from_vocabularies(vocabularies: Mapping[str, Iterable[str]]) -> FeatureSchema:
-    """Assemble a schema from explicit categorical vocabularies."""
-    features = tuple(
-        FeatureDescriptor(
-            name,
-            "categorical" if i in CATEGORICAL_POSITIONS else "continuous",
-        )
-        for i, name in enumerate(FEATURE_NAMES)
-    )
-    vocab = {
-        FEATURE_NAMES[pos]: tuple(sorted(set(vocabularies[FEATURE_NAMES[pos]])))
-        for pos in CATEGORICAL_POSITIONS
+def schema_json(vocabularies: Mapping[str, Sequence[str]]) -> bytes:
+    """The schema.json document: the 41 features with their kinds, and
+    the vocabulary of each categorical feature, as given (prepare gives
+    them sorted)."""
+    doc = {
+        "features": [
+            {"name": name,
+             "kind": "categorical" if i in CATEGORICAL_POSITIONS else "continuous"}
+            for i, name in enumerate(FEATURE_NAMES)
+        ],
+        "vocabularies": {name: list(values) for name, values in vocabularies.items()},
     }
-    return FeatureSchema(features=features, vocabularies=vocab)
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
 def counts_csv(counts: Mapping[str, int]) -> bytes:

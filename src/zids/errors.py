@@ -87,10 +87,6 @@ class VocabularyTooLargeError(ZidsError):
         )
 
 
-class MalformedSchemaError(ZidsError):
-    """A schema document is not one that FeatureSchema.to_json writes."""
-
-
 class DegenerateClassError(ZidsError):
     """A class has zero samples where at least one is required."""
 

@@ -12,6 +12,7 @@ few thousand rows tall whatever the input.
 from __future__ import annotations
 
 import io
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -76,8 +77,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1: {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1: {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0: {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:  # also refuses NaN
+            raise ValueError(f"learning_rate must be finite and > 0: {self.learning_rate}")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"optimizer must be 'adam' or 'sgd': {self.optimizer}")
 

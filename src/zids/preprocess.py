@@ -1,11 +1,12 @@
 """Encoding, stratified splitting, class weights, and container I/O.
 
-Encoded layout: the 38 continuous features (min-max scaled) in schema
-order, then one one-hot block per categorical feature in schema order,
-values within a block in vocabulary order. Datasets and containers store
-the continuous columns as float32 and each categorical field as one u16
-code per row; Rows.dense() writes the one-hot layout, a few rows at a
-time, for the model.
+Encoded layout: the 38 continuous features (min-max scaled) in wire
+order, then one one-hot block per categorical feature in wire order, one
+column per value in the order the field names its values (prepare sorts
+them). Datasets and containers store the continuous columns as float32
+and each categorical field as one u16 code per row, and name every
+column they store; Rows.dense() writes the one-hot layout, a few rows at
+a time, for the model.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from typing import BinaryIO, Optional, Sequence, Union
 
 import numpy as np
 
-from . import dataset as ds
 from ._atomic import write_atomic
 from .errors import (
     CorruptContainerError,
@@ -32,29 +32,31 @@ from .errors import (
 )
 
 CONTAINER_MAGIC = b"ZIDS"
-CONTAINER_VERSION = 3
+CONTAINER_VERSION = 4
 MAX_VOCABULARY = 65535  # values per categorical field: containers store u16 codes
 
 
 @dataclass
 class Rows:
     """Encoded rows, not yet dense: rows `take` (an index array or a slice)
-    of the float columns x, the codes and the one-hot block widths.
+    of the float columns x and the codes, with the names of their columns.
 
-    x is (n, f); codes is (fields, n), one code per row of each coded
-    field, with field j one-hot encoded into a block of widths[j] columns.
-    A dense (n, d) matrix is the case with no coded fields.
+    x is (n, f), its columns named by float_names; codes is (fields, n),
+    one code per row of each coded field. fields[j] is (feature name,
+    value names) of field j, which is one-hot encoded into a block of one
+    column per value. A dense (n, d) matrix is the case with no coded
+    fields; its columns may go unnamed.
     """
 
     x: np.ndarray
     codes: Optional[np.ndarray] = None
-    widths: tuple = ()
+    fields: tuple = ()
+    float_names: tuple = ()
     take: Union[slice, np.ndarray] = field(default_factory=lambda: slice(None))
 
     def __post_init__(self):
         if self.codes is None:
             self.codes = np.empty((0, self.x.shape[0]), dtype=np.uint16)
-        self.widths = tuple(self.widths)
 
     def __len__(self) -> int:
         if isinstance(self.take, slice):
@@ -62,9 +64,21 @@ class Rows:
         return len(self.take)
 
     @property
+    def widths(self) -> tuple:
+        """The width of each one-hot block: its field's value count."""
+        return tuple(len(values) for _, values in self.fields)
+
+    @property
     def d(self) -> int:
         """Width of the dense rows: the float columns and every block."""
         return self.x.shape[1] + sum(self.widths)
+
+    @property
+    def names(self) -> list[str]:
+        """The name of each dense column: the float columns', then
+        'service=http' style for each value of each field."""
+        blocks = [f"{name}={value}" for name, values in self.fields for value in values]
+        return [*self.float_names, *blocks]
 
     def __getitem__(self, part: slice) -> "Rows":
         """The rows at positions `part` of these rows."""
@@ -93,10 +107,10 @@ class EncodedDataset:
     """Encoded rows with integer class labels.
 
     x holds the stored float columns (float32, row-major): the scaled
-    continuous features. codes and widths are the coded fields, as in
-    Rows; a dataset built from a dense matrix has none (codes None). y
-    holds indices into class_names, and scaling records the fitted
-    (min, max) per continuous feature in schema order.
+    continuous features. codes, fields and float_names are as in Rows; a
+    dataset built from a dense matrix has no coded fields (codes None).
+    y holds indices into class_names, and scaling records the fitted
+    (min, max) of each float column.
     """
 
     x: np.ndarray
@@ -104,7 +118,8 @@ class EncodedDataset:
     class_names: list[str]
     scaling: list[tuple[float, float]]
     codes: Optional[np.ndarray] = None
-    widths: tuple = ()
+    fields: tuple = ()
+    float_names: tuple = ()
 
     @property
     def n(self) -> int:
@@ -113,7 +128,12 @@ class EncodedDataset:
     @property
     def d(self) -> int:
         """Width of the dense encoded rows."""
-        return self.x.shape[1] + sum(self.widths)
+        return self.rows().d
+
+    @property
+    def feature_names(self) -> list[str]:
+        """The name of each dense encoded column; see Rows.names."""
+        return self.rows().names
 
     @property
     def k(self) -> int:
@@ -121,7 +141,7 @@ class EncodedDataset:
 
     def rows(self, take: Union[slice, np.ndarray] = slice(None)) -> Rows:
         """Rows `take` of the dataset, all by default; see Rows.dense()."""
-        return Rows(self.x, self.codes, self.widths, take)
+        return Rows(self.x, self.codes, self.fields, self.float_names, take)
 
 
 @dataclass(frozen=True)
@@ -139,28 +159,6 @@ class ClassWeights:
         if abs(float(w.mean()) - 1.0) > 1e-12:
             raise ValueError("class weights must have mean 1")
         object.__setattr__(self, "w", w)
-
-
-def one_hot_widths(schema: ds.FeatureSchema) -> list[int]:
-    """Vocabulary size of each categorical feature, in schema order."""
-    return [
-        len(schema.vocabularies[ds.FEATURE_NAMES[pos]])
-        for pos in ds.CATEGORICAL_POSITIONS
-    ]
-
-
-def encoded_width(schema: ds.FeatureSchema) -> int:
-    """Width of the encoded matrix: continuous count plus vocabulary sizes."""
-    return len(ds.CONTINUOUS_POSITIONS) + sum(one_hot_widths(schema))
-
-
-def encoded_feature_names(schema: ds.FeatureSchema) -> list[str]:
-    """Column names of the encoded matrix, 'service=http' style for one-hots."""
-    names = [ds.FEATURE_NAMES[pos] for pos in ds.CONTINUOUS_POSITIONS]
-    for pos in ds.CATEGORICAL_POSITIONS:
-        feature = ds.FEATURE_NAMES[pos]
-        names.extend(f"{feature}={value}" for value in schema.vocabularies[feature])
-    return names
 
 
 def set_one_hot(
@@ -286,15 +284,18 @@ def sample_indices(n_total: int, n: int, seed: int) -> np.ndarray:
 
 # --- container format ------------------------------------------------------
 #
-# Little-endian throughout:
-#   magic "ZIDS" | version u32 | N u64 | d u32
-#   scaling table (u32 count F, then f64 min, f64 max each): one entry per
-#     stored float column
-#   one-hot blocks (u32 count B, then u32 width each), which add up to d - F
+# Little-endian throughout; a string is a u32 length and UTF-8 bytes, a
+# name list a u32 count and that many strings:
+#   magic "ZIDS" | version u32 | N u64 | float columns F u32 | coded
+#     fields B u32
 #   float columns, row-major f32, N x F
-#   codes, u16, N per block in block order, each below its block's width
-#   label columns (u32 count, then per column: name as u32 length +
-#   UTF-8, class names as u32 count + names, N u16 labels)
+#   codes, u16, N per coded field in field order, each below its field's
+#     value count
+#   scaling table: per float column its name, f64 min and f64 max
+#   coded fields: per field its feature name and its value names, one
+#     one-hot column per value
+#   label columns (u32 count, then per column: name, class names, N u16
+#     labels)
 #   CRC32 of every byte before it, u32
 
 
@@ -340,96 +341,98 @@ def write_container(
     scaling: Sequence[tuple[float, float]],
     columns: Sequence[LabelColumn],
 ) -> None:
-    """Persist encoded rows with their label columns; bit-exact output.
+    """Persist encoded rows, the names of their columns and their label
+    columns; bit-exact output.
 
-    scaling holds one (min, max) per float column of rows.
+    scaling holds one (min, max) per float column of rows, and
+    rows.float_names one name.
     """
     x = np.ascontiguousarray(rows.x[rows.take], dtype="<f4")
     codes = np.ascontiguousarray(rows.codes[:, rows.take], dtype="<u2")
     n, n_float = x.shape
-    if n_float != len(scaling):
-        raise ValueError(f"{len(scaling)} scaling entries for {n_float} float columns")
-    head = CONTAINER_MAGIC + struct.pack("<IQII", CONTAINER_VERSION, n, rows.d, n_float)
-    head += b"".join(struct.pack("<dd", lo, hi) for lo, hi in scaling)
-    head += struct.pack(f"<I{len(rows.widths)}I", len(rows.widths), *rows.widths)
-    labels = io.BytesIO()
-    labels.write(struct.pack("<I", len(columns)))
+    if not n_float == len(scaling) == len(rows.float_names):
+        raise ValueError(
+            f"{len(scaling)} scaling entries and {len(rows.float_names)} names "
+            f"for {n_float} float columns"
+        )
+    head = CONTAINER_MAGIC + struct.pack(
+        "<IQII", CONTAINER_VERSION, n, n_float, len(rows.fields)
+    )
+    tail = io.BytesIO()
+    for name, (lo, hi) in zip(rows.float_names, scaling):
+        _write_str(tail, name)
+        tail.write(struct.pack("<dd", lo, hi))
+    for name, values in rows.fields:
+        _write_str(tail, name)
+        _write_names(tail, values)
+    tail.write(struct.pack("<I", len(columns)))
     for column in columns:
-        _write_str(labels, column.name)
-        _write_names(labels, column.class_names)
-        labels.write(np.ascontiguousarray(column.y, dtype="<u2"))
+        _write_str(tail, column.name)
+        _write_names(tail, column.class_names)
+        tail.write(np.ascontiguousarray(column.y, dtype="<u2"))
     crc = zlib.crc32(head)
-    for part in (x, codes, labels.getbuffer()):
+    for part in (x, codes, tail.getbuffer()):
         crc = zlib.crc32(part, crc)
-    write_atomic(path, [head, x, codes, labels.getbuffer(), struct.pack("<I", crc)])
+    write_atomic(path, [head, x, codes, tail.getbuffer(), struct.pack("<I", crc)])
 
 
 def read_container_columns(path):
     """Parse a container once: (rows, scaling, label columns).
 
-    rows covers every row of the file; each column's y is a read-only u16
-    view of the bytes read. Sizes from the header are checked against the
-    file before anything is allocated; the codes, block widths and labels
-    are checked once the checksum holds.
+    rows covers every row of the file and names its columns; each
+    column's y is a read-only u16 view of the bytes read. Sizes from the
+    header are checked against the file before anything is allocated; the
+    names, codes and labels are checked once the checksum holds.
     """
     try:
         with open(path, "rb") as fh:
             head = _read_exact(fh, 24)
             if head[:4] != CONTAINER_MAGIC:
                 raise CorruptContainerError(f"bad magic {head[:4]!r}")
-            version, n, d, n_float = struct.unpack_from("<IQII", head, 4)
+            version, n, n_float, n_fields = struct.unpack_from("<IQII", head, 4)
             if version != CONTAINER_VERSION:
                 raise VersionMismatchError(version, CONTAINER_VERSION)
             left = os.fstat(fh.fileno()).st_size - len(head) - 4
-            if 16 * n_float + 4 * n * n_float > left:
+            if n * (4 * n_float + 2 * n_fields) > left:
                 raise CorruptContainerError("header sizes exceed the file")
-            table = _read_exact(fh, 16 * n_float)
-            raw_count = _read_exact(fh, 4)
-            (n_blocks,) = struct.unpack("<I", raw_count)
-            left -= len(table) + 4
-            if 4 * n_blocks + n * (4 * n_float + 2 * n_blocks) > left:
-                raise CorruptContainerError("header sizes exceed the file")
-            raw_widths = _read_exact(fh, 4 * n_blocks)
             x = np.empty((n, n_float), dtype="<f4")
-            codes = np.empty((n_blocks, n), dtype="<u2")
+            codes = np.empty((n_fields, n), dtype="<u2")
             fh.readinto(x)  # a short read fails the checksum
             fh.readinto(codes)
             rest = fh.read()
         crc = zlib.crc32(head)
         body = memoryview(rest)[:-4]
-        for part in (table, raw_count, raw_widths, x, codes, body):
+        for part in (x, codes, body):
             crc = zlib.crc32(part, crc)
         if rest[-4:] != struct.pack("<I", crc):
             raise CorruptContainerError("checksum mismatch")
-        widths = struct.unpack(f"<{n_blocks}I", raw_widths)
-        if sum(widths) != d - n_float:
-            raise CorruptContainerError(
-                f"one-hot block widths {list(widths)} do not add up to "
-                f"{d} - {n_float} columns"
-            )
-        for j, (field_codes, width) in enumerate(zip(codes, widths)):
-            if n and field_codes.max() >= width:
+        tail = io.BytesIO(rest)
+        float_names, scaling = [], []
+        for _ in range(n_float):
+            float_names.append(_read_str(tail))
+            scaling.append(struct.unpack("<dd", _read_exact(tail, 16)))
+        fields = tuple((_read_str(tail), tuple(_read_names(tail))) for _ in range(n_fields))
+        for j, (field_codes, (_, values)) in enumerate(zip(codes, fields)):
+            if n and field_codes.max() >= len(values):
                 raise CorruptContainerError(
                     f"code {field_codes.max()} of field {j} is not below "
-                    f"its block width {width}"
+                    f"its block width {len(values)}"
                 )
-        labels = io.BytesIO(rest)
         columns = []
-        for _ in range(struct.unpack("<I", _read_exact(labels, 4))[0]):
-            name = _read_str(labels)
-            class_names = _read_names(labels)
-            at = labels.tell()
+        for _ in range(struct.unpack("<I", _read_exact(tail, 4))[0]):
+            name = _read_str(tail)
+            class_names = _read_names(tail)
+            at = tail.tell()
             if at + 2 * n > len(body):
                 raise EOFError("unexpected end of label columns")
             y = np.frombuffer(rest, dtype="<u2", count=n, offset=at)
-            labels.seek(at + 2 * n)
+            tail.seek(at + 2 * n)
             columns.append(LabelColumn(name, class_names, y))
-        if labels.tell() != len(body):
+        if tail.tell() != len(body):
             raise CorruptContainerError("label columns do not end at the checksum")
     except (EOFError, struct.error, ValueError) as exc:
         raise CorruptContainerError(str(exc)) from None
-    rows = Rows(x, codes, widths)
-    return rows, list(struct.iter_unpack("<dd", table)), columns
+    return Rows(x, codes, fields, tuple(float_names)), scaling, columns
 
 
 def read_container(path, label_column: str) -> EncodedDataset:
@@ -447,5 +450,6 @@ def read_container(path, label_column: str) -> EncodedDataset:
         class_names=list(chosen.class_names),
         scaling=scaling,
         codes=rows.codes,
-        widths=rows.widths,
+        fields=rows.fields,
+        float_names=rows.float_names,
     )

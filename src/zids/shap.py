@@ -316,8 +316,10 @@ def kernel_shap(
     size, but at a different OpenBLAS thread count the Gram product and
     solve may differ in the last bits.
 
-    Raises SingularSystemError when the coalition design is rank-deficient
-    even after the documented ridge fallback; the design is shared across
+    Raises ShapeMismatchError when feature_names, if given, does not name
+    every column of x_rows or class_names every model output, and
+    SingularSystemError when the coalition design is rank-deficient even
+    after the documented ridge fallback; the design is shared across
     classes, so the failure is reported for the first class.
     """
     bg = _as_background(background)
@@ -329,6 +331,8 @@ def kernel_shap(
         raise ShapeMismatchError(
             f"background width {bg.shape[1]} vs explained width {m}"
         )
+    if feature_names is not None and len(feature_names) != m:
+        raise ShapeMismatchError(f"{len(feature_names)} feature names for {m} features")
     if budget is None:
         budget = default_budget(m)
     bg_bits = bg.view(np.uint64)
@@ -342,6 +346,8 @@ def kernel_shap(
     fx = _model_output(model_fn, x_rows)  # (n_rows, K)
     f0 = _model_output(model_fn, bg).mean(axis=0)  # (K,)
     k = fx.shape[1]
+    if class_names is not None and len(class_names) != k:
+        raise ShapeMismatchError(f"{len(class_names)} class names for {k} model outputs")
 
     # Constraint elimination: solve for the first m-1 attributions, close
     # the last one with sum(phi) = f(x) - f0.

@@ -2,9 +2,12 @@
 exit codes."""
 
 import contextlib
+import csv
+import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import socket
 import subprocess
 import sys
@@ -53,6 +56,20 @@ class TestConfig:
         cfg = load_config(args)
         assert cfg.epochs == 3
         assert cfg.variant == "base"
+
+    @pytest.mark.parametrize("field", [
+        "seed", "split_seed", "train_seed", "background_seed", "explain_seed",
+        "coalition_seed"])
+    def test_negative_seed_in_config_is_usage_error(self, tmp_path, capsys, field):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({field: -1}))
+        out = tmp_path / "x"
+        rc = run_cli("train", "--config", config, "--prepared", tmp_path / "void",
+                     "--out", out)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == f"error: {field} must be >= 0: -1\n"
+        assert not out.exists()
 
     def test_unknown_config_field(self, tmp_path):
         path = tmp_path / "config.json"
@@ -151,8 +168,8 @@ class TestPrepare:
         """Guards the encoding against drift: any change to parsing,
         encoding, splitting, scaling or the container bytes shows here."""
         expected = {
-            "train.zids": "45983b3088eca2eb5ef193b33eb56aa9b2ff527291ac5dbae18a324eb4cfcff6",
-            "test.zids": "eb868992fcd81eaa47861dcadefb40979866cbbe191cde9415f21d23bf521a78",
+            "train.zids": "71c598f712710b194d34002b46c8026df5b2b48c826b9c3ff4f24a4ffc4307bb",
+            "test.zids": "0c4fc407165a43b8b216d0392740c4fc2bec8972c2fbed2b9c6a25e7beda828f",
             "schema.json": "fa35f4703e850596aae9d1be9b82a7018abef6301ad965fd2a05d45d22d00e3a",
             "counts.csv": "e5026a2778992373417f38d555a0fcfcb75b2a6b95e62c942244ad775b438f79",
         }
@@ -267,6 +284,43 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "hidden dims" in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_containers_naming_other_columns_are_data_error(
+        self, small_experiment, tmp_path, capsys
+    ):
+        """train.zids and test.zids must name the same columns, not only
+        have the same width: here test.zids lists its flag values in
+        reverse order."""
+        prepared = tmp_path / "prepared"
+        shutil.copytree(small_experiment.prepared, prepared)
+        rows, scaling, columns = pp.read_container_columns(prepared / "test.zids")
+        name, values = rows.fields[-1]
+        fields = (*rows.fields[:-1], (name, values[::-1]))
+        pp.write_container(prepared / "test.zids", dataclasses.replace(rows, fields=fields),
+                           scaling, columns)
+        out = tmp_path / "x"
+        rc = run_cli("train", "--prepared", prepared, "--variant", "truncated",
+                     "--epochs", 1, "--out", out)
+        assert rc == 2
+        assert capsys.readouterr().err == "data error: train and test containers disagree\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_learning_rate_is_usage_error(
+        self, small_experiment, tmp_path, capsys, source, value
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"learning_rate": value}))  # NaN, Infinity
+        lr = ("--learning-rate", value) if source == "flag" else ("--config", config)
+        out = tmp_path / "x"
+        rc = run_cli("train", "--prepared", small_experiment.prepared,
+                     "--variant", "truncated", "--epochs", 1, "--out", out, *lr)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: learning_rate must be finite and > 0")
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
     def test_missing_prepared_dir(self, tmp_path):
         rc = run_cli("train", "--prepared", tmp_path / "void",
@@ -388,7 +442,7 @@ class TestEvaluate:
                      "--test", old, "--out", out)
         assert rc == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["data error: unsupported format version 1 (supported: 3)"]
+        assert err == ["data error: unsupported format version 1 (supported: 4)"]
         assert not out.exists()
 
     def test_report_command_pretty_prints(self, small_experiment, capsys):
@@ -420,6 +474,25 @@ class TestExplain:
             per_class = (out / f"shap_{category}.csv").read_text().splitlines()
             assert per_class[0].startswith("base_value,")
             assert len(per_class) == 2 + 12  # header rows + explained rows
+
+    def test_names_come_from_the_container(self, small_experiment, tmp_path):
+        """explain takes the encoded column names from test.zids: it runs
+        without schema.json, and each shap_*.csv header names the
+        container's columns."""
+        prepared = tmp_path / "prepared"
+        shutil.copytree(small_experiment.prepared, prepared)
+        (prepared / "schema.json").unlink()
+        out = tmp_path / "explain"
+        rc = run_cli("explain", "--model",
+                     small_experiment.train("truncated") / "model.zmlp",
+                     "--prepared", prepared, "--out", out, "--budget", 64,
+                     "--explain-n", 2, "--background-n", 4)
+        assert rc == 0
+        names = pp.read_container(prepared / "test.zids", "coarse").feature_names
+        assert names[0] == "duration" and "service=http" in names
+        for category in ds.CATEGORIES:
+            lines = (out / f"shap_{category}.csv").read_text().splitlines()
+            assert next(csv.reader([lines[1]])) == names
 
     def test_efficiency_logged_within_tolerance(self, small_experiment):
         out = small_experiment.explain("truncated")

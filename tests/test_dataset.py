@@ -1,11 +1,13 @@
-"""Parsing, schema, and taxonomy behavior."""
+"""Parsing, feature names, and taxonomy behavior."""
 
 import io
+import json
 
 import numpy as np
 import pytest
 
 from zids import dataset as ds
+from zids import preprocess as pp
 from zids import synthetic
 from conftest import read_counts, run_cli
 from zids.errors import (
@@ -63,7 +65,13 @@ def prepare(tmp_path, lines, name="prepared"):
 
 
 def prepared_schema(out):
-    return ds.FeatureSchema.from_json((out / "schema.json").read_text())
+    """schema.json of a prepare output, as plain JSON."""
+    return json.loads((out / "schema.json").read_text())
+
+
+def container_fields(out):
+    """(feature name, value names) of each coded field of test.zids."""
+    return pp.read_container(out / "test.zids", "coarse").fields
 
 
 class TestParse:
@@ -207,14 +215,16 @@ class TestSchema:
             make_line(protocol="icmp"),
         ])
         assert rc == 0
-        schema = prepared_schema(out)
-        assert schema.vocabularies["protocol_type"] == ("icmp", "tcp", "udp")
+        assert prepared_schema(out)["vocabularies"]["protocol_type"] == ["icmp", "tcp", "udp"]
+        assert container_fields(out)[0] == ("protocol_type", ("icmp", "tcp", "udp"))
 
     def test_single_record_vocabularies(self, tmp_path):
         # two copies of one line: a single row leaves the test split empty
         rc, out = prepare(tmp_path, [make_line()] * 2)
         assert rc == 0
-        assert all(len(v) == 1 for v in prepared_schema(out).vocabularies.values())
+        assert all(len(v) == 1 for v in prepared_schema(out)["vocabularies"].values())
+        assert [(name, len(values)) for name, values in container_fields(out)] == [
+            ("protocol_type", 1), ("service", 1), ("flag", 1)]
 
     def test_empty_input(self, tmp_path, capsys):
         rc, out = prepare(tmp_path, ["", ""])
@@ -228,21 +238,27 @@ class TestSchema:
         rc_a, out_a = prepare(tmp_path, lines, "forward")
         rc_b, out_b = prepare(tmp_path, lines[::-1], "reversed")
         assert rc_a == rc_b == 0
-        assert prepared_schema(out_a) == prepared_schema(out_b)
+        assert (out_a / "schema.json").read_bytes() == (out_b / "schema.json").read_bytes()
+        assert container_fields(out_a) == container_fields(out_b)
 
     def test_descriptor_kinds(self, tmp_path):
         rc, out = prepare(tmp_path, [make_line()] * 2)
         assert rc == 0
-        schema = prepared_schema(out)
-        assert len(schema.features) == 41
-        kinds = [f.kind for f in schema.features]
+        features = prepared_schema(out)["features"]
+        assert [f["name"] for f in features] == list(ds.FEATURE_NAMES)
+        kinds = [f["kind"] for f in features]
         assert [i for i, k in enumerate(kinds) if k == "categorical"] == [1, 2, 3]
+        test = pp.read_container(out / "test.zids", "coarse")
+        assert [name for name, _ in test.fields] == [features[i]["name"] for i in (1, 2, 3)]
+        assert list(test.float_names) == [
+            f["name"] for f in features if f["kind"] == "continuous"]
 
     def test_json_round_trip(self):
-        schema = ds.schema_from_vocabularies(
-            {"protocol_type": ["tcp"], "service": ["http", "ftp"], "flag": ["SF"]}
-        )
-        assert ds.FeatureSchema.from_json(schema.to_json()) == schema
+        vocabularies = {"protocol_type": ["tcp"], "service": ["ftp", "http"],
+                        "flag": ["SF"]}
+        doc = json.loads(ds.schema_json(vocabularies))
+        assert doc["vocabularies"] == vocabularies
+        assert [f["name"] for f in doc["features"]] == list(ds.FEATURE_NAMES)
 
 
 class TestTaxonomy:

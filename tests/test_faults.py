@@ -1,11 +1,11 @@
 """Damaged artifacts and inputs: the command that reads one exits with one
 stderr line, no traceback and no output directory."""
 
+import argparse
 import ast
 import contextlib
 import gzip
 import io
-import json
 import os
 import shutil
 import struct
@@ -80,54 +80,6 @@ def test_damaged_artifact_is_one_line_data_error(
     rc = run_cli(*argv, "--out", out)
     err = assert_one_line_error(capsys, rc, 2, out)
     assert err.startswith("data error: corrupt")
-
-
-# schema.json edits that explain must refuse, by the message they give.
-SCHEMA_FAULTS = {
-    "empty": (lambda doc: {}, "malformed feature schema"),
-    "renamed_key": (
-        lambda doc: {**doc, "vocabularies": {
-            ("services" if k == "service" else k): v
-            for k, v in doc["vocabularies"].items()}},
-        "malformed feature schema",
-    ),
-    "service_3_short": (
-        lambda doc: {**doc, "vocabularies": {
-            **doc["vocabularies"], "service": doc["vocabularies"]["service"][:-3]}},
-        "encoded columns",
-    ),
-    # the same encoded width, cut into other one-hot blocks
-    "service_1_short_flag_1_long": (
-        lambda doc: {**doc, "vocabularies": {
-            **doc["vocabularies"], "service": doc["vocabularies"]["service"][:-1],
-            "flag": doc["vocabularies"]["flag"] + ["zz"]}},
-        "encoded columns",
-    ),
-    "flag_5_long": (
-        lambda doc: {**doc, "vocabularies": {
-            **doc["vocabularies"],
-            "flag": doc["vocabularies"]["flag"] + [f"zz{i}" for i in range(5)]}},
-        "encoded columns",
-    ),
-}
-
-
-@pytest.mark.parametrize("fault", sorted(SCHEMA_FAULTS))
-def test_explain_refuses_schema_that_does_not_fit(
-    small_experiment, tmp_path, capsys, fault
-):
-    edit, message = SCHEMA_FAULTS[fault]
-    prepared = tmp_path / "prepared"
-    shutil.copytree(small_experiment.prepared, prepared)
-    schema = prepared / "schema.json"
-    schema.write_text(json.dumps(edit(json.loads(schema.read_text()))))
-    model = small_experiment.train("truncated") / "model.zmlp"
-    out = tmp_path / "out"
-    capsys.readouterr()
-    rc = run_cli("explain", "--model", model, "--prepared", prepared,
-                 "--budget", 64, "--out", out)
-    err = assert_one_line_error(capsys, rc, 2, out)
-    assert err.startswith("data error:") and message in err
 
 
 def non_utf8_corpus(path: Path) -> Path:
@@ -346,31 +298,28 @@ def recrc(blob: bytearray) -> bytes:
     return bytes(blob)
 
 
-def container_layout(blob: bytes) -> dict:
-    """Offsets of a format-3 container's sections."""
-    n, d, n_float = struct.unpack_from("<QII", blob, 8)
-    at = 24 + 16 * n_float
-    (n_blocks,) = struct.unpack_from("<I", blob, at)
-    widths = list(struct.unpack_from(f"<{n_blocks}I", blob, at + 4))
-    codes = at + 4 + 4 * n_blocks + 4 * n * n_float
-    return {"n": n, "widths_at": at + 4, "widths": widths, "codes_at": codes}
+def out_of_range_code(blob: bytearray) -> None:
+    # the last row's service code set to the largest u16, which no field's
+    # value count reaches
+    n, n_float, _ = struct.unpack_from("<QII", blob, 8)
+    codes_at = 24 + 4 * n * n_float
+    struct.pack_into("<H", blob, codes_at + 2 * (2 * n - 1), 0xFFFF)
 
 
 def wide_block_widths(blob: bytearray) -> None:
-    layout = container_layout(blob)
-    struct.pack_into("<I", blob, layout["widths_at"], layout["widths"][0] + 1)
-
-
-def out_of_range_code(blob: bytearray) -> None:
-    # the last row's service code set to the width of its block
-    layout = container_layout(blob)
-    at = layout["codes_at"] + 2 * (2 * layout["n"] - 1)
-    struct.pack_into("<H", blob, at, layout["widths"][1])
+    # protocol_type's value count, the width of its one-hot block, set
+    # far past the value names the file holds
+    n, n_float, n_fields = struct.unpack_from("<QII", blob, 8)
+    at = 24 + 4 * n * n_float + 2 * n * n_fields  # the scaling table
+    for _ in range(n_float):  # name, min, max
+        at += 4 + struct.unpack_from("<I", blob, at)[0] + 16
+    at += 4 + struct.unpack_from("<I", blob, at)[0]  # the field's name
+    struct.pack_into("<I", blob, at, 0xFFFFFFFF)
 
 
 # faults that keep the checksum valid, by the message they give
 CRAFTED = {
-    "block_widths": (wide_block_widths, "do not add up to"),
+    "block_widths": (wide_block_widths, "unexpected end of file"),
     "code": (out_of_range_code, "of field 1 is not below its block width"),
 }
 
@@ -413,7 +362,24 @@ def test_format_2_container_is_one_line_data_error(small_experiment, tmp_path, c
                  small_experiment.train("truncated") / "model.zmlp",
                  "--test", path, "--out", out)
     err = assert_one_line_error(capsys, rc, 2, out)
-    assert err == "data error: unsupported format version 2 (supported: 3)\n"
+    assert err == "data error: unsupported format version 2 (supported: 4)\n"
+
+
+def test_format_3_container_is_one_line_data_error(small_experiment, tmp_path, capsys):
+    """Format 3 kept the one-hot block widths in its header and named no
+    column; no reader for it is kept."""
+    prepared = tmp_path / "prepared"
+    shutil.copytree(small_experiment.prepared, prepared)
+    path = prepared / "train.zids"
+    blob = bytearray(path.read_bytes())
+    blob[4:8] = (3).to_bytes(4, "little")
+    path.write_bytes(recrc(blob))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = run_cli("train", "--prepared", prepared, "--variant", "truncated",
+                 "--epochs", 1, "--out", out)
+    err = assert_one_line_error(capsys, rc, 2, out)
+    assert err == "data error: unsupported format version 3 (supported: 4)\n"
 
 
 @pytest.mark.parametrize("out_exists", [True, False])
@@ -443,3 +409,44 @@ def test_vocabulary_past_code_range_is_data_error(
                    f"containers hold at most {services - 1}\n")
     if out_exists:
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def numeric_flags():
+    """(command, flag, value) for each numeric flag of prepare, train and
+    explain, at each of -1, 0, nan and inf that the flag's type accepts."""
+    (commands,) = [action.choices for action in cli.build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    cases = []
+    for command in ("prepare", "train", "explain"):
+        for action in commands[command]._actions:
+            if action.type not in (int, float, cli._parse_hidden_dims):
+                continue
+            for value in ("-1", "0", "nan", "inf"):
+                try:
+                    action.type(value)
+                except (ValueError, argparse.ArgumentTypeError):
+                    continue
+                cases.append((command, action.option_strings[0], value))
+    return cases
+
+
+@pytest.mark.parametrize("command, flag, value", numeric_flags())
+def test_numeric_flag_sweep(small_experiment, tmp_path, capsys, command, flag, value):
+    """Each value either runs or fails with an exit code, one stderr line,
+    no traceback and no output directory. The other flags keep each run
+    small, and the swept flag comes last, so it wins."""
+    base = {
+        "prepare": ("prepare", "--data", small_experiment.corpus),
+        "train": ("train", "--prepared", small_experiment.prepared,
+                  "--variant", "truncated", "--epochs", 1, "--hidden-dims", 8),
+        "explain": ("explain", "--model",
+                    small_experiment.train("truncated") / "model.zmlp",
+                    "--prepared", small_experiment.prepared, "--budget", 64,
+                    "--background-n", 4, "--explain-n", 2),
+    }[command]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = run_cli(*base, "--out", out, flag, value)
+    assert rc in (0, 1, 2, 3)
+    if rc != 0:
+        assert_one_line_error(capsys, rc, rc, out)

@@ -11,6 +11,7 @@ from zids import preprocess as pp
 
 ROWS = 100_000
 WIDTHS = (3, 70, 11)  # the full-file vocabularies: d = 38 + 84 = 122
+FIELDS = tuple((f"field{j}", tuple(f"v{i}" for i in range(w))) for j, w in enumerate(WIDTHS))
 
 
 @pytest.fixture(scope="module")
@@ -21,7 +22,8 @@ def container(tmp_path_factory):
     y = rng.integers(0, 4, ROWS)
     path = tmp_path_factory.mktemp("memory") / "train.zids"
     pp.write_container(
-        path, pp.Rows(x, codes, WIDTHS), [(0.0, 1.0)] * 38,
+        path, pp.Rows(x, codes, FIELDS, tuple(f"c{i}" for i in range(38))),
+        [(0.0, 1.0)] * 38,
         [pp.LabelColumn("coarse", ["a", "b", "c", "d"], y)],
     )
     return path

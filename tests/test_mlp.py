@@ -291,8 +291,9 @@ class TestTrain:
             mlp.TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             mlp.TrainConfig(batch_size=0)
-        with pytest.raises(ValueError):
-            mlp.TrainConfig(learning_rate=0.0)
+        for learning_rate in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite and > 0"):
+                mlp.TrainConfig(learning_rate=learning_rate)
         with pytest.raises(ValueError):
             mlp.TrainConfig(optimizer="lbfgs")
 

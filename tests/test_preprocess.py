@@ -1,6 +1,7 @@
 """Encoding, stratified splitting, class weights, sampling, container I/O."""
 
 import io
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,31 +75,35 @@ def prepared(corpus, tmp_path_factory):
 
 class TestEncode:
     def test_width_arithmetic(self):
-        vocab = {
-            "protocol_type": [f"p{i}" for i in range(3)],
-            "service": [f"s{i}" for i in range(70)],
-            "flag": [f"f{i}" for i in range(11)],
-        }
-        schema = ds.schema_from_vocabularies(vocab)
-        assert pp.encoded_width(schema) == 122
-        assert len(pp.encoded_feature_names(schema)) == 122
+        fields = (("protocol_type", tuple(f"p{i}" for i in range(3))),
+                  ("service", tuple(f"s{i}" for i in range(70))),
+                  ("flag", tuple(f"f{i}" for i in range(11))))
+        rows = pp.Rows(np.zeros((1, 38), dtype=np.float32),
+                       np.zeros((3, 1), dtype=np.uint16), fields,
+                       tuple(ds.FEATURE_NAMES[pos] for pos in ds.CONTINUOUS_POSITIONS))
+        assert rows.widths == (3, 70, 11)
+        assert rows.d == 122
+        assert len(rows.names) == 122
 
     def test_set_one_hot_names_its_columns(self):
         """Row i gets a 1.0 in the column named after each field's value at
         take[i], and nothing else changes."""
-        vocab = {"protocol_type": ["icmp", "tcp", "udp"],
-                 "service": ["ftp", "http", "smtp", "telnet"],
-                 "flag": ["S0", "SF"]}
-        schema = ds.schema_from_vocabularies(vocab)
+        fields = (("protocol_type", ("icmp", "tcp", "udp")),
+                  ("service", ("ftp", "http", "smtp", "telnet")),
+                  ("flag", ("S0", "SF")))
         codes = [np.array([2, 0, 1], dtype=np.int32),
                  np.array([3, 1, 0], dtype=np.int32),
                  np.array([0, 1, 1], dtype=np.int32)]
         take = np.array([1, 1, 2, 0])
         n_cont = len(ds.CONTINUOUS_POSITIONS)
-        x = np.zeros((take.size, pp.encoded_width(schema)), dtype=np.float32)
+        float_names = tuple(ds.FEATURE_NAMES[pos] for pos in ds.CONTINUOUS_POSITIONS)
+        rows = pp.Rows(np.zeros((3, n_cont), dtype=np.float32), fields=fields,
+                       float_names=float_names)
+        x = np.zeros((take.size, rows.d), dtype=np.float32)
         x[:, :n_cont] = 7.0
-        pp.set_one_hot(x, codes, take, pp.one_hot_widths(schema))
-        names = pp.encoded_feature_names(schema)
+        pp.set_one_hot(x, codes, take, rows.widths)
+        names = rows.names
+        assert names[:n_cont] == list(float_names)
         hot = [[names[j] for j in np.flatnonzero(row[n_cont:] == 1.0) + n_cont]
                for row in x]
         assert hot == [
@@ -112,8 +117,9 @@ class TestEncode:
 
     def test_one_hot_blocks(self, corpus, prepared):
         """Each container row holds its line's continuous values, scaled,
-        and a one-hot of each categorical value, in schema order."""
-        schema = ds.FeatureSchema.from_json((prepared / "schema.json").read_text())
+        and a one-hot of each categorical value, in wire order; the
+        container names the vocabularies schema.json lists."""
+        vocabularies = json.loads((prepared / "schema.json").read_text())["vocabularies"]
         fine = sorted(set(corpus.labels))
         y_fine = np.array([fine.index(label) for label in corpus.labels])
         fields = [line.split(",") for line in corpus.lines]
@@ -121,17 +127,21 @@ class TestEncode:
         splits = pp.split_indices(y_fine, len(fine), 0.33, seed=0)
         for name, idx in zip(("train", "test"), splits):
             enc = pp.read_container(prepared / f"{name}.zids", "fine")
-            assert enc.d == pp.encoded_width(schema)
-            assert enc.widths == tuple(pp.one_hot_widths(schema))
+            assert enc.float_names == tuple(
+                ds.FEATURE_NAMES[pos] for pos in ds.CONTINUOUS_POSITIONS)
+            assert enc.fields == tuple(
+                (ds.FEATURE_NAMES[pos], tuple(vocabularies[ds.FEATURE_NAMES[pos]]))
+                for pos in ds.CATEGORICAL_POSITIONS)
             assert np.array_equal(enc.y, y_fine[idx])
             cont = corpus.x[idx]
             pp.apply_scaling(cont, enc.scaling)
             assert np.array_equal(enc.x, cont)
             dense = enc.rows().dense()
+            assert dense.shape[1] == enc.d == len(enc.feature_names)
             assert np.array_equal(dense[:, :n_cont], cont)
             base = n_cont
             for pos in ds.CATEGORICAL_POSITIONS:
-                vocab = schema.vocabularies[ds.FEATURE_NAMES[pos]]
+                vocab = vocabularies[ds.FEATURE_NAMES[pos]]
                 one_hot = np.zeros((idx.size, len(vocab)), dtype=np.float32)
                 one_hot[np.arange(idx.size),
                         [vocab.index(fields[i][pos]) for i in idx]] = 1.0
@@ -294,6 +304,7 @@ class TestContainer:
         x = rng.random((20, 4)).astype(np.float32)
         codes = np.stack([rng.integers(0, w, 20) for w in (2, 5)]).astype(np.uint16)
         scaling = [(0.0, 1.0)] * 4
+        fields = (("p", ("a", "b")), ("s", tuple("vwxyz")))
         columns = [
             pp.LabelColumn("coarse", ["a", "b", "c", "d"],
                            rng.integers(0, 4, 20).astype(np.int32)),
@@ -301,14 +312,17 @@ class TestContainer:
                            rng.integers(0, 6, 20).astype(np.int32)),
         ]
         path = tmp_path / "data.zids"
-        pp.write_container(path, pp.Rows(x, codes, (2, 5)), scaling, columns)
+        pp.write_container(path, pp.Rows(x, codes, fields, ("u0", "u1", "u2", "u3")),
+                           scaling, columns)
         return path, x, scaling, columns
 
     def test_round_trip(self, tmp_path):
         path, x, scaling, columns = self.make(tmp_path)
         loaded = pp.read_container(path, "coarse")
         assert np.array_equal(loaded.x, x)
-        assert loaded.widths == (2, 5) and loaded.d == 11
+        assert loaded.rows().widths == (2, 5) and loaded.d == 11
+        assert loaded.feature_names == ["u0", "u1", "u2", "u3", "p=a", "p=b",
+                                        "s=v", "s=w", "s=x", "s=y", "s=z"]
         assert np.array_equal(loaded.y, columns[0].y)
         assert loaded.class_names == columns[0].class_names
         assert loaded.scaling == scaling
@@ -326,7 +340,7 @@ class TestContainer:
         assert np.array_equal(rows[::-3].dense(), whole[::-3])
         assert np.array_equal(rows[2:][1:4].dense(), whole[3:6])
         assert len(rows[5:15]) == 10
-        subset = pp.Rows(rows.x, rows.codes, rows.widths, take)
+        subset = pp.Rows(rows.x, rows.codes, rows.fields, take=take)
         assert np.array_equal(subset.dense(), whole[take])
         assert np.array_equal(subset[1:4].dense(), whole[take[1:4]])
         # a dense matrix is the case with no coded fields

@@ -230,6 +230,21 @@ class TestMaskedEval:
 
 
 class TestKernelShap:
+    @pytest.mark.parametrize("names", [
+        {"feature_names": ["a", "b", "c"]},
+        {"feature_names": ["a", "b", "c", "d", "e"]},
+        {"class_names": ["x", "y"]},
+        {"class_names": ["w", "x", "y", "z"]},
+    ], ids=["3_features", "5_features", "2_classes", "4_classes"])
+    def test_name_lists_must_fit(self, names):
+        """4 features and 3 model outputs: a name list of another length
+        is refused at the call."""
+        fn = random_mlp_fn(4, k=3)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ShapeMismatchError, match="names for"):
+            shap.kernel_shap(fn, rng.normal(size=(2, 4)), rng.normal(size=(3, 4)),
+                             budget=8, **names)
+
     def test_dummy_feature_zero(self):
         # model ignores the last coordinate and x matches the background there
         rng = np.random.default_rng(6)
