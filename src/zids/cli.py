@@ -17,7 +17,7 @@ import socket
 import sys
 import time
 import zlib
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
 from pathlib import Path
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
@@ -106,16 +106,11 @@ class ExperimentConfig:
             raise ConfigError(
                 f"variant must be one of {sorted(VARIANTS)}: {cfg.variant!r}"
             )
-        if cfg.split_seed is None:
-            cfg.split_seed = cfg.seed
-        if cfg.train_seed is None:
-            cfg.train_seed = cfg.seed
-        if cfg.background_seed is None:
-            cfg.background_seed = cfg.seed
+        for name in ("split_seed", "train_seed", "background_seed", "coalition_seed"):
+            if getattr(cfg, name) is None:
+                setattr(cfg, name, cfg.seed)
         if cfg.explain_seed is None:
             cfg.explain_seed = cfg.background_seed
-        if cfg.coalition_seed is None:
-            cfg.coalition_seed = cfg.seed
         if cfg.output_dir is None:
             cfg.output_dir = str(Path("runs") / cfg.variant)
         # mlp.TrainConfig checks the training knobs and kernel_shap the
@@ -412,7 +407,7 @@ def cmd_prepare(args) -> int:
                     f"split of {n} rows empty"
                 )
 
-        scaling = pp.fit_scaling(x_train, n_cont)
+        scaling = pp.fit_scaling(x_train)
         pp.apply_scaling(x_train, scaling)
         pp.apply_scaling(x_test, scaling)
 
@@ -467,12 +462,21 @@ def cmd_prepare(args) -> int:
     return EXIT_OK
 
 
-def _load_split(prepared: Path, column: str):
-    train = pp.read_container(prepared / "train.zids", column)
-    test = pp.read_container(prepared / "test.zids", column)
-    if train.feature_names != test.feature_names or train.class_names != test.class_names:
-        raise ShapeMismatchError("train and test containers disagree")
-    return train, test
+def _read_like(path: Path, column: str, like, like_name: str) -> pp.EncodedDataset:
+    """The container at path under its label column `column`. It must name
+    the same columns and classes, in order, as `like`: a dataset, or a
+    model, called like_name in the error."""
+    data = pp.read_container(path, column)
+    for kind, names, expected in (("column", data.feature_names, like.feature_names),
+                                  ("class", data.class_names, like.class_names)):
+        at = next((i for i, (a, b) in enumerate(zip(names, expected)) if a != b), None)
+        if at is not None:
+            raise ShapeMismatchError(f"{path} names {kind} {at} {names[at]!r} "
+                                     f"where {like_name} names {expected[at]!r}")
+        if len(names) != len(expected):
+            raise ShapeMismatchError(f"{path} has {len(names)} {kind} names "
+                                     f"where {like_name} has {len(expected)}")
+    return data
 
 
 def cmd_train(args) -> int:
@@ -481,25 +485,29 @@ def cmd_train(args) -> int:
     out_dir = Path(cfg.output_dir)
     granularity, weighted, default_hidden = VARIANTS[cfg.variant]
 
+    # Every knob is checked before a container is read.
+    try:
+        train_config = mlp.TrainConfig(
+            epochs=cfg.epochs,
+            batch_size=cfg.batch_size,
+            learning_rate=cfg.learning_rate,
+            optimizer=cfg.optimizer,
+            seed=cfg.train_seed,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
     with _locked_dir(out_dir):
-        train_ds, test_ds = _load_split(prepared, granularity)
+        train_ds = pp.read_container(prepared / "train.zids", granularity)
+        test_ds = _read_like(prepared / "test.zids", granularity, train_ds, "train.zids")
         hidden = cfg.hidden_dims if cfg.hidden_dims is not None else list(default_hidden)
         dims = [train_ds.d] + list(hidden) + [train_ds.k]
         weights = pp.class_weights(train_ds.y, train_ds.k) if weighted else None
-        try:
-            train_config = mlp.TrainConfig(
-                epochs=cfg.epochs,
-                batch_size=cfg.batch_size,
-                learning_rate=cfg.learning_rate,
-                optimizer=cfg.optimizer,
-                seed=cfg.train_seed,
-                class_weights=weights,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        train_config = replace(train_config, class_weights=weights)
 
         model = mlp.init(dims, cfg.train_seed)
         model.label_column = granularity
+        model.feature_names = train_ds.feature_names
         model.class_names = train_ds.class_names
         # Per the training regime, the full test split doubles as the
         # per-epoch validation set.
@@ -541,35 +549,16 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _read_for_model(path: Path, model: mlp.MlpModel) -> pp.EncodedDataset:
-    """The container under the label column the model was trained on.
-
-    Its class names and width must be the model's.
-    """
-    data = pp.read_container(path, model.label_column)
-    if data.class_names != model.class_names:
-        raise ShapeMismatchError(
-            f"column {model.label_column!r} of {path} has classes "
-            f"{data.class_names}; the model predicts {model.class_names}"
-        )
-    if data.d != model.dims[0]:
-        raise ShapeMismatchError(
-            f"container width {data.d} vs model width {model.dims[0]}"
-        )
-    return data
-
-
 def cmd_evaluate(args) -> int:
     model = mlp.load(args.model)
     test_path = Path(args.test)
     out_dir = Path(args.out)
     with _locked_dir(out_dir):
-        test_ds = _read_for_model(test_path, model)
+        test_ds = _read_like(test_path, model.label_column, model, "the model")
         preds = mlp.predict(model, test_ds.rows())
         cm = metrics.confusion(test_ds.y, preds, test_ds.k, test_ds.class_names)
         rep = metrics.report(cm)
-        for fmt in ("text", "csv", "json"):
-            suffix = {"text": "txt", "csv": "csv", "json": "json"}[fmt]
+        for fmt, suffix in (("text", "txt"), ("csv", "csv"), ("json", "json")):
             write_atomic(out_dir / f"report.{suffix}", [metrics.render_report(rep, fmt)])
         write_atomic(out_dir / "confusion.csv", [metrics.render_confusion_csv(cm)])
         _write_manifest(
@@ -600,7 +589,7 @@ def cmd_explain(args) -> int:
     prepared = Path(cfg.prepared_dir)
     out_dir = Path(cfg.output_dir)
     with _locked_dir(out_dir):
-        test_ds = _read_for_model(prepared / "test.zids", model)
+        test_ds = _read_like(prepared / "test.zids", model.label_column, model, "the model")
 
         bg_idx = pp.sample_indices(test_ds.n, cfg.background_n, cfg.background_seed)
         fg_idx = pp.sample_indices(test_ds.n, cfg.explain_n, cfg.explain_seed)
@@ -616,14 +605,17 @@ def cmd_explain(args) -> int:
             background,
             budget=cfg.budget,
             seed=cfg.coalition_seed,
-            feature_names=test_ds.feature_names,
-            class_names=test_ds.class_names,
+            feature_names=model.feature_names,
+            class_names=model.class_names,
         )
+        if expl.ridge_used:
+            print("warning: the coalition system was singular; its ridge "
+                  "fallback solved it (numerics.ridge_used)", file=sys.stderr)
         residuals = kshap.efficiency_residuals(expl, model_fn(foreground))
         per_class_residual = dict(
-            zip(test_ds.class_names, residuals.max(axis=1).tolist())
+            zip(model.class_names, residuals.max(axis=1).tolist())
         )
-        for c, name in enumerate(test_ds.class_names):
+        for c, name in enumerate(model.class_names):
             write_atomic(out_dir / f"shap_{name}.csv", [kshap.explanation_csv(expl, c)])
         write_atomic(out_dir / "top5.csv", [kshap.top_features_csv(expl, cfg.top_k)])
         _write_manifest(

@@ -6,7 +6,9 @@ may be float32, or preprocess.Rows, which are made dense one batch or one
 inference piece at a time. Inference over many rows (predict() and the
 per-epoch validation of train()) goes through one helper,
 _probability_blocks(), so its float64 activations and dense inputs stay a
-few thousand rows tall whatever the input.
+few thousand rows tall whatever the input. A model file (format 3) names
+the model's inputs and classes; their counts give its input and output
+widths, so only the hidden layer sizes are stored.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .preprocess import ClassWeights, EncodedDataset, Rows
 from .preprocess import _read_exact, _read_names, _read_str, _write_names, _write_str
 
 MODEL_MAGIC = b"ZMLP"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 LOG_FLOOR = 1e-12  # added inside log() so hard zeros stay finite
 ADAM_BETA1 = 0.9
@@ -45,22 +47,29 @@ _FORWARD_ROWS = 4096  # least rows per forward() call inside a block
 
 @dataclass
 class MlpModel:
-    """Layer sizes plus per-layer weight matrices and bias vectors.
+    """Per-layer weight matrices and bias vectors, and the names of the
+    model's inputs and outputs.
 
     weights[i] has shape (dims[i], dims[i+1]); hidden layers use the
-    rectifier, the output is a softmax over dims[-1] classes, named by
-    class_names in the container label column `label_column`.
+    rectifier, the output is a softmax over dims[-1] classes. The inputs
+    are the encoded columns feature_names; the classes are class_names in
+    the container label column `label_column`.
     """
 
-    dims: list[int]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     label_column: str
+    feature_names: list[str]
     class_names: list[str]
 
     @property
+    def dims(self) -> list[int]:
+        """Layer sizes: the input width, then each layer's output width."""
+        return [self.weights[0].shape[0], *(w.shape[1] for w in self.weights)]
+
+    @property
     def n_classes(self) -> int:
-        return self.dims[-1]
+        return self.weights[-1].shape[1]
 
 
 @dataclass
@@ -93,7 +102,8 @@ class EpochStats:
 def init(dims: Sequence[int], seed: int) -> MlpModel:
     """Glorot-uniform weights, zero biases, deterministic per seed.
 
-    The classes are named class_0, class_1, ... under no label column.
+    The inputs are named f0, f1, ... and the classes class_0, class_1, ...
+    under no label column.
     """
     dims = [int(d) for d in dims]
     if len(dims) < 2 or any(d < 1 for d in dims):
@@ -105,8 +115,9 @@ def init(dims: Sequence[int], seed: int) -> MlpModel:
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
+    feature_names = [f"f{i}" for i in range(dims[0])]
     class_names = [f"class_{i}" for i in range(dims[-1])]
-    return MlpModel(dims, weights, biases, label_column="", class_names=class_names)
+    return MlpModel(weights, biases, "", feature_names, class_names)
 
 
 def count_parameters(model: MlpModel) -> int:
@@ -124,10 +135,6 @@ def _check_shape(model: MlpModel, x: np.ndarray) -> np.ndarray:
             f"input shape {x.shape} does not match model width {model.dims[0]}"
         )
     return x
-
-
-def _check_input(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    return _check_shape(model, x).astype(np.float64, copy=False)
 
 
 def _check_rows(model: MlpModel, x_batch) -> Rows:
@@ -181,7 +188,7 @@ def forward(model: MlpModel, x_batch: np.ndarray) -> np.ndarray:
 
     Every call returns a new array.
     """
-    x = _check_input(model, x_batch)
+    x = _check_shape(model, x_batch).astype(np.float64, copy=False)
     n = x.shape[0]
     acts = [np.empty((n, d)) for d in model.dims[1:]]
     return _forward_into(model, x, acts, np.empty((n, 1)))
@@ -540,12 +547,17 @@ def history_csv(history: Sequence[EpochStats]) -> bytes:
 
 
 def save(model: MlpModel, path) -> None:
-    """Write the model: dims, label column and class names, float64
-    little-endian parameters, trailing CRC32 of the payload."""
+    """Write the model: label column, feature names, class names, hidden
+    sizes, float64 little-endian parameters, trailing CRC32 of the payload."""
+    dims = model.dims
+    if [len(model.feature_names), len(model.class_names)] != [dims[0], dims[-1]]:
+        raise ShapeMismatchError(f"feature and class names do not fit layer sizes {dims}")
+    hidden = dims[1:-1]
     payload = io.BytesIO()
-    payload.write(struct.pack(f"<{len(model.dims) + 1}I", len(model.dims), *model.dims))
     _write_str(payload, model.label_column)
+    _write_names(payload, model.feature_names)
     _write_names(payload, model.class_names)
+    payload.write(struct.pack(f"<{len(hidden) + 1}I", len(hidden), *hidden))
     for w, b in zip(model.weights, model.biases):
         payload.write(np.ascontiguousarray(w, dtype="<f8"))
         payload.write(np.ascontiguousarray(b, dtype="<f8"))
@@ -571,12 +583,15 @@ def load(path) -> MlpModel:
         raise CorruptModelError("checksum mismatch")
     body = io.BytesIO(payload)
     try:
-        (n_dims,) = struct.unpack("<I", _read_exact(body, 4))
-        dims = list(struct.unpack(f"<{n_dims}I", _read_exact(body, 4 * n_dims)))
         label_column = _read_str(body)
+        feature_names = _read_names(body)
         class_names = _read_names(body)
-        weights = []
-        biases = []
+        (n_hidden,) = struct.unpack("<I", _read_exact(body, 4))
+        hidden = struct.unpack(f"<{n_hidden}I", _read_exact(body, 4 * n_hidden))
+        dims = [len(feature_names), *hidden, len(class_names)]
+        if any(d < 1 for d in dims):
+            raise CorruptModelError(f"bad dims {dims}")
+        weights, biases = [], []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
             w = np.frombuffer(_read_exact(body, 8 * fan_in * fan_out), dtype="<f8")
             weights.append(w.reshape(fan_in, fan_out).copy())
@@ -585,10 +600,4 @@ def load(path) -> MlpModel:
         raise CorruptModelError(str(exc)) from None
     if body.read(1):
         raise CorruptModelError("payload length mismatch")
-    if len(dims) < 2 or any(d < 1 for d in dims):
-        raise CorruptModelError(f"bad dims {dims}")
-    if len(class_names) != dims[-1]:
-        raise CorruptModelError(
-            f"{len(class_names)} class names for {dims[-1]} classes"
-        )
-    return MlpModel(dims, weights, biases, label_column, class_names)
+    return MlpModel(weights, biases, label_column, feature_names, class_names)

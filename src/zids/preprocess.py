@@ -201,28 +201,25 @@ def sort_codes(index: dict[str, int], codes: array.array) -> tuple[list[str], np
     return vocab, remap[np.frombuffer(codes, dtype=np.int32)]
 
 
-def fit_scaling(x: np.ndarray, n_continuous: int) -> list[tuple[float, float]]:
-    """Per-column (min, max) over the first n_continuous columns."""
-    mins = x[:, :n_continuous].min(axis=0)
-    maxs = x[:, :n_continuous].max(axis=0)
-    return [(float(lo), float(hi)) for lo, hi in zip(mins, maxs)]
+def fit_scaling(x: np.ndarray) -> list[tuple[float, float]]:
+    """Per-column (min, max) of the continuous columns x."""
+    return [(float(lo), float(hi)) for lo, hi in zip(x.min(axis=0), x.max(axis=0))]
 
 
 def apply_scaling(x: np.ndarray, scaling: Sequence[tuple[float, float]]) -> None:
-    """In-place min-max scaling of the continuous columns.
+    """In-place min-max scaling of the continuous columns x, one scaling
+    entry per column.
 
     Columns with min == max map to 0. Values outside the fitted range
     scale past [0, 1] without error.
     """
-    n_continuous = len(scaling)
     mins = np.asarray([lo for lo, _ in scaling], dtype=np.float32)
     ranges = np.asarray([hi - lo for lo, hi in scaling], dtype=np.float32)
     inv = np.zeros_like(ranges)
     nonzero = ranges > 0
     inv[nonzero] = 1.0 / ranges[nonzero]
-    continuous = x[:, :n_continuous]  # a view: no (n, 38) temporaries
-    continuous -= mins
-    continuous *= inv
+    x -= mins  # in place: no (n, 38) temporaries
+    x *= inv
 
 
 def allocate_test_count(n_c: int, test_fraction: float) -> int:

@@ -302,7 +302,10 @@ class TestTrain:
         rc = run_cli("train", "--prepared", prepared, "--variant", "truncated",
                      "--epochs", 1, "--out", out)
         assert rc == 2
-        assert capsys.readouterr().err == "data error: train and test containers disagree\n"
+        at = pp.read_container(prepared / "train.zids", "coarse").d - len(values)
+        assert capsys.readouterr().err == (
+            f"data error: {prepared / 'test.zids'} names column {at} "
+            f"'flag={values[-1]}' where train.zids names 'flag={values[0]}'\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("source", ["flag", "config"])
@@ -320,6 +323,17 @@ class TestTrain:
         assert rc == 1
         assert err.startswith("error: learning_rate must be finite and > 0")
         assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("knob", [("--epochs", 0), ("--learning-rate", "nan")])
+    def test_bad_knob_beats_missing_prepared_dir(self, tmp_path, capsys, knob):
+        """Training knobs are checked before any container is read."""
+        out = tmp_path / "x"
+        rc = run_cli("train", "--prepared", tmp_path / "void", "--variant", "truncated",
+                     "--out", out, *knob)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert not out.exists()
 
     def test_missing_prepared_dir(self, tmp_path):
@@ -416,6 +430,42 @@ class TestEvaluate:
         assert rc == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "coarse model" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "explain"])
+    def test_container_naming_other_values_is_data_error(
+        self, small_experiment, tmp_path, capsys, command
+    ):
+        """The model names its input columns: a test.zids of the model's
+        width whose service value http is renamed zzz (and the values
+        re-sorted) is refused."""
+        prepared = tmp_path / "prepared"
+        shutil.copytree(small_experiment.prepared, prepared)
+        test = prepared / "test.zids"
+        rows, scaling, columns = pp.read_container_columns(test)
+        (name, values), = [f for f in rows.fields if f[0] == "service"]
+        in_old_order = ["zzz" if v == "http" else v for v in values]
+        renamed = sorted(in_old_order)
+        new_code = np.array([renamed.index(v) for v in in_old_order])
+        j = rows.fields.index((name, values))
+        codes = rows.codes.copy()
+        codes[j] = new_code[codes[j]]
+        fields = (*rows.fields[:j], (name, tuple(renamed)), *rows.fields[j + 1:])
+        pp.write_container(test, dataclasses.replace(rows, codes=codes, fields=fields),
+                           scaling, columns)
+        model = small_experiment.train("truncated") / "model.zmlp"
+        out = tmp_path / "out"
+        argv = {"evaluate": ("evaluate", "--model", model, "--test", test),
+                "explain": ("explain", "--model", model, "--prepared", prepared,
+                            "--budget", 64)}[command]
+        capsys.readouterr()
+        rc = run_cli(*argv, "--out", out)
+        assert rc == 2
+        i = values.index("http")
+        at = len(rows.float_names) + sum(rows.widths[:j]) + i
+        assert capsys.readouterr().err == (
+            f"data error: {test} names column {at} 'service={renamed[i]}' "
+            "where the model names 'service=http'\n")
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -530,6 +580,21 @@ class TestExplain:
         assert rc == 1
         assert "budget" in capsys.readouterr().err
         assert not (tmp_path / "tiny").exists()
+
+    def test_ridge_fallback_warns(self, small_experiment, tmp_path, capsys):
+        """A default explain needs no ridge and prints no warning; at budget 2
+        the coalition system is singular and the ridge fallback says so."""
+        model = small_experiment.train("truncated") / "model.zmlp"
+        for budget in ((), ("--budget", 2)):
+            out = tmp_path / f"budget{len(budget)}"
+            capsys.readouterr()
+            assert run_cli("explain", "--model", model, "--prepared",
+                           small_experiment.prepared, "--out", out, *budget) == 0
+            warnings = [line for line in capsys.readouterr().err.splitlines()
+                        if line.startswith("warning:")]
+            ridge_used = json.loads((out / "manifest.json").read_text())["numerics"]["ridge_used"]
+            assert ridge_used is bool(budget)
+            assert len(warnings) == (1 if budget else 0), warnings
 
     def test_manifest_records_numerics(self, small_experiment):
         out = small_experiment.explain("truncated")

@@ -33,7 +33,7 @@ READERS = [
 ]
 
 # A header byte of each format: the high half of the row count N of a
-# container, the layer count of a model.
+# container, the low byte of the length of a model's label column name.
 HEADER_BYTE = {"train.zids": 14, "test.zids": 14, "model.zmlp": 8}
 
 
@@ -380,6 +380,55 @@ def test_format_3_container_is_one_line_data_error(small_experiment, tmp_path, c
                  "--epochs", 1, "--out", out)
     err = assert_one_line_error(capsys, rc, 2, out)
     assert err == "data error: unsupported format version 3 (supported: 4)\n"
+
+
+def model_recrc(blob: bytearray) -> bytes:
+    """The model blob with its trailing CRC32 recomputed over the payload:
+    the bytes after the magic and the version."""
+    blob[-4:] = zlib.crc32(blob[8:-4]).to_bytes(4, "little")
+    return bytes(blob)
+
+
+def model_command(command, model, prepared, out):
+    return {
+        "evaluate": ("evaluate", "--model", model, "--test", prepared / "test.zids"),
+        "explain": ("explain", "--model", model, "--prepared", prepared,
+                    "--budget", 64),
+    }[command] + ("--out", out)
+
+
+@pytest.mark.parametrize("command", ["evaluate", "explain"])
+def test_format_2_model_is_one_line_data_error(small_experiment, tmp_path, capsys, command):
+    """Format 2 stored the layer sizes and named no input column; no reader
+    for it is kept."""
+    model = tmp_path / "model.zmlp"
+    blob = bytearray((small_experiment.train("truncated") / "model.zmlp").read_bytes())
+    blob[4:8] = (2).to_bytes(4, "little")
+    model.write_bytes(model_recrc(blob))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = run_cli(*model_command(command, model, small_experiment.prepared, out))
+    err = assert_one_line_error(capsys, rc, 2, out)
+    assert err == "data error: unsupported format version 2 (supported: 3)\n"
+
+
+@pytest.mark.parametrize("command", ["evaluate", "explain"])
+def test_crafted_model_name_count_is_one_line_data_error(
+    small_experiment, tmp_path, capsys, command
+):
+    """A checksum-valid model whose feature name count is the largest u32."""
+    model = tmp_path / "model.zmlp"
+    blob = bytearray((small_experiment.train("truncated") / "model.zmlp").read_bytes())
+    at = 12 + struct.unpack_from("<I", blob, 8)[0]  # past the label column's name
+    d = pp.read_container(small_experiment.prepared / "test.zids", "coarse").d
+    assert blob[at:at + 4] == struct.pack("<I", d)  # the feature name count
+    struct.pack_into("<I", blob, at, 0xFFFFFFFF)
+    model.write_bytes(model_recrc(blob))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = run_cli(*model_command(command, model, small_experiment.prepared, out))
+    err = assert_one_line_error(capsys, rc, 2, out)
+    assert err.startswith("data error: corrupt model file:")
 
 
 @pytest.mark.parametrize("out_exists", [True, False])

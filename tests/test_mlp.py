@@ -1,6 +1,7 @@
 """Network engine: init, forward, loss, gradients, training, persistence."""
 
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -535,12 +536,14 @@ class TestPersistence:
     def test_round_trip_bit_exact(self, tmp_path):
         model = mlp.init([7, 5, 3], seed=13)
         model.label_column = "coarse"
+        model.feature_names = ["duration", "a", "b", "c", "service=http", "x", "é"]
         model.class_names = ["Normal", "DoS", "Probe"]
         path = tmp_path / "model.zmlp"
         mlp.save(model, path)
         loaded = mlp.load(path)
-        assert loaded.dims == model.dims
+        assert loaded.dims == model.dims == [7, 5, 3]
         assert loaded.label_column == "coarse"
+        assert loaded.feature_names == model.feature_names
         assert loaded.class_names == ["Normal", "DoS", "Probe"]
         assert all(np.array_equal(a, b) for a, b in zip(loaded.weights, model.weights))
         assert all(np.array_equal(a, b) for a, b in zip(loaded.biases, model.biases))
@@ -586,12 +589,37 @@ class TestPersistence:
     def test_init_names_classes_under_no_column(self):
         model = mlp.init([4, 3], 0)
         assert model.label_column == ""
+        assert model.feature_names == ["f0", "f1", "f2", "f3"]
         assert model.class_names == ["class_0", "class_1", "class_2"]
 
-    def test_class_name_count_must_match_outputs(self, tmp_path):
+    @staticmethod
+    def assert_names_must_fit_weights(tmp_path, names: str, narrow_dims):
+        """save refuses a model whose `names` list does not fit its weights;
+        load refuses a checksum-valid file whose name lists, those of a
+        narrow_dims model, do not fit the parameters that follow them."""
         path = tmp_path / "model.zmlp"
         model = mlp.init([4, 3], 0)
-        model.class_names = ["a", "b"]
-        mlp.save(model, path)
-        with pytest.raises(CorruptModelError, match="2 class names for 3 classes"):
+        setattr(model, names, getattr(model, names)[:2])
+        with pytest.raises(ShapeMismatchError) as refused:
+            mlp.save(model, path)
+        assert str(refused.value) == (
+            "feature and class names do not fit layer sizes [4, 3]")
+        assert not path.exists()
+
+        mlp.save(mlp.init([4, 3], 0), path)
+        wide = path.read_bytes()
+        mlp.save(mlp.init(narrow_dims, 0), path)
+        narrow = path.read_bytes()
+        names_end = len(narrow) - 4 - 8 * mlp.count_parameters(mlp.init(narrow_dims, 0))
+        params = wide[len(wide) - 4 - 8 * mlp.count_parameters(model): -4]
+        payload = narrow[8:names_end] + params
+        path.write_bytes(narrow[:8] + payload + zlib.crc32(payload).to_bytes(4, "little"))
+        with pytest.raises(CorruptModelError) as refused:
             mlp.load(path)
+        assert str(refused.value) == "corrupt model file: payload length mismatch"
+
+    def test_class_name_count_must_match_outputs(self, tmp_path):
+        self.assert_names_must_fit_weights(tmp_path, "class_names", [4, 2])
+
+    def test_feature_name_count_must_match_inputs(self, tmp_path):
+        self.assert_names_must_fit_weights(tmp_path, "feature_names", [2, 3])

@@ -44,7 +44,7 @@ class Corpus:
     def scaled(self, fit_rows=None):
         """x min-max scaled on its first fit_rows rows (all by default)."""
         x = self.x.copy()
-        scaling = pp.fit_scaling(x[:fit_rows], x.shape[1])
+        scaling = pp.fit_scaling(x[:fit_rows])
         pp.apply_scaling(x, scaling)
         return x, scaling
 
