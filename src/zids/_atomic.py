@@ -1,12 +1,26 @@
-"""Artifacts written whole or not at all."""
+"""Artifacts written whole or not at all, and the checked envelope that
+every binary artifact shares.
+
+The envelope is the 4-byte magic, a u32 version, the body, and a CRC32
+of every byte before it, little-endian throughout. In a body, a string
+is a u32 length and UTF-8 bytes, and a name list a u32 count and that
+many strings.
+"""
 
 from __future__ import annotations
 
 import contextlib
+import math
 import os
+import struct
 import threading
+import zlib
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
+
+import numpy as np
+
+from .errors import VersionMismatchError
 
 
 def write_atomic(path, buffers: Iterable) -> None:
@@ -31,3 +45,77 @@ def write_atomic(path, buffers: Iterable) -> None:
         with contextlib.suppress(OSError):
             tmp.unlink()
         raise
+
+
+def pack_str(text: str) -> bytes:
+    raw = text.encode("utf-8")
+    return struct.pack("<I", len(raw)) + raw
+
+
+def pack_names(names: Sequence[str]) -> bytes:
+    return struct.pack("<I", len(names)) + b"".join(map(pack_str, names))
+
+
+def write_checked(path, magic: bytes, version: int, parts: Iterable) -> None:
+    """Write the envelope of the body parts (bytes-like), atomically."""
+    parts = [magic + struct.pack("<I", version), *parts]
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    write_atomic(path, [*parts, struct.pack("<I", crc)])
+
+
+class Cursor:
+    """Reads a body in order; EOFError for any read past its end."""
+
+    def __init__(self, blob: bytes, at: int, end: int):
+        self.blob, self.at, self.end = blob, at, end
+
+    @property
+    def left(self) -> int:
+        """The bytes not yet read."""
+        return self.end - self.at
+
+    def _skip(self, count: int) -> int:
+        if count > self.left:
+            raise EOFError("unexpected end of file")
+        self.at += count
+        return self.at - count
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack_from(fmt, self.blob, self._skip(struct.calcsize(fmt)))
+
+    def string(self) -> str:
+        (length,) = self.unpack("<I")
+        at = self._skip(length)
+        return self.blob[at:at + length].decode("utf-8")
+
+    def names(self) -> list[str]:
+        (count,) = self.unpack("<I")
+        return [self.string() for _ in range(count)]
+
+    def array(self, dtype: str, shape) -> np.ndarray:
+        """A read-only view of the next bytes as an array of shape."""
+        count = math.prod(shape)
+        at = self._skip(count * np.dtype(dtype).itemsize)
+        return np.frombuffer(self.blob, dtype, count, at).reshape(shape)
+
+
+def read_checked(path, magic: bytes, version: int, corrupt) -> Cursor:
+    """Read the file at path once and check its magic, its version, then
+    its checksum: a cursor over its body.
+
+    corrupt(reason) is the exception a damaged file raises; a file of
+    another version raises VersionMismatchError.
+    """
+    blob = Path(path).read_bytes()
+    if blob[:4] != magic:
+        raise corrupt(f"bad magic {blob[:4]!r}")
+    if len(blob) < 12:
+        raise corrupt("unexpected end of file")
+    (found,) = struct.unpack_from("<I", blob, 4)
+    if found != version:
+        raise VersionMismatchError(found, version)
+    if blob[-4:] != struct.pack("<I", zlib.crc32(memoryview(blob)[:-4])):
+        raise corrupt("checksum mismatch")
+    return Cursor(blob, 8, len(blob) - 4)

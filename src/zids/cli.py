@@ -113,15 +113,17 @@ class ExperimentConfig:
             cfg.explain_seed = cfg.background_seed
         if cfg.output_dir is None:
             cfg.output_dir = str(Path("runs") / cfg.variant)
-        # mlp.TrainConfig checks the training knobs and kernel_shap the
-        # budget; these fields would fail later with a traceback or as a
-        # data error.
+        # mlp.TrainConfig checks the training knobs; these fields would
+        # fail later with a traceback, or as a data error once an input
+        # is found missing.
         if cfg.hidden_dims is not None and (
             not cfg.hidden_dims or any(d < 1 for d in cfg.hidden_dims)
         ):
             raise ConfigError(f"hidden dims must be positive: {cfg.hidden_dims!r}")
         if not 0.0 < cfg.test_fraction < 1.0:
             raise ConfigError(f"test_fraction must be in (0, 1): {cfg.test_fraction}")
+        if cfg.budget is not None and cfg.budget < 2:
+            raise ConfigError(f"budget must be >= 2: {cfg.budget}")
         for field_name in ("background_n", "explain_n", "top_k"):
             if getattr(cfg, field_name) < 1:
                 raise ConfigError(f"{field_name} must be >= 1")
@@ -749,6 +751,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, BadDimsError, BadBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # numpy's message names the allocation
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
     except (NonFiniteLossError, SingularSystemError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

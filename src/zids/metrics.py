@@ -207,11 +207,24 @@ def _fmt(x: float) -> str:
     return f"{x:.4f}"
 
 
+def _rows(rep: ClassificationReport, fmt) -> list[tuple]:
+    """The table rows of a report, scores rendered by fmt: one per class,
+    then Accuracy, Macro average and Weighted average."""
+    rows = [(name, fmt(s.precision), fmt(s.recall), fmt(s.f1), s.support)
+            for name, s in zip(rep.class_names, rep.per_class)]
+    rows.append(("Accuracy", fmt(rep.accuracy), "", "", rep.total_support))
+    for label, avg in (("Macro average", rep.macro_avg),
+                       ("Weighted average", rep.weighted_avg)):
+        rows.append((label, fmt(avg.precision), fmt(avg.recall), fmt(avg.f1),
+                     rep.total_support))
+    return rows
+
+
 def render_report(rep: ClassificationReport, format: str = "text") -> bytes:
     """Serialize a report as text, csv, or json (UTF-8 bytes).
 
-    The text table lists one row per class, then Accuracy, Macro average,
-    and Weighted average footer rows.
+    The text and csv tables list one row per class, then Accuracy, Macro
+    average, and Weighted average footer rows; csv keeps every digit.
     """
     if format == "json":
         return json.dumps(report_to_dict(rep), indent=2, sort_keys=True).encode(
@@ -221,53 +234,18 @@ def render_report(rep: ClassificationReport, format: str = "text") -> bytes:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["class", "precision", "recall", "f1", "support"])
-        for name, s in zip(rep.class_names, rep.per_class):
-            writer.writerow([name, repr(s.precision), repr(s.recall), repr(s.f1), s.support])
-        writer.writerow(["Accuracy", repr(rep.accuracy), "", "", rep.total_support])
-        writer.writerow(
-            [
-                "Macro average",
-                repr(rep.macro_avg.precision),
-                repr(rep.macro_avg.recall),
-                repr(rep.macro_avg.f1),
-                rep.total_support,
-            ]
-        )
-        writer.writerow(
-            [
-                "Weighted average",
-                repr(rep.weighted_avg.precision),
-                repr(rep.weighted_avg.recall),
-                repr(rep.weighted_avg.f1),
-                rep.total_support,
-            ]
-        )
+        writer.writerows(_rows(rep, repr))
         return buf.getvalue().encode("utf-8")
     if format == "text":
         name_width = max(
             [len("Weighted average")] + [len(n) for n in rep.class_names]
         )
         lines = [
-            f"{'Class':<{name_width}}  {'Precision':>9}  {'Recall':>9}  "
-            f"{'F1':>9}  {'Support':>9}"
+            f"{name:<{name_width}}  {precision:>9}  {recall:>9}  {f1:>9}  {support:>9}"
+            for name, precision, recall, f1, support in [
+                ("Class", "Precision", "Recall", "F1", "Support"), *_rows(rep, _fmt)
+            ]
         ]
-        for name, s in zip(rep.class_names, rep.per_class):
-            lines.append(
-                f"{name:<{name_width}}  {_fmt(s.precision):>9}  {_fmt(s.recall):>9}  "
-                f"{_fmt(s.f1):>9}  {s.support:>9}"
-            )
-        lines.append(
-            f"{'Accuracy':<{name_width}}  {_fmt(rep.accuracy):>9}  {'':>9}  "
-            f"{'':>9}  {rep.total_support:>9}"
-        )
-        for label, avg in (
-            ("Macro average", rep.macro_avg),
-            ("Weighted average", rep.weighted_avg),
-        ):
-            lines.append(
-                f"{label:<{name_width}}  {_fmt(avg.precision):>9}  "
-                f"{_fmt(avg.recall):>9}  {_fmt(avg.f1):>9}  {rep.total_support:>9}"
-            )
         return ("\n".join(lines) + "\n").encode("utf-8")
     raise ValueError(f"unknown report format: {format!r}")
 

@@ -6,36 +6,33 @@ may be float32, or preprocess.Rows, which are made dense one batch or one
 inference piece at a time. Inference over many rows (predict() and the
 per-epoch validation of train()) goes through one helper,
 _probability_blocks(), so its float64 activations and dense inputs stay a
-few thousand rows tall whatever the input. A model file (format 3) names
-the model's inputs and classes; their counts give its input and output
-widths, so only the hidden layer sizes are stored.
+few thousand rows tall whatever the input. A model file (format 4, in
+the envelope of _atomic that containers share) names the model's inputs
+and classes; their counts give its input and output widths, so only the
+hidden layer sizes are stored.
 """
 
 from __future__ import annotations
 
-import io
 import math
 import struct
-import zlib
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ._atomic import write_atomic
+from ._atomic import pack_names, pack_str, read_checked, write_checked
 from .errors import (
     BadDimsError,
     CorruptModelError,
     EmptyInputError,
     NonFiniteLossError,
     ShapeMismatchError,
-    VersionMismatchError,
 )
 from .preprocess import ClassWeights, EncodedDataset, Rows
-from .preprocess import _read_exact, _read_names, _read_str, _write_names, _write_str
 
 MODEL_MAGIC = b"ZMLP"
-MODEL_VERSION = 3
+MODEL_VERSION = 4
 
 LOG_FLOOR = 1e-12  # added inside log() so hard zeros stay finite
 ADAM_BETA1 = 0.9
@@ -547,57 +544,42 @@ def history_csv(history: Sequence[EpochStats]) -> bytes:
 
 
 def save(model: MlpModel, path) -> None:
-    """Write the model: label column, feature names, class names, hidden
-    sizes, float64 little-endian parameters, trailing CRC32 of the payload."""
+    """Write the model in a "ZMLP" envelope (see _atomic): label column,
+    feature names, class names, hidden sizes, then the float64
+    little-endian weights and biases, layer by layer."""
     dims = model.dims
     if [len(model.feature_names), len(model.class_names)] != [dims[0], dims[-1]]:
         raise ShapeMismatchError(f"feature and class names do not fit layer sizes {dims}")
     hidden = dims[1:-1]
-    payload = io.BytesIO()
-    _write_str(payload, model.label_column)
-    _write_names(payload, model.feature_names)
-    _write_names(payload, model.class_names)
-    payload.write(struct.pack(f"<{len(hidden) + 1}I", len(hidden), *hidden))
-    for w, b in zip(model.weights, model.biases):
-        payload.write(np.ascontiguousarray(w, dtype="<f8"))
-        payload.write(np.ascontiguousarray(b, dtype="<f8"))
-    write_atomic(path, [
-        MODEL_MAGIC,
-        struct.pack("<I", MODEL_VERSION),
-        payload.getbuffer(),
-        struct.pack("<I", zlib.crc32(payload.getbuffer())),
+    write_checked(path, MODEL_MAGIC, MODEL_VERSION, [
+        pack_str(model.label_column),
+        pack_names(model.feature_names),
+        pack_names(model.class_names),
+        struct.pack(f"<{len(hidden) + 1}I", len(hidden), *hidden),
+        *(np.ascontiguousarray(p, dtype="<f8")
+          for pair in zip(model.weights, model.biases) for p in pair),
     ])
 
 
 def load(path) -> MlpModel:
     """Read a model file back; bit-exact inverse of save()."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 12 or blob[:4] != MODEL_MAGIC:
-        raise CorruptModelError("bad magic")
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != MODEL_VERSION:
-        raise VersionMismatchError(version, MODEL_VERSION)
-    payload, stored = blob[8:-4], blob[-4:]
-    if struct.pack("<I", zlib.crc32(payload)) != stored:
-        raise CorruptModelError("checksum mismatch")
-    body = io.BytesIO(payload)
+    body = read_checked(path, MODEL_MAGIC, MODEL_VERSION, CorruptModelError)
     try:
-        label_column = _read_str(body)
-        feature_names = _read_names(body)
-        class_names = _read_names(body)
-        (n_hidden,) = struct.unpack("<I", _read_exact(body, 4))
-        hidden = struct.unpack(f"<{n_hidden}I", _read_exact(body, 4 * n_hidden))
+        label_column = body.string()
+        feature_names = body.names()
+        class_names = body.names()
+        (n_hidden,) = body.unpack("<I")
+        hidden = body.unpack(f"<{n_hidden}I")
         dims = [len(feature_names), *hidden, len(class_names)]
         if any(d < 1 for d in dims):
             raise CorruptModelError(f"bad dims {dims}")
+        # copies: the parameters sit at any offset of the file's bytes
         weights, biases = [], []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            w = np.frombuffer(_read_exact(body, 8 * fan_in * fan_out), dtype="<f8")
-            weights.append(w.reshape(fan_in, fan_out).copy())
-            biases.append(np.frombuffer(_read_exact(body, 8 * fan_out), "<f8").copy())
-    except (EOFError, struct.error, ValueError) as exc:
+            weights.append(body.array("<f8", (fan_in, fan_out)).copy())
+            biases.append(body.array("<f8", (fan_out,)).copy())
+    except (EOFError, ValueError) as exc:
         raise CorruptModelError(str(exc)) from None
-    if body.read(1):
+    if body.left:
         raise CorruptModelError("payload length mismatch")
     return MlpModel(weights, biases, label_column, feature_names, class_names)

@@ -12,23 +12,19 @@ a time, for the model.
 from __future__ import annotations
 
 import array
-import io
 import math
-import os
 import struct
-import zlib
 from dataclasses import dataclass, field, replace
-from typing import BinaryIO, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ._atomic import write_atomic
+from ._atomic import pack_names, pack_str, read_checked, write_checked
 from .errors import (
     CorruptContainerError,
     DegenerateClassError,
     MissingClassError,
     OutOfRangeError,
-    VersionMismatchError,
 )
 
 CONTAINER_MAGIC = b"ZIDS"
@@ -281,10 +277,9 @@ def sample_indices(n_total: int, n: int, seed: int) -> np.ndarray:
 
 # --- container format ------------------------------------------------------
 #
-# Little-endian throughout; a string is a u32 length and UTF-8 bytes, a
-# name list a u32 count and that many strings:
-#   magic "ZIDS" | version u32 | N u64 | float columns F u32 | coded
-#     fields B u32
+# The body of a "ZIDS" envelope of version 4 (see _atomic: magic, version,
+# body, CRC32 of every byte before it; strings and name lists as there):
+#   N u64 | float columns F u32 | coded fields B u32
 #   float columns, row-major f32, N x F
 #   codes, u16, N per coded field in field order, each below its field's
 #     value count
@@ -293,7 +288,6 @@ def sample_indices(n_total: int, n: int, seed: int) -> np.ndarray:
 #     one-hot column per value
 #   label columns (u32 count, then per column: name, class names, N u16
 #     labels)
-#   CRC32 of every byte before it, u32
 
 
 @dataclass
@@ -301,35 +295,6 @@ class LabelColumn:
     name: str
     class_names: list[str]
     y: np.ndarray
-
-
-def _write_str(fh: BinaryIO, text: str) -> None:
-    raw = text.encode("utf-8")
-    fh.write(struct.pack("<I", len(raw)))
-    fh.write(raw)
-
-
-def _write_names(fh: BinaryIO, names: Sequence[str]) -> None:
-    fh.write(struct.pack("<I", len(names)))
-    for name in names:
-        _write_str(fh, name)
-
-
-def _read_exact(fh: BinaryIO, count: int) -> bytes:
-    raw = fh.read(count)
-    if len(raw) != count:
-        raise EOFError("unexpected end of file")
-    return raw
-
-
-def _read_str(fh: BinaryIO) -> str:
-    (length,) = struct.unpack("<I", _read_exact(fh, 4))
-    return _read_exact(fh, length).decode("utf-8")
-
-
-def _read_names(fh: BinaryIO) -> list[str]:
-    (count,) = struct.unpack("<I", _read_exact(fh, 4))
-    return [_read_str(fh) for _ in range(count)]
 
 
 def write_container(
@@ -352,82 +317,52 @@ def write_container(
             f"{len(scaling)} scaling entries and {len(rows.float_names)} names "
             f"for {n_float} float columns"
         )
-    head = CONTAINER_MAGIC + struct.pack(
-        "<IQII", CONTAINER_VERSION, n, n_float, len(rows.fields)
-    )
-    tail = io.BytesIO()
-    for name, (lo, hi) in zip(rows.float_names, scaling):
-        _write_str(tail, name)
-        tail.write(struct.pack("<dd", lo, hi))
-    for name, values in rows.fields:
-        _write_str(tail, name)
-        _write_names(tail, values)
-    tail.write(struct.pack("<I", len(columns)))
+    head = struct.pack("<QII", n, n_float, len(rows.fields))
+    scaled = [pack_str(name) + struct.pack("<dd", lo, hi)
+              for name, (lo, hi) in zip(rows.float_names, scaling)]
+    coded = [pack_str(name) + pack_names(values) for name, values in rows.fields]
+    labels = [struct.pack("<I", len(columns))]
     for column in columns:
-        _write_str(tail, column.name)
-        _write_names(tail, column.class_names)
-        tail.write(np.ascontiguousarray(column.y, dtype="<u2"))
-    crc = zlib.crc32(head)
-    for part in (x, codes, tail.getbuffer()):
-        crc = zlib.crc32(part, crc)
-    write_atomic(path, [head, x, codes, tail.getbuffer(), struct.pack("<I", crc)])
+        labels += [pack_str(column.name), pack_names(column.class_names),
+                   np.ascontiguousarray(column.y, dtype="<u2")]
+    write_checked(path, CONTAINER_MAGIC, CONTAINER_VERSION,
+                  [head, x, codes, *scaled, *coded, *labels])
 
 
 def read_container_columns(path):
     """Parse a container once: (rows, scaling, label columns).
 
-    rows covers every row of the file and names its columns; each
-    column's y is a read-only u16 view of the bytes read. Sizes from the
-    header are checked against the file before anything is allocated; the
-    names, codes and labels are checked once the checksum holds.
+    The file is read once; rows.x and rows.codes, which cover every row
+    and name their columns, and each column's y are read-only views of
+    its bytes. Sizes from the header are checked against the bytes left
+    before any array is made; the names, codes and labels are checked
+    once the checksum holds.
     """
     try:
-        with open(path, "rb") as fh:
-            head = _read_exact(fh, 24)
-            if head[:4] != CONTAINER_MAGIC:
-                raise CorruptContainerError(f"bad magic {head[:4]!r}")
-            version, n, n_float, n_fields = struct.unpack_from("<IQII", head, 4)
-            if version != CONTAINER_VERSION:
-                raise VersionMismatchError(version, CONTAINER_VERSION)
-            left = os.fstat(fh.fileno()).st_size - len(head) - 4
-            if n * (4 * n_float + 2 * n_fields) > left:
-                raise CorruptContainerError("header sizes exceed the file")
-            x = np.empty((n, n_float), dtype="<f4")
-            codes = np.empty((n_fields, n), dtype="<u2")
-            fh.readinto(x)  # a short read fails the checksum
-            fh.readinto(codes)
-            rest = fh.read()
-        crc = zlib.crc32(head)
-        body = memoryview(rest)[:-4]
-        for part in (x, codes, body):
-            crc = zlib.crc32(part, crc)
-        if rest[-4:] != struct.pack("<I", crc):
-            raise CorruptContainerError("checksum mismatch")
-        tail = io.BytesIO(rest)
+        body = read_checked(path, CONTAINER_MAGIC, CONTAINER_VERSION, CorruptContainerError)
+        n, n_float, n_fields = body.unpack("<QII")
+        if n * (4 * n_float + 2 * n_fields) > body.left:
+            raise CorruptContainerError("header sizes exceed the file")
+        x = body.array("<f4", (n, n_float))
+        codes = body.array("<u2", (n_fields, n))
         float_names, scaling = [], []
         for _ in range(n_float):
-            float_names.append(_read_str(tail))
-            scaling.append(struct.unpack("<dd", _read_exact(tail, 16)))
-        fields = tuple((_read_str(tail), tuple(_read_names(tail))) for _ in range(n_fields))
+            float_names.append(body.string())
+            scaling.append(body.unpack("<dd"))
+        fields = tuple((body.string(), tuple(body.names())) for _ in range(n_fields))
         for j, (field_codes, (_, values)) in enumerate(zip(codes, fields)):
             if n and field_codes.max() >= len(values):
                 raise CorruptContainerError(
                     f"code {field_codes.max()} of field {j} is not below "
                     f"its block width {len(values)}"
                 )
-        columns = []
-        for _ in range(struct.unpack("<I", _read_exact(tail, 4))[0]):
-            name = _read_str(tail)
-            class_names = _read_names(tail)
-            at = tail.tell()
-            if at + 2 * n > len(body):
-                raise EOFError("unexpected end of label columns")
-            y = np.frombuffer(rest, dtype="<u2", count=n, offset=at)
-            tail.seek(at + 2 * n)
-            columns.append(LabelColumn(name, class_names, y))
-        if tail.tell() != len(body):
+        columns = [
+            LabelColumn(body.string(), body.names(), body.array("<u2", (n,)))
+            for _ in range(body.unpack("<I")[0])
+        ]
+        if body.left:
             raise CorruptContainerError("label columns do not end at the checksum")
-    except (EOFError, struct.error, ValueError) as exc:
+    except (EOFError, ValueError) as exc:
         raise CorruptContainerError(str(exc)) from None
     return Rows(x, codes, fields, tuple(float_names)), scaling, columns
 

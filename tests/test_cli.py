@@ -581,6 +581,20 @@ class TestExplain:
         assert "budget" in capsys.readouterr().err
         assert not (tmp_path / "tiny").exists()
 
+    @pytest.mark.parametrize("missing", ["--prepared", "--model"])
+    def test_budget_beats_missing_input(self, small_experiment, tmp_path, capsys, missing):
+        """The budget is checked before the model or any container is read."""
+        paths = {"--model": small_experiment.train("truncated") / "model.zmlp",
+                 "--prepared": small_experiment.prepared, missing: tmp_path / "void"}
+        out = tmp_path / "x"
+        capsys.readouterr()
+        rc = run_cli("explain", *(a for flag, path in paths.items() for a in (flag, path)),
+                     "--out", out, "--budget", 1)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == "error: budget must be >= 2: 1\n"
+        assert not out.exists()
+
     def test_ridge_fallback_warns(self, small_experiment, tmp_path, capsys):
         """A default explain needs no ridge and prints no warning; at budget 2
         the coalition system is singular and the ridge fallback says so."""

@@ -32,8 +32,9 @@ READERS = [
     ("model.zmlp", "explain"),
 ]
 
-# A header byte of each format: the high half of the row count N of a
-# container, the low byte of the length of a model's label column name.
+# A header byte of each artifact, under its checksum like every byte before
+# the CRC: in the high half of a container's row count N, and the low byte
+# of the length of a model's label column name.
 HEADER_BYTE = {"train.zids": 14, "test.zids": 14, "model.zmlp": 8}
 
 
@@ -292,6 +293,44 @@ def test_entry_point_exit_code(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+OUT_OF_MEMORY = """
+import resource, sys
+limit = 4 << 30  # no overcommit setting lets the allocations asked for succeed
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+if hard != resource.RLIM_INFINITY:
+    limit = min(limit, hard)
+resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+from zids.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("command", ["explain", "train"])
+def test_out_of_memory_is_one_line_usage_error(small_experiment, tmp_path, command):
+    """A size too large to allocate, from a flag, ends in one error line,
+    exit 1, not a traceback; the address space is capped at 4 GiB."""
+    argv = {
+        "explain": ("explain", "--model",
+                    small_experiment.train("truncated") / "model.zmlp",
+                    "--prepared", small_experiment.prepared, "--budget", 10**13),
+        "train": ("train", "--prepared", small_experiment.prepared,
+                  "--variant", "truncated", "--epochs", 1, "--hidden-dims", 10**11),
+    }[command]
+    out = tmp_path / "out"
+    src = str(Path(zids.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", OUT_OF_MEMORY, *map(str, argv), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("error: Unable to allocate")
+    assert not out.exists()
+
+
 def recrc(blob: bytearray) -> bytes:
     """The blob with its trailing CRC32 recomputed over the bytes before it."""
     blob[-4:] = zlib.crc32(blob[:-4]).to_bytes(4, "little")
@@ -382,13 +421,6 @@ def test_format_3_container_is_one_line_data_error(small_experiment, tmp_path, c
     assert err == "data error: unsupported format version 3 (supported: 4)\n"
 
 
-def model_recrc(blob: bytearray) -> bytes:
-    """The model blob with its trailing CRC32 recomputed over the payload:
-    the bytes after the magic and the version."""
-    blob[-4:] = zlib.crc32(blob[8:-4]).to_bytes(4, "little")
-    return bytes(blob)
-
-
 def model_command(command, model, prepared, out):
     return {
         "evaluate": ("evaluate", "--model", model, "--test", prepared / "test.zids"),
@@ -397,19 +429,34 @@ def model_command(command, model, prepared, out):
     }[command] + ("--out", out)
 
 
-@pytest.mark.parametrize("command", ["evaluate", "explain"])
-def test_format_2_model_is_one_line_data_error(small_experiment, tmp_path, capsys, command):
-    """Format 2 stored the layer sizes and named no input column; no reader
-    for it is kept."""
+def assert_old_model_refused(small_experiment, tmp_path, capsys, command, version):
+    """A model file of an older format version exits 2 on its version. Its
+    checksum is the one formats 2 and 3 wrote, over the bytes after the
+    version, so it would not hold under format 4's rule."""
     model = tmp_path / "model.zmlp"
     blob = bytearray((small_experiment.train("truncated") / "model.zmlp").read_bytes())
-    blob[4:8] = (2).to_bytes(4, "little")
-    model.write_bytes(model_recrc(blob))
+    blob[4:8] = version.to_bytes(4, "little")
+    blob[-4:] = zlib.crc32(blob[8:-4]).to_bytes(4, "little")
+    model.write_bytes(bytes(blob))
     out = tmp_path / "out"
     capsys.readouterr()
     rc = run_cli(*model_command(command, model, small_experiment.prepared, out))
     err = assert_one_line_error(capsys, rc, 2, out)
-    assert err == "data error: unsupported format version 2 (supported: 3)\n"
+    assert err == f"data error: unsupported format version {version} (supported: 4)\n"
+
+
+@pytest.mark.parametrize("command", ["evaluate", "explain"])
+def test_format_2_model_is_one_line_data_error(small_experiment, tmp_path, capsys, command):
+    """Format 2 stored the layer sizes and named no input column; no reader
+    for it is kept."""
+    assert_old_model_refused(small_experiment, tmp_path, capsys, command, 2)
+
+
+@pytest.mark.parametrize("command", ["evaluate", "explain"])
+def test_format_3_model_is_one_line_data_error(small_experiment, tmp_path, capsys, command):
+    """Format 3 had format 4's layout, but its checksum left out the magic
+    and the version; no reader for it is kept."""
+    assert_old_model_refused(small_experiment, tmp_path, capsys, command, 3)
 
 
 @pytest.mark.parametrize("command", ["evaluate", "explain"])
@@ -423,7 +470,7 @@ def test_crafted_model_name_count_is_one_line_data_error(
     d = pp.read_container(small_experiment.prepared / "test.zids", "coarse").d
     assert blob[at:at + 4] == struct.pack("<I", d)  # the feature name count
     struct.pack_into("<I", blob, at, 0xFFFFFFFF)
-    model.write_bytes(model_recrc(blob))
+    model.write_bytes(recrc(blob))
     out = tmp_path / "out"
     capsys.readouterr()
     rc = run_cli(*model_command(command, model, small_experiment.prepared, out))

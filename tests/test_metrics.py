@@ -139,6 +139,28 @@ class TestRendering:
         assert lines[0] == "class,precision,recall,f1,support"
         assert len(lines) == 1 + 3 + 3  # classes + accuracy/macro/weighted
 
+    def test_csv_bytes(self):
+        assert metrics.render_report(self.make_report(), "csv") == (
+            b"class,precision,recall,f1,support\r\n"
+            b"Normal,0.6666666666666666,0.6666666666666666,0.6666666666666666,3\r\n"
+            b"DoS,0.6666666666666666,1.0,0.8,2\r\n"
+            b"Probe,1.0,0.0,0.0,1\r\n"
+            b"Accuracy,0.6666666666666666,,,6\r\n"
+            b"Macro average,0.7777777777777777,0.5555555555555555,0.48888888888888893,6\r\n"
+            b"Weighted average,0.7222222222222222,0.6666666666666666,0.6,6\r\n"
+        )
+
+    def test_text_bytes(self):
+        assert metrics.render_report(self.make_report(), "text") == (
+            b"Class             Precision     Recall         F1    Support\n"
+            b"Normal               0.6667     0.6667     0.6667          3\n"
+            b"DoS                  0.6667     1.0000     0.8000          2\n"
+            b"Probe                1.0000     0.0000     0.0000          1\n"
+            b"Accuracy             0.6667                                6\n"
+            b"Macro average        0.7778     0.5556     0.4889          6\n"
+            b"Weighted average     0.7222     0.6667     0.6000          6\n"
+        )
+
     def test_json_round_trip_stable(self):
         rep = self.make_report()
         blob = metrics.render_report(rep, "json")

@@ -612,8 +612,8 @@ class TestPersistence:
         narrow = path.read_bytes()
         names_end = len(narrow) - 4 - 8 * mlp.count_parameters(mlp.init(narrow_dims, 0))
         params = wide[len(wide) - 4 - 8 * mlp.count_parameters(model): -4]
-        payload = narrow[8:names_end] + params
-        path.write_bytes(narrow[:8] + payload + zlib.crc32(payload).to_bytes(4, "little"))
+        crafted = narrow[:names_end] + params  # the checksum covers every byte
+        path.write_bytes(crafted + zlib.crc32(crafted).to_bytes(4, "little"))
         with pytest.raises(CorruptModelError) as refused:
             mlp.load(path)
         assert str(refused.value) == "corrupt model file: payload length mismatch"

@@ -2,6 +2,7 @@
 
 import io
 import json
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -403,10 +404,12 @@ class TestContainer:
 
     @pytest.mark.parametrize("at", [12, 14, 15])
     def test_row_count_checked_before_allocating(self, tmp_path, at):
-        # a flipped high byte of N asks for terabytes or overflows N*d
+        # a flipped high byte of N asks for terabytes; the checksum is
+        # made valid, so the header sizes, not the checksum, refuse it
         path, *_ = self.make(tmp_path)
         blob = bytearray(path.read_bytes())
         blob[at] ^= 0xFF
+        blob[-4:] = zlib.crc32(blob[:-4]).to_bytes(4, "little")
         path.write_bytes(bytes(blob))
         with pytest.raises(CorruptContainerError, match="header sizes"):
             pp.read_container_columns(path)
