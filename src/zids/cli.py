@@ -613,7 +613,7 @@ def cmd_explain(args) -> int:
         if expl.ridge_used:
             print("warning: the coalition system was singular; its ridge "
                   "fallback solved it (numerics.ridge_used)", file=sys.stderr)
-        residuals = kshap.efficiency_residuals(expl, model_fn(foreground))
+        residuals = kshap.efficiency_residuals(expl, expl.fx)
         per_class_residual = dict(
             zip(model.class_names, residuals.max(axis=1).tolist())
         )
@@ -645,6 +645,7 @@ def cmd_explain(args) -> int:
                 "numerics": {
                     "masked_rows": expl.masked_rows,
                     "model_rows": expl.model_rows,
+                    "shared_pairs": expl.shared_pairs,
                     "ridge_used": expl.ridge_used,
                     "gram_condition": expl.gram_condition,
                     "workers": expl.workers,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
@@ -29,7 +30,7 @@ from .errors import (
 )
 
 DEFAULT_RIDGE = 1e-10
-_CHUNK_ROWS = 1024  # distinct masked rows per model_fn call
+_CHUNK_ROWS = 1024  # masked rows per model_fn call
 
 
 @dataclass
@@ -42,10 +43,12 @@ class Explanation:
     coalitions times background rows), model_rows the rows sent to
     model_fn; ridge_used tells whether the solve needed the ridge fallback.
     gram_condition is the 2-norm condition number of the (m-1)^2 Gram
-    matrix of the solve, and workers the number of threads the explained
-    rows ran on. constant_features is the (min, max) over the explained
-    rows of the number of columns where the row equals every background
-    row bit for bit, so that no coalition can vary them.
+    matrix of the solve, and workers the number of threads the masked rows
+    ran on. constant_features is the (min, max) over the explained rows of
+    the number of columns where the row equals every background row bit
+    for bit, so that no coalition can vary them. shared_pairs counts the
+    pattern pairs whose masked rows served both orientations (see
+    _masked_means), and fx holds the model outputs of the explained rows.
     """
 
     phi: np.ndarray
@@ -59,6 +62,8 @@ class Explanation:
     gram_condition: float = 0.0
     workers: int = 1
     constant_features: tuple[int, int] = (0, 0)
+    shared_pairs: int = 0
+    fx: Optional[np.ndarray] = None
 
     @property
     def n_classes(self) -> int:
@@ -170,7 +175,7 @@ def enumerate_or_sample_coalitions(
 
 
 def _as_background(background: np.ndarray) -> np.ndarray:
-    # C order: _masked_values reinterprets rows as uint64 words
+    # C order: _masked_means reinterprets rows as uint64 words
     bg = np.ascontiguousarray(background, dtype=np.float64)
     if bg.ndim != 2 or bg.shape[0] < 1:
         raise ShapeMismatchError("background must be a non-empty 2D matrix")
@@ -196,77 +201,260 @@ def _packed_words(bits: np.ndarray) -> np.ndarray:
     return packed.view(np.uint64).T
 
 
-def _mask_arrays(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """What _masked_values reads of an (n, d) bool mask set, built once per
-    set: its packed words (W, n) and, per mask, a (d,) uint64 row that is
-    all ones where the mask is on."""
-    return _packed_words(masks), -masks.astype(np.uint64)
-
-
 def _distinct_rows(
-    differs: np.ndarray, mask_words: np.ndarray
+    differs: np.ndarray, key_words: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Group the masks of each background row by key, mask & differs[b].
+    """Group the keys of each pair by key & differs[p].
 
-    Returns inverse, the (n, b) index of each (mask, b) pair's distinct row,
-    and rows_b and rows_mask, the pair that stands for each distinct row.
-    The (W, b, n) keys and the sort live only in here, so one row's peak
-    memory stays small while other rows run beside it.
+    differs is (W, pairs) and key_words (W, n). Returns inverse, the
+    (pairs, n) index of each (pair, key)'s distinct row, and rows_pair and
+    rows_key, the pair and key that stand for each distinct row. The
+    (W, pairs, n) keys and the sort live only in here, so one step's
+    peak memory stays small while other steps run beside it.
     """
-    b, n = differs.shape[1], mask_words.shape[1]
-    keys = differs[:, :, None] & mask_words[:, None, :]  # (W, b, n)
+    p, n = differs.shape[1], key_words.shape[1]
+    keys = differs[:, :, None] & key_words[:, None, :]  # (W, pairs, n)
 
-    # A stable sort of each background row's keys puts equal keys side by
-    # side; the first of each run stands for its group.
-    order = np.lexsort(keys[::-1], axis=-1)  # (b, n)
+    # A stable sort of each pair's keys puts equal keys side by side; the
+    # first of each run stands for its group.
+    order = np.lexsort(keys[::-1], axis=-1)  # (pairs, n)
     ordered = np.take_along_axis(keys, order[None], axis=-1)
-    first = np.ones((b, n), dtype=bool)
+    first = np.ones((p, n), dtype=bool)
     first[:, 1:] = (ordered[:, :, 1:] != ordered[:, :, :-1]).any(axis=0)
-    group = (np.cumsum(first) - 1).reshape(b, n)
-    inverse = np.empty((n, b), dtype=np.intp)  # (mask, b) -> distinct row
-    np.put_along_axis(inverse.T, order, group, axis=1)
+    group = (np.cumsum(first) - 1).reshape(p, n)
+    inverse = np.empty((p, n), dtype=np.intp)  # (pair, key) -> distinct row
+    np.put_along_axis(inverse, order, group, axis=1)
     heads = np.flatnonzero(first)
     return inverse, heads // n, order.reshape(-1)[heads]
 
 
-def _masked_values(
-    model_fn: Callable,
-    x: np.ndarray,
-    background: np.ndarray,
-    mask_words: np.ndarray,
-    on: np.ndarray,
-) -> tuple[np.ndarray, int]:
-    """Mean model output per mask: x where the mask is on, background
-    elsewhere. The masks come as _mask_arrays gives them. Returns the
-    (n_masks, K) means and the number of rows sent to model_fn.
+def _pieces(n: int) -> list[slice]:
+    """range(n) in slices of _CHUNK_ROWS; when that leaves a last slice of
+    1 row, the slice before gives it one of its rows, since mlp.forward
+    takes another BLAS path, and other bits, on a 1-row call."""
+    starts = list(range(0, n, _CHUNK_ROWS))
+    if n % _CHUNK_ROWS == 1 and n > 1:
+        starts[-1] -= 1
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
+@dataclass
+class _Step:
+    """One step of _masked_means: the (explained pattern, background
+    position) uses it serves and the distinct pattern pairs they need.
+
+    Use u adds its masked outputs to row use_row[u] of the sums, in the
+    order of the uses. It reads pair use_pair[u], from the pair's hi side
+    when use_flip[u]. A pair's masked row is base with other's bits in the
+    keyed columns; a shared pair serves both of its orientations. col
+    numbers the pairs within the shared ones and within the others.
+    """
+
+    use_row: np.ndarray
+    use_pair: np.ndarray
+    use_flip: np.ndarray
+    base: np.ndarray
+    other: np.ndarray
+    shared: np.ndarray
+    col: np.ndarray
+
+
+def _steps(
+    x_rows: np.ndarray, background: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[_Step]]:
+    """The distinct row patterns as uint64 words, each explained row's
+    index into the sums (one sum per distinct explained row), and the
+    steps of _masked_means, one per background position."""
+    n_rows = x_rows.shape[0]
+    words = np.concatenate([x_rows, background]).view(np.uint64)
+    pats, ids = np.unique(words, axis=0, return_inverse=True)
+    ids = ids.reshape(-1)
+    explained, row_pattern = np.unique(ids[:n_rows], return_inverse=True)
+    bg_ids = ids[n_rows:]
+    first = np.full(pats.shape[0], -1)
+    seen, at = np.unique(bg_ids, return_index=True)
+    first[seen] = at
+    start = first[explained]  # each pattern's step; -1 if not a background row
+
+    steps = []
+    for s in range(bg_ids.size):
+        active = np.flatnonzero(start < s)
+        own = np.flatnonzero(start == s)  # at most one pattern
+        use_row = np.concatenate([active, np.repeat(own, s + 1)])
+        p = explained[use_row]  # the explained side of each use
+        q = np.concatenate([np.full(active.size, bg_ids[s]),
+                            bg_ids[: s + 1 if own.size else 0]])
+        lo, hi = np.minimum(p, q), np.maximum(p, q)
+        pairs, use_pair = np.unique(lo * pats.shape[0] + hi, return_inverse=True)
+        use_pair = use_pair.reshape(-1)
+        use_flip = p > q
+        flipped = np.zeros(pairs.size, dtype=bool)
+        flipped[use_pair[use_flip]] = True
+        straight = np.zeros(pairs.size, dtype=bool)
+        straight[use_pair[~use_flip]] = True
+        shared = flipped & straight
+        # a pair used one way is keyed as that use sees it, with its
+        # background side as base; a shared pair as its lo side sees it
+        swap = flipped & ~shared
+        pair_lo, pair_hi = np.divmod(pairs, pats.shape[0])
+        col = np.where(shared, np.cumsum(shared), np.cumsum(~shared)) - 1
+        steps.append(_Step(use_row, use_pair, use_flip, np.where(swap, pair_lo, pair_hi),
+                           np.where(swap, pair_hi, pair_lo), shared, col))
+    return pats, row_pattern.reshape(-1), steps
+
+
+def _units(steps: list[_Step], n_masks: int) -> list[list[_Step]]:
+    """Consecutive steps grouped until a group has at least two pairs, so
+    at least two masked rows, and keys for at least _CHUNK_ROWS rows; a
+    last group of fewer than two pairs joins the one before."""
+    units, unit, bound, n_pairs = [], [], 0, 0
+    for step in steps:
+        unit.append(step)
+        bound += int(np.where(step.base == step.other, 1, n_masks).sum())
+        n_pairs += step.base.size
+        if bound >= _CHUNK_ROWS and n_pairs >= 2:
+            units.append(unit)
+            unit, bound, n_pairs = [], 0, 0
+    if unit and n_pairs < 2 and units:
+        units[-1].extend(unit)
+    elif unit:
+        units.append(unit)
+    return units
+
+
+@dataclass
+class _Masked:
+    """_masked_means' result: means[row_pattern[i], j] is explained row i's
+    mean output over the background under mask j."""
+
+    means: np.ndarray  # (distinct explained rows, masks, K)
+    row_pattern: np.ndarray
+    model_rows: int
+    shared_pairs: int
+    workers: int
+
+
+def _masked_means(
+    model_fn: Callable, x_rows: np.ndarray, background: np.ndarray, masks: np.ndarray
+) -> _Masked:
+    """Mean model output over the background for every explained row and
+    mask: x_rows[i] where the mask is on, background[b] elsewhere.
 
     model_fn must be row-wise: each output row depends only on its own
-    input row. The masked row for background row b is bg[b] with x in the
-    masked columns, so it depends only on b and on the mask bits where x
-    and bg[b] differ bit for bit. Each distinct (b, mask & differs[b]) row
-    is built and evaluated once, in chunks of _CHUNK_ROWS rows, and its
-    output is shared by every mask with that key.
-    """
-    bg_bits = background.view(np.uint64)
-    flip = bg_bits ^ x.view(np.uint64)  # (b, d), nonzero where x and bg[b] differ
-    inverse, rows_b, rows_mask = _distinct_rows(_packed_words(flip != 0), mask_words)
+    input row. Rows are compared as patterns, bit for bit. The masked row
+    of patterns (p over q, mask S) is q with p's bits where S is on and
+    the two differ, so it depends only on the pair and on S & differs;
+    and it is the row of (q over p, ~S). Each distinct (unordered pattern
+    pair, key) row of a step is built and evaluated once, and serves every
+    explained row and orientation that needs it: with the same rows
+    explained and in the background, as in the default explain, that
+    halves the rows sent to model_fn. A pair used both ways is keyed over
+    the union of the masks and their complements, the others over the
+    masks alone. Duplicate explained rows share one sum.
 
-    parts = []
-    for start in range(0, rows_b.size, _CHUNK_ROWS):
-        rb = rows_b[start : start + _CHUNK_ROWS]
-        rm = rows_mask[start : start + _CHUNK_ROWS]
-        # where(mask, x, bg[b]) bit for bit: flip bg's bits in masked columns
-        z = bg_bits.take(rb, axis=0)
-        z ^= flip.take(rb, axis=0) & on.take(rm, axis=0)
-        parts.append(_model_output(model_fn, z.view(np.float64)))
-    out = np.concatenate(parts, axis=0)
-    # gather and average _CHUNK_ROWS masks at a time: the (masks, b, K)
-    # gather of all masks at once would be the largest array of the call
-    means = [
-        out.take(inverse[start : start + _CHUNK_ROWS], axis=0).mean(axis=1)
-        for start in range(0, inverse.shape[0], _CHUNK_ROWS)
-    ]
-    return np.concatenate(means, axis=0), rows_b.size
+    The work streams by background position. Step s serves every (explained
+    pattern, position) use whose later member is s, where a pattern that
+    is also a background row is a member at its first position: such a
+    pattern takes positions 0..s at its own step, and the others one
+    position per step. So every explained row adds its outputs in
+    background order, as numpy's mean over a (masks, background, K) array
+    does for K >= 2, and the means are the same bits as that mean of the
+    same outputs. With K = 1 numpy sums pairwise, and the last bits may
+    differ. No pair outlives its step; a background row that repeats an
+    earlier one is evaluated again at each step that needs it.
+
+    Steps are grouped into units (see _units), evaluated in pieces of at
+    most _CHUNK_ROWS rows (see _pieces), so model_fn sees a 1-row call
+    only when the whole call has one masked row. The units run on a pool
+    of threads, one per thread that OpenBLAS had, with OpenBLAS at 1
+    thread process-wide meanwhile; they are added up in order, so the
+    result does not depend on the pool size. The first model_fn error
+    cancels the units not yet started and reaches the caller.
+    """
+    n_masks = masks.shape[0]
+    pats, row_pattern, steps = _steps(x_rows, background)
+    units = _units(steps, n_masks)
+
+    # Per key set: its (W, keys) words, the key of (mask j, complement of
+    # mask j) for each j, and which mask, or complement (>= n_masks), each
+    # key stands for. A complement key swaps the pair's roles.
+    identity = np.arange(n_masks)
+    key_sets = {False: (_packed_words(masks), np.stack([identity, identity]), identity)}
+    if any(step.shared.any() for step in steps):
+        union, key_of = np.unique(np.concatenate([masks, ~masks]), axis=0,
+                                  return_inverse=True)
+        key_of = key_of.reshape(2, n_masks)
+        rep = np.unique(key_of.reshape(-1), return_index=True)[1]
+        key_sets[True] = (_packed_words(union), key_of, rep)
+    on = -masks.astype(np.uint64)  # all ones where the mask is on
+
+    def evaluate(unit: list) -> tuple[np.ndarray, list]:
+        """The outputs of a unit's distinct rows and, per step, where each
+        key set's pairs find their rows: {shared: (slice of the outputs,
+        (pairs, keys) inverse)}."""
+        parts, index, offset = [], [], 0
+        for step in unit:
+            segments = {}
+            for shared, (words, _, rep) in key_sets.items():
+                cols = np.flatnonzero(step.shared == shared)
+                if not cols.size:
+                    continue
+                base, other = step.base[cols], step.other[cols]
+                inverse, rows_pair, rows_key = _distinct_rows(
+                    _packed_words(pats[base] != pats[other]), words)
+                base, other, mask = base[rows_pair], other[rows_pair], rep[rows_key]
+                swap = mask >= n_masks
+                parts.append((np.where(swap, other, base), np.where(swap, base, other),
+                              mask % n_masks))
+                segments[shared] = (slice(offset, offset + rows_pair.size), inverse)
+                offset += rows_pair.size
+            index.append(segments)
+        base, other, mask = (np.concatenate(c) for c in zip(*parts))
+        outs = []
+        for piece in _pieces(offset):
+            # base's bits, with other's in the keyed columns
+            z = pats.take(base[piece], axis=0)
+            z ^= (z ^ pats.take(other[piece], axis=0)) & on.take(mask[piece], axis=0)
+            outs.append(_model_output(model_fn, z.view(np.float64)))
+        return np.concatenate(outs), index
+
+    sums = None
+    model_rows = 0
+    with _blas.single_threaded() as cores:
+        workers = max(1, min(cores, len(units)))
+        with ThreadPoolExecutor(workers) as pool:
+            done = _in_order(pool, evaluate, units, workers + 1)
+            for unit, (out, index) in zip(units, done):
+                if sums is None:
+                    sums = np.zeros((row_pattern.max() + 1, n_masks, out.shape[1]))
+                model_rows += out.shape[0]
+                for step, segments in zip(unit, index):
+                    for row, pair, flip in zip(step.use_row, step.use_pair, step.use_flip):
+                        shared = bool(step.shared[pair])
+                        rows, inverse = segments[shared]
+                        keys = inverse[step.col[pair]][key_sets[shared][1][int(flip)]]
+                        sums[row] += out[rows].take(keys, axis=0)
+    sums /= background.shape[0]
+    return _Masked(sums, row_pattern, model_rows,
+                   sum(int(step.shared.sum()) for step in steps), workers)
+
+
+def _in_order(pool: ThreadPoolExecutor, fn: Callable, items: list, ahead: int):
+    """fn(item) for each item, run on pool with at most `ahead` submitted
+    and not yet taken; yields the results in item order. When one raises,
+    the items not yet started are cancelled and the error reaches the
+    caller."""
+    pending: deque = deque()
+    try:
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) >= ahead:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
 
 
 def masked_eval(
@@ -277,16 +465,15 @@ def masked_eval(
 ) -> np.ndarray:
     """Background-averaged model output for one coalition mask."""
     bg = _as_background(background)
-    x = np.ascontiguousarray(x, dtype=np.float64).reshape(-1)
-    if x.size != bg.shape[1]:
+    x = np.ascontiguousarray(x, dtype=np.float64).reshape(1, -1)
+    if x.shape[1] != bg.shape[1]:
         raise ShapeMismatchError(
-            f"row width {x.size} vs background width {bg.shape[1]}"
+            f"row width {x.shape[1]} vs background width {bg.shape[1]}"
         )
     masks = np.asarray(mask, dtype=bool).reshape(1, -1)
-    if masks.shape[1] != x.size:
-        raise ShapeMismatchError(f"mask width {masks.shape[1]} vs row width {x.size}")
-    values, _ = _masked_values(model_fn, x, bg, *_mask_arrays(masks))
-    return values[0]
+    if masks.shape[1] != x.shape[1]:
+        raise ShapeMismatchError(f"mask width {masks.shape[1]} vs row width {x.shape[1]}")
+    return _masked_means(model_fn, x, bg, masks).means[0, 0]
 
 
 def kernel_shap(
@@ -308,13 +495,14 @@ def kernel_shap(
     makes it hold exactly. Under full coalition enumeration the solution
     equals the exact Shapley values.
 
-    The explained rows are independent and run on a pool of threads, one
-    per thread that OpenBLAS had, with OpenBLAS set to 1 thread process-wide
-    for the pool's lifetime and restored afterwards, also on error. So
-    model_fn may be called from several threads at once; it must not share
-    mutable state between calls. The result does not depend on the pool
-    size, but at a different OpenBLAS thread count the Gram product and
-    solve may differ in the last bits.
+    The masked means come from _masked_means, which evaluates each distinct
+    masked row once per call on a pool of threads, one per thread that
+    OpenBLAS had, with OpenBLAS set to 1 thread process-wide for the pool's
+    lifetime and restored afterwards, also on error. So model_fn may be
+    called from several threads at once; it must not share mutable state
+    between calls. The result does not depend on the pool size, but at a
+    different OpenBLAS thread count the Gram product and solve may differ
+    in the last bits.
 
     Raises ShapeMismatchError when feature_names, if given, does not name
     every column of x_rows or class_names every model output, and
@@ -357,23 +545,13 @@ def kernel_shap(
 
     rhs = np.empty((m - 1, n_rows * k))
     deltas = fx - f0[None, :]  # (n_rows, K)
-    mask_words, on = _mask_arrays(masks)
-
-    def explain_row(i: int) -> int:
-        # each row writes only its own columns of rhs
-        v, evaluated = _masked_values(model_fn, x_rows[i], bg, mask_words, on)
-        y2 = (v - f0[None, :]) - z[:, -1:] * deltas[i][None, :]
-        rhs[:, i * k : (i + 1) * k] = xw.T @ y2
-        return evaluated
-
-    # One worker per core that BLAS had, with BLAS itself at 1 thread: idle
-    # OpenBLAS threads spin and would slow the workers down. map cancels the
-    # rows not yet started when one raises, and the error reaches the caller.
-    with _blas.single_threaded() as cores:
-        workers = max(1, min(cores, n_rows))
-        with ThreadPoolExecutor(workers) as pool:
-            evaluated = sum(pool.map(explain_row, range(n_rows)))
-    model_rows = n_rows + bg.shape[0] + evaluated
+    masked = _masked_means(model_fn, x_rows, bg, masks)
+    # at 1 BLAS thread, so these products' bits do not depend on the
+    # caller's thread count
+    with _blas.single_threaded():
+        for i, e in enumerate(masked.row_pattern):
+            y2 = (masked.means[e] - f0[None, :]) - z[:, -1:] * deltas[i][None, :]
+            rhs[:, i * k : (i + 1) * k] = xw.T @ y2
 
     ridge_used = False
     try:
@@ -401,11 +579,13 @@ def kernel_shap(
         class_names=list(class_names),
         budget=budget,
         masked_rows=n_rows * masks.shape[0] * bg.shape[0],
-        model_rows=model_rows,
+        model_rows=n_rows + bg.shape[0] + masked.model_rows,
         ridge_used=ridge_used,
         gram_condition=float(np.linalg.cond(gram)),
-        workers=workers,
+        workers=masked.workers,
         constant_features=(min(constant, default=0), max(constant, default=0)),
+        shared_pairs=masked.shared_pairs,
+        fx=fx,
     )
 
 
@@ -433,7 +613,7 @@ def exact_shapley(
     n_masks = 1 << m
     mask_ints = np.arange(n_masks, dtype=np.int64)
     masks = ((mask_ints[:, None] >> np.arange(m)) & 1).astype(bool)
-    v, _ = _masked_values(model_fn, x, bg, *_mask_arrays(masks))  # (n_masks, K)
+    v = _masked_means(model_fn, x[None, :], bg, masks).means[0]  # (n_masks, K)
     popcount = masks.sum(axis=1)
 
     fact = [math.factorial(i) for i in range(m + 1)]

@@ -18,7 +18,7 @@ import pytest
 
 from zids import dataset as ds
 from zids import preprocess as pp
-from zids import _blas, cli, synthetic
+from zids import _blas, cli, mlp, synthetic
 from zids.cli import ExperimentConfig, main
 from conftest import SMALL_PROFILE, run_cli
 
@@ -623,7 +623,37 @@ class TestExplain:
         assert 1.0 <= numerics["gram_condition"] < 1e6
         blas_threads = manifest["threads"]["blas_threads"]
         assert blas_threads is None or isinstance(blas_threads, int)
-        assert numerics["workers"] == min(blas_threads or 1, config["explain_n"])
+        assert 1 <= numerics["workers"] <= (blas_threads or 1)
+        # the explained rows are the first of the background rows, so every
+        # pair of two distinct explained rows is evaluated once for both
+        test = pp.read_container(small_experiment.prepared / "test.zids", "coarse")
+        explained = test.rows(np.array(manifest["samples"]["explained_indices"])).dense()
+        distinct = len({row.tobytes() for row in explained})
+        assert 1 < distinct <= config["explain_n"]
+        assert numerics["shared_pairs"] == distinct * (distinct - 1) // 2
+
+    def test_explained_rows_sent_to_the_model_once(self, small_experiment,
+                                                   tmp_path, monkeypatch):
+        """The efficiency residuals reuse kernel_shap's f(x): the explained
+        rows reach the model in one call."""
+        model = small_experiment.train("truncated") / "model.zmlp"
+        digests = []
+        forward = mlp.forward
+
+        def counting(net, z):
+            digests.append(hashlib.sha256(np.ascontiguousarray(z).tobytes()).digest())
+            return forward(net, z)
+
+        monkeypatch.setattr(mlp, "forward", counting)
+        out = tmp_path / "once"
+        assert run_cli("explain", "--model", model, "--prepared", small_experiment.prepared,
+                       "--out", out, "--budget", 64, "--explain-n", 5) == 0
+        monkeypatch.undo()
+        manifest = json.loads((out / "manifest.json").read_text())
+        test = pp.read_container(small_experiment.prepared / "test.zids", "coarse")
+        rows = test.rows(np.array(manifest["samples"]["explained_indices"])).dense()
+        assert digests.count(hashlib.sha256(rows.tobytes()).digest()) == 1
+        assert max(manifest["efficiency_max_residual"].values()) <= 1e-6
 
     def test_manifest_counts_constant_features(self, small_experiment):
         """Per explained row, the encoded columns where it equals every

@@ -1,12 +1,13 @@
-"""Memory held by containers and training, as tracemalloc counts it (numpy
-reports its buffers to tracemalloc)."""
+"""Memory held by containers, training and KernelSHAP, as tracemalloc counts
+it (numpy reports its buffers to tracemalloc)."""
 
+import contextlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from zids import mlp
+from zids import _blas, mlp, shap
 from zids import preprocess as pp
 
 ROWS = 100_000
@@ -54,3 +55,26 @@ def test_training_holds_no_dense_copy_of_the_rows(container):
     _, peak = traced_peak(lambda: mlp.train(model, data, data, config))
     # the smallest (n, d) float array, float32, would take this much alone
     assert peak < ROWS * data.d * 4
+
+
+def test_kernel_shap_streams_the_shared_pairs(monkeypatch):
+    """Rows that are their own background share every pair of rows, and
+    no two masked rows are alike when every column differs. The outputs
+    of the pairs are added up step by step, so the call holds far less
+    than a store of every pair's outputs would."""
+    single_threaded = _blas.single_threaded
+
+    @contextlib.contextmanager
+    def two_workers():  # the peak grows with the workers; pin them
+        with single_threaded():
+            yield 2
+
+    monkeypatch.setattr(_blas, "single_threaded", two_workers)
+    rows = np.random.default_rng(1).normal(size=(60, 20))
+    model = mlp.init([20, 8, 3], seed=0)
+    expl, peak = traced_peak(lambda: shap.kernel_shap(
+        lambda z: mlp.forward(model, z), rows, rows, budget=512))
+    assert expl.shared_pairs == 60 * 59 // 2
+    stored_outputs = expl.model_rows * 3 * 8  # float64, indices not counted
+    assert stored_outputs > 16 * 2**20
+    assert peak < stored_outputs / 2

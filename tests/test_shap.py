@@ -148,18 +148,18 @@ class TestMaskedEval:
         masks[0] = True
         masks[1] = False
         fn = random_mlp_fn(d, seed=4)
-        v, evaluated = shap._masked_values(fn, x, bg, *shap._mask_arrays(masks))
-        assert v.shape == (200, 3)
-        np.testing.assert_allclose(v, masked_reference(fn, x, bg, masks),
+        masked = shap._masked_means(fn, x[None, :], bg, masks)
+        assert masked.means.shape == (1, 200, 3)
+        np.testing.assert_allclose(masked.means[0], masked_reference(fn, x, bg, masks),
                                    rtol=0, atol=1e-12)
-        assert evaluated < masks.shape[0] * bg.shape[0]
+        assert masked.model_rows < masks.shape[0] * bg.shape[0]
 
     def test_model_sees_each_distinct_row_once(self):
         d = 10
         x, bg = sparse_background(d, 6, changed=2, seed=15)
         masks = np.random.default_rng(16).random((100, d)) < 0.5
         fn = CountingFn(d)
-        _, evaluated = shap._masked_values(fn, x, bg, *shap._mask_arrays(masks))
+        evaluated = shap._masked_means(fn, x[None, :], bg, masks).model_rows
         distinct = sum(
             len({tuple(mask[row != x]) for mask in masks}) for row in bg
         )
@@ -173,14 +173,22 @@ class TestMaskedEval:
         runs = []
         for _ in range(2):
             fn = CountingFn(d, seed=5)
-            runs.append(shap._masked_values(fn, x, bg, *shap._mask_arrays(masks)))
+            runs.append(shap._masked_means(fn, x[None, :], bg, masks))
             assert len(fn.calls) > 1
-            assert all(n == shap._CHUNK_ROWS for n in fn.calls[:-1])
-        (a, evaluated), (b, _) = runs
-        assert evaluated > shap._CHUNK_ROWS
-        assert a.tobytes() == b.tobytes()
-        np.testing.assert_allclose(a, masked_reference(fn, x, bg, masks),
+            assert 1 < min(fn.calls) and max(fn.calls) <= shap._CHUNK_ROWS
+        a, b = runs
+        assert a.model_rows > shap._CHUNK_ROWS
+        assert a.means.tobytes() == b.means.tobytes()
+        np.testing.assert_allclose(a.means[0], masked_reference(fn, x, bg, masks),
                                    rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 1023, 1024, 1025, 2049, 3000])
+    def test_pieces_never_leave_one_row(self, n):
+        pieces = shap._pieces(n)
+        sizes = [p.stop - p.start for p in pieces]
+        assert pieces[0].start == 0 and pieces[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(pieces, pieces[1:]))
+        assert max(sizes) <= shap._CHUNK_ROWS and (n == 1 or min(sizes) > 1)
 
     def test_signed_zero_is_a_difference(self):
         # -0.0 == 0.0, but the masked row must still carry x's sign bit
@@ -188,7 +196,7 @@ class TestMaskedEval:
         x = np.array([-0.0, 1.0])
         bg = np.array([[0.0, 1.0]])
         masks = np.array([[True, False], [False, True]])
-        v, _ = shap._masked_values(fn, x, bg, *shap._mask_arrays(masks))
+        v = shap._masked_means(fn, x[None, :], bg, masks).means[0]
         assert v.tolist() == [[1.0, 0.0], [0.0, 0.0]]
 
     def test_all_on_is_model_output(self):
@@ -227,6 +235,117 @@ class TestMaskedEval:
             shap.masked_eval(fn, np.ones(4), bg, [True] * 4)
         with pytest.raises(ShapeMismatchError):
             shap.kernel_shap(fn, np.ones((1, 4)), bg)
+
+
+SHARING = ["all-background", "some-background", "duplicate-rows",
+           "two-key-words", "odd-budget"]
+
+
+def sharing_case(case):
+    """Explained rows, background and masks for one shape of sharing: rows
+    that differ in a few columns, as KDD rows do."""
+    d = 70 if case == "two-key-words" else 10
+    x, bg = sparse_background(d, 8, changed=3, seed=43)
+    if case == "two-key-words":  # differences on both sides of column 64
+        bg[::2, 3] += 1.0
+        bg[1::2, 66] += 1.0
+    rows = bg.copy()
+    if case == "some-background":
+        rows = np.concatenate([bg[[1, 4, 6]], x[None, :], x[None, :] + 0.5])
+    elif case == "duplicate-rows":
+        bg[5] = bg[2]
+        rows = np.concatenate([bg[[2, 5, 3, 3]], x[None, :], x[None, :]])
+    elif case == "odd-budget":
+        rows = np.concatenate([bg[:5], x[None, :]])
+    budget = 201 if case == "odd-budget" else 200
+    masks, _ = shap.enumerate_or_sample_coalitions(d, budget, seed=44)
+    return rows, bg, masks
+
+
+def brute_force_rows(rows, bg, masks, by_step=True):
+    """Distinct (unordered row-pattern pair, masked row) over every
+    (explained row, background row, mask), each counted once per step:
+    the later of the background row's position and the explained row's
+    first position in the background (-1 when it has none)."""
+    first = {}
+    for b, row in enumerate(bg):
+        first.setdefault(row.tobytes(), b)
+    seen = set()
+    for x in rows:
+        start = first.get(x.tobytes(), -1)
+        for b, g in enumerate(bg):
+            pair = frozenset((x.tobytes(), g.tobytes()))
+            step = max(b, start) if by_step else 0
+            seen.update((step, pair, np.where(mask, x, g).tobytes()) for mask in masks)
+    return len(seen)
+
+
+class TestSharedPairs:
+    """_masked_means serves both rows of a pattern pair with one masked row:
+    (x over g, mask S) is the row of (g over x, ~S)."""
+
+    @pytest.mark.parametrize("case", SHARING)
+    def test_matches_full_broadcast(self, case):
+        rows, bg, masks = sharing_case(case)
+        fn = random_mlp_fn(bg.shape[1], seed=45)
+        masked = shap._masked_means(fn, rows, bg, masks)
+        for i, x in enumerate(rows):
+            np.testing.assert_allclose(masked.means[masked.row_pattern[i]],
+                                       masked_reference(fn, x, bg, masks),
+                                       rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("case", SHARING)
+    def test_each_row_as_if_explained_alone(self, case):
+        """With 3 outputs, the means of a row explained among others are the
+        bits of that row explained alone, and of numpy's mean over the full
+        broadcast at 1 BLAS thread, as the pool runs: neither the grouping
+        of masked rows into model calls nor the sharing reaches them."""
+        rows, bg, masks = sharing_case(case)
+        fn = random_mlp_fn(bg.shape[1], k=3, seed=46)
+        masked = shap._masked_means(fn, rows, bg, masks)
+        for i in range(rows.shape[0]):
+            means = masked.means[masked.row_pattern[i]].tobytes()
+            alone = shap._masked_means(fn, rows[i : i + 1], bg, masks)
+            assert alone.means[0].tobytes() == means
+            with _blas.single_threaded():
+                assert masked_reference(fn, rows[i], bg, masks).tobytes() == means
+
+    @pytest.mark.parametrize("case", SHARING)
+    def test_model_sees_each_pair_row_once(self, case):
+        rows, bg, masks = sharing_case(case)
+        fn = CountingFn(bg.shape[1])
+        masked = shap._masked_means(fn, rows, bg, masks)
+        assert sum(fn.calls) == masked.model_rows == brute_force_rows(rows, bg, masks)
+        if case != "duplicate-rows":  # no background row repeats: once per call
+            assert masked.model_rows == brute_force_rows(rows, bg, masks, by_step=False)
+        assert masked.model_rows < rows.shape[0] * bg.shape[0] * masks.shape[0]
+        assert min(fn.calls) > 1
+
+    @pytest.mark.parametrize("case", SHARING)
+    def test_shared_pairs_counted(self, case):
+        rows, bg, masks = sharing_case(case)
+        masked = shap._masked_means(CountingFn(bg.shape[1]), rows, bg, masks)
+        both = {r.tobytes() for r in rows} & {g.tobytes() for g in bg}
+        assert masked.shared_pairs == len(both) * (len(both) - 1) // 2
+        if case in ("all-background", "two-key-words"):
+            assert masked.shared_pairs == 28  # 8 distinct rows
+
+    def test_rows_that_are_their_background_halve_the_model_rows(self):
+        rows, bg, masks = sharing_case("all-background")
+        masked = shap._masked_means(CountingFn(10), rows, bg, masks)
+        one_sided = sum(
+            shap._masked_means(CountingFn(10), rows[i : i + 1], bg, masks).model_rows
+            for i in range(rows.shape[0])
+        )
+        # the 8 self pairs give one row each and are not shared
+        assert masked.model_rows == (one_sided - 8) // 2 + 8
+
+    def test_one_masked_row_is_one_call(self):
+        fn = CountingFn(3)
+        x = np.array([1.0, 2.0, 3.0])
+        v = shap.masked_eval(fn, x, x[None, :], [True, False, True])
+        assert fn.calls == [1]
+        assert np.array_equal(v, fn.fn(np.stack([x, x]))[0])
 
 
 class TestKernelShap:
@@ -300,7 +419,8 @@ class TestKernelShap:
         bg = rng.normal(size=(10, m))
         xs = rng.normal(size=(4, m))
         expl = shap.kernel_shap(fn, xs, bg, budget=400, seed=3)  # sampled: 2^14-2 > 400
-        residuals = shap.efficiency_residuals(expl, fn(xs))
+        assert expl.fx.tobytes() == fn(xs).tobytes()
+        residuals = shap.efficiency_residuals(expl, expl.fx)
         assert residuals.max() <= 1e-6
 
     def test_linearity_under_shared_coalitions(self):
@@ -432,7 +552,7 @@ class TestRowPool:
         assert a.base_values.tobytes() == b.base_values.tobytes()
         assert a.model_rows == b.model_rows
 
-    @pytest.mark.parametrize("n_rows", [1, 3, 7])  # 3 is fewer rows than workers
+    @pytest.mark.parametrize("n_rows", [1, 3, 7])  # 1 row: 2 units, 2 workers
     def test_pool_matches_one_worker(self, monkeypatch, n_rows):
         fn = random_mlp_fn(12, seed=9)
         fake_cores(monkeypatch, 1)
@@ -441,7 +561,7 @@ class TestRowPool:
         fake_cores(monkeypatch, 4)
         for _ in range(2):  # a later call in the process gives the same bytes
             pooled = self.explain(fn, n_rows)
-            assert pooled.workers == min(4, n_rows)
+            assert 1 < pooled.workers <= 4
             self.same_bytes(pooled, serial)
 
     def test_without_openblas_one_worker_same_bytes(self, monkeypatch):
