@@ -324,29 +324,16 @@ def cmd_prepare(args) -> int:
 
     with _locked_dir(out_dir):
         # Pass 1 reads only the four string fields (protocol_type,
-        # service, flag, label); each chunk's distinct values are interned
-        # into int32 codes, in no useful order until sort_codes.
-        indexes = [{} for _ in range(4)]
-        interned = [array.array("i") for _ in range(4)]
-        with _open_text(data_path) as stream:
-            scan = ds.StringFields(stream)
-            for fields in scan:
-                for (values, value_codes), index, codes in zip(fields, indexes, interned):
-                    pp.intern(values, value_codes, index, codes)
-        if scan.error is not None:
-            # A bad cell on an earlier line wins over pass 1's error.
-            with _open_text(data_path) as stream:
-                for _ in ds.iter_continuous(stream, stop=scan.error.line_no):
-                    pass
-            raise scan.error
-        if not interned[0]:
+        # service, flag, label) as one pattern per row; each chunk's
+        # distinct patterns are interned into int32 codes, in no useful
+        # order until split_patterns sorts each field's vocabulary.
+        index, interned = {}, array.array("i")
+        pass_1 = ds.ChunkStats()
+        for patterns, pattern_codes in ds.iter_strings(lambda: _open_text(data_path), pass_1):
+            pp.intern(patterns, pattern_codes, index, interned)
+        if not interned:
             raise EmptyInputError(f"no records in {data_path}")
-        # Each field renumbered once to its sorted vocabulary.
-        vocabs, codes = [], []
-        for index, field_codes in zip(indexes, interned):
-            vocab, field_codes = pp.sort_codes(index, field_codes)
-            vocabs.append(vocab)
-            codes.append(field_codes)
+        vocabs, codes = ds.split_patterns(index, interned)
         del interned
         fine_names, y_fine = vocabs.pop(), codes.pop()
         n = y_fine.size
@@ -443,7 +430,7 @@ def cmd_prepare(args) -> int:
                 "seeds": {"split": cfg.split_seed},
                 # per pass: text chunks read, and those that took the
                 # per-line path
-                "chunks": {"pass_1": asdict(scan.stats), "pass_2": asdict(pass_2)},
+                "chunks": {"pass_1": asdict(pass_1), "pass_2": asdict(pass_2)},
                 "data": {
                     "rows": n,
                     "train_rows": int(train_idx.size),

@@ -16,7 +16,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -165,7 +165,7 @@ CATEGORY_OF = {
 CHUNK_CHARS = 1 << 18  # characters per read; larger reads were no faster and left more heap resident
 _MAX_SPAN_CHARS = 64  # a chunk with a wider string field takes the per-line path
 
-_NEWLINE, _COMMA, _SPACE = 0x0A, 0x2C, 0x20
+_NEWLINE, _COMMA, _SPACE, _DOT = 0x0A, 0x2C, 0x20, 0x2E
 # _LOW_BYTES[k] keeps the first k bytes of a little-endian 8-byte word.
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 
@@ -208,14 +208,6 @@ def _plain(chunk: str) -> Optional[tuple[np.ndarray, np.ndarray]]:
     return raw, ends
 
 
-def _renumbered(values: list[str], codes: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """Row i holds values[codes[i]], and values may repeat: the distinct
-    values, in order of first listing, and int32 codes into them."""
-    index: dict[str, int] = {}
-    remap = np.array([index.setdefault(v, len(index)) for v in values], dtype=np.int32)
-    return list(index), remap[codes]
-
-
 def _span_words(padded: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     """The bytes padded[starts[i]:stops[i]] of each row, NUL-filled to
     whole 8-byte words: an (n, words) uint64 array. padded must run at
@@ -244,11 +236,12 @@ def _distinct_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[new], codes
 
 
-def _fast_string_fields(chunk: str) -> Optional[tuple]:
-    """The four string fields of a chunk, each as (values, codes), taken
-    with numpy from the comma offsets; None when the chunk needs the
-    per-line path: not plain (_plain), a line without exactly 41 commas,
-    a string field wider than _MAX_SPAN_CHARS, or an unknown label."""
+def _fast_patterns(chunk: str) -> Optional[tuple[list[str], np.ndarray]]:
+    """The chunk's distinct row patterns and the int32 code of each row
+    (see iter_strings), taken with numpy from the comma offsets; None
+    when the chunk needs the per-line path: not plain (_plain), a line
+    without exactly 41 commas, a string field wider than _MAX_SPAN_CHARS,
+    or an unknown label."""
     plain = _plain(chunk)
     if plain is None:
         return None
@@ -259,91 +252,107 @@ def _fast_string_fields(chunk: str) -> Optional[tuple]:
     commas = commas.reshape(ends.size, NUM_FIELDS - 1)
     if (commas[:, -1] > ends).any() or (commas[1:, 0] < ends[:-1]).any():
         return None
-    # One "tcp,http,SF" span per row, and its label span.
-    spans = ((commas[:, 0] + 1, commas[:, 3]), (commas[:, -1] + 1, ends))
+    # One "tcp,http,SF" span per row, and its label span without a final ".".
+    label_stops = ends - (raw[ends - 1] == _DOT)
+    spans = ((commas[:, 0] + 1, commas[:, 3]), (commas[:, -1] + 1, label_stops))
     if max(int((stop - start).max()) for start, stop in spans) > _MAX_SPAN_CHARS:
         return None
     padded = np.concatenate([raw, np.zeros(_MAX_SPAN_CHARS, dtype=np.uint8)])
     middle, label = (_span_words(padded, start, stop) for start, stop in spans)
+    letters = label.view(np.uint8)  # lowercased as str.lower() does ASCII
+    np.bitwise_or(letters, 0x20, out=letters, where=(letters >= 0x41) & (letters <= 0x5A))
     first, codes = _distinct_rows(np.concatenate([middle, label], axis=1))
-    labels = [v.lower().removesuffix(".") for v in _span_text(label[first])]
+    labels = _span_text(label[first])
     if not all(v in CATEGORY_OF for v in labels):
         return None
-    triples = [v.split(",") for v in _span_text(middle[first])]
-    return (
-        *(_renumbered([t[f] for t in triples], codes) for f in range(3)),
-        _renumbered(labels, codes),
-    )
+    return [f"{m},{v}" for m, v in zip(_span_text(middle[first]), labels)], codes
 
 
-class StringFields:
-    """The four string fields of a KDD99 stream, without its numbers.
+def _per_line(line_no: int, lines: list[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct row patterns of the lines, numbered from line_no, and
+    the int32 code of each row. Raises MalformedLineError at the first
+    line without 42 fields, and UnknownLabelError at the first with an
+    unknown label."""
+    index: dict[str, int] = {}
+    codes = []
+    for line_no, raw in enumerate(lines, start=line_no):
+        line = raw.strip()
+        if not line:
+            continue
+        fields = line.count(",") + 1
+        if fields != NUM_FIELDS:
+            raise MalformedLineError(line_no, fields)
+        label = line[line.rfind(",") + 1:].lower().removesuffix(".")
+        if label not in CATEGORY_OF:
+            raise UnknownLabelError(line_no, label)
+        _, protocol, service, flag, _ = line.split(",", 4)
+        codes.append(index.setdefault(f"{protocol},{service},{flag},{label}", len(index)))
+    return list(index), np.array(codes, dtype=np.int32)
 
-    Iterating reads a text stream once, in chunks of whole lines (see
-    _chunks), and yields for each chunk one (values, codes) pair per
-    field in the order protocol_type, service, flag, label: values are
-    the chunk's distinct values, in no particular order, and row i of the
-    chunk holds values[codes[i]] (codes are int32). Blank lines are
-    skipped, so a chunk may hold no row; labels come out lowercased with
-    the trailing dot removed, so each is a key of CATEGORY_OF. No
-    continuous value is converted.
+
+def iter_strings(
+    open_stream: Callable[[], TextIO],
+    stats: Optional[ChunkStats] = None,
+) -> Iterator[tuple[list[str], np.ndarray]]:
+    """The four string fields of a KDD99 text, as one pattern per row.
+
+    Reads the stream that open_stream() opens in chunks of whole lines
+    (see _chunks) and yields (patterns, codes) per chunk: patterns are the
+    chunk's distinct "protocol_type,service,flag,label" rows, in no
+    particular order, the label lowercased without its trailing dot (a
+    key of CATEGORY_OF), and row i of the chunk has patterns[codes[i]]
+    (codes are int32). Blank lines are skipped, so a chunk may hold no
+    row. No continuous value is converted.
 
     A plain chunk (see _plain) of lines with 42 fields and known labels is
     split at its comma offsets with numpy; any other chunk runs the
-    per-line code, which finds every error. .stats counts both.
+    per-line code, which finds every error. `stats`, if given, counts
+    both.
 
-    Each line must have 42 fields and a known label. At the first line
-    that does not, iteration stops and .error holds its
-    MalformedLineError or UnknownLabelError, unraised: a bad cell on an
-    earlier line, which only iter_continuous finds, must win over it.
+    At the first line without 42 fields or with an unknown label, the
+    chunk that holds it is not yielded, and a second stream from
+    open_stream() is read with iter_continuous up to that line: a bad
+    cell on an earlier line raises its FieldTypeError, and otherwise the
+    line's MalformedLineError or UnknownLabelError is raised.
     """
+    stats = stats if stats is not None else ChunkStats()
+    error: Optional[ZidsError] = None
+    line_no = 1  # of the chunk's first line
+    with open_stream() as stream:
+        for chunk in _chunks(stream):
+            stats.chunks += 1
+            block = _fast_patterns(chunk)
+            if block is None:
+                stats.per_line += 1
+                try:
+                    block = _per_line(line_no, _lines(chunk))
+                except (MalformedLineError, UnknownLabelError) as exc:
+                    error = exc
+                    break
+            line_no += chunk.count("\n")
+            yield block
+    if error is not None:
+        with open_stream() as stream:
+            for _ in iter_continuous(stream, stop=error.line_no):
+                pass  # a bad cell on an earlier line wins
+        raise error
 
-    def __init__(self, stream: TextIO):
-        self._stream = stream
-        self.error: Optional[ZidsError] = None
-        self.stats = ChunkStats()
 
-    def __iter__(self) -> Iterator[tuple[tuple[list[str], np.ndarray], ...]]:
-        line_no = 1  # of the chunk's first line
-        for chunk in _chunks(self._stream):
-            self.stats.chunks += 1
-            fields = _fast_string_fields(chunk)
-            if fields is None:
-                self.stats.per_line += 1
-                lines = _lines(chunk)
-                fields = self._per_line(line_no, lines)
-                line_no += len(lines)
-            else:
-                line_no += fields[0][1].size
-            yield fields
-            if self.error is not None:
-                break
-
-    def _per_line(self, line_no: int, lines: list[str]) -> tuple:
-        """The (values, codes) of each field over the lines, numbered from
-        line_no, up to the first bad one, whose error goes to .error."""
-        columns: tuple[list[str], ...] = ([], [], [], [])
-        protocols, services, flags, labels = columns
-        for line_no, raw in enumerate(lines, start=line_no):
-            line = raw.strip()
-            if not line:
-                continue
-            fields = line.count(",") + 1
-            label = line[line.rfind(",") + 1:].lower().removesuffix(".")
-            if fields != NUM_FIELDS or label not in CATEGORY_OF:
-                self.error = (
-                    UnknownLabelError(line_no, label)
-                    if fields == NUM_FIELDS
-                    else MalformedLineError(line_no, fields)
-                )
-                break
-            _, protocol, service, flag, _ = line.split(",", 4)
-            protocols.append(protocol)
-            services.append(service)
-            flags.append(flag)
-            labels.append(label)
-        rows = np.arange(len(labels))
-        return tuple(_renumbered(column, rows) for column in columns)
+def split_patterns(
+    index: Mapping[str, int], codes: Sequence[int]
+) -> tuple[list[list[str]], list[np.ndarray]]:
+    """Split the row patterns of iter_strings, interned into index (each
+    pattern's code, in code order) and codes (an array('i'), one code per
+    row), into their four fields: the sorted vocabulary of each field, and
+    for each field the int32 code of each row into its vocabulary."""
+    rows = np.frombuffer(codes, dtype=np.int32)
+    vocabs, field_codes = [], []
+    for column in zip(*(pattern.split(",") for pattern in index)):
+        vocab = sorted(set(column))
+        rank = {value: i for i, value in enumerate(vocab)}
+        vocabs.append(vocab)
+        field_codes.append(np.asarray([rank[v] for v in column], dtype=np.int32)[rows])
+    return vocabs, field_codes
 
 
 def _checked_floats(lines: list[str], line_numbers: Sequence[int]) -> np.ndarray:
@@ -401,11 +410,11 @@ def iter_continuous(
 
     Reading ends before line `stop` (1-based, blank lines counted), or at
     the end of the stream. The lines are taken to have the structure
-    StringFields checks; only the cell-by-cell fallback notices one that
+    iter_strings checks; only the cell-by-cell fallback notices one that
     does not. Raises FieldTypeError at the first cell that is not a
     finite non-negative number.
 
-    The stream is read in the chunks StringFields reads. A chunk of
+    The stream is read in the chunks iter_strings reads. A chunk of
     plain lines (no blank line, nothing to strip) is split at its
     newlines; any other chunk is stripped line by line. `stats`, if
     given, counts both.
@@ -442,13 +451,13 @@ def iter_kdd(stream: Iterable[str]) -> Iterator[RawRecord]:
     """
     lines = [line.removesuffix("\n") for line in stream]
     text = "\n".join(lines)
-    scan = StringFields(io.StringIO(text))
-    labels = [values[c] for *_, (values, codes) in scan for c in codes.tolist()]
-    stop = scan.error.line_no if scan.error is not None else None
-    for _ in iter_continuous(io.StringIO(text), stop):
-        pass  # a bad cell before the structural error wins
-    if scan.error is not None:
-        raise scan.error
+    labels = [
+        patterns[c].rsplit(",", 1)[1]
+        for patterns, codes in iter_strings(lambda: io.StringIO(text))
+        for c in codes.tolist()
+    ]
+    for _ in iter_continuous(io.StringIO(text)):
+        pass  # the bad cells, as prepare's pass 2 finds them
     records = filter(None, (line.strip() for line in lines))
     for line, label in zip(records, labels):
         yield RawRecord(values=tuple(line.split(",")[:-1]), label=label)

@@ -184,17 +184,9 @@ def intern(
     """Append to codes the index code of each row of a block whose row i
     holds values[value_codes[i]]. index grows by each value it lacks, in
     the order of values, under the next free code; so the codes follow no
-    useful order until sort_codes renumbers them."""
+    useful order until dataset.split_patterns renumbers them."""
     remap = np.asarray([index.setdefault(v, len(index)) for v in values], dtype=np.int32)
     codes.frombytes(remap[value_codes].tobytes())
-
-
-def sort_codes(index: dict[str, int], codes: array.array) -> tuple[list[str], np.ndarray]:
-    """The sorted vocabulary of index, and int32 codes renumbered to match it."""
-    vocab = sorted(index)
-    rank = {value: i for i, value in enumerate(vocab)}
-    remap = np.asarray([rank[v] for v in index], dtype=np.int32)
-    return vocab, remap[np.frombuffer(codes, dtype=np.int32)]
 
 
 def fit_scaling(x: np.ndarray) -> list[tuple[float, float]]:
@@ -362,6 +354,12 @@ def read_container_columns(path):
         ]
         if body.left:
             raise CorruptContainerError("label columns do not end at the checksum")
+        for column in columns:
+            if n and column.y.max() >= len(column.class_names):
+                raise CorruptContainerError(
+                    f"{path}: label {column.y.max()} of column {column.name!r} "
+                    f"is not below its {len(column.class_names)} classes"
+                )
     except (EOFError, ValueError) as exc:
         raise CorruptContainerError(str(exc)) from None
     return Rows(x, codes, fields, tuple(float_names)), scaling, columns

@@ -123,14 +123,11 @@ class TestPrepare:
         assert [c.name for c in columns] == ["coarse", "fine"]
 
     def test_counts_match_streaming_oracle(self, small_experiment):
-        with open(small_experiment.corpus) as stream:
-            scan = ds.StringFields(stream)
-            seen = Counter(
-                ds.CATEGORY_OF[labels[code]]
-                for *_, (labels, codes) in scan
-                for code in codes
-            )
-        assert scan.error is None
+        seen = Counter(
+            ds.CATEGORY_OF[patterns[code].rsplit(",", 1)[1]]
+            for patterns, codes in ds.iter_strings(lambda: open(small_experiment.corpus))
+            for code in codes
+        )
         expected = {category: seen[category] for category in ds.CATEGORIES}
         got = dict(
             line.split(",")

@@ -33,22 +33,17 @@ def make_line(label="normal.", protocol="tcp", service="http", flag="SF"):
 
 
 def decoded(block):
-    """A StringFields block as (protocols, services, flags, labels) lists
+    """An iter_strings block as (protocols, services, flags, labels) lists
     with one value per row."""
-    return tuple([values[c] for c in codes] for values, codes in block)
+    patterns, codes = block
+    return tuple([patterns[c].split(",")[f] for c in codes] for f in range(4))
 
 
 def parse(text):
     """The string-field blocks and continuous blocks of a KDD99 text, read
-    as `zids prepare` reads it: a bad cell before the first structural
-    error wins over that error."""
-    scan = ds.StringFields(io.StringIO(text))
-    fields = [decoded(block) for block in scan]
-    stop = scan.error.line_no if scan.error else None
-    continuous = list(ds.iter_continuous(io.StringIO(text), stop))
-    if scan.error is not None:
-        raise scan.error
-    return fields, continuous
+    as `zids prepare` reads it in its two passes."""
+    fields = [decoded(block) for block in ds.iter_strings(lambda: io.StringIO(text))]
+    return fields, list(ds.iter_continuous(io.StringIO(text)))
 
 
 def labels(text):
@@ -95,18 +90,19 @@ class TestParse:
         assert err.value.field_count == 41
         assert err.value.line_no == 1
 
-    def test_string_fields_record_their_error(self):
+    def test_string_fields_raise_their_error(self):
         text = make_line() + "\n" + make_line("mystery.") + "\n" + make_line()
-        scan = ds.StringFields(io.StringIO(text))
-        assert [decoded(block)[3] for block in scan] == [["normal"]]
-        assert isinstance(scan.error, UnknownLabelError)
-        assert (scan.error.line_no, scan.error.label) == (2, "mystery")
+        blocks = []
+        with pytest.raises(UnknownLabelError) as err:
+            for block in ds.iter_strings(lambda: io.StringIO(text)):
+                blocks.append(decoded(block))
+        assert (err.value.line_no, err.value.label) == (2, "mystery")
+        assert blocks == []  # the chunk that holds the bad line is not yielded
 
     def test_string_fields_convert_no_number(self):
         bad_cell = make_line().replace(",215,", ",abc,", 1)
-        scan = ds.StringFields(io.StringIO(bad_cell))
-        assert [decoded(block) for block in scan] == [(["tcp"], ["http"], ["SF"], ["normal"])]
-        assert scan.error is None
+        blocks = [decoded(block) for block in ds.iter_strings(lambda: io.StringIO(bad_cell))]
+        assert blocks == [(["tcp"], ["http"], ["SF"], ["normal"])]
 
     def test_bad_continuous_field(self):
         values = ["0"] * ds.NUM_FEATURES

@@ -32,6 +32,19 @@ READERS = [
     ("model.zmlp", "explain"),
 ]
 
+
+def reader_command(command, model, prepared, out):
+    """The argv of a command that reads the containers in prepared and,
+    but for train, the model."""
+    return {
+        "train": ("train", "--prepared", prepared, "--variant", "truncated",
+                  "--epochs", 1),
+        "evaluate": ("evaluate", "--model", model, "--test", prepared / "test.zids"),
+        "explain": ("explain", "--model", model, "--prepared", prepared,
+                    "--budget", 64),
+    }[command] + ("--out", out)
+
+
 # A header byte of each artifact, under its checksum like every byte before
 # the CRC: in the high half of a container's row count N, and the low byte
 # of the length of a model's label column name.
@@ -69,16 +82,8 @@ def test_damaged_artifact_is_one_line_data_error(
     shutil.copy(small_experiment.train("truncated") / "model.zmlp", model)
     damage(model if artifact == "model.zmlp" else prepared / artifact, fault)
     out = tmp_path / "out"
-    argv = {
-        "train": ("train", "--prepared", prepared, "--variant", "truncated",
-                  "--epochs", 1),
-        "evaluate": ("evaluate", "--model", model,
-                     "--test", prepared / "test.zids"),
-        "explain": ("explain", "--model", model, "--prepared", prepared,
-                    "--budget", 64),
-    }[command]
     capsys.readouterr()
-    rc = run_cli(*argv, "--out", out)
+    rc = run_cli(*reader_command(command, model, prepared, out))
     err = assert_one_line_error(capsys, rc, 2, out)
     assert err.startswith("data error: corrupt")
 
@@ -377,17 +382,34 @@ def test_crafted_container_is_one_line_data_error(
     path.write_bytes(recrc(blob))
     model = small_experiment.train("truncated") / "model.zmlp"
     out = tmp_path / "out"
-    argv = {
-        "train": ("train", "--prepared", prepared, "--variant", "truncated",
-                  "--epochs", 1),
-        "evaluate": ("evaluate", "--model", model, "--test", path),
-        "explain": ("explain", "--model", model, "--prepared", prepared,
-                    "--budget", 64),
-    }[command]
     capsys.readouterr()
-    rc = run_cli(*argv, "--out", out)
+    rc = run_cli(*reader_command(command, model, prepared, out))
     err = assert_one_line_error(capsys, rc, 2, out)
     assert err.startswith("data error: corrupt dataset container:") and message in err
+
+
+@pytest.mark.parametrize("artifact, command", READERS[:4])
+def test_label_past_its_classes_is_one_line_data_error(
+    small_experiment, tmp_path, capsys, artifact, command
+):
+    """A container written with a coarse label of 7 under 4 class names,
+    its checksum valid, is refused by the reader with the file's name."""
+    prepared = tmp_path / "prepared"
+    shutil.copytree(small_experiment.prepared, prepared)
+    path = prepared / artifact
+    rows, scaling, columns = pp.read_container_columns(path)
+    coarse = columns[0]
+    y = coarse.y.copy()
+    y[-1] = 7
+    columns[0] = pp.LabelColumn(coarse.name, coarse.class_names, y)
+    pp.write_container(path, rows, scaling, columns)
+    model = small_experiment.train("truncated") / "model.zmlp"
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = run_cli(*reader_command(command, model, prepared, out))
+    err = assert_one_line_error(capsys, rc, 2, out)
+    assert err == (f"data error: corrupt dataset container: {path}: label 7 of "
+                   "column 'coarse' is not below its 4 classes\n")
 
 
 def test_format_2_container_is_one_line_data_error(small_experiment, tmp_path, capsys):
@@ -421,14 +443,6 @@ def test_format_3_container_is_one_line_data_error(small_experiment, tmp_path, c
     assert err == "data error: unsupported format version 3 (supported: 4)\n"
 
 
-def model_command(command, model, prepared, out):
-    return {
-        "evaluate": ("evaluate", "--model", model, "--test", prepared / "test.zids"),
-        "explain": ("explain", "--model", model, "--prepared", prepared,
-                    "--budget", 64),
-    }[command] + ("--out", out)
-
-
 def assert_old_model_refused(small_experiment, tmp_path, capsys, command, version):
     """A model file of an older format version exits 2 on its version. Its
     checksum is the one formats 2 and 3 wrote, over the bytes after the
@@ -440,7 +454,7 @@ def assert_old_model_refused(small_experiment, tmp_path, capsys, command, versio
     model.write_bytes(bytes(blob))
     out = tmp_path / "out"
     capsys.readouterr()
-    rc = run_cli(*model_command(command, model, small_experiment.prepared, out))
+    rc = run_cli(*reader_command(command, model, small_experiment.prepared, out))
     err = assert_one_line_error(capsys, rc, 2, out)
     assert err == f"data error: unsupported format version {version} (supported: 4)\n"
 
@@ -473,7 +487,7 @@ def test_crafted_model_name_count_is_one_line_data_error(
     model.write_bytes(recrc(blob))
     out = tmp_path / "out"
     capsys.readouterr()
-    rc = run_cli(*model_command(command, model, small_experiment.prepared, out))
+    rc = run_cli(*reader_command(command, model, small_experiment.prepared, out))
     err = assert_one_line_error(capsys, rc, 2, out)
     assert err.startswith("data error: corrupt model file:")
 

@@ -56,8 +56,8 @@ def corpus():
     text = "".join(line + "\n" for line in lines)
     x = np.concatenate(list(ds.iter_continuous(io.StringIO(text)))).astype(np.float32)
     labels = [
-        values[code]
-        for *_, (values, codes) in ds.StringFields(io.StringIO(text))
+        patterns[code].rsplit(",", 1)[1]
+        for patterns, codes in ds.iter_strings(lambda: io.StringIO(text))
         for code in codes
     ]
     y = np.array([ds.CATEGORIES.index(ds.CATEGORY_OF[l]) for l in labels])
