@@ -325,7 +325,7 @@ def cmd_prepare(args) -> int:
     with _locked_dir(out_dir):
         # Pass 1 reads only the four string fields (protocol_type,
         # service, flag, label) as one pattern per row; each chunk's
-        # distinct patterns are interned into int32 codes, in no useful
+        # patterns are interned into int32 codes, in no useful
         # order until split_patterns sorts each field's vocabulary.
         index, interned = {}, array.array("i")
         pass_1 = ds.ChunkStats()

@@ -165,7 +165,7 @@ CATEGORY_OF = {
 CHUNK_CHARS = 1 << 18  # characters per read; larger reads were no faster and left more heap resident
 _MAX_SPAN_CHARS = 64  # a chunk with a wider string field takes the per-line path
 
-_NEWLINE, _COMMA, _SPACE, _DOT = 0x0A, 0x2C, 0x20, 0x2E
+_NEWLINE, _COMMA, _SPACE = 0x0A, 0x2C, 0x20
 # _LOW_BYTES[k] keeps the first k bytes of a little-endian 8-byte word.
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 
@@ -237,8 +237,8 @@ def _distinct_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _fast_patterns(chunk: str) -> Optional[tuple[list[str], np.ndarray]]:
-    """The chunk's distinct row patterns and the int32 code of each row
-    (see iter_strings), taken with numpy from the comma offsets; None
+    """The chunk's row patterns and the int32 code of each row (see
+    iter_strings), taken with numpy from the comma offsets; None
     when the chunk needs the per-line path: not plain (_plain), a line
     without exactly 41 commas, a string field wider than _MAX_SPAN_CHARS,
     or an unknown label."""
@@ -252,17 +252,14 @@ def _fast_patterns(chunk: str) -> Optional[tuple[list[str], np.ndarray]]:
     commas = commas.reshape(ends.size, NUM_FIELDS - 1)
     if (commas[:, -1] > ends).any() or (commas[1:, 0] < ends[:-1]).any():
         return None
-    # One "tcp,http,SF" span per row, and its label span without a final ".".
-    label_stops = ends - (raw[ends - 1] == _DOT)
-    spans = ((commas[:, 0] + 1, commas[:, 3]), (commas[:, -1] + 1, label_stops))
+    # One "tcp,http,SF" span per row, and its label span.
+    spans = ((commas[:, 0] + 1, commas[:, 3]), (commas[:, -1] + 1, ends))
     if max(int((stop - start).max()) for start, stop in spans) > _MAX_SPAN_CHARS:
         return None
     padded = np.concatenate([raw, np.zeros(_MAX_SPAN_CHARS, dtype=np.uint8)])
     middle, label = (_span_words(padded, start, stop) for start, stop in spans)
-    letters = label.view(np.uint8)  # lowercased as str.lower() does ASCII
-    np.bitwise_or(letters, 0x20, out=letters, where=(letters >= 0x41) & (letters <= 0x5A))
     first, codes = _distinct_rows(np.concatenate([middle, label], axis=1))
-    labels = _span_text(label[first])
+    labels = [v.lower().removesuffix(".") for v in _span_text(label[first])]
     if not all(v in CATEGORY_OF for v in labels):
         return None
     return [f"{m},{v}" for m, v in zip(_span_text(middle[first]), labels)], codes
@@ -298,11 +295,13 @@ def iter_strings(
 
     Reads the stream that open_stream() opens in chunks of whole lines
     (see _chunks) and yields (patterns, codes) per chunk: patterns are the
-    chunk's distinct "protocol_type,service,flag,label" rows, in no
-    particular order, the label lowercased without its trailing dot (a
-    key of CATEGORY_OF), and row i of the chunk has patterns[codes[i]]
-    (codes are int32). Blank lines are skipped, so a chunk may hold no
-    row. No continuous value is converted.
+    chunk's "protocol_type,service,flag,label" rows, in no particular
+    order, the label lowercased without its trailing dot (a key of
+    CATEGORY_OF), and row i of the chunk has patterns[codes[i]] (codes
+    are int32). A pattern may be listed more than once (labels that
+    differ only in case or dot), and each listed pattern has a row.
+    Blank lines are skipped, so a chunk may hold no row. No continuous
+    value is converted.
 
     A plain chunk (see _plain) of lines with 42 fields and known labels is
     split at its comma offsets with numpy; any other chunk runs the
