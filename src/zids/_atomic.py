@@ -101,21 +101,30 @@ class Cursor:
         return np.frombuffer(self.blob, dtype, count, at).reshape(shape)
 
 
-def read_checked(path, magic: bytes, version: int, corrupt) -> Cursor:
+def read_checked(path, magic: bytes, version: int, corrupt, parse):
     """Read the file at path once and check its magic, its version, then
-    its checksum: a cursor over its body.
+    its checksum; then parse(cursor over its body), which must read the
+    whole body. Returns what parse returns.
 
-    corrupt(reason) is the exception a damaged file raises; a file of
-    another version raises VersionMismatchError.
+    corrupt(reason) is the exception a damaged file raises, its reason
+    led by the path; an EOFError or ValueError from parse becomes one.
+    A file of another version raises VersionMismatchError.
     """
     blob = Path(path).read_bytes()
     if blob[:4] != magic:
-        raise corrupt(f"bad magic {blob[:4]!r}")
+        raise corrupt(f"{path}: bad magic {blob[:4]!r}")
     if len(blob) < 12:
-        raise corrupt("unexpected end of file")
+        raise corrupt(f"{path}: unexpected end of file")
     (found,) = struct.unpack_from("<I", blob, 4)
     if found != version:
         raise VersionMismatchError(found, version)
     if blob[-4:] != struct.pack("<I", zlib.crc32(memoryview(blob)[:-4])):
-        raise corrupt("checksum mismatch")
-    return Cursor(blob, 8, len(blob) - 4)
+        raise corrupt(f"{path}: checksum mismatch")
+    body = Cursor(blob, 8, len(blob) - 4)
+    try:
+        parsed = parse(body)
+        if body.left:
+            raise ValueError(f"{body.left} bytes left before the checksum")
+    except (EOFError, ValueError) as exc:
+        raise corrupt(f"{path}: {exc}") from None
+    return parsed

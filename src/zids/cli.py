@@ -494,7 +494,7 @@ def cmd_train(args) -> int:
         weights = pp.class_weights(train_ds.y, train_ds.k) if weighted else None
         train_config = replace(train_config, class_weights=weights)
 
-        model = mlp.init(dims, cfg.train_seed)
+        model = mlp.init(dims, cfg.train_seed, dtype=np.float32)
         model.label_column = granularity
         model.feature_names = train_ds.feature_names
         model.class_names = train_ds.class_names

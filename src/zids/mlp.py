@@ -1,15 +1,25 @@
 """Dense feed-forward classifier: forward pass, weighted cross-entropy,
 analytic backpropagation, Adam/SGD training loop, and model files.
 
-All parameter math runs in float64. Batch inputs are dense matrices, which
-may be float32, or preprocess.Rows, which are made dense one batch or one
-inference piece at a time. Inference over many rows (predict() and the
-per-epoch validation of train()) goes through one helper,
-_probability_blocks(), so its float64 activations and dense inputs stay a
-few thousand rows tall whatever the input. A model file (format 4, in
-the envelope of _atomic that containers share) names the model's inputs
-and classes; their counts give its input and output widths, so only the
-hidden layer sizes are stored.
+The network runs in the dtype of its parameters: init() makes float64
+models by default, and the CLI trains float32 ones, which model files
+store. Activations, gradients and optimizer moments take that dtype;
+losses and weight sums are float64. Batch inputs are dense matrices or
+preprocess.Rows, made dense in the parameters' dtype one batch or one
+inference piece at a time.
+
+Every inference forward pass (forward(), and so predict(), the
+per-epoch validation of train() and explain's model) runs in zero-padded
+pieces of _PIECE_ROWS rows. BLAS may take another path, and give other
+bits, at another row count; at one fixed count a row's probabilities are
+a function of the row alone, whatever call or position it comes in, and
+the activations stay _PIECE_ROWS tall. Training steps run on their
+batches as they are.
+
+A model file (format 5, in the envelope of _atomic that containers
+share) names the model's inputs and classes; their counts give its input
+and output widths, so only the hidden layer sizes are stored, then the
+float32 parameters.
 """
 
 from __future__ import annotations
@@ -32,14 +42,14 @@ from .errors import (
 from .preprocess import ClassWeights, EncodedDataset, Rows
 
 MODEL_MAGIC = b"ZMLP"
-MODEL_VERSION = 4
+MODEL_VERSION = 5
 
 LOG_FLOOR = 1e-12  # added inside log() so hard zeros stay finite
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 _SUM_ROWS = 65536  # rows per block of _probability_blocks(), one loss sum each
-_FORWARD_ROWS = 4096  # least rows per forward() call inside a block
+_PIECE_ROWS = 1024  # rows of every inference matmul, zero-padded
 
 
 @dataclass
@@ -96,8 +106,9 @@ class EpochStats:
     val_accuracy: float
 
 
-def init(dims: Sequence[int], seed: int) -> MlpModel:
-    """Glorot-uniform weights, zero biases, deterministic per seed.
+def init(dims: Sequence[int], seed: int, dtype=np.float64) -> MlpModel:
+    """Glorot-uniform weights, zero biases, deterministic per seed, in
+    dtype: the float64 draws rounded to it.
 
     The inputs are named f0, f1, ... and the classes class_0, class_1, ...
     under no label column.
@@ -110,8 +121,9 @@ def init(dims: Sequence[int], seed: int) -> MlpModel:
     biases = []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
+        w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+        weights.append(w.astype(dtype, copy=False))
+        biases.append(np.zeros(fan_out, dtype))
     feature_names = [f"f{i}" for i in range(dims[0])]
     class_names = [f"class_{i}" for i in range(dims[-1])]
     return MlpModel(weights, biases, "", feature_names, class_names)
@@ -158,11 +170,12 @@ def _check_labels(y: np.ndarray, n: int, k: int) -> np.ndarray:
 def _forward_into(
     model: MlpModel, x: np.ndarray, acts: list[np.ndarray], row: np.ndarray
 ) -> np.ndarray:
-    """Forward pass of the float64 rows x, writing layer i's output into acts[i].
+    """Forward pass of the rows x, writing layer i's output into acts[i].
 
-    acts[i] is (n, dims[i+1]) and row an (n, 1) scratch for the softmax row
-    max and row sum. Hidden layers apply the rectifier, the last layer a
-    softmax, each in place. Returns acts[-1], the class probabilities.
+    x and every array are in the parameters' dtype. acts[i] is
+    (n, dims[i+1]) and row an (n, 1) scratch for the softmax row max and
+    row sum. Hidden layers apply the rectifier, the last layer a softmax,
+    each in place. Returns acts[-1], the class probabilities.
     """
     last = len(acts) - 1
     h = x
@@ -180,42 +193,40 @@ def _forward_into(
     return h
 
 
-def forward(model: MlpModel, x_batch: np.ndarray) -> np.ndarray:
-    """Class probabilities, one row per input row; rows sum to 1.
+def forward(model: MlpModel, x_batch) -> np.ndarray:
+    """Class probabilities, in the parameters' dtype, one row per row of
+    x_batch (Rows or a dense matrix); rows sum to 1.
 
-    Every call returns a new array.
+    The rows run in pieces of _PIECE_ROWS, each made dense on its own and
+    zero-padded to that height, so a row's probabilities do not depend on
+    the call it comes in. Every call returns a new array.
     """
-    x = _check_shape(model, x_batch).astype(np.float64, copy=False)
-    n = x.shape[0]
-    acts = [np.empty((n, d)) for d in model.dims[1:]]
-    return _forward_into(model, x, acts, np.empty((n, 1)))
+    data = _check_rows(model, x_batch)
+    n, dtype = len(data), model.weights[0].dtype
+    probs = np.empty((n, model.n_classes), dtype)
+    x = np.empty((_PIECE_ROWS, model.dims[0]), dtype)
+    acts = [np.empty((_PIECE_ROWS, d), dtype) for d in model.dims[1:]]
+    row = np.empty((_PIECE_ROWS, 1), dtype)
+    for start in range(0, n, _PIECE_ROWS):
+        piece = data[start : start + _PIECE_ROWS]
+        m = len(piece)
+        piece.dense(x[:m])
+        x[m:] = 0.0
+        probs[start : start + m] = _forward_into(model, x, acts, row)[:m]
+    return probs
 
 
 def _probability_blocks(model: MlpModel, x):
     """Yield (rows, probs) for each _SUM_ROWS-row block of x, in order:
     rows is the block's slice of x's rows and probs its class
-    probabilities.
+    probabilities, from one forward() call.
 
-    x is Rows or a dense matrix of the model's width. forward() sees each
-    block as np.array_split pieces of _FORWARD_ROWS to 2 * _FORWARD_ROWS - 1
-    rows, or as one piece when the block is shorter, each made dense on
-    its own; so the float64 activations and the dense input never grow
-    past such a piece. On the nets tests/test_mlp.py checks, these pieces
-    give the same bits as one forward() of the whole block; a short tail
-    piece (range() chunks) does not.
+    x is Rows or a dense matrix of the model's width.
     """
     data = _check_rows(model, x)
-    n = len(data)
-    for start in range(0, n, _SUM_ROWS):
-        rows = slice(start, min(start + _SUM_ROWS, n))
-        probs = np.empty((rows.stop - start, model.n_classes))
-        parts = max(1, probs.shape[0] // _FORWARD_ROWS)
-        at = start
-        for out in np.array_split(probs, parts):
-            m = out.shape[0]
-            out[...] = forward(model, data[at : at + m].dense())
-            at += m
-        yield rows, probs
+    for start in range(0, len(data), _SUM_ROWS):
+        rows = slice(start, min(start + _SUM_ROWS, len(data)))
+        yield rows, forward(model, data[rows])
 
 
 def predict(model: MlpModel, x_batch) -> np.ndarray:
@@ -271,21 +282,19 @@ def _nll_sum(
     """Weighted negative log-likelihood summed over rows, and the weight sum."""
     n = y.shape[0]
     w = _sample_weights(y, probs.shape[1], weights, np.empty(n))
-    return _nll_of_picked(probs[np.arange(n), y], w), float(w.sum())
+    return _nll_of_picked(probs[np.arange(n), y], w, np.empty(n)), float(w.sum())
 
 
-def _nll_of_picked(picked: np.ndarray, w: np.ndarray) -> float:
-    """Sum of -w * log(p) over the rows' true-class probabilities p.
-
-    Overwrites picked.
-    """
+def _nll_of_picked(picked: np.ndarray, w: np.ndarray, out: np.ndarray) -> float:
+    """Sum of -w * log(p) over the rows' true-class probabilities p, in
+    float64 whatever picked's dtype, with out as float64 scratch."""
     # min() keeps the floored argument <= 1 so the loss never goes negative
     # when float softmax saturates a probability at exactly 1.0
-    picked += LOG_FLOOR
-    np.minimum(picked, 1.0, out=picked)
-    np.log(picked, out=picked)
-    picked *= w
-    return float(-picked.sum())
+    np.add(picked, LOG_FLOOR, out=out, dtype=np.float64)
+    np.minimum(out, 1.0, out=out)
+    np.log(out, out=out)
+    out *= w
+    return float(-out.sum())
 
 
 def _parameters(model: MlpModel) -> list[np.ndarray]:
@@ -297,24 +306,28 @@ class _Workspace:
     """The arrays of one training step, reused from step to step.
 
     Sized for `rows` input rows; a smaller batch works on views of the
-    leading rows. Backprop leaves its gradients in grads_w and grads_b,
-    and `scratch` holds one pair of arrays per parameter for the update.
+    leading rows. The network's arrays take the parameters' dtype; the
+    sample weights and the loss terms stay float64. Backprop leaves its
+    gradients in grads_w and grads_b, and `scratch` holds one pair of
+    arrays per parameter for the update.
     """
 
     def __init__(self, model: MlpModel, rows: int):
         widths = model.dims[1:]
+        dtype = model.weights[0].dtype
         self.rows = rows
-        self.x = np.empty((rows, model.dims[0]))
-        self.acts = [np.empty((rows, d)) for d in widths]
-        self.deltas = [np.empty((rows, d)) for d in widths]
+        self.x = np.empty((rows, model.dims[0]), dtype)
+        self.acts = [np.empty((rows, d), dtype) for d in widths]
+        self.deltas = [np.empty((rows, d), dtype) for d in widths]
         self.alive = [np.empty((rows, d), dtype=bool) for d in widths[:-1]]
-        self.row = np.empty((rows, 1))
-        self.scale = np.empty((rows, 1))
+        self.row = np.empty((rows, 1), dtype)
+        self.scale = np.empty((rows, 1), dtype)
         self.y = np.empty(rows, dtype=np.intp)
         self.flat = np.empty(rows, dtype=np.intp)
         self.row_start = np.arange(rows, dtype=np.intp) * widths[-1]
         self.w = np.empty(rows)
-        self.picked = np.empty(rows)
+        self.picked = np.empty(rows, dtype)
+        self.nll = np.empty(rows)
         self.grads_w = [np.empty_like(w) for w in model.weights]
         self.grads_b = [np.empty_like(b) for b in model.biases]
         self.scratch = [
@@ -350,12 +363,11 @@ def _loss_and_gradients(
     flat = np.add(ws.row_start[:n], yb, out=ws.flat[:n])  # (i, y[i]) in probs
     picked = ws.picked[:n]
     np.take(probs.ravel(), flat, out=picked, mode="clip")  # flat is in range
-    nll = _nll_of_picked(picked, w)
+    nll = _nll_of_picked(picked, w, ws.nll[:n])
 
     # d loss / d logits = (probs - onehot(y)) * w / sum(w)
     delta = ws.deltas[-1][:n]
     np.copyto(delta, probs)
-    np.take(probs.ravel(), flat, out=picked, mode="clip")
     picked -= 1.0
     np.put(delta.ravel(), flat, picked)
     weight_sum = w.sum()
@@ -498,7 +510,9 @@ def train(
 
     Every epoch reshuffles the training rows with the seeded generator and
     applies one optimizer step per minibatch. No early stopping; the
-    history always has exactly config.epochs entries.
+    history always has exactly config.epochs entries. A loss that
+    overflows raises NonFiniteLossError at the end of its epoch, with no
+    floating-point warning on the way.
     """
     for name, data in (("training", train_ds), ("validation", val_ds)):
         if data.n == 0:
@@ -514,22 +528,23 @@ def train(
     rng = np.random.default_rng(config.seed)
     state = None
     history: list[EpochStats] = []
-    for epoch in range(1, config.epochs + 1):
-        perm = rng.permutation(train_ds.n)
-        batch_losses = []
-        for start in range(0, train_ds.n, config.batch_size):
-            take = perm[start : start + config.batch_size]
-            state, batch_loss = optimizer_step(
-                model, train_ds.rows(take), train_ds.y[take], config, state
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, config.epochs + 1):
+            perm = rng.permutation(train_ds.n)
+            batch_losses = []
+            for start in range(0, train_ds.n, config.batch_size):
+                take = perm[start : start + config.batch_size]
+                state, batch_loss = optimizer_step(
+                    model, train_ds.rows(take), train_ds.y[take], config, state
+                )
+                batch_losses.append(batch_loss)
+            train_loss = float(np.mean(batch_losses))
+            val_loss, val_accuracy = _evaluate(
+                model, val_ds.rows(), val_ds.y, config.class_weights
             )
-            batch_losses.append(batch_loss)
-        train_loss = float(np.mean(batch_losses))
-        val_loss, val_accuracy = _evaluate(
-            model, val_ds.rows(), val_ds.y, config.class_weights
-        )
-        if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
-            raise NonFiniteLossError(epoch)
-        history.append(EpochStats(train_loss, val_loss, val_accuracy))
+            if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
+                raise NonFiniteLossError(epoch)
+            history.append(EpochStats(train_loss, val_loss, val_accuracy))
     return model, history
 
 
@@ -545,41 +560,47 @@ def history_csv(history: Sequence[EpochStats]) -> bytes:
 
 def save(model: MlpModel, path) -> None:
     """Write the model in a "ZMLP" envelope (see _atomic): label column,
-    feature names, class names, hidden sizes, then the float64
-    little-endian weights and biases, layer by layer."""
+    feature names, class names, hidden sizes, then the float32
+    little-endian weights and biases, layer by layer.
+
+    The parameters must be float32: others would be rounded, and load()
+    would not give them back.
+    """
     dims = model.dims
     if [len(model.feature_names), len(model.class_names)] != [dims[0], dims[-1]]:
         raise ShapeMismatchError(f"feature and class names do not fit layer sizes {dims}")
+    params = _parameters(model)
+    if any(p.dtype != np.float32 for p in params):
+        raise TypeError(f"model files store float32 parameters, not "
+                        f"{sorted({p.dtype.name for p in params})}")
     hidden = dims[1:-1]
     write_checked(path, MODEL_MAGIC, MODEL_VERSION, [
         pack_str(model.label_column),
         pack_names(model.feature_names),
         pack_names(model.class_names),
         struct.pack(f"<{len(hidden) + 1}I", len(hidden), *hidden),
-        *(np.ascontiguousarray(p, dtype="<f8")
-          for pair in zip(model.weights, model.biases) for p in pair),
+        *(np.ascontiguousarray(p, dtype="<f4") for p in params),
     ])
 
 
-def load(path) -> MlpModel:
-    """Read a model file back; bit-exact inverse of save()."""
-    body = read_checked(path, MODEL_MAGIC, MODEL_VERSION, CorruptModelError)
-    try:
-        label_column = body.string()
-        feature_names = body.names()
-        class_names = body.names()
-        (n_hidden,) = body.unpack("<I")
-        hidden = body.unpack(f"<{n_hidden}I")
-        dims = [len(feature_names), *hidden, len(class_names)]
-        if any(d < 1 for d in dims):
-            raise CorruptModelError(f"bad dims {dims}")
-        # copies: the parameters sit at any offset of the file's bytes
-        weights, biases = [], []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            weights.append(body.array("<f8", (fan_in, fan_out)).copy())
-            biases.append(body.array("<f8", (fan_out,)).copy())
-    except (EOFError, ValueError) as exc:
-        raise CorruptModelError(str(exc)) from None
-    if body.left:
-        raise CorruptModelError("payload length mismatch")
+def _parse_model(body) -> MlpModel:
+    label_column = body.string()
+    feature_names = body.names()
+    class_names = body.names()
+    (n_hidden,) = body.unpack("<I")
+    hidden = body.unpack(f"<{n_hidden}I")
+    dims = [len(feature_names), *hidden, len(class_names)]
+    if any(d < 1 for d in dims):
+        raise ValueError(f"bad dims {dims}")
+    # copies: the parameters sit at any offset of the file's bytes
+    weights, biases = [], []
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        weights.append(body.array("<f4", (fan_in, fan_out)).astype(np.float32))
+        biases.append(body.array("<f4", (fan_out,)).astype(np.float32))
     return MlpModel(weights, biases, label_column, feature_names, class_names)
+
+
+def load(path) -> MlpModel:
+    """Read a model file back, with float32 parameters; bit-exact inverse
+    of save()."""
+    return read_checked(path, MODEL_MAGIC, MODEL_VERSION, CorruptModelError, _parse_model)

@@ -86,8 +86,9 @@ class Rows:
         return replace(self, take=slice(r.start, r.stop, r.step))
 
     def dense(self, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """These rows as a dense float64 (len(self), d) matrix: the float
-        columns, then the one-hot blocks. Written into out when given."""
+        """These rows as a dense (len(self), d) matrix: the float columns,
+        then the one-hot blocks. Written into out, in its dtype, when
+        given; a new float64 matrix otherwise."""
         if out is None:
             out = np.empty((len(self), self.d))
         f, take = self.x.shape[1], self.take
@@ -328,40 +329,39 @@ def read_container_columns(path):
     and name their columns, and each column's y are read-only views of
     its bytes. Sizes from the header are checked against the bytes left
     before any array is made; the names, codes and labels are checked
-    once the checksum holds.
+    once the checksum holds. Every error names the file.
     """
-    try:
-        body = read_checked(path, CONTAINER_MAGIC, CONTAINER_VERSION, CorruptContainerError)
-        n, n_float, n_fields = body.unpack("<QII")
-        if n * (4 * n_float + 2 * n_fields) > body.left:
-            raise CorruptContainerError("header sizes exceed the file")
-        x = body.array("<f4", (n, n_float))
-        codes = body.array("<u2", (n_fields, n))
-        float_names, scaling = [], []
-        for _ in range(n_float):
-            float_names.append(body.string())
-            scaling.append(body.unpack("<dd"))
-        fields = tuple((body.string(), tuple(body.names())) for _ in range(n_fields))
-        for j, (field_codes, (_, values)) in enumerate(zip(codes, fields)):
-            if n and field_codes.max() >= len(values):
-                raise CorruptContainerError(
-                    f"code {field_codes.max()} of field {j} is not below "
-                    f"its block width {len(values)}"
-                )
-        columns = [
-            LabelColumn(body.string(), body.names(), body.array("<u2", (n,)))
-            for _ in range(body.unpack("<I")[0])
-        ]
-        if body.left:
-            raise CorruptContainerError("label columns do not end at the checksum")
-        for column in columns:
-            if n and column.y.max() >= len(column.class_names):
-                raise CorruptContainerError(
-                    f"{path}: label {column.y.max()} of column {column.name!r} "
-                    f"is not below its {len(column.class_names)} classes"
-                )
-    except (EOFError, ValueError) as exc:
-        raise CorruptContainerError(str(exc)) from None
+    return read_checked(path, CONTAINER_MAGIC, CONTAINER_VERSION,
+                        CorruptContainerError, _parse_container)
+
+
+def _parse_container(body):
+    n, n_float, n_fields = body.unpack("<QII")
+    if n * (4 * n_float + 2 * n_fields) > body.left:
+        raise ValueError("header sizes exceed the file")
+    x = body.array("<f4", (n, n_float))
+    codes = body.array("<u2", (n_fields, n))
+    float_names, scaling = [], []
+    for _ in range(n_float):
+        float_names.append(body.string())
+        scaling.append(body.unpack("<dd"))
+    fields = tuple((body.string(), tuple(body.names())) for _ in range(n_fields))
+    for j, (field_codes, (_, values)) in enumerate(zip(codes, fields)):
+        if n and field_codes.max() >= len(values):
+            raise ValueError(
+                f"code {field_codes.max()} of field {j} is not below "
+                f"its block width {len(values)}"
+            )
+    columns = [
+        LabelColumn(body.string(), body.names(), body.array("<u2", (n,)))
+        for _ in range(body.unpack("<I")[0])
+    ]
+    for column in columns:
+        if n and column.y.max() >= len(column.class_names):
+            raise ValueError(
+                f"label {column.y.max()} of column {column.name!r} "
+                f"is not below its {len(column.class_names)} classes"
+            )
     return Rows(x, codes, fields, tuple(float_names)), scaling, columns
 
 

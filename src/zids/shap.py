@@ -229,13 +229,8 @@ def _distinct_rows(
 
 
 def _pieces(n: int) -> list[slice]:
-    """range(n) in slices of _CHUNK_ROWS; when that leaves a last slice of
-    1 row, the slice before gives it one of its rows, since mlp.forward
-    takes another BLAS path, and other bits, on a 1-row call."""
-    starts = list(range(0, n, _CHUNK_ROWS))
-    if n % _CHUNK_ROWS == 1 and n > 1:
-        starts[-1] -= 1
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+    """range(n) in slices of _CHUNK_ROWS, the last one shorter if need be."""
+    return [slice(a, min(a + _CHUNK_ROWS, n)) for a in range(0, n, _CHUNK_ROWS)]
 
 
 @dataclass
@@ -364,11 +359,11 @@ def _masked_means(
     earlier one is evaluated again at each step that needs it.
 
     Steps are grouped into units (see _units), evaluated in pieces of at
-    most _CHUNK_ROWS rows (see _pieces), so model_fn sees a 1-row call
-    only when the whole call has one masked row. The units run on a pool
-    of threads, one per thread that OpenBLAS had, with OpenBLAS at 1
-    thread process-wide meanwhile; they are added up in order, so the
-    result does not depend on the pool size. The first model_fn error
+    most _CHUNK_ROWS rows (see _pieces), a unit's last piece shorter, down
+    to one row; mlp.forward gives a row the same bits at any call size.
+    The units run on a pool of threads, one per thread that OpenBLAS had,
+    with OpenBLAS at 1 thread process-wide meanwhile; they are added up
+    in order, so the result does not depend on the pool size. The first model_fn error
     cancels the units not yet started and reaches the caller.
     """
     n_masks = masks.shape[0]

@@ -322,6 +322,19 @@ class TestTrain:
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
+    def test_overflowing_training_is_numeric_failure(self, small_experiment, tmp_path,
+                                                     capsys):
+        """Steps this large overflow the float32 network in the first epoch:
+        exit 3 on one line, with no floating-point warning (an error under
+        this suite's filterwarnings)."""
+        out = tmp_path / "x"
+        rc = run_cli("train", "--prepared", small_experiment.prepared,
+                     "--variant", "truncated", "--epochs", 2,
+                     "--learning-rate", "1e30", "--out", out)
+        assert rc == 3
+        assert capsys.readouterr().err == "numeric failure: non-finite loss at epoch 1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("knob", [("--epochs", 0), ("--learning-rate", "nan")])
     def test_bad_knob_beats_missing_prepared_dir(self, tmp_path, capsys, knob):
         """Training knobs are checked before any container is read."""

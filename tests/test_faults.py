@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import zids
-from zids import cli, synthetic
+from zids import cli, mlp, synthetic
 from zids import preprocess as pp
 from zids import dataset as ds
 from conftest import run_cli
@@ -385,7 +385,8 @@ def test_crafted_container_is_one_line_data_error(
     capsys.readouterr()
     rc = run_cli(*reader_command(command, model, prepared, out))
     err = assert_one_line_error(capsys, rc, 2, out)
-    assert err.startswith("data error: corrupt dataset container:") and message in err
+    assert err.startswith(f"data error: corrupt dataset container: {path}: ")
+    assert message in err
 
 
 @pytest.mark.parametrize("artifact, command", READERS[:4])
@@ -445,18 +446,20 @@ def test_format_3_container_is_one_line_data_error(small_experiment, tmp_path, c
 
 def assert_old_model_refused(small_experiment, tmp_path, capsys, command, version):
     """A model file of an older format version exits 2 on its version. Its
-    checksum is the one formats 2 and 3 wrote, over the bytes after the
-    version, so it would not hold under format 4's rule."""
+    checksum is the one that format wrote: for formats 2 and 3 over the
+    bytes after the version, so it would not hold under today's rule."""
     model = tmp_path / "model.zmlp"
     blob = bytearray((small_experiment.train("truncated") / "model.zmlp").read_bytes())
     blob[4:8] = version.to_bytes(4, "little")
-    blob[-4:] = zlib.crc32(blob[8:-4]).to_bytes(4, "little")
+    covered = blob[8:-4] if version < 4 else blob[:-4]
+    blob[-4:] = zlib.crc32(covered).to_bytes(4, "little")
     model.write_bytes(bytes(blob))
     out = tmp_path / "out"
     capsys.readouterr()
     rc = run_cli(*reader_command(command, model, small_experiment.prepared, out))
     err = assert_one_line_error(capsys, rc, 2, out)
-    assert err == f"data error: unsupported format version {version} (supported: 4)\n"
+    assert err == (f"data error: unsupported format version {version} "
+                   f"(supported: {mlp.MODEL_VERSION})\n")
 
 
 @pytest.mark.parametrize("command", ["evaluate", "explain"])
@@ -471,6 +474,13 @@ def test_format_3_model_is_one_line_data_error(small_experiment, tmp_path, capsy
     """Format 3 had format 4's layout, but its checksum left out the magic
     and the version; no reader for it is kept."""
     assert_old_model_refused(small_experiment, tmp_path, capsys, command, 3)
+
+
+@pytest.mark.parametrize("command", ["evaluate", "explain"])
+def test_format_4_model_is_one_line_data_error(small_experiment, tmp_path, capsys, command):
+    """Format 4 had format 5's layout with float64 parameters; no reader
+    for it is kept."""
+    assert_old_model_refused(small_experiment, tmp_path, capsys, command, 4)
 
 
 @pytest.mark.parametrize("command", ["evaluate", "explain"])
@@ -489,7 +499,7 @@ def test_crafted_model_name_count_is_one_line_data_error(
     capsys.readouterr()
     rc = run_cli(*reader_command(command, model, small_experiment.prepared, out))
     err = assert_one_line_error(capsys, rc, 2, out)
-    assert err.startswith("data error: corrupt model file:")
+    assert err.startswith(f"data error: corrupt model file: {model}: ")
 
 
 @pytest.mark.parametrize("out_exists", [True, False])

@@ -105,10 +105,8 @@ class TestForward:
         model = mlp.init([2, 4, 2], seed=0)
         weights = ClassWeights(np.array([0.5, 1.5]))
         probs = mlp.forward(model, data.x)
-        # 200 rows: blocks of 64, 64, 64 and 8 rows, the long ones in
-        # forward() calls of 16 rows
+        # 200 rows: blocks of 64, 64, 64 and 8 rows, each one forward() call
         monkeypatch.setattr(mlp, "_SUM_ROWS", 64)
-        monkeypatch.setattr(mlp, "_FORWARD_ROWS", 16)
         assert np.array_equal(mlp.predict(model, data.x), np.argmax(probs, axis=1))
         val_loss, val_accuracy = mlp._evaluate(model, data.x, data.y, weights)
         assert val_loss == pytest.approx(mlp.loss(probs, data.y, weights), rel=1e-12)
@@ -125,8 +123,6 @@ class TestInferenceBlocks:
     @pytest.mark.parametrize("n", INFERENCE_ROWS)
     @pytest.mark.parametrize("dims", INFERENCE_DIMS, ids=str)
     def test_bit_identical_to_one_forward_per_block(self, dims, n):
-        # Rows cut into range() chunks of _FORWARD_ROWS end in a short
-        # chunk, which changes the last bits of the [61, 112, 4] net.
         model = mlp.init(dims, seed=0)
         x = np.random.default_rng(n).random((n, dims[0]), dtype=np.float32)
         covered = 0
@@ -136,32 +132,59 @@ class TestInferenceBlocks:
             covered += probs.shape[0]
         assert covered == n
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("dims", INFERENCE_DIMS, ids=str)
+    def test_row_bits_do_not_depend_on_the_call(self, dims, dtype):
+        """Without the padded pieces, calls of other sizes changed some
+        rows' last bits, on both nets and in both dtypes."""
+        model = mlp.init(dims, seed=0, dtype=dtype)
+        rng = np.random.default_rng(7)
+        x = rng.random((9159, dims[0]), dtype=np.float32)
+        whole = mlp.forward(model, x)
+        assert whole.dtype == dtype
+        p = mlp._PIECE_ROWS
+        for n in (1, 37, p - 1, p + 1, 9159):
+            take = rng.permutation(9159)[:n]
+            assert np.array_equal(mlp.forward(model, x[take]), whole[take]), n
+            blocks = [probs for _, probs in mlp._probability_blocks(model, x[take])]
+            assert np.array_equal(np.concatenate(blocks), whole[take]), n
+            assert np.array_equal(mlp.predict(model, x[take]),
+                                  np.argmax(whole[take], axis=1)), n
+
     @pytest.mark.parametrize(
         "n, calls",
         [
             (3000, [3000]),
-            (9159, [4580, 4579]),
-            (70000, [4096] * 16 + [4464]),
+            (9159, [9159]),
+            (70000, [65536, 4464]),
         ],
     )
     def test_forward_call_sizes(self, monkeypatch, n, calls):
+        """One forward() call per _SUM_ROWS block, and every matmul of it
+        _PIECE_ROWS rows tall."""
         model = mlp.init([5, 3, 4], seed=0)
         rng = np.random.default_rng(0)
         x = rng.normal(size=(n, 5)).astype(np.float32)
         y = rng.integers(0, 4, n)
-        seen = []
-        forward = mlp.forward
+        seen, heights = [], set()
+        forward, forward_into = mlp.forward, mlp._forward_into
 
         def recording_forward(model, x_batch):
-            seen.append(x_batch.shape[0])
+            seen.append(len(x_batch))
             return forward(model, x_batch)
 
+        def recording_forward_into(model, x, acts, row):
+            heights.add(x.shape[0])
+            return forward_into(model, x, acts, row)
+
         monkeypatch.setattr(mlp, "forward", recording_forward)
+        monkeypatch.setattr(mlp, "_forward_into", recording_forward_into)
         mlp.predict(model, x)
         assert seen == calls
         seen.clear()
         mlp._evaluate(model, x, y, None)
         assert seen == calls
+        assert heights == {mlp._PIECE_ROWS}
 
     def test_loss_summed_per_block(self):
         # The float sum of a block's losses differs from the sum of its
@@ -184,7 +207,7 @@ class TestInferenceBlocks:
         assert val_accuracy == correct / 70000
 
     def test_predict_peak_memory(self):
-        # One forward() of the whole block would hold 65,536 float64 rows
+        # One matmul of the whole block would hold 65,536 float64 rows
         # of every layer: 205 MB of activations on this net.
         model = mlp.init([61, 256, 112, 23], seed=0)
         x = np.random.default_rng(0).random((65536, 61), dtype=np.float32)
@@ -286,6 +309,45 @@ class TestGradients:
         assert max(np.abs(g).max() for g in gw + gb) <= 1e-10
 
 
+class TestFloat32:
+    """The float32 network against the float64 computation on the same
+    parameters."""
+
+    @pytest.mark.parametrize("dims", INFERENCE_DIMS, ids=str)
+    def test_probabilities_and_gradients_match_float64(self, dims):
+        rng = np.random.default_rng(5)
+        narrow = mlp.init(dims, seed=3, dtype=np.float32)
+        narrow.biases = [rng.normal(scale=0.1, size=b.shape).astype(np.float32)
+                         for b in narrow.biases]
+        wide = mlp.init(dims, seed=3)
+        wide.weights = [w.astype(np.float64) for w in narrow.weights]
+        wide.biases = [b.astype(np.float64) for b in narrow.biases]
+        x = rng.random((1500, dims[0]), dtype=np.float32)
+        y = rng.integers(0, dims[-1], 1500)
+        raw = rng.uniform(0.2, 3.0, dims[-1])
+        weights = ClassWeights(raw / raw.mean())
+        probs = mlp.forward(narrow, x)
+        assert probs.dtype == np.float32
+        np.testing.assert_allclose(probs, mlp.forward(wide, x), rtol=0, atol=1e-6)
+        gw32, gb32 = mlp.gradients(narrow, x, y, weights)
+        gw64, gb64 = mlp.gradients(wide, x, y, weights)
+        for ours, theirs in zip(gw32 + gb32, gw64 + gb64):
+            assert ours.dtype == np.float32
+            # entries that cancel to near 0 keep no relative accuracy;
+            # they are held to 1e-5 of the array's largest entry
+            np.testing.assert_allclose(ours, theirs, rtol=1e-3,
+                                       atol=1e-5 * np.abs(theirs).max())
+
+    def test_training_keeps_the_dtype(self):
+        toy = toy_dataset()
+        model = mlp.init([2, 8, 2], seed=0, dtype=np.float32)
+        cfg = mlp.TrainConfig(epochs=3, batch_size=16, learning_rate=1e-2, seed=0)
+        _, history = mlp.train(model, toy, toy, cfg)
+        assert history[-1].val_accuracy == 1.0
+        assert all(p.dtype == np.float32 for p in model.weights + model.biases)
+        assert all(isinstance(h.val_loss, float) for h in history)
+
+
 class TestTrain:
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -336,13 +398,15 @@ class TestTrain:
         )
 
     def test_non_finite_loss_aborts(self):
+        # train() keeps the overflow's warnings to itself: under
+        # filterwarnings = error, one escaping would fail this test
         toy = toy_dataset(n=50)
-        model = mlp.init([2, 4, 2], 0)
-        model.weights[0][:] = 1e308
-        with np.errstate(over="ignore", invalid="ignore"):
+        for dtype in (np.float64, np.float32):
+            model = mlp.init([2, 4, 2], 0, dtype=dtype)
+            model.weights[0][:] = np.finfo(dtype).max / 2
             with pytest.raises(NonFiniteLossError) as err:
                 mlp.train(model, toy, toy, mlp.TrainConfig(epochs=2, batch_size=32, seed=0))
-        assert err.value.epoch == 1
+            assert err.value.epoch == 1
 
     def test_label_out_of_range(self):
         toy = toy_dataset(n=20)
@@ -534,7 +598,7 @@ class TestOutputsDoNotAlias:
 
 class TestPersistence:
     def test_round_trip_bit_exact(self, tmp_path):
-        model = mlp.init([7, 5, 3], seed=13)
+        model = mlp.init([7, 5, 3], seed=13, dtype=np.float32)
         model.label_column = "coarse"
         model.feature_names = ["duration", "a", "b", "c", "service=http", "x", "é"]
         model.class_names = ["Normal", "DoS", "Probe"]
@@ -547,16 +611,24 @@ class TestPersistence:
         assert loaded.class_names == ["Normal", "DoS", "Probe"]
         assert all(np.array_equal(a, b) for a, b in zip(loaded.weights, model.weights))
         assert all(np.array_equal(a, b) for a, b in zip(loaded.biases, model.biases))
+        assert all(p.dtype == np.float32 for p in loaded.weights + loaded.biases)
+
+    def test_save_refuses_float64(self, tmp_path):
+        # rounding them would break load(save(m)) == m
+        path = tmp_path / "model.zmlp"
+        with pytest.raises(TypeError, match="float32"):
+            mlp.save(mlp.init([4, 3], seed=0), path)
+        assert not path.exists()
 
     def test_save_deterministic(self, tmp_path):
-        model = mlp.init([4, 3], seed=2)
+        model = mlp.init([4, 3], seed=2, dtype=np.float32)
         mlp.save(model, tmp_path / "a")
         mlp.save(model, tmp_path / "b")
         assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
 
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "model.zmlp"
-        mlp.save(mlp.init([4, 3], 0), path)
+        mlp.save(mlp.init([4, 3], 0, dtype=np.float32), path)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) - 9])
         with pytest.raises(CorruptModelError):
@@ -564,7 +636,7 @@ class TestPersistence:
 
     def test_corrupted_checksum(self, tmp_path):
         path = tmp_path / "model.zmlp"
-        mlp.save(mlp.init([4, 3], 0), path)
+        mlp.save(mlp.init([4, 3], 0, dtype=np.float32), path)
         blob = bytearray(path.read_bytes())
         blob[20] ^= 0xFF
         path.write_bytes(bytes(blob))
@@ -579,7 +651,7 @@ class TestPersistence:
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "model.zmlp"
-        mlp.save(mlp.init([4, 3], 0), path)
+        mlp.save(mlp.init([4, 3], 0, dtype=np.float32), path)
         blob = bytearray(path.read_bytes())
         blob[4] = 42
         path.write_bytes(bytes(blob))
@@ -598,7 +670,7 @@ class TestPersistence:
         load refuses a checksum-valid file whose name lists, those of a
         narrow_dims model, do not fit the parameters that follow them."""
         path = tmp_path / "model.zmlp"
-        model = mlp.init([4, 3], 0)
+        model = mlp.init([4, 3], 0, dtype=np.float32)
         setattr(model, names, getattr(model, names)[:2])
         with pytest.raises(ShapeMismatchError) as refused:
             mlp.save(model, path)
@@ -606,17 +678,19 @@ class TestPersistence:
             "feature and class names do not fit layer sizes [4, 3]")
         assert not path.exists()
 
-        mlp.save(mlp.init([4, 3], 0), path)
+        mlp.save(mlp.init([4, 3], 0, dtype=np.float32), path)
         wide = path.read_bytes()
-        mlp.save(mlp.init(narrow_dims, 0), path)
+        mlp.save(mlp.init(narrow_dims, 0, dtype=np.float32), path)
         narrow = path.read_bytes()
-        names_end = len(narrow) - 4 - 8 * mlp.count_parameters(mlp.init(narrow_dims, 0))
-        params = wide[len(wide) - 4 - 8 * mlp.count_parameters(model): -4]
+        names_end = len(narrow) - 4 - 4 * mlp.count_parameters(mlp.init(narrow_dims, 0))
+        params = wide[len(wide) - 4 - 4 * mlp.count_parameters(model): -4]
         crafted = narrow[:names_end] + params  # the checksum covers every byte
         path.write_bytes(crafted + zlib.crc32(crafted).to_bytes(4, "little"))
         with pytest.raises(CorruptModelError) as refused:
             mlp.load(path)
-        assert str(refused.value) == "corrupt model file: payload length mismatch"
+        left = len(params) - (len(narrow) - 4 - names_end)
+        assert str(refused.value) == (
+            f"corrupt model file: {path}: {left} bytes left before the checksum")
 
     def test_class_name_count_must_match_outputs(self, tmp_path):
         self.assert_names_must_fit_weights(tmp_path, "class_names", [4, 2])
