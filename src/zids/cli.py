@@ -36,6 +36,7 @@ from .errors import (
     ChangedInputError,
     DamagedGzipError,
     EmptyInputError,
+    MalformedReportError,
     NonFiniteLossError,
     NotUtf8Error,
     ShapeMismatchError,
@@ -160,19 +161,21 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
         try:
             doc = json.loads(Path(config_path).read_text(encoding="utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from None
+            raise ConfigError(
+                f"{config_path}: config file is not valid JSON: {exc}") from None
         if not isinstance(doc, dict):
-            raise ConfigError("config file must hold a JSON object")
+            raise ConfigError(f"{config_path}: config file must hold a JSON object")
         unknown = set(doc) - set(_CONFIG_TYPES)
         if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+            raise ConfigError(f"{config_path}: unknown config fields: {sorted(unknown)}")
         for name, value in doc.items():
             hint = _CONFIG_TYPES[name]
             if not _has_type(value, hint):
                 expected = str(hint).replace("typing.", "")
                 if isinstance(hint, type):
                     expected = hint.__name__
-                raise ConfigError(f"config field {name} must be {expected}: {value!r}")
+                raise ConfigError(
+                    f"{config_path}: config field {name} must be {expected}: {value!r}")
         values.update(doc)
     for name in _CONFIG_TYPES:
         flag = getattr(args, name, None)
@@ -651,8 +654,10 @@ def cmd_explain(args) -> int:
 
 def cmd_report(args) -> int:
     with _open_text(args.report) as fh:
-        doc = json.load(fh)
-    rep = metrics.report_from_dict(doc)
+        try:
+            rep = metrics.report_from_dict(json.load(fh))
+        except (json.JSONDecodeError, MalformedReportError) as exc:
+            raise MalformedReportError(f"{args.report}: {exc}") from None
     sys.stdout.write(metrics.render_report(rep, "text").decode("utf-8"))
     return EXIT_OK
 
@@ -746,7 +751,7 @@ def main(argv=None) -> int:
     except (NonFiniteLossError, SingularSystemError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ZidsError, OSError, json.JSONDecodeError) as exc:
+    except (ZidsError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

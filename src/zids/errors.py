@@ -167,10 +167,6 @@ class BadBudgetError(ZidsError):
     """The coalition budget is too small to carry any information."""
 
 
-class TooManyFeaturesError(ZidsError):
-    """Exact Shapley enumeration was requested for more than 15 features."""
-
-
 class SingularSystemError(ZidsError):
     """The coalition regression system is rank-deficient."""
 

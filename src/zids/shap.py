@@ -1,6 +1,6 @@
 """Model-agnostic KernelSHAP: Shapley-kernel coalition weighting, seeded
 coalition sampling, and the efficiency-constrained weighted least squares
-solve, plus an exact enumeration oracle for small feature counts.
+solve.
 
 model_fn is any callable mapping a (rows, M) matrix to (rows, K) outputs;
 trained classifiers are explained through their probability outputs, one
@@ -26,7 +26,6 @@ from .errors import (
     OutOfRangeError,
     ShapeMismatchError,
     SingularSystemError,
-    TooManyFeaturesError,
 )
 
 DEFAULT_RIDGE = 1e-10
@@ -228,11 +227,6 @@ def _distinct_rows(
     return inverse, heads // n, order.reshape(-1)[heads]
 
 
-def _pieces(n: int) -> list[slice]:
-    """range(n) in slices of _CHUNK_ROWS, the last one shorter if need be."""
-    return [slice(a, min(a + _CHUNK_ROWS, n)) for a in range(0, n, _CHUNK_ROWS)]
-
-
 @dataclass
 class _Step:
     """One step of _masked_means: the (explained pattern, background
@@ -299,20 +293,16 @@ def _steps(
 
 
 def _units(steps: list[_Step], n_masks: int) -> list[list[_Step]]:
-    """Consecutive steps grouped until a group has at least two pairs, so
-    at least two masked rows, and keys for at least _CHUNK_ROWS rows; a
-    last group of fewer than two pairs joins the one before."""
-    units, unit, bound, n_pairs = [], [], 0, 0
+    """Consecutive steps grouped until a group's pairs have keys for at
+    least _CHUNK_ROWS rows; the last group may have fewer."""
+    units, unit, bound = [], [], 0
     for step in steps:
         unit.append(step)
         bound += int(np.where(step.base == step.other, 1, n_masks).sum())
-        n_pairs += step.base.size
-        if bound >= _CHUNK_ROWS and n_pairs >= 2:
+        if bound >= _CHUNK_ROWS:
             units.append(unit)
-            unit, bound, n_pairs = [], 0, 0
-    if unit and n_pairs < 2 and units:
-        units[-1].extend(unit)
-    elif unit:
+            unit, bound = [], 0
+    if unit:
         units.append(unit)
     return units
 
@@ -359,8 +349,8 @@ def _masked_means(
     earlier one is evaluated again at each step that needs it.
 
     Steps are grouped into units (see _units), evaluated in pieces of at
-    most _CHUNK_ROWS rows (see _pieces), a unit's last piece shorter, down
-    to one row; mlp.forward gives a row the same bits at any call size.
+    most _CHUNK_ROWS rows, a unit's last piece shorter, down to one row;
+    mlp.forward gives a row the same bits at any call size.
     The units run on a pool of threads, one per thread that OpenBLAS had,
     with OpenBLAS at 1 thread process-wide meanwhile; they are added up
     in order, so the result does not depend on the pool size. The first model_fn error
@@ -406,7 +396,8 @@ def _masked_means(
             index.append(segments)
         base, other, mask = (np.concatenate(c) for c in zip(*parts))
         outs = []
-        for piece in _pieces(offset):
+        for a in range(0, offset, _CHUNK_ROWS):
+            piece = slice(a, a + _CHUNK_ROWS)
             # base's bits, with other's in the keyed columns
             z = pats.take(base[piece], axis=0)
             z ^= (z ^ pats.take(other[piece], axis=0)) & on.take(mask[piece], axis=0)
@@ -450,25 +441,6 @@ def _in_order(pool: ThreadPoolExecutor, fn: Callable, items: list, ahead: int):
     finally:
         for future in pending:
             future.cancel()
-
-
-def masked_eval(
-    model_fn: Callable,
-    x: np.ndarray,
-    background: np.ndarray,
-    mask: Sequence[bool],
-) -> np.ndarray:
-    """Background-averaged model output for one coalition mask."""
-    bg = _as_background(background)
-    x = np.ascontiguousarray(x, dtype=np.float64).reshape(1, -1)
-    if x.shape[1] != bg.shape[1]:
-        raise ShapeMismatchError(
-            f"row width {x.shape[1]} vs background width {bg.shape[1]}"
-        )
-    masks = np.asarray(mask, dtype=bool).reshape(1, -1)
-    if masks.shape[1] != x.shape[1]:
-        raise ShapeMismatchError(f"mask width {masks.shape[1]} vs row width {x.shape[1]}")
-    return _masked_means(model_fn, x, bg, masks).means[0, 0]
 
 
 def kernel_shap(
@@ -582,48 +554,6 @@ def kernel_shap(
         shared_pairs=masked.shared_pairs,
         fx=fx,
     )
-
-
-def exact_shapley(
-    model_fn: Callable,
-    x: np.ndarray,
-    background: np.ndarray,
-) -> np.ndarray:
-    """Exact Shapley values by full subset enumeration; (K, M) array.
-
-    phi_j = sum over S not containing j of
-    |S|! (M-|S|-1)! / M! * (v(S + j) - v(S)), with v the background-averaged
-    masked evaluation. Costs 2^M evaluations, so M is capped at 15.
-    """
-    bg = _as_background(background)
-    x = np.ascontiguousarray(x, dtype=np.float64).reshape(-1)
-    m = x.size
-    if m > 15:
-        raise TooManyFeaturesError(f"exact enumeration capped at 15 features: {m}")
-    if bg.shape[1] != m:
-        raise ShapeMismatchError(
-            f"background width {bg.shape[1]} vs row width {m}"
-        )
-
-    n_masks = 1 << m
-    mask_ints = np.arange(n_masks, dtype=np.int64)
-    masks = ((mask_ints[:, None] >> np.arange(m)) & 1).astype(bool)
-    v = _masked_means(model_fn, x[None, :], bg, masks).means[0]  # (n_masks, K)
-    popcount = masks.sum(axis=1)
-
-    fact = [math.factorial(i) for i in range(m + 1)]
-    weight_by_size = np.array(
-        [fact[s] * fact[m - s - 1] / fact[m] for s in range(m)]
-    )
-
-    k = v.shape[1]
-    phi = np.zeros((k, m))
-    for j in range(m):
-        without_j = mask_ints[(mask_ints >> j) & 1 == 0]
-        with_j = without_j | (1 << j)
-        w = weight_by_size[popcount[without_j]]
-        phi[:, j] = ((v[with_j] - v[without_j]) * w[:, None]).sum(axis=0)
-    return phi
 
 
 def top_features(expl: Explanation, k: int) -> list[list[tuple[str, float]]]:

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from zids import synthetic
@@ -37,6 +39,31 @@ SMALL_PROFILE = {
     "perl": 3,
     "spy": 2,
 }
+
+
+def masked_reference(fn, x, bg, masks):
+    """The full broadcast: every (mask, background row) pair evaluated."""
+    z = np.where(masks[:, None, :], x, bg).reshape(-1, x.size)
+    return fn(z).reshape(masks.shape[0], bg.shape[0], -1).mean(axis=1)
+
+
+def exact_shapley(fn, x, bg):
+    """Exact Shapley values, (K, M): phi_j is the sum over S without j of
+    |S|! (M-|S|-1)! / M! * (v(S + j) - v(S)), with v(S) taken from the
+    full broadcast over all 2^M masks."""
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    m = x.size
+    ints = np.arange(1 << m)
+    masks = (ints[:, None] >> np.arange(m)) & 1 == 1  # mask i = the bits of i
+    v = masked_reference(fn, x, np.asarray(bg, dtype=np.float64), masks)
+    sizes = masks.sum(axis=1)
+    weight = np.array([math.factorial(s) * math.factorial(m - s - 1)
+                       for s in range(m)]) / math.factorial(m)
+    phi = np.empty((v.shape[1], m))
+    for j in range(m):
+        without = ints[~masks[:, j]]
+        phi[:, j] = weight[sizes[without]] @ (v[without | (1 << j)] - v[without])
+    return phi
 
 
 def run_cli(*argv) -> int:

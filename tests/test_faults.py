@@ -122,7 +122,35 @@ def test_non_utf8_config_is_usage_error(tmp_path, capsys):
     rc = run_cli("train", "--config", config, "--prepared", tmp_path / "void",
                  "--out", out)
     err = assert_one_line_error(capsys, rc, 1, out)
-    assert err.startswith("error: config file is not valid JSON")
+    assert err.startswith(f"error: {config}: config file is not valid JSON")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{", "Expecting property name enclosed in double quotes"),
+    ('{"classes": 3}', "report field 'classes' is missing or mistyped"),
+], ids=["not-json", "wrong-shape"])
+def test_bad_report_is_data_error_naming_it(tmp_path, capsys, text, message):
+    report = tmp_path / "report.json"
+    report.write_text(text)
+    rc = run_cli("report", "--report", report)
+    err = assert_one_line_error(capsys, rc, 2)
+    assert err.startswith(f"data error: {report}: {message}")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{", "config file is not valid JSON"),
+    ("[2]", "config file must hold a JSON object"),
+    ('{"epoch": 2}', "unknown config fields: ['epoch']"),
+    ('{"epochs": "2"}', "config field epochs must be int: '2'"),
+], ids=["not-json", "not-object", "unknown-field", "mistyped-field"])
+def test_bad_config_is_usage_error_naming_it(tmp_path, capsys, text, message):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    out = tmp_path / "out"
+    rc = run_cli("train", "--config", config, "--prepared", tmp_path / "void",
+                 "--out", out)
+    err = assert_one_line_error(capsys, rc, 1, out)
+    assert err.startswith(f"error: {config}: {message}")
 
 
 def corpus_lines():

@@ -1,4 +1,6 @@
-"""Kernel weighting, coalition sampling, the WLS solve, and the exact oracle."""
+"""Kernel weighting, coalition sampling, masked evaluation and the WLS
+solve, checked against the full broadcast and the exact Shapley oracle in
+conftest, which share no code with zids.shap."""
 
 import contextlib
 import hashlib
@@ -14,8 +16,9 @@ from zids.errors import (
     OutOfRangeError,
     ShapeMismatchError,
     SingularSystemError,
-    TooManyFeaturesError,
 )
+
+from conftest import exact_shapley, masked_reference
 
 
 def random_mlp_fn(m, k=3, seed=0, scale=0.5):
@@ -97,12 +100,6 @@ class TestCoalitions:
             shap.enumerate_or_sample_coalitions(5, 1, seed=0)
 
 
-def masked_reference(fn, x, bg, masks):
-    """The full broadcast: every (mask, background row) pair evaluated."""
-    z = np.where(masks[:, None, :], x, bg).reshape(-1, x.size)
-    return fn(z).reshape(masks.shape[0], bg.shape[0], -1).mean(axis=1)
-
-
 def sparse_background(d, b, changed, seed):
     """x plus b background rows that each differ from x in `changed` columns."""
     rng = np.random.default_rng(seed)
@@ -182,12 +179,6 @@ class TestMaskedEval:
         np.testing.assert_allclose(a.means[0], masked_reference(fn, x, bg, masks),
                                    rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("n", [1, 2, 1023, 1024, 1025, 2049, 3000])
-    def test_pieces_are_range_slices(self, n):
-        pieces = shap._pieces(n)
-        assert [(p.start, p.stop) for p in pieces] == [
-            (a, min(a + shap._CHUNK_ROWS, n)) for a in range(0, n, shap._CHUNK_ROWS)]
-
     def test_signed_zero_is_a_difference(self):
         # -0.0 == 0.0, but the masked row must still carry x's sign bit
         fn = lambda z: np.signbit(z).astype(np.float64)
@@ -202,7 +193,7 @@ class TestMaskedEval:
         rng = np.random.default_rng(0)
         x = rng.normal(size=5)
         bg = rng.normal(size=(8, 5))
-        v = shap.masked_eval(fn, x, bg, [True] * 5)
+        v = shap._masked_means(fn, x[None, :], bg, np.ones((1, 5), dtype=bool)).means[0, 0]
         assert np.allclose(v, fn(x[None, :])[0], atol=1e-12)
 
     def test_all_off_is_base_value(self):
@@ -210,27 +201,21 @@ class TestMaskedEval:
         rng = np.random.default_rng(0)
         x = rng.normal(size=5)
         bg = rng.normal(size=(8, 5))
-        v = shap.masked_eval(fn, x, bg, [False] * 5)
+        v = shap._masked_means(fn, x[None, :], bg, np.zeros((1, 5), dtype=bool)).means[0, 0]
         assert np.allclose(v, fn(bg).mean(axis=0), atol=1e-12)
 
     def test_single_background_row(self):
         fn = random_mlp_fn(4, seed=3)
         x = np.array([1.0, 2.0, 3.0, 4.0])
         bg = np.array([[0.0, 0.0, 0.0, 0.0]])
-        mask = [True, False, True, False]
+        mask = np.array([[True, False, True, False]])
         expected = fn(np.array([[1.0, 0.0, 3.0, 0.0]]))[0]
-        assert np.allclose(shap.masked_eval(fn, x, bg, mask), expected, atol=1e-12)
-
-    def test_width_mismatch(self):
-        fn = random_mlp_fn(4)
-        with pytest.raises(ShapeMismatchError):
-            shap.masked_eval(fn, np.ones(4), np.ones((3, 5)), [True] * 4)
+        v = shap._masked_means(fn, x[None, :], bg, mask).means[0, 0]
+        assert np.allclose(v, expected, atol=1e-12)
 
     @pytest.mark.parametrize("bg", [np.ones(4), np.ones((0, 4))], ids=["1d", "empty"])
     def test_background_must_be_nonempty_2d(self, bg):
         fn = random_mlp_fn(4)
-        with pytest.raises(ShapeMismatchError):
-            shap.masked_eval(fn, np.ones(4), bg, [True] * 4)
         with pytest.raises(ShapeMismatchError):
             shap.kernel_shap(fn, np.ones((1, 4)), bg)
 
@@ -317,7 +302,6 @@ class TestSharedPairs:
         if case != "duplicate-rows":  # no background row repeats: once per call
             assert masked.model_rows == brute_force_rows(rows, bg, masks, by_step=False)
         assert masked.model_rows < rows.shape[0] * bg.shape[0] * masks.shape[0]
-        assert min(fn.calls) > 1
 
     @pytest.mark.parametrize("case", SHARING)
     def test_shared_pairs_counted(self, case):
@@ -341,7 +325,8 @@ class TestSharedPairs:
     def test_one_masked_row_is_one_call(self):
         fn = CountingFn(3)
         x = np.array([1.0, 2.0, 3.0])
-        v = shap.masked_eval(fn, x, x[None, :], [True, False, True])
+        v = shap._masked_means(fn, x[None, :], x[None, :],
+                               np.array([[True, False, True]])).means[0, 0]
         assert fn.calls == [1]
         assert np.array_equal(v, fn.fn(np.stack([x, x]))[0])
 
@@ -407,7 +392,7 @@ class TestKernelShap:
             bg = rng.normal(size=(5, m))
             x = rng.normal(size=m)
             expl = shap.kernel_shap(fn, x[None, :], bg, budget=2**m, seed=0)
-            exact = shap.exact_shapley(fn, x, bg)
+            exact = exact_shapley(fn, x, bg)
             assert np.abs(expl.phi[:, 0, :] - exact).max() <= 1e-8
 
     def test_sampled_efficiency(self):
@@ -455,15 +440,6 @@ class TestKernelShap:
         c = shap.kernel_shap(fn, x, bg, budget=256, seed=1)
         f = shap.kernel_shap(fn, x_f, bg_f, budget=256, seed=1)
         assert np.array_equal(f.phi, c.phi)
-        mask = rng.random(m) < 0.5
-        assert np.array_equal(shap.masked_eval(fn, x_f[0], bg_f, mask),
-                              shap.masked_eval(fn, x[0], bg, mask))
-        small = 12  # exact_shapley stops at 15 features
-        fn = random_mlp_fn(small, seed=8)
-        assert np.array_equal(
-            shap.exact_shapley(fn, x_f[0, :small], np.asfortranarray(bg[:, :small])),
-            shap.exact_shapley(fn, x[0, :small], bg[:, :small]),
-        )
 
     def test_model_rows_counts_every_row_sent(self):
         m = 12
@@ -613,7 +589,7 @@ class TestExactShapley:
         fn = lambda z: (z * 3.0)[:, :1]
         x = np.array([2.0])
         bg = np.array([[0.5], [1.5]])
-        phi = shap.exact_shapley(fn, x, bg)
+        phi = exact_shapley(fn, x, bg)
         base = fn(bg).mean(axis=0)
         assert np.allclose(phi[0, 0], fn(x[None, :])[0, 0] - base[0], atol=1e-12)
 
@@ -621,7 +597,7 @@ class TestExactShapley:
         fn = lambda z: z.sum(axis=1, keepdims=True) ** 2
         x = np.array([1.0, 1.0, 0.0])
         bg = np.zeros((3, 3))
-        phi = shap.exact_shapley(fn, x, bg)
+        phi = exact_shapley(fn, x, bg)
         assert phi[0, 0] == pytest.approx(phi[0, 1], abs=1e-12)
 
     def test_efficiency(self):
@@ -629,15 +605,26 @@ class TestExactShapley:
         fn = random_mlp_fn(6, seed=7)
         x = rng.normal(size=6)
         bg = rng.normal(size=(5, 6))
-        phi = shap.exact_shapley(fn, x, bg)
+        phi = exact_shapley(fn, x, bg)
         fx = fn(x[None, :])[0]
         base = fn(bg).mean(axis=0)
         assert np.abs(phi.sum(axis=1) + base - fx).max() <= 1e-10
 
-    def test_feature_cap(self):
-        fn = lambda z: z[:, :1]
-        with pytest.raises(TooManyFeaturesError):
-            shap.exact_shapley(fn, np.ones(16), np.ones((2, 16)))
+    def test_linear_model_closed_form(self):
+        rng = np.random.default_rng(14)
+        c = np.array([0.5, -1.0, 2.0, 3.5])
+        fn = lambda z: (z @ c)[:, None]
+        x = rng.normal(size=4)
+        bg = rng.normal(size=(6, 4))
+        phi = exact_shapley(fn, x, bg)
+        np.testing.assert_allclose(phi[0], c * (x - bg.mean(axis=0)), rtol=0, atol=1e-12)
+
+    def test_product_game_splits_evenly(self):
+        # v(S) is x0 * x1 for the full set and 0 otherwise
+        fn = lambda z: (z[:, 0] * z[:, 1])[:, None]
+        x = np.array([3.0, -2.5])
+        phi = exact_shapley(fn, x, np.zeros((3, 2)))
+        assert phi.tolist() == [[-3.75, -3.75]]
 
 
 class TestTopFeatures:
