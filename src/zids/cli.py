@@ -39,6 +39,7 @@ from .errors import (
     MalformedReportError,
     NonFiniteLossError,
     NotUtf8Error,
+    OutOfRangeError,
     ShapeMismatchError,
     SingularSystemError,
     VocabularyTooLargeError,
@@ -581,12 +582,20 @@ def cmd_explain(args) -> int:
     prepared = Path(cfg.prepared_dir)
     out_dir = Path(cfg.output_dir)
     with _locked_dir(out_dir):
-        test_ds = _read_like(prepared / "test.zids", model.label_column, model, "the model")
+        test_path = prepared / "test.zids"
+        test_ds = _read_like(test_path, model.label_column, model, "the model")
+        for knob in ("background_n", "explain_n"):
+            if getattr(cfg, knob) > test_ds.n:
+                raise OutOfRangeError(
+                    f"{test_path} has {test_ds.n} rows; {knob} is {getattr(cfg, knob)}")
 
         bg_idx = pp.sample_indices(test_ds.n, cfg.background_n, cfg.background_seed)
         fg_idx = pp.sample_indices(test_ds.n, cfg.explain_n, cfg.explain_seed)
-        background = test_ds.rows(bg_idx).dense()
-        foreground = test_ds.rows(fg_idx).dense()
+        # float32, as stored and as the model computes: kernel_shap then
+        # compares and builds the masked rows in 4-byte words
+        background, foreground = (
+            test_ds.rows(idx).dense(np.empty((idx.size, test_ds.d), np.float32))
+            for idx in (bg_idx, fg_idx))
 
         def model_fn(z):
             return mlp.forward(model, z)

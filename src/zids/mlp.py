@@ -50,6 +50,7 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 _SUM_ROWS = 65536  # rows per block of _probability_blocks(), one loss sum each
 _PIECE_ROWS = 1024  # rows of every inference matmul, zero-padded
+_PAIRWISE_MIN = 8  # np.sum adds rows this long and longer in blocks
 
 
 @dataclass
@@ -176,6 +177,13 @@ def _forward_into(
     (n, dims[i+1]) and row an (n, 1) scratch for the softmax row max and
     row sum. Hidden layers apply the rectifier, the last layer a softmax,
     each in place. Returns acts[-1], the class probabilities.
+
+    The softmax works column by column instead of reducing along rows,
+    which costs more than the arithmetic on a few classes. Its row max is
+    np.maximum over the columns. Its row sum is ((h0 + h1) + h2) + ...
+    below _PAIRWISE_MIN columns, which is the order np.sum adds a row that
+    short in, and np.sum itself from there on; so the probabilities keep
+    np.max's and np.sum's bits.
     """
     last = len(acts) - 1
     h = x
@@ -185,10 +193,18 @@ def _forward_into(
         if i < last:
             np.maximum(z, 0.0, out=z)
         h = z
-    np.max(h, axis=1, keepdims=True, out=row)
+    k = h.shape[1]
+    np.copyto(row, h[:, :1])
+    for j in range(1, k):
+        np.maximum(row, h[:, j : j + 1], out=row)
     h -= row
     np.exp(h, out=h)
-    np.sum(h, axis=1, keepdims=True, out=row)
+    if k < _PAIRWISE_MIN:
+        np.copyto(row, h[:, :1])
+        for j in range(1, k):
+            row += h[:, j : j + 1]
+    else:
+        np.sum(h, axis=1, keepdims=True, out=row)
     h /= row
     return h
 

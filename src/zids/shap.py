@@ -173,12 +173,24 @@ def enumerate_or_sample_coalitions(
     return masks, weights
 
 
-def _as_background(background: np.ndarray) -> np.ndarray:
-    # C order: _masked_means reinterprets rows as uint64 words
-    bg = np.ascontiguousarray(background, dtype=np.float64)
+def _as_rows(
+    x_rows: np.ndarray, background: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The explained rows (at least 2D) and the background in one C-ordered
+    dtype: float32 when both come as float32, float64 otherwise. Rows are
+    compared and combined as words of that size (uint32 or uint64, see
+    _words), so float32 rows stay float32 all the way to model_fn."""
+    x_rows, background = np.atleast_2d(x_rows), np.asarray(background)
+    f4 = x_rows.dtype == background.dtype == np.float32
+    bg = np.ascontiguousarray(background, dtype=np.float32 if f4 else np.float64)
     if bg.ndim != 2 or bg.shape[0] < 1:
         raise ShapeMismatchError("background must be a non-empty 2D matrix")
-    return bg
+    return np.ascontiguousarray(x_rows, dtype=bg.dtype), bg
+
+
+def _words(rows: np.ndarray) -> np.ndarray:
+    """C-ordered float rows as unsigned words of their item size, bit for bit."""
+    return rows.view(f"u{rows.itemsize}")
 
 
 def _model_output(model_fn: Callable, z: np.ndarray) -> np.ndarray:
@@ -210,13 +222,21 @@ def _distinct_rows(
     rows_key, the pair and key that stand for each distinct row. The
     (W, pairs, n) keys and the sort live only in here, so one step's
     peak memory stays small while other steps run beside it.
+
+    Sorting each pair's keys puts equal keys side by side, the groups in
+    ascending key order; the first key of each run stands for its group.
+    One key word is sorted by numpy's default sort, which is not stable:
+    another key of the group may then stand for it, but inverse and
+    rows_pair are the same, and every key of a group builds the same
+    masked row, since that row depends only on the pair and on
+    key & differs. Two or more words go through lexsort.
     """
     p, n = differs.shape[1], key_words.shape[1]
     keys = differs[:, :, None] & key_words[:, None, :]  # (W, pairs, n)
-
-    # A stable sort of each pair's keys puts equal keys side by side; the
-    # first of each run stands for its group.
-    order = np.lexsort(keys[::-1], axis=-1)  # (pairs, n)
+    if keys.shape[0] == 1:
+        order = keys[0].argsort(axis=-1)  # (pairs, n)
+    else:
+        order = np.lexsort(keys[::-1], axis=-1)
     ordered = np.take_along_axis(keys, order[None], axis=-1)
     first = np.ones((p, n), dtype=bool)
     first[:, 1:] = (ordered[:, :, 1:] != ordered[:, :, :-1]).any(axis=0)
@@ -251,11 +271,12 @@ class _Step:
 def _steps(
     x_rows: np.ndarray, background: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, list[_Step]]:
-    """The distinct row patterns as uint64 words, each explained row's
-    index into the sums (one sum per distinct explained row), and the
-    steps of _masked_means, one per background position."""
+    """The distinct row patterns as words of the rows' item size (see
+    _words), each explained row's index into the sums (one sum per
+    distinct explained row), and the steps of _masked_means, one per
+    background position."""
     n_rows = x_rows.shape[0]
-    words = np.concatenate([x_rows, background]).view(np.uint64)
+    words = _words(np.concatenate([x_rows, background]))
     pats, ids = np.unique(words, axis=0, return_inverse=True)
     ids = ids.reshape(-1)
     explained, row_pattern = np.unique(ids[:n_rows], return_inverse=True)
@@ -326,7 +347,10 @@ def _masked_means(
     mask: x_rows[i] where the mask is on, background[b] elsewhere.
 
     model_fn must be row-wise: each output row depends only on its own
-    input row. Rows are compared as patterns, bit for bit. The masked row
+    input row. x_rows and background are C-ordered and share one dtype,
+    float32 or float64, which the masked rows sent to model_fn keep. Rows
+    are compared as patterns, bit for bit, and built as words of that
+    size (see _words), so a float32 row moves half the bytes. The masked row
     of patterns (p over q, mask S) is q with p's bits where S is on and
     the two differ, so it depends only on the pair and on S & differs;
     and it is the row of (q over p, ~S). Each distinct (unordered pattern
@@ -371,7 +395,7 @@ def _masked_means(
         key_of = key_of.reshape(2, n_masks)
         rep = np.unique(key_of.reshape(-1), return_index=True)[1]
         key_sets[True] = (_packed_words(union), key_of, rep)
-    on = -masks.astype(np.uint64)  # all ones where the mask is on
+    on = -masks.astype(pats.dtype)  # all ones where the mask is on
 
     def evaluate(unit: list) -> tuple[np.ndarray, list]:
         """The outputs of a unit's distinct rows and, per step, where each
@@ -401,7 +425,7 @@ def _masked_means(
             # base's bits, with other's in the keyed columns
             z = pats.take(base[piece], axis=0)
             z ^= (z ^ pats.take(other[piece], axis=0)) & on.take(mask[piece], axis=0)
-            outs.append(_model_output(model_fn, z.view(np.float64)))
+            outs.append(_model_output(model_fn, z.view(x_rows.dtype)))
         return np.concatenate(outs), index
 
     sums = None
@@ -462,6 +486,12 @@ def kernel_shap(
     makes it hold exactly. Under full coalition enumeration the solution
     equals the exact Shapley values.
 
+    x_rows and background keep float32 when both are float32; anything
+    else is cast to float64. model_fn sees the rows in that dtype, and its
+    outputs enter the means and the solve as float64 either way, so a
+    float32 model gives the same bits from float32 rows as from the same
+    values in float64.
+
     The masked means come from _masked_means, which evaluates each distinct
     masked row once per call on a pool of threads, one per thread that
     OpenBLAS had, with OpenBLAS set to 1 thread process-wide for the pool's
@@ -477,8 +507,7 @@ def kernel_shap(
     after the documented ridge fallback; the design is shared across
     classes, so the failure is reported for the first class.
     """
-    bg = _as_background(background)
-    x_rows = np.ascontiguousarray(np.atleast_2d(x_rows), dtype=np.float64)
+    x_rows, bg = _as_rows(x_rows, background)
     n_rows, m = x_rows.shape
     if m < 2:
         raise OutOfRangeError(f"need at least 2 features to explain: {m}")
@@ -490,10 +519,8 @@ def kernel_shap(
         raise ShapeMismatchError(f"{len(feature_names)} feature names for {m} features")
     if budget is None:
         budget = default_budget(m)
-    bg_bits = bg.view(np.uint64)
-    constant = [
-        int((bg_bits == row).all(axis=0).sum()) for row in x_rows.view(np.uint64)
-    ]
+    bg_bits = _words(bg)
+    constant = [int((bg_bits == row).all(axis=0).sum()) for row in _words(x_rows)]
 
     masks, w = enumerate_or_sample_coalitions(m, budget, seed)
     z = masks.astype(np.float64)

@@ -66,6 +66,26 @@ def exact_shapley(fn, x, bg):
     return phi
 
 
+def reference_forward(model, x, piece=1024):
+    """Class probabilities of the rows x, in zero-padded pieces of `piece`
+    rows, with the softmax's row max and row sum taken by np.max and
+    np.sum along axis 1."""
+    dtype = model.weights[0].dtype
+    probs = np.empty((x.shape[0], model.weights[-1].shape[1]), dtype)
+    for start in range(0, x.shape[0], piece):
+        rows = x[start : start + piece]
+        h = np.zeros((piece, x.shape[1]), dtype)
+        h[: rows.shape[0]] = rows
+        for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+            h = h @ w + b
+            if i < len(model.weights) - 1:
+                h = np.maximum(h, 0.0)
+        h = np.exp(h - np.max(h, axis=1, keepdims=True))
+        probs[start : start + rows.shape[0]] = (h / np.sum(h, axis=1, keepdims=True))[
+            : rows.shape[0]]
+    return probs
+
+
 def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
 

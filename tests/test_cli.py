@@ -645,7 +645,7 @@ class TestExplain:
     def test_explained_rows_sent_to_the_model_once(self, small_experiment,
                                                    tmp_path, monkeypatch):
         """The efficiency residuals reuse kernel_shap's f(x): the explained
-        rows reach the model in one call."""
+        rows, float32 as stored, reach the model in one call."""
         model = small_experiment.train("truncated") / "model.zmlp"
         digests = []
         forward = mlp.forward
@@ -661,7 +661,8 @@ class TestExplain:
         monkeypatch.undo()
         manifest = json.loads((out / "manifest.json").read_text())
         test = pp.read_container(small_experiment.prepared / "test.zids", "coarse")
-        rows = test.rows(np.array(manifest["samples"]["explained_indices"])).dense()
+        idx = np.array(manifest["samples"]["explained_indices"])
+        rows = test.rows(idx).dense(np.empty((idx.size, test.d), np.float32))
         assert digests.count(hashlib.sha256(rows.tobytes()).digest()) == 1
         assert max(manifest["efficiency_max_residual"].values()) <= 1e-6
 

@@ -559,6 +559,21 @@ def test_vocabulary_past_code_range_is_data_error(
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+@pytest.mark.parametrize("knob", ["background_n", "explain_n"])
+def test_sample_past_the_test_split_names_knob_and_container(
+    small_experiment, tmp_path, capsys, knob
+):
+    test = small_experiment.prepared / "test.zids"
+    rows = pp.read_container(test, "coarse").n
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = run_cli("explain", "--model", small_experiment.train("truncated") / "model.zmlp",
+                 "--prepared", small_experiment.prepared, "--budget", 64,
+                 "--" + knob.replace("_", "-"), rows + 1, "--out", out)
+    err = assert_one_line_error(capsys, rc, 2, out)
+    assert err == f"data error: {test} has {rows} rows; {knob} is {rows + 1}\n"
+
+
 def numeric_flags():
     """(command, flag, value) for each numeric flag of prepare, train and
     explain, at each of -1, 0, nan and inf that the flag's type accepts."""

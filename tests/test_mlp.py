@@ -16,6 +16,8 @@ from zids.errors import (
 )
 from zids.preprocess import ClassWeights, EncodedDataset
 
+from conftest import reference_forward
+
 
 def toy_dataset(seed=5, n=200):
     rng = np.random.default_rng(seed)
@@ -150,6 +152,24 @@ class TestInferenceBlocks:
             assert np.array_equal(np.concatenate(blocks), whole[take]), n
             assert np.array_equal(mlp.predict(model, x[take]),
                                   np.argmax(whole[take], axis=1)), n
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("k", [1, 2, 4, 7, 8, 23])
+    def test_softmax_matches_the_reference(self, k, dtype):
+        """The column-wise softmax gives np.max's and np.sum's bits, on
+        either side of np.sum's 8-element blocks, also for tied logits
+        (columns 0 and 1 share their weights, and a row of zeros ties every
+        class), a row of signed zeros and a row of NaNs."""
+        model = mlp.init([6, 9, k], seed=k, dtype=dtype)
+        model.weights[-1][:, 1:2] = model.weights[-1][:, :1]
+        rng = np.random.default_rng(k)
+        x = (rng.normal(size=(1500, 6)) * 4).astype(dtype)
+        x[3], x[4], x[5] = 0.0, -0.0, np.nan
+        x[6, ::2] = -0.0
+        with np.errstate(invalid="ignore"):
+            probs, expected = mlp.forward(model, x), reference_forward(model, x)
+        assert probs.tobytes() == expected.tobytes()
+        assert np.isnan(probs[5]).all() and not np.isnan(np.delete(probs, 5, 0)).any()
 
     @pytest.mark.parametrize(
         "n, calls",

@@ -112,14 +112,16 @@ def sparse_background(d, b, changed, seed):
 
 
 class CountingFn:
-    """Row-wise model that records the size of every call."""
+    """Row-wise model that records the size and dtype of every call."""
 
     def __init__(self, m, seed=0):
         self.fn = random_mlp_fn(m, seed=seed)
         self.calls = []
+        self.dtypes = []
 
     def __call__(self, z):
         self.calls.append(z.shape[0])
+        self.dtypes.append(z.dtype)
         return self.fn(z)
 
 
@@ -329,6 +331,82 @@ class TestSharedPairs:
                                np.array([[True, False, True]])).means[0, 0]
         assert fn.calls == [1]
         assert np.array_equal(v, fn.fn(np.stack([x, x]))[0])
+
+
+def lexsort_groups(differs, key_words):
+    """_distinct_rows' groups by a stable lexsort of each pair's keys: the
+    first key of each run of equal keys stands for its group."""
+    p, n = differs.shape[1], key_words.shape[1]
+    keys = differs[:, :, None] & key_words[:, None, :]
+    order = np.lexsort(keys[::-1], axis=-1)
+    ordered = np.take_along_axis(keys, order[None], axis=-1)
+    first = np.ones((p, n), dtype=bool)
+    first[:, 1:] = (ordered[:, :, 1:] != ordered[:, :, :-1]).any(axis=0)
+    inverse = np.empty((p, n), dtype=np.intp)
+    np.put_along_axis(inverse, order, (np.cumsum(first) - 1).reshape(p, n), axis=1)
+    heads = np.flatnonzero(first)
+    return inverse, heads // n, order.reshape(-1)[heads]
+
+
+class TestDistinctRows:
+    @pytest.mark.parametrize("words", [1, 2])
+    def test_same_groups_as_a_stable_sort(self, words):
+        """Keys with many repeats, as a default explain step has: the same
+        inverse and pairs as lexsort, and each group's chosen key equal to
+        lexsort's on the pair's differing columns."""
+        rng = np.random.default_rng(words)
+        key_words = rng.integers(0, 2**63, size=(words, 4340), dtype=np.uint64)
+        differs = np.zeros((words, 50), dtype=np.uint64)
+        for p in range(50):  # a few differing columns per pair
+            for w in range(words):
+                for bit in rng.choice(64, size=rng.integers(0, 6), replace=False):
+                    differs[w, p] |= np.uint64(1) << np.uint64(bit)
+        inverse, rows_pair, rows_key = shap._distinct_rows(differs, key_words)
+        ref_inverse, ref_pair, ref_key = lexsort_groups(differs, key_words)
+        assert np.array_equal(inverse, ref_inverse)
+        assert np.array_equal(rows_pair, ref_pair)
+        assert np.array_equal(key_words[:, rows_key] & differs[:, rows_pair],
+                              key_words[:, ref_key] & differs[:, ref_pair])
+        assert rows_pair.size < differs.shape[1] * key_words.shape[1] // 10
+
+
+class TestRowDtype:
+    """float32 rows stay float32 on their way to model_fn; others become
+    float64."""
+
+    def rows(self, dtype):
+        x, bg = sparse_background(12, 10, changed=4, seed=51)
+        return (np.concatenate([bg[:3], x[None, :]]).astype(dtype),
+                bg.astype(dtype))
+
+    @pytest.mark.parametrize("x_dtype, bg_dtype, seen", [
+        (np.float32, np.float32, np.float32),
+        (np.float64, np.float64, np.float64),
+        (np.int64, np.int64, np.float64),
+        (np.float32, np.float64, np.float64),
+        (np.int32, np.float32, np.float64),
+    ], ids=["f32", "f64", "int", "f32-over-f64", "int-over-f32"])
+    def test_dtype_reaching_the_model(self, x_dtype, bg_dtype, seen):
+        x, _ = self.rows(x_dtype)
+        _, bg = self.rows(bg_dtype)
+        fn = CountingFn(12, seed=52)
+        shap.kernel_shap(fn, x, bg, budget=300)
+        assert len(fn.dtypes) > 3
+        assert set(fn.dtypes) == {np.dtype(seen)}
+
+    def test_float32_rows_give_the_float64_bits(self):
+        """A float32 model gives the same attributions from float32 rows as
+        from the same values in float64, and sees as many rows."""
+        model = mlp.init([12, 6, 3], seed=53, dtype=np.float32)
+        fn = lambda z: mlp.forward(model, z)
+        narrow = shap.kernel_shap(fn, *self.rows(np.float32), budget=300)
+        x, bg = self.rows(np.float32)
+        wide = shap.kernel_shap(fn, x.astype(np.float64), bg.astype(np.float64),
+                                budget=300)
+        for field in ("phi", "base_values", "fx"):
+            assert getattr(narrow, field).tobytes() == getattr(wide, field).tobytes()
+        assert narrow.model_rows == wide.model_rows
+        assert narrow.constant_features == wide.constant_features
 
 
 class TestKernelShap:
