@@ -108,7 +108,8 @@ def read_checked(path, magic: bytes, version: int, corrupt, parse):
 
     corrupt(reason) is the exception a damaged file raises, its reason
     led by the path; an EOFError or ValueError from parse becomes one.
-    A file of another version raises VersionMismatchError.
+    A file of another version raises VersionMismatchError, also led by
+    the path.
     """
     blob = Path(path).read_bytes()
     if blob[:4] != magic:
@@ -117,7 +118,7 @@ def read_checked(path, magic: bytes, version: int, corrupt, parse):
         raise corrupt(f"{path}: unexpected end of file")
     (found,) = struct.unpack_from("<I", blob, 4)
     if found != version:
-        raise VersionMismatchError(found, version)
+        raise VersionMismatchError(path, found, version)
     if blob[-4:] != struct.pack("<I", zlib.crc32(memoryview(blob)[:-4])):
         raise corrupt(f"{path}: checksum mismatch")
     body = Cursor(blob, 8, len(blob) - 4)

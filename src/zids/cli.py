@@ -324,7 +324,7 @@ def _open_text(path):
 def cmd_prepare(args) -> int:
     cfg = load_config(args)
     data_path = cfg.data_path
-    out_dir = Path(args.out if args.out is not None else cfg.prepared_dir)
+    out_dir = Path(cfg.prepared_dir)
 
     with _locked_dir(out_dir):
         # Pass 1 reads only the four string fields (protocol_type,
@@ -715,7 +715,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prepare", help="parse, encode, split, and write containers")
     add_config_flags(p, {"data_path", "seed", "test_fraction", "split_seed"})
-    p.add_argument("--out", help="output directory for prepared artifacts")
+    p.add_argument("--out", dest="prepared_dir",
+                   help="output directory for prepared artifacts")
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("train", help="train one of the four experiment variants")

@@ -140,13 +140,15 @@ class CorruptModelError(ZidsError):
 
 
 class VersionMismatchError(ZidsError):
-    """A serialized artifact has an unsupported format version."""
+    """A serialized artifact has an unsupported format version; the
+    message is led by the artifact's path."""
 
-    def __init__(self, found: int, supported: int):
+    def __init__(self, path, found: int, supported: int):
+        self.path = str(path)
         self.found = found
         self.supported = supported
         super().__init__(
-            f"unsupported format version {found} (supported: {supported})"
+            f"{path}: unsupported format version {found} (supported: {supported})"
         )
 
 

@@ -371,7 +371,7 @@ def read_container(path, label_column: str) -> EncodedDataset:
     by_name = {c.name: c for c in columns}
     if label_column not in by_name:
         raise CorruptContainerError(
-            f"no label column {label_column!r}; available: {list(by_name)}"
+            f"{path}: no label column {label_column!r}; available: {list(by_name)}"
         )
     chosen = by_name[label_column]
     return EncodedDataset(

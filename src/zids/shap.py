@@ -45,9 +45,10 @@ class Explanation:
     matrix of the solve, and workers the number of threads the masked rows
     ran on. constant_features is the (min, max) over the explained rows of
     the number of columns where the row equals every background row bit
-    for bit, so that no coalition can vary them. shared_pairs counts the
-    pattern pairs whose masked rows served both orientations (see
-    _masked_means), and fx holds the model outputs of the explained rows.
+    for bit, so that no coalition can vary them. shared_pairs counts, step
+    by step, the pattern pairs read from both sides, whose masked rows
+    served explained rows on either side of the pair (see _masked_means),
+    and fx holds the model outputs of the explained rows.
     """
 
     phi: np.ndarray
@@ -254,18 +255,16 @@ class _Step:
 
     Use u adds its masked outputs to row use_row[u] of the sums, in the
     order of the uses. It reads pair use_pair[u], from the pair's hi side
-    when use_flip[u]. A pair's masked row is base with other's bits in the
-    keyed columns; a shared pair serves both of its orientations. col
-    numbers the pairs within the shared ones and within the others.
+    when use_flip[u]. Pair c joins patterns lo[c] <= hi[c]; shared counts
+    the pairs read from both sides.
     """
 
     use_row: np.ndarray
     use_pair: np.ndarray
     use_flip: np.ndarray
-    base: np.ndarray
-    other: np.ndarray
-    shared: np.ndarray
-    col: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    shared: int
 
 
 def _steps(
@@ -274,7 +273,7 @@ def _steps(
     """The distinct row patterns as words of the rows' item size (see
     _words), each explained row's index into the sums (one sum per
     distinct explained row), and the steps of _masked_means, one per
-    background position."""
+    background position that has a use."""
     n_rows = x_rows.shape[0]
     words = _words(np.concatenate([x_rows, background]))
     pats, ids = np.unique(words, axis=0, return_inverse=True)
@@ -291,6 +290,8 @@ def _steps(
         active = np.flatnonzero(start < s)
         own = np.flatnonzero(start == s)  # at most one pattern
         use_row = np.concatenate([active, np.repeat(own, s + 1)])
+        if not use_row.size:
+            continue
         p = explained[use_row]  # the explained side of each use
         q = np.concatenate([np.full(active.size, bg_ids[s]),
                             bg_ids[: s + 1 if own.size else 0]])
@@ -298,34 +299,26 @@ def _steps(
         pairs, use_pair = np.unique(lo * pats.shape[0] + hi, return_inverse=True)
         use_pair = use_pair.reshape(-1)
         use_flip = p > q
-        flipped = np.zeros(pairs.size, dtype=bool)
-        flipped[use_pair[use_flip]] = True
-        straight = np.zeros(pairs.size, dtype=bool)
-        straight[use_pair[~use_flip]] = True
-        shared = flipped & straight
-        # a pair used one way is keyed as that use sees it, with its
-        # background side as base; a shared pair as its lo side sees it
-        swap = flipped & ~shared
-        pair_lo, pair_hi = np.divmod(pairs, pats.shape[0])
-        col = np.where(shared, np.cumsum(shared), np.cumsum(~shared)) - 1
-        steps.append(_Step(use_row, use_pair, use_flip, np.where(swap, pair_lo, pair_hi),
-                           np.where(swap, pair_hi, pair_lo), shared, col))
+        shared = np.intersect1d(use_pair[use_flip], use_pair[~use_flip]).size
+        steps.append(_Step(use_row, use_pair, use_flip,
+                           *np.divmod(pairs, pats.shape[0]), shared))
     return pats, row_pattern.reshape(-1), steps
 
 
-def _units(steps: list[_Step], n_masks: int) -> list[list[_Step]]:
-    """Consecutive steps grouped until a group's pairs have keys for at
-    least _CHUNK_ROWS rows; the last group may have fewer."""
-    units, unit, bound = [], [], 0
-    for step in steps:
-        unit.append(step)
-        bound += int(np.where(step.base == step.other, 1, n_masks).sum())
-        if bound >= _CHUNK_ROWS:
-            units.append(unit)
-            unit, bound = [], 0
-    if unit:
-        units.append(unit)
-    return units
+def _read_rows(
+    pats: np.ndarray, step: _Step, key_words: np.ndarray, key_of: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pair and key of each distinct row that a step's uses read, and
+    each use's (masks,) index into those rows: from the lo side the keys
+    of the masks (key_of[0]), from the hi side their complements'. A
+    function of its own, so that the (pairs, keys) arrays of the grouping
+    are freed before the step's rows are evaluated."""
+    inverse, rows_pair, rows_key = _distinct_rows(
+        _packed_words(pats[step.lo] != pats[step.hi]), key_words)
+    reads = inverse[step.use_pair[:, None], key_of[step.use_flip.astype(np.intp)]]
+    read = np.zeros(rows_pair.size, dtype=bool)
+    read[reads] = True
+    return rows_pair[read], rows_key[read], (np.cumsum(read) - 1)[reads]
 
 
 @dataclass
@@ -353,13 +346,15 @@ def _masked_means(
     size (see _words), so a float32 row moves half the bytes. The masked row
     of patterns (p over q, mask S) is q with p's bits where S is on and
     the two differ, so it depends only on the pair and on S & differs;
-    and it is the row of (q over p, ~S). Each distinct (unordered pattern
-    pair, key) row of a step is built and evaluated once, and serves every
-    explained row and orientation that needs it: with the same rows
-    explained and in the background, as in the default explain, that
-    halves the rows sent to model_fn. A pair used both ways is keyed over
-    the union of the masks and their complements, the others over the
-    masks alone. Duplicate explained rows share one sum.
+    and it is the row of (q over p, ~S). So every pattern pair is keyed
+    once, over the union of the masks and their complements, as its lo
+    side sees it: a use from the lo side reads the key of mask j, one from
+    the hi side the key of its complement. Each step evaluates only the
+    distinct (unordered pattern pair, key) rows its uses read, once, and
+    each serves every explained row and orientation that reads it: with
+    the same rows explained and in the background, as in the default
+    explain, that halves the rows sent to model_fn. Duplicate explained
+    rows share one sum.
 
     The work streams by background position. Step s serves every (explained
     pattern, position) use whose later member is s, where a pattern that
@@ -372,81 +367,53 @@ def _masked_means(
     differ. No pair outlives its step; a background row that repeats an
     earlier one is evaluated again at each step that needs it.
 
-    Steps are grouped into units (see _units), evaluated in pieces of at
-    most _CHUNK_ROWS rows, a unit's last piece shorter, down to one row;
-    mlp.forward gives a row the same bits at any call size.
-    The units run on a pool of threads, one per thread that OpenBLAS had,
-    with OpenBLAS at 1 thread process-wide meanwhile; they are added up
-    in order, so the result does not depend on the pool size. The first model_fn error
-    cancels the units not yet started and reaches the caller.
+    Each step is one task on a pool of threads, one per thread that
+    OpenBLAS had, with OpenBLAS at 1 thread process-wide meanwhile. A step
+    is evaluated in pieces of at most _CHUNK_ROWS rows, its last piece
+    shorter, down to one row; mlp.forward gives a row the same bits at any
+    call size. The steps are added up in order, so the result does not
+    depend on the pool size. The first model_fn error cancels the steps
+    not yet started and reaches the caller.
     """
     n_masks = masks.shape[0]
     pats, row_pattern, steps = _steps(x_rows, background)
-    units = _units(steps, n_masks)
+    # the keys of the masks and their complements: key_of[0][j] is mask
+    # j's key, key_of[1][j] its complement's
+    keys, key_of = np.unique(np.concatenate([masks, ~masks]), axis=0,
+                             return_inverse=True)
+    key_of = key_of.reshape(2, n_masks)
+    key_words = _packed_words(keys)
+    on = -keys.astype(pats.dtype)  # all ones where the key is on
 
-    # Per key set: its (W, keys) words, the key of (mask j, complement of
-    # mask j) for each j, and which mask, or complement (>= n_masks), each
-    # key stands for. A complement key swaps the pair's roles.
-    identity = np.arange(n_masks)
-    key_sets = {False: (_packed_words(masks), np.stack([identity, identity]), identity)}
-    if any(step.shared.any() for step in steps):
-        union, key_of = np.unique(np.concatenate([masks, ~masks]), axis=0,
-                                  return_inverse=True)
-        key_of = key_of.reshape(2, n_masks)
-        rep = np.unique(key_of.reshape(-1), return_index=True)[1]
-        key_sets[True] = (_packed_words(union), key_of, rep)
-    on = -masks.astype(pats.dtype)  # all ones where the mask is on
-
-    def evaluate(unit: list) -> tuple[np.ndarray, list]:
-        """The outputs of a unit's distinct rows and, per step, where each
-        key set's pairs find their rows: {shared: (slice of the outputs,
-        (pairs, keys) inverse)}."""
-        parts, index, offset = [], [], 0
-        for step in unit:
-            segments = {}
-            for shared, (words, _, rep) in key_sets.items():
-                cols = np.flatnonzero(step.shared == shared)
-                if not cols.size:
-                    continue
-                base, other = step.base[cols], step.other[cols]
-                inverse, rows_pair, rows_key = _distinct_rows(
-                    _packed_words(pats[base] != pats[other]), words)
-                base, other, mask = base[rows_pair], other[rows_pair], rep[rows_key]
-                swap = mask >= n_masks
-                parts.append((np.where(swap, other, base), np.where(swap, base, other),
-                              mask % n_masks))
-                segments[shared] = (slice(offset, offset + rows_pair.size), inverse)
-                offset += rows_pair.size
-            index.append(segments)
-        base, other, mask = (np.concatenate(c) for c in zip(*parts))
+    def evaluate(step: _Step) -> tuple[np.ndarray, np.ndarray]:
+        """The outputs of the distinct rows a step's uses read, and each
+        use's (masks,) index into them."""
+        pair, key, reads = _read_rows(pats, step, key_words, key_of)
         outs = []
-        for a in range(0, offset, _CHUNK_ROWS):
+        for a in range(0, key.size, _CHUNK_ROWS):
             piece = slice(a, a + _CHUNK_ROWS)
-            # base's bits, with other's in the keyed columns
-            z = pats.take(base[piece], axis=0)
-            z ^= (z ^ pats.take(other[piece], axis=0)) & on.take(mask[piece], axis=0)
+            rows = pair[piece]
+            # hi's bits, with lo's in the keyed columns
+            z = pats.take(step.hi[rows], axis=0)
+            z ^= (z ^ pats.take(step.lo[rows], axis=0)) & on.take(key[piece], axis=0)
             outs.append(_model_output(model_fn, z.view(x_rows.dtype)))
-        return np.concatenate(outs), index
+        return np.concatenate(outs), reads
 
     sums = None
     model_rows = 0
     with _blas.single_threaded() as cores:
-        workers = max(1, min(cores, len(units)))
+        workers = max(1, min(cores, len(steps)))
         with ThreadPoolExecutor(workers) as pool:
-            done = _in_order(pool, evaluate, units, workers + 1)
-            for unit, (out, index) in zip(units, done):
+            done = _in_order(pool, evaluate, steps, workers + 1)
+            for step, (out, reads) in zip(steps, done):
                 if sums is None:
                     sums = np.zeros((row_pattern.max() + 1, n_masks, out.shape[1]))
                 model_rows += out.shape[0]
-                for step, segments in zip(unit, index):
-                    for row, pair, flip in zip(step.use_row, step.use_pair, step.use_flip):
-                        shared = bool(step.shared[pair])
-                        rows, inverse = segments[shared]
-                        keys = inverse[step.col[pair]][key_sets[shared][1][int(flip)]]
-                        sums[row] += out[rows].take(keys, axis=0)
+                for row, index in zip(step.use_row, reads):
+                    sums[row] += out.take(index, axis=0)
     sums /= background.shape[0]
     return _Masked(sums, row_pattern, model_rows,
-                   sum(int(step.shared.sum()) for step in steps), workers)
+                   sum(step.shared for step in steps), workers)
 
 
 def _in_order(pool: ThreadPoolExecutor, fn: Callable, items: list, ahead: int):

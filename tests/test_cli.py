@@ -57,6 +57,18 @@ class TestConfig:
         assert cfg.epochs == 3
         assert cfg.variant == "base"
 
+    def test_prepare_out_beats_config_beats_default(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"prepared_dir": "from-config"}))
+
+        def prepared_dir(*argv):
+            args = cli.build_parser().parse_args(["prepare", *argv])
+            return cli.load_config(args).prepared_dir
+
+        assert prepared_dir() == "prepared"
+        assert prepared_dir("--config", str(config)) == "from-config"
+        assert prepared_dir("--config", str(config), "--out", "from-flag") == "from-flag"
+
     @pytest.mark.parametrize("field", [
         "seed", "split_seed", "train_seed", "background_seed", "explain_seed",
         "coalition_seed"])
@@ -502,7 +514,7 @@ class TestEvaluate:
                      "--test", old, "--out", out)
         assert rc == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["data error: unsupported format version 1 (supported: 4)"]
+        assert err == [f"data error: {old}: unsupported format version 1 (supported: 4)"]
         assert not out.exists()
 
     def test_report_command_pretty_prints(self, small_experiment, capsys):

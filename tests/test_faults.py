@@ -452,7 +452,7 @@ def test_format_2_container_is_one_line_data_error(small_experiment, tmp_path, c
                  small_experiment.train("truncated") / "model.zmlp",
                  "--test", path, "--out", out)
     err = assert_one_line_error(capsys, rc, 2, out)
-    assert err == "data error: unsupported format version 2 (supported: 4)\n"
+    assert err == f"data error: {path}: unsupported format version 2 (supported: 4)\n"
 
 
 def test_format_3_container_is_one_line_data_error(small_experiment, tmp_path, capsys):
@@ -469,7 +469,7 @@ def test_format_3_container_is_one_line_data_error(small_experiment, tmp_path, c
     rc = run_cli("train", "--prepared", prepared, "--variant", "truncated",
                  "--epochs", 1, "--out", out)
     err = assert_one_line_error(capsys, rc, 2, out)
-    assert err == "data error: unsupported format version 3 (supported: 4)\n"
+    assert err == f"data error: {path}: unsupported format version 3 (supported: 4)\n"
 
 
 def assert_old_model_refused(small_experiment, tmp_path, capsys, command, version):
@@ -486,7 +486,7 @@ def assert_old_model_refused(small_experiment, tmp_path, capsys, command, versio
     capsys.readouterr()
     rc = run_cli(*reader_command(command, model, small_experiment.prepared, out))
     err = assert_one_line_error(capsys, rc, 2, out)
-    assert err == (f"data error: unsupported format version {version} "
+    assert err == (f"data error: {model}: unsupported format version {version} "
                    f"(supported: {mlp.MODEL_VERSION})\n")
 
 

@@ -675,8 +675,10 @@ class TestPersistence:
         blob = bytearray(path.read_bytes())
         blob[4] = 42
         path.write_bytes(bytes(blob))
-        with pytest.raises(VersionMismatchError):
+        with pytest.raises(VersionMismatchError) as exc:
             mlp.load(path)
+        assert str(exc.value) == (f"{path}: unsupported format version 42 "
+                                  f"(supported: {mlp.MODEL_VERSION})")
 
     def test_init_names_classes_under_no_column(self):
         model = mlp.init([4, 3], 0)

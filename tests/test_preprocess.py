@@ -356,6 +356,13 @@ class TestContainer:
         with pytest.raises(CorruptContainerError):
             pp.read_container(path, "nope")
 
+    def test_missing_label_column_names_the_file(self, tmp_path):
+        path, *_ = self.make(tmp_path)
+        with pytest.raises(CorruptContainerError) as exc:
+            pp.read_container(path, "nope")
+        assert str(exc.value) == (f"corrupt dataset container: {path}: no label "
+                                  "column 'nope'; available: ['coarse', 'fine']")
+
     def test_bit_identical_rewrite(self, tmp_path):
         path, x, scaling, columns = self.make(tmp_path)
         second = tmp_path / "again.zids"
@@ -389,8 +396,9 @@ class TestContainer:
         blob = bytearray(path.read_bytes())
         blob[4] = 99
         path.write_bytes(bytes(blob))
-        with pytest.raises(VersionMismatchError):
+        with pytest.raises(VersionMismatchError) as exc:
             pp.read_container_columns(path)
+        assert str(exc.value).startswith(f"{path}: unsupported format version 99 ")
 
     def test_checksum_covers_every_byte(self, tmp_path):
         path, *_ = self.make(tmp_path)

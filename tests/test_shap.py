@@ -223,7 +223,7 @@ class TestMaskedEval:
 
 
 SHARING = ["all-background", "some-background", "duplicate-rows",
-           "two-key-words", "odd-budget"]
+           "two-key-words", "odd-budget", "random-masks"]
 
 
 def sharing_case(case):
@@ -242,6 +242,10 @@ def sharing_case(case):
         rows = np.concatenate([bg[[2, 5, 3, 3]], x[None, :], x[None, :]])
     elif case == "odd-budget":
         rows = np.concatenate([bg[:5], x[None, :]])
+    elif case == "random-masks":  # most masks lack their complement
+        masks = np.random.default_rng(44).random((200, d)) < 0.5
+        assert len({m.tobytes() for m in masks} & {m.tobytes() for m in ~masks}) < 100
+        return np.concatenate([bg[[1, 4, 6]], x[None, :]]), bg, masks
     budget = 201 if case == "odd-budget" else 200
     masks, _ = shap.enumerate_or_sample_coalitions(d, budget, seed=44)
     return rows, bg, masks
