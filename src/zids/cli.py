@@ -164,6 +164,9 @@ def load_config(args: argparse.Namespace) -> ExperimentConfig:
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(
                 f"{config_path}: config file is not valid JSON: {exc}") from None
+        except OSError as exc:  # missing, a directory, unreadable
+            raise ConfigError(
+                f"{config_path}: cannot read config file: {exc.strerror or exc}") from None
         if not isinstance(doc, dict):
             raise ConfigError(f"{config_path}: config file must hold a JSON object")
         unknown = set(doc) - set(_CONFIG_TYPES)

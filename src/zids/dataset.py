@@ -21,6 +21,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Te
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ._rows import distinct_rows
 from .errors import (
     FieldTypeError,
     MalformedLineError,
@@ -223,25 +224,13 @@ def _span_text(words: np.ndarray) -> list[str]:
     return [v.decode("ascii") for v in words.view(f"S{8 * words.shape[1]}").ravel().tolist()]
 
 
-def _distinct_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(index of the first row of each distinct row, int32 code of each
-    row), the distinct rows in sorted order."""
-    order = np.lexsort(words.T)
-    ordered = words[order]
-    new = np.empty(len(order), dtype=bool)
-    new[0] = True
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
-    codes = np.empty(len(order), dtype=np.int32)
-    codes[order] = np.cumsum(new) - 1
-    return order[new], codes
-
-
 def _fast_patterns(chunk: str) -> Optional[tuple[list[str], np.ndarray]]:
     """The chunk's row patterns and the int32 code of each row (see
     iter_strings), taken with numpy from the comma offsets; None
     when the chunk needs the per-line path: not plain (_plain), a line
     without exactly 41 commas, a string field wider than _MAX_SPAN_CHARS,
-    or an unknown label."""
+    or an unknown label. The rows' span words are grouped as one batch
+    by distinct_rows; each pattern is read from its earliest row."""
     plain = _plain(chunk)
     if plain is None:
         return None
@@ -258,11 +247,12 @@ def _fast_patterns(chunk: str) -> Optional[tuple[list[str], np.ndarray]]:
         return None
     padded = np.concatenate([raw, np.zeros(_MAX_SPAN_CHARS, dtype=np.uint8)])
     middle, label = (_span_words(padded, start, stop) for start, stop in spans)
-    first, codes = _distinct_rows(np.concatenate([middle, label], axis=1))
+    inverse, _, first = distinct_rows(np.concatenate([middle.T, label.T])[:, None])
     labels = [v.lower().removesuffix(".") for v in _span_text(label[first])]
     if not all(v in CATEGORY_OF for v in labels):
         return None
-    return [f"{m},{v}" for m, v in zip(_span_text(middle[first]), labels)], codes
+    return ([f"{m},{v}" for m, v in zip(_span_text(middle[first]), labels)],
+            inverse[0].astype(np.int32))
 
 
 def _per_line(line_no: int, lines: list[str]) -> tuple[list[str], np.ndarray]:

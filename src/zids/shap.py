@@ -21,6 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import _blas
+from ._rows import distinct_rows
 from .errors import (
     BadBudgetError,
     OutOfRangeError,
@@ -186,6 +187,8 @@ def _as_rows(
     bg = np.ascontiguousarray(background, dtype=np.float32 if f4 else np.float64)
     if bg.ndim != 2 or bg.shape[0] < 1:
         raise ShapeMismatchError("background must be a non-empty 2D matrix")
+    if x_rows.ndim != 2 or x_rows.shape[0] < 1:
+        raise ShapeMismatchError("explained rows must be a non-empty 2D matrix")
     return np.ascontiguousarray(x_rows, dtype=bg.dtype), bg
 
 
@@ -213,39 +216,14 @@ def _packed_words(bits: np.ndarray) -> np.ndarray:
     return packed.view(np.uint64).T
 
 
-def _distinct_rows(
-    differs: np.ndarray, key_words: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Group the keys of each pair by key & differs[p].
-
-    differs is (W, pairs) and key_words (W, n). Returns inverse, the
-    (pairs, n) index of each (pair, key)'s distinct row, and rows_pair and
-    rows_key, the pair and key that stand for each distinct row. The
-    (W, pairs, n) keys and the sort live only in here, so one step's
-    peak memory stays small while other steps run beside it.
-
-    Sorting each pair's keys puts equal keys side by side, the groups in
-    ascending key order; the first key of each run stands for its group.
-    One key word is sorted by numpy's default sort, which is not stable:
-    another key of the group may then stand for it, but inverse and
-    rows_pair are the same, and every key of a group builds the same
-    masked row, since that row depends only on the pair and on
-    key & differs. Two or more words go through lexsort.
-    """
-    p, n = differs.shape[1], key_words.shape[1]
-    keys = differs[:, :, None] & key_words[:, None, :]  # (W, pairs, n)
-    if keys.shape[0] == 1:
-        order = keys[0].argsort(axis=-1)  # (pairs, n)
-    else:
-        order = np.lexsort(keys[::-1], axis=-1)
-    ordered = np.take_along_axis(keys, order[None], axis=-1)
-    first = np.ones((p, n), dtype=bool)
-    first[:, 1:] = (ordered[:, :, 1:] != ordered[:, :, :-1]).any(axis=0)
-    group = (np.cumsum(first) - 1).reshape(p, n)
-    inverse = np.empty((p, n), dtype=np.intp)  # (pair, key) -> distinct row
-    np.put_along_axis(inverse, order, group, axis=1)
-    heads = np.flatnonzero(first)
-    return inverse, heads // n, order.reshape(-1)[heads]
+def _mask_keys(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows of the masks and their complements (the keys), as
+    bool rows and as packed words (see _packed_words), and key_of: key_of[0][j]
+    is mask j's key, key_of[1][j] its complement's."""
+    both = np.concatenate([masks, ~masks])
+    words = _packed_words(both)
+    key_of, _, heads = distinct_rows(words[:, None])
+    return both[heads], words[:, heads], key_of.reshape(2, -1)
 
 
 @dataclass
@@ -271,13 +249,14 @@ def _steps(
     x_rows: np.ndarray, background: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, list[_Step]]:
     """The distinct row patterns as words of the rows' item size (see
-    _words), each explained row's index into the sums (one sum per
-    distinct explained row), and the steps of _masked_means, one per
-    background position that has a use."""
+    _words), in ascending order, the first column the most significant;
+    each explained row's index into the sums (one sum per distinct
+    explained row); and the steps of _masked_means, one per background
+    position that has a use."""
     n_rows = x_rows.shape[0]
     words = _words(np.concatenate([x_rows, background]))
-    pats, ids = np.unique(words, axis=0, return_inverse=True)
-    ids = ids.reshape(-1)
+    ids, _, heads = distinct_rows(words.T[:, None])
+    pats, ids = words[heads], ids[0]
     explained, row_pattern = np.unique(ids[:n_rows], return_inverse=True)
     bg_ids = ids[n_rows:]
     first = np.full(pats.shape[0], -1)
@@ -310,11 +289,14 @@ def _read_rows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The pair and key of each distinct row that a step's uses read, and
     each use's (masks,) index into those rows: from the lo side the keys
-    of the masks (key_of[0]), from the hi side their complements'. A
-    function of its own, so that the (pairs, keys) arrays of the grouping
-    are freed before the step's rows are evaluated."""
-    inverse, rows_pair, rows_key = _distinct_rows(
-        _packed_words(pats[step.lo] != pats[step.hi]), key_words)
+    of the masks (key_of[0]), from the hi side their complements'. Each
+    pair's keys are grouped on key & differs, which is all a masked row
+    depends on, so any key of a group builds its row. A function of its
+    own, so that the (W, pairs, keys) arrays of the grouping are freed
+    before the step's rows are evaluated."""
+    differs = _packed_words(pats[step.lo] != pats[step.hi])
+    inverse, rows_pair, rows_key = distinct_rows(
+        differs[:, :, None] & key_words[:, None, :])
     reads = inverse[step.use_pair[:, None], key_of[step.use_flip.astype(np.intp)]]
     read = np.zeros(rows_pair.size, dtype=bool)
     read[reads] = True
@@ -333,9 +315,8 @@ class _Masked:
     workers: int
 
 
-def _masked_means(
-    model_fn: Callable, x_rows: np.ndarray, background: np.ndarray, masks: np.ndarray
-) -> _Masked:
+def _masked_means(model_fn: Callable, x_rows: np.ndarray, background: np.ndarray,
+                  masks: np.ndarray, cores: int) -> _Masked:
     """Mean model output over the background for every explained row and
     mask: x_rows[i] where the mask is on, background[b] elsewhere.
 
@@ -347,14 +328,15 @@ def _masked_means(
     of patterns (p over q, mask S) is q with p's bits where S is on and
     the two differ, so it depends only on the pair and on S & differs;
     and it is the row of (q over p, ~S). So every pattern pair is keyed
-    once, over the union of the masks and their complements, as its lo
-    side sees it: a use from the lo side reads the key of mask j, one from
-    the hi side the key of its complement. Each step evaluates only the
-    distinct (unordered pattern pair, key) rows its uses read, once, and
-    each serves every explained row and orientation that reads it: with
-    the same rows explained and in the background, as in the default
-    explain, that halves the rows sent to model_fn. Duplicate explained
-    rows share one sum.
+    once, over the union of the masks and their complements (_mask_keys),
+    as its lo side sees it: a use from the lo side reads the key of mask
+    j, one from the hi side the key of its complement. Each step evaluates
+    only the distinct (unordered pattern pair, key) rows its uses read,
+    once, and each serves every explained row and orientation that reads
+    it: with the same rows explained and in the background, as in the
+    default explain, that halves the rows sent to model_fn. Duplicate
+    explained rows share one sum. Patterns, keys and each step's rows are
+    grouped by distinct_rows.
 
     The work streams by background position. Step s serves every (explained
     pattern, position) use whose later member is s, where a pattern that
@@ -367,22 +349,18 @@ def _masked_means(
     differ. No pair outlives its step; a background row that repeats an
     earlier one is evaluated again at each step that needs it.
 
-    Each step is one task on a pool of threads, one per thread that
-    OpenBLAS had, with OpenBLAS at 1 thread process-wide meanwhile. A step
-    is evaluated in pieces of at most _CHUNK_ROWS rows, its last piece
-    shorter, down to one row; mlp.forward gives a row the same bits at any
-    call size. The steps are added up in order, so the result does not
-    depend on the pool size. The first model_fn error cancels the steps
-    not yet started and reaches the caller.
+    Each step is one task on a pool of threads, one per core, capped at
+    the number of steps; the caller holds OpenBLAS at 1 thread and passes
+    the cores the pool may fill. A step is evaluated in pieces of at most
+    _CHUNK_ROWS rows, its last piece shorter, down to one row; mlp.forward
+    gives a row the same bits at any call size. The steps are added up in
+    order, so the result does not depend on the pool size. The first
+    model_fn error cancels the steps not yet started and reaches the
+    caller.
     """
     n_masks = masks.shape[0]
     pats, row_pattern, steps = _steps(x_rows, background)
-    # the keys of the masks and their complements: key_of[0][j] is mask
-    # j's key, key_of[1][j] its complement's
-    keys, key_of = np.unique(np.concatenate([masks, ~masks]), axis=0,
-                             return_inverse=True)
-    key_of = key_of.reshape(2, n_masks)
-    key_words = _packed_words(keys)
+    keys, key_words, key_of = _mask_keys(masks)
     on = -keys.astype(pats.dtype)  # all ones where the key is on
 
     def evaluate(step: _Step) -> tuple[np.ndarray, np.ndarray]:
@@ -401,16 +379,15 @@ def _masked_means(
 
     sums = None
     model_rows = 0
-    with _blas.single_threaded() as cores:
-        workers = max(1, min(cores, len(steps)))
-        with ThreadPoolExecutor(workers) as pool:
-            done = _in_order(pool, evaluate, steps, workers + 1)
-            for step, (out, reads) in zip(steps, done):
-                if sums is None:
-                    sums = np.zeros((row_pattern.max() + 1, n_masks, out.shape[1]))
-                model_rows += out.shape[0]
-                for row, index in zip(step.use_row, reads):
-                    sums[row] += out.take(index, axis=0)
+    workers = max(1, min(cores, len(steps)))
+    with ThreadPoolExecutor(workers) as pool:
+        done = _in_order(pool, evaluate, steps, workers + 1)
+        for step, (out, reads) in zip(steps, done):
+            if sums is None:
+                sums = np.zeros((row_pattern.max() + 1, n_masks, out.shape[1]))
+            model_rows += out.shape[0]
+            for row, index in zip(step.use_row, reads):
+                sums[row] += out.take(index, axis=0)
     sums /= background.shape[0]
     return _Masked(sums, row_pattern, model_rows,
                    sum(step.shared for step in steps), workers)
@@ -459,17 +436,18 @@ def kernel_shap(
     float32 model gives the same bits from float32 rows as from the same
     values in float64.
 
-    The masked means come from _masked_means, which evaluates each distinct
-    masked row once per call on a pool of threads, one per thread that
-    OpenBLAS had, with OpenBLAS set to 1 thread process-wide for the pool's
-    lifetime and restored afterwards, also on error. So model_fn may be
-    called from several threads at once; it must not share mutable state
-    between calls. The result does not depend on the pool size, but at a
-    different OpenBLAS thread count the Gram product and solve may differ
-    in the last bits.
+    OpenBLAS is set to 1 thread process-wide from the first model call to
+    the condition number, and restored afterwards, also on error; so the
+    result has the same bits at any OpenBLAS thread count. The masked
+    means come from _masked_means, which evaluates each distinct masked
+    row once per call on a pool of threads, one per thread that OpenBLAS
+    had. So model_fn may be called from several threads at once; it must
+    not share mutable state between calls. The result does not depend on
+    the pool size.
 
-    Raises ShapeMismatchError when feature_names, if given, does not name
-    every column of x_rows or class_names every model output, and
+    Raises ShapeMismatchError when there is no explained row or no
+    background row, when feature_names, if given, does not name every
+    column of x_rows or class_names every model output, and
     SingularSystemError when the coalition design is rank-deficient even
     after the documented ridge fallback; the design is shared across
     classes, so the failure is reported for the first class.
@@ -491,38 +469,35 @@ def kernel_shap(
 
     masks, w = enumerate_or_sample_coalitions(m, budget, seed)
     z = masks.astype(np.float64)
-
-    fx = _model_output(model_fn, x_rows)  # (n_rows, K)
-    f0 = _model_output(model_fn, bg).mean(axis=0)  # (K,)
-    k = fx.shape[1]
-    if class_names is not None and len(class_names) != k:
-        raise ShapeMismatchError(f"{len(class_names)} class names for {k} model outputs")
-
     # Constraint elimination: solve for the first m-1 attributions, close
     # the last one with sum(phi) = f(x) - f0.
     x_design = z[:, :-1] - z[:, -1:]
     xw = x_design * w[:, None]
-    gram = x_design.T @ xw
 
-    rhs = np.empty((m - 1, n_rows * k))
-    deltas = fx - f0[None, :]  # (n_rows, K)
-    masked = _masked_means(model_fn, x_rows, bg, masks)
-    # at 1 BLAS thread, so these products' bits do not depend on the
-    # caller's thread count
-    with _blas.single_threaded():
+    with _blas.single_threaded() as cores:  # the pool fills the cores
+        fx = _model_output(model_fn, x_rows)  # (n_rows, K)
+        f0 = _model_output(model_fn, bg).mean(axis=0)  # (K,)
+        k = fx.shape[1]
+        if class_names is not None and len(class_names) != k:
+            raise ShapeMismatchError(
+                f"{len(class_names)} class names for {k} model outputs")
+        gram = x_design.T @ xw
+        rhs = np.empty((m - 1, n_rows * k))
+        deltas = fx - f0[None, :]  # (n_rows, K)
+        masked = _masked_means(model_fn, x_rows, bg, masks, cores)
         for i, e in enumerate(masked.row_pattern):
             y2 = (masked.means[e] - f0[None, :]) - z[:, -1:] * deltas[i][None, :]
             rhs[:, i * k : (i + 1) * k] = xw.T @ y2
-
-    ridge_used = False
-    try:
-        solved = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        ridge_used = True
+        ridge_used = False
         try:
-            solved = np.linalg.solve(gram + ridge * np.eye(m - 1), rhs)
+            solved = np.linalg.solve(gram, rhs)
         except np.linalg.LinAlgError:
-            raise SingularSystemError(0) from None
+            ridge_used = True
+            try:
+                solved = np.linalg.solve(gram + ridge * np.eye(m - 1), rhs)
+            except np.linalg.LinAlgError:
+                raise SingularSystemError(0) from None
+        gram_condition = float(np.linalg.cond(gram))
 
     head = solved.reshape(m - 1, n_rows, k)
     phi = np.empty((k, n_rows, m))
@@ -542,7 +517,7 @@ def kernel_shap(
         masked_rows=n_rows * masks.shape[0] * bg.shape[0],
         model_rows=n_rows + bg.shape[0] + masked.model_rows,
         ridge_used=ridge_used,
-        gram_condition=float(np.linalg.cond(gram)),
+        gram_condition=gram_condition,
         workers=masked.workers,
         constant_features=(min(constant, default=0), max(constant, default=0)),
         shared_pairs=masked.shared_pairs,

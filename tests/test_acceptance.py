@@ -26,6 +26,7 @@ from zids.preprocess import ClassWeights
 from conftest import SMALL_PROFILE, Experiment, exact_shapley, read_counts, run_cli
 from test_metrics import brute_force_scores
 from test_mlp import finite_difference_gradients, max_relative_error
+from test_shap import blas_threads
 
 FULL_DATA = os.environ.get("ZIDS_KDD99_DATA")
 TENPCT_DATA = os.environ.get("ZIDS_KDD99_10PCT")
@@ -330,29 +331,37 @@ def test_criterion_8_ranking_divergence(experiment):
 # --- criterion 9: determinism suite -------------------------------------------
 
 
+def _pipeline(root, corpus, model, *explain_flags):
+    """prepare under root, train weighted-truncated into the directory
+    model unless it is there, evaluate and explain, at seed 11; every file
+    under root but the manifests, by path under root."""
+    assert run_cli("prepare", "--data", corpus, "--out", root / "prep",
+                   "--seed", 11) == 0
+    if not model.exists():
+        assert run_cli("train", "--prepared", root / "prep",
+                       "--variant", "weighted-truncated", "--out", model,
+                       "--seed", 11, "--epochs", 6) == 0
+    assert run_cli("evaluate", "--model", model / "model.zmlp",
+                   "--test", root / "prep" / "test.zids",
+                   "--out", root / "eval") == 0
+    assert run_cli("explain", "--model", model / "model.zmlp",
+                   "--prepared", root / "prep", "--out", root / "shap",
+                   "--seed", 11, "--explain-n", 6, "--background-n", 12,
+                   *explain_flags) == 0
+    return {
+        str(p.relative_to(root)): p.read_bytes()
+        for p in sorted(root.rglob("*"))
+        if p.is_file() and p.name != "manifest.json"
+    }
+
+
 def test_criterion_9_determinism(tmp_path):
     corpus = tmp_path / "corpus.kdd"
     synthetic.write_corpus(corpus, SMALL_PROFILE, seed=0)
     artifacts = {}
     for run in ("one", "two"):
         root = tmp_path / run
-        assert run_cli("prepare", "--data", corpus, "--out", root / "prep",
-                       "--seed", 11) == 0
-        assert run_cli("train", "--prepared", root / "prep",
-                       "--variant", "weighted-truncated", "--out", root / "model",
-                       "--seed", 11, "--epochs", 6) == 0
-        assert run_cli("evaluate", "--model", root / "model" / "model.zmlp",
-                       "--test", root / "prep" / "test.zids",
-                       "--out", root / "eval") == 0
-        assert run_cli("explain", "--model", root / "model" / "model.zmlp",
-                       "--prepared", root / "prep", "--out", root / "shap",
-                       "--seed", 11, "--budget", 128, "--explain-n", 6,
-                       "--background-n", 12) == 0
-        artifacts[run] = {
-            str(p.relative_to(root)): p.read_bytes()
-            for p in sorted(root.rglob("*"))
-            if p.is_file() and p.name != "manifest.json"
-        }
+        artifacts[run] = _pipeline(root, corpus, root / "model", "--budget", 128)
     same_names = artifacts["one"].keys() == artifacts["two"].keys()
     mismatched = [
         name for name in artifacts["one"]
@@ -364,6 +373,23 @@ def test_criterion_9_determinism(tmp_path):
         same_names and not mismatched,
         f"compared {len(artifacts['one'])} files",
     )
+
+
+def test_artifacts_do_not_depend_on_blas_threads(tmp_path):
+    """Beside criterion 9: prepare, evaluate and explain, at its default
+    budget, write the same bytes at 1 and at 2 OpenBLAS threads, for one
+    model. The model is trained once: at 2 threads, the first layer's
+    weight gradient of the 467-row last batch of this corpus's 1,491
+    training rows takes other bits than at 1 (see the README)."""
+    corpus = tmp_path / "corpus.kdd"
+    synthetic.write_corpus(corpus, SMALL_PROFILE, seed=0)
+    artifacts = {}
+    for threads in (1, 2):
+        with blas_threads(threads):
+            artifacts[threads] = _pipeline(tmp_path / f"threads_{threads}", corpus,
+                                           tmp_path / "model")
+    assert artifacts[1].keys() == artifacts[2].keys()
+    assert [name for name in artifacts[1] if artifacts[1][name] != artifacts[2][name]] == []
 
 
 # --- criterion 10: metrics oracle ---------------------------------------------

@@ -153,6 +153,21 @@ def test_bad_config_is_usage_error_naming_it(tmp_path, capsys, text, message):
     assert err.startswith(f"error: {config}: {message}")
 
 
+@pytest.mark.parametrize("kind, message", [
+    ("missing", "No such file or directory"),
+    ("directory", "Is a directory"),
+])
+def test_unreadable_config_is_usage_error_naming_it(tmp_path, capsys, kind, message):
+    config = tmp_path / "config.json"
+    if kind == "directory":
+        config.mkdir()
+    out = tmp_path / "out"
+    rc = run_cli("train", "--config", config, "--prepared", tmp_path / "void",
+                 "--out", out)
+    err = assert_one_line_error(capsys, rc, 1, out)
+    assert err == f"error: {config}: cannot read config file: {message}\n"
+
+
 def corpus_lines():
     """The lines of a 400-row corpus."""
     return synthetic.generate_lines({"normal": 200, "smurf": 200}, seed=0)

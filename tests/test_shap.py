@@ -10,7 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from zids import _blas, mlp, shap
+from zids import _blas, _rows, mlp, shap
 from zids.errors import (
     BadBudgetError,
     OutOfRangeError,
@@ -111,6 +111,13 @@ def sparse_background(d, b, changed, seed):
     return x, bg
 
 
+def masked_means(fn, rows, bg, masks):
+    """_masked_means as kernel_shap calls it: OpenBLAS at 1 thread, and
+    the pool filling the cores it had."""
+    with _blas.single_threaded() as cores:
+        return shap._masked_means(fn, rows, bg, masks, cores)
+
+
 class CountingFn:
     """Row-wise model that records the size and dtype of every call."""
 
@@ -147,7 +154,7 @@ class TestMaskedEval:
         masks[0] = True
         masks[1] = False
         fn = random_mlp_fn(d, seed=4)
-        masked = shap._masked_means(fn, x[None, :], bg, masks)
+        masked = masked_means(fn, x[None, :], bg, masks)
         assert masked.means.shape == (1, 200, 3)
         np.testing.assert_allclose(masked.means[0], masked_reference(fn, x, bg, masks),
                                    rtol=0, atol=1e-12)
@@ -158,7 +165,7 @@ class TestMaskedEval:
         x, bg = sparse_background(d, 6, changed=2, seed=15)
         masks = np.random.default_rng(16).random((100, d)) < 0.5
         fn = CountingFn(d)
-        evaluated = shap._masked_means(fn, x[None, :], bg, masks).model_rows
+        evaluated = masked_means(fn, x[None, :], bg, masks).model_rows
         distinct = sum(
             len({tuple(mask[row != x]) for mask in masks}) for row in bg
         )
@@ -172,7 +179,7 @@ class TestMaskedEval:
         runs = []
         for _ in range(2):
             fn = CountingFn(d, seed=5)
-            runs.append(shap._masked_means(fn, x[None, :], bg, masks))
+            runs.append(masked_means(fn, x[None, :], bg, masks))
             assert len(fn.calls) > 1
             assert max(fn.calls) <= shap._CHUNK_ROWS
         a, b = runs
@@ -187,7 +194,7 @@ class TestMaskedEval:
         x = np.array([-0.0, 1.0])
         bg = np.array([[0.0, 1.0]])
         masks = np.array([[True, False], [False, True]])
-        v = shap._masked_means(fn, x[None, :], bg, masks).means[0]
+        v = masked_means(fn, x[None, :], bg, masks).means[0]
         assert v.tolist() == [[1.0, 0.0], [0.0, 0.0]]
 
     def test_all_on_is_model_output(self):
@@ -195,7 +202,7 @@ class TestMaskedEval:
         rng = np.random.default_rng(0)
         x = rng.normal(size=5)
         bg = rng.normal(size=(8, 5))
-        v = shap._masked_means(fn, x[None, :], bg, np.ones((1, 5), dtype=bool)).means[0, 0]
+        v = masked_means(fn, x[None, :], bg, np.ones((1, 5), dtype=bool)).means[0, 0]
         assert np.allclose(v, fn(x[None, :])[0], atol=1e-12)
 
     def test_all_off_is_base_value(self):
@@ -203,7 +210,7 @@ class TestMaskedEval:
         rng = np.random.default_rng(0)
         x = rng.normal(size=5)
         bg = rng.normal(size=(8, 5))
-        v = shap._masked_means(fn, x[None, :], bg, np.zeros((1, 5), dtype=bool)).means[0, 0]
+        v = masked_means(fn, x[None, :], bg, np.zeros((1, 5), dtype=bool)).means[0, 0]
         assert np.allclose(v, fn(bg).mean(axis=0), atol=1e-12)
 
     def test_single_background_row(self):
@@ -212,7 +219,7 @@ class TestMaskedEval:
         bg = np.array([[0.0, 0.0, 0.0, 0.0]])
         mask = np.array([[True, False, True, False]])
         expected = fn(np.array([[1.0, 0.0, 3.0, 0.0]]))[0]
-        v = shap._masked_means(fn, x[None, :], bg, mask).means[0, 0]
+        v = masked_means(fn, x[None, :], bg, mask).means[0, 0]
         assert np.allclose(v, expected, atol=1e-12)
 
     @pytest.mark.parametrize("bg", [np.ones(4), np.ones((0, 4))], ids=["1d", "empty"])
@@ -277,7 +284,7 @@ class TestSharedPairs:
     def test_matches_full_broadcast(self, case):
         rows, bg, masks = sharing_case(case)
         fn = random_mlp_fn(bg.shape[1], seed=45)
-        masked = shap._masked_means(fn, rows, bg, masks)
+        masked = masked_means(fn, rows, bg, masks)
         for i, x in enumerate(rows):
             np.testing.assert_allclose(masked.means[masked.row_pattern[i]],
                                        masked_reference(fn, x, bg, masks),
@@ -291,10 +298,10 @@ class TestSharedPairs:
         of masked rows into model calls nor the sharing reaches them."""
         rows, bg, masks = sharing_case(case)
         fn = random_mlp_fn(bg.shape[1], k=3, seed=46)
-        masked = shap._masked_means(fn, rows, bg, masks)
+        masked = masked_means(fn, rows, bg, masks)
         for i in range(rows.shape[0]):
             means = masked.means[masked.row_pattern[i]].tobytes()
-            alone = shap._masked_means(fn, rows[i : i + 1], bg, masks)
+            alone = masked_means(fn, rows[i : i + 1], bg, masks)
             assert alone.means[0].tobytes() == means
             with _blas.single_threaded():
                 assert masked_reference(fn, rows[i], bg, masks).tobytes() == means
@@ -303,7 +310,7 @@ class TestSharedPairs:
     def test_model_sees_each_pair_row_once(self, case):
         rows, bg, masks = sharing_case(case)
         fn = CountingFn(bg.shape[1])
-        masked = shap._masked_means(fn, rows, bg, masks)
+        masked = masked_means(fn, rows, bg, masks)
         assert sum(fn.calls) == masked.model_rows == brute_force_rows(rows, bg, masks)
         if case != "duplicate-rows":  # no background row repeats: once per call
             assert masked.model_rows == brute_force_rows(rows, bg, masks, by_step=False)
@@ -312,7 +319,7 @@ class TestSharedPairs:
     @pytest.mark.parametrize("case", SHARING)
     def test_shared_pairs_counted(self, case):
         rows, bg, masks = sharing_case(case)
-        masked = shap._masked_means(CountingFn(bg.shape[1]), rows, bg, masks)
+        masked = masked_means(CountingFn(bg.shape[1]), rows, bg, masks)
         both = {r.tobytes() for r in rows} & {g.tobytes() for g in bg}
         assert masked.shared_pairs == len(both) * (len(both) - 1) // 2
         if case in ("all-background", "two-key-words"):
@@ -320,9 +327,9 @@ class TestSharedPairs:
 
     def test_rows_that_are_their_background_halve_the_model_rows(self):
         rows, bg, masks = sharing_case("all-background")
-        masked = shap._masked_means(CountingFn(10), rows, bg, masks)
+        masked = masked_means(CountingFn(10), rows, bg, masks)
         one_sided = sum(
-            shap._masked_means(CountingFn(10), rows[i : i + 1], bg, masks).model_rows
+            masked_means(CountingFn(10), rows[i : i + 1], bg, masks).model_rows
             for i in range(rows.shape[0])
         )
         # the 8 self pairs give one row each and are not shared
@@ -331,14 +338,14 @@ class TestSharedPairs:
     def test_one_masked_row_is_one_call(self):
         fn = CountingFn(3)
         x = np.array([1.0, 2.0, 3.0])
-        v = shap._masked_means(fn, x[None, :], x[None, :],
-                               np.array([[True, False, True]])).means[0, 0]
+        v = masked_means(fn, x[None, :], x[None, :],
+                         np.array([[True, False, True]])).means[0, 0]
         assert fn.calls == [1]
         assert np.array_equal(v, fn.fn(np.stack([x, x]))[0])
 
 
 def lexsort_groups(differs, key_words):
-    """_distinct_rows' groups by a stable lexsort of each pair's keys: the
+    """The groups of each pair's keys & differs by a stable lexsort: the
     first key of each run of equal keys stands for its group."""
     p, n = differs.shape[1], key_words.shape[1]
     keys = differs[:, :, None] & key_words[:, None, :]
@@ -365,13 +372,51 @@ class TestDistinctRows:
             for w in range(words):
                 for bit in rng.choice(64, size=rng.integers(0, 6), replace=False):
                     differs[w, p] |= np.uint64(1) << np.uint64(bit)
-        inverse, rows_pair, rows_key = shap._distinct_rows(differs, key_words)
+        inverse, rows_pair, rows_key = _rows.distinct_rows(
+            differs[:, :, None] & key_words[:, None, :])
         ref_inverse, ref_pair, ref_key = lexsort_groups(differs, key_words)
         assert np.array_equal(inverse, ref_inverse)
         assert np.array_equal(rows_pair, ref_pair)
         assert np.array_equal(key_words[:, rows_key] & differs[:, rows_pair],
                               key_words[:, ref_key] & differs[:, ref_pair])
         assert rows_pair.size < differs.shape[1] * key_words.shape[1] // 10
+
+    @pytest.mark.parametrize("words", [1, 2, 5])
+    def test_one_batch_as_np_unique(self, words):
+        """One batch of rows, as prepare's span words and explain's row
+        patterns are grouped: np.unique's groups in np.unique's order, and
+        from two words on, the earliest row of each group stands for it."""
+        rng = np.random.default_rng(40 + words)
+        rows = rng.integers(0, 3, size=(7, words), dtype=np.uint64)[
+            rng.integers(0, 7, size=500)]
+        rows[:, -1] <<= np.uint64(62)  # high bits count as much as low ones
+        inverse, batch, heads = _rows.distinct_rows(rows.T[:, None])
+        distinct, first, ref_inverse = np.unique(
+            rows, axis=0, return_index=True, return_inverse=True)
+        assert np.array_equal(inverse[0], ref_inverse.reshape(-1))
+        assert np.array_equal(rows[heads], distinct)
+        assert not batch.any()
+        if words > 1:
+            assert np.array_equal(heads, first)
+
+    @pytest.mark.parametrize("case", SHARING)
+    def test_patterns_and_keys_as_np_unique(self, case):
+        """_masked_means' row patterns and mask keys are np.unique's."""
+        rows, bg, masks = sharing_case(case)
+        words = shap._words(np.concatenate([rows, bg]))
+        distinct, ids = np.unique(words, axis=0, return_inverse=True)
+        pats, row_pattern, _ = shap._steps(rows, bg)
+        assert np.array_equal(pats, distinct)
+        _, ref_pattern = np.unique(ids.reshape(-1)[: rows.shape[0]], return_inverse=True)
+        assert np.array_equal(row_pattern, ref_pattern.reshape(-1))
+
+        both = np.concatenate([masks, ~masks])
+        keys, key_words, key_of = shap._mask_keys(masks)
+        distinct = np.unique(both, axis=0)
+        assert keys.shape == distinct.shape  # no key twice
+        assert np.array_equal(np.unique(keys, axis=0), distinct)
+        assert np.array_equal(keys[key_of.reshape(-1)], both)
+        assert np.array_equal(key_words, shap._packed_words(keys))
 
 
 class TestRowDtype:
@@ -561,6 +606,12 @@ class TestKernelShap:
         with pytest.raises(OutOfRangeError):
             shap.kernel_shap(fn, np.ones((1, 1)), np.ones((2, 1)))
 
+    def test_needs_an_explained_row(self):
+        fn = CountingFn(4)
+        with pytest.raises(ShapeMismatchError, match="explained rows"):
+            shap.kernel_shap(fn, np.ones((0, 4)), np.ones((2, 4)))
+        assert fn.calls == []
+
 
 def fake_cores(monkeypatch, cores):
     """kernel_shap sees `cores` BLAS threads to fill, with BLAS still set to
@@ -659,7 +710,7 @@ class TestRowPool:
 
         with blas_threads(2):
             assert self.explain(fn, 7).workers == 2
-            assert seen[:2] == [2, 2] and set(seen[2:]) == {1}  # pool at 1
+            assert set(seen) == {1}  # every model call at 1
             assert _blas.get_num_threads() == 2
             with pytest.raises(ThirdCallFails):
                 self.explain(self.fails_on_third_call(), 7)
