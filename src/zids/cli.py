@@ -8,7 +8,6 @@ byte (timestamps aside).
 from __future__ import annotations
 
 import argparse
-import array
 import contextlib
 import gzip
 import json
@@ -37,6 +36,7 @@ from .errors import (
     DamagedGzipError,
     EmptyInputError,
     MalformedReportError,
+    MissingClassError,
     NonFiniteLossError,
     NotUtf8Error,
     OutOfRangeError,
@@ -113,8 +113,6 @@ class ExperimentConfig:
                 setattr(cfg, name, cfg.seed)
         if cfg.explain_seed is None:
             cfg.explain_seed = cfg.background_seed
-        if cfg.output_dir is None:
-            cfg.output_dir = str(Path("runs") / cfg.variant)
         # mlp.TrainConfig checks the training knobs; these fields would
         # fail later with a traceback, or as a data error once an input
         # is found missing.
@@ -331,17 +329,13 @@ def cmd_prepare(args) -> int:
 
     with _locked_dir(out_dir):
         # Pass 1 reads only the four string fields (protocol_type,
-        # service, flag, label) as one pattern per row; each chunk's
-        # patterns are interned into int32 codes, in no useful
-        # order until split_patterns sorts each field's vocabulary.
-        index, interned = {}, array.array("i")
+        # service, flag, label): each field's sorted vocabulary and the
+        # int32 code of each row into it.
         pass_1 = ds.ChunkStats()
-        for patterns, pattern_codes in ds.iter_strings(lambda: _open_text(data_path), pass_1):
-            pp.intern(patterns, pattern_codes, index, interned)
-        if not interned:
+        vocabs, codes = ds.string_fields(
+            ds.iter_strings(lambda: _open_text(data_path), pass_1))
+        if not codes:
             raise EmptyInputError(f"no records in {data_path}")
-        vocabs, codes = ds.split_patterns(index, interned)
-        del interned
         fine_names, y_fine = vocabs.pop(), codes.pop()
         n = y_fine.size
 
@@ -478,7 +472,7 @@ def _read_like(path: Path, column: str, like, like_name: str) -> pp.EncodedDatas
 def cmd_train(args) -> int:
     cfg = load_config(args)
     prepared = Path(cfg.prepared_dir)
-    out_dir = Path(cfg.output_dir)
+    out_dir = Path(cfg.output_dir or Path("runs") / cfg.variant)
     granularity, weighted, default_hidden = VARIANTS[cfg.variant]
 
     # Every knob is checked before a container is read.
@@ -498,7 +492,13 @@ def cmd_train(args) -> int:
         test_ds = _read_like(prepared / "test.zids", granularity, train_ds, "train.zids")
         hidden = cfg.hidden_dims if cfg.hidden_dims is not None else list(default_hidden)
         dims = [train_ds.d] + list(hidden) + [train_ds.k]
-        weights = pp.class_weights(train_ds.y, train_ds.k) if weighted else None
+        try:
+            weights = pp.class_weights(train_ds.y, train_ds.k) if weighted else None
+        except MissingClassError as exc:
+            raise MissingClassError(exc.class_index, (
+                f"{prepared / 'train.zids'} has no row of class "
+                f"{train_ds.class_names[exc.class_index]!r} ({granularity}); "
+                "class weights need every class")) from None
         train_config = replace(train_config, class_weights=weights)
 
         model = mlp.init(dims, cfg.train_seed, dtype=np.float32)
@@ -583,7 +583,7 @@ def cmd_explain(args) -> int:
             f"{model.label_column!r} column"
         )
     prepared = Path(cfg.prepared_dir)
-    out_dir = Path(cfg.output_dir)
+    out_dir = Path(cfg.output_dir or Path(args.model).parent / "explain")
     with _locked_dir(out_dir):
         test_path = prepared / "test.zids"
         test_ds = _read_like(test_path, model.label_column, model, "the model")

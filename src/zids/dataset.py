@@ -12,6 +12,7 @@ read back by no command.
 
 from __future__ import annotations
 
+import array
 import io
 import json
 import math
@@ -291,7 +292,8 @@ def iter_strings(
     are int32). A pattern may be listed more than once (labels that
     differ only in case or dot), and each listed pattern has a row.
     Blank lines are skipped, so a chunk may hold no row. No continuous
-    value is converted.
+    value is converted. string_fields turns the blocks into the four
+    fields' vocabularies and codes.
 
     A plain chunk (see _plain) of lines with 42 fields and known labels is
     split at its comma offsets with numpy; any other chunk runs the
@@ -327,14 +329,25 @@ def iter_strings(
         raise error
 
 
-def split_patterns(
-    index: Mapping[str, int], codes: Sequence[int]
+def string_fields(
+    blocks: Iterable[tuple[list[str], np.ndarray]],
 ) -> tuple[list[list[str]], list[np.ndarray]]:
-    """Split the row patterns of iter_strings, interned into index (each
-    pattern's code, in code order) and codes (an array('i'), one code per
-    row), into their four fields: the sorted vocabulary of each field, and
-    for each field the int32 code of each row into its vocabulary."""
-    rows = np.frombuffer(codes, dtype=np.int32)
+    """The four string fields of the (patterns, codes) blocks of
+    iter_strings: the sorted vocabulary of each field, and for each field
+    the int32 code of each row into its vocabulary; ([], []) when no
+    block holds a row.
+
+    Each block's patterns are interned into one index, under the next
+    free code, and its rows' codes are appended to one array('i'), 4 B a
+    row; the fields are split out of the index and each renumbered to its
+    sorted vocabulary only after the last block.
+    """
+    index: dict[str, int] = {}
+    interned = array.array("i")
+    for patterns, codes in blocks:
+        remap = np.asarray([index.setdefault(p, len(index)) for p in patterns], dtype=np.int32)
+        interned.frombytes(remap[codes].tobytes())
+    rows = np.frombuffer(interned, dtype=np.int32)
     vocabs, field_codes = [], []
     for column in zip(*(pattern.split(",") for pattern in index)):
         vocab = sorted(set(column))

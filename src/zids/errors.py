@@ -87,20 +87,14 @@ class VocabularyTooLargeError(ZidsError):
         )
 
 
-class DegenerateClassError(ZidsError):
-    """A class has zero samples where at least one is required."""
-
-    def __init__(self, class_index: int):
-        self.class_index = class_index
-        super().__init__(f"class {class_index} has no samples")
-
-
 class MissingClassError(ZidsError):
-    """A class index in 0..K-1 never occurs in the label vector."""
+    """A class index in 0..K-1 has no row where every class needs one.
+    The message, if given, replaces the generic one: a caller that knows
+    the file and the class names says which."""
 
-    def __init__(self, class_index: int):
+    def __init__(self, class_index: int, message: str = ""):
         self.class_index = class_index
-        super().__init__(f"class {class_index} does not occur in labels")
+        super().__init__(message or f"class {class_index} has no rows")
 
 
 class OutOfRangeError(ZidsError):

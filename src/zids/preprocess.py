@@ -11,7 +11,6 @@ a time, for the model.
 
 from __future__ import annotations
 
-import array
 import math
 import struct
 from dataclasses import dataclass, field, replace
@@ -22,7 +21,6 @@ import numpy as np
 from ._atomic import pack_names, pack_str, read_checked, write_checked
 from .errors import (
     CorruptContainerError,
-    DegenerateClassError,
     MissingClassError,
     OutOfRangeError,
 )
@@ -179,17 +177,6 @@ def set_one_hot(
         base += width
 
 
-def intern(
-    values: Sequence[str], value_codes: np.ndarray, index: dict[str, int], codes: array.array
-) -> None:
-    """Append to codes the index code of each row of a block whose row i
-    holds values[value_codes[i]]. index grows by each value it lacks, in
-    the order of values, under the next free code; so the codes follow no
-    useful order until dataset.split_patterns renumbers them."""
-    remap = np.asarray([index.setdefault(v, len(index)) for v in values], dtype=np.int32)
-    codes.frombytes(remap[value_codes].tobytes())
-
-
 def fit_scaling(x: np.ndarray) -> list[tuple[float, float]]:
     """Per-column (min, max) of the continuous columns x."""
     return [(float(lo), float(hi)) for lo, hi in zip(x.min(axis=0), x.max(axis=0))]
@@ -239,7 +226,7 @@ def split_indices(
         idx = np.flatnonzero(y == c)
         n_c = idx.size
         if n_c == 0:
-            raise DegenerateClassError(c)
+            raise MissingClassError(c)
         n_test = allocate_test_count(n_c, test_fraction)
         perm = rng.permutation(n_c)
         test_parts.append(idx[perm[:n_test]])

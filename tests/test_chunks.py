@@ -6,7 +6,6 @@ anything prepare takes from a corpus. The chunks are a few hundred
 characters, so lines and errors straddle chunk boundaries.
 """
 
-import array
 import gzip
 import io
 import json
@@ -15,7 +14,6 @@ import pytest
 
 from zids import cli
 from zids import dataset as ds
-from zids import preprocess as pp
 from zids import synthetic
 from zids.errors import ZidsError
 
@@ -109,21 +107,29 @@ CORPORA = {
 }
 
 
+def recorded(open_stream, blocks, errors, stats=None):
+    """The blocks of iter_strings, each also appended to blocks; the
+    error it raises, if any, ends them and is appended to errors."""
+    try:
+        for block in ds.iter_strings(open_stream, stats):
+            blocks.append(block)
+            yield block
+    except ZidsError as exc:
+        errors.append(exc)
+
+
 def outcome(open_stream):
     """Everything prepare's two passes take from a corpus: each block's
     rows and distinct patterns, the sorted vocabularies and codes, the
     continuous blocks and the error that prepare reports, if any. Where
     pass 1 raises, pass 2 reads up to the line of that error, as the
     second read of iter_strings does, and must raise nothing there."""
-    index, interned = {}, array.array("i")
-    blocks, continuous, error = [], [], None
+    read, errors, continuous = [], [], []
     stats = ds.ChunkStats(), ds.ChunkStats()
-    try:
-        for patterns, codes in ds.iter_strings(open_stream, stats[0]):
-            blocks.append(([patterns[c] for c in codes], sorted(set(patterns))))
-            pp.intern(patterns, codes, index, interned)
-    except ZidsError as exc:
-        error = exc
+    vocabs, codes = ds.string_fields(recorded(open_stream, read, errors, stats[0]))
+    blocks = [([patterns[c] for c in block_codes], sorted(set(patterns)))
+              for patterns, block_codes in read]
+    error = errors[0] if errors else None
     try:
         with open_stream() as stream:
             stop = None if error is None else error.line_no
@@ -132,7 +138,6 @@ def outcome(open_stream):
     except ZidsError as exc:
         assert error is None, f"pass 1 raised {error!r}, but {exc!r} is earlier"
         error = exc
-    vocabs, codes = ds.split_patterns(index, interned)
     described = None if error is None else (
         type(error).__name__, error.line_no, getattr(error, "column", None),
         getattr(error, "label", None), str(error))
@@ -219,20 +224,16 @@ def test_pass_1_matches_fields_split_by_hand(tmp_path, small_chunks, name):
     rows it yielded before are the corpus's first rows."""
     path = tmp_path / f"{name}.kdd"
     path.write_bytes(CORPORA[name].encode("utf-8"))
-    index, interned = {}, array.array("i")
-    raised = False
-    try:
-        for patterns, codes in ds.iter_strings(lambda: cli._open_text(path)):
-            pp.intern(patterns, codes, index, interned)
-    except ZidsError:
-        raised = True
+    read, errors = [], []
+    vocabs, codes = ds.string_fields(recorded(lambda: cli._open_text(path), read, errors))
+    raised = bool(errors)
     assert raised == (name in PASS_1_ERRORS)
+    yielded = sum(len(block_codes) for _, block_codes in read)
     rows = [line.strip().split(",") for line in CORPORA[name].splitlines() if line.strip()]
     if raised:
-        rows = rows[:len(interned)]
-    assert len(interned) == len(rows)
+        rows = rows[:yielded]
+    assert yielded == len(rows)
     assert all(len(row) == ds.NUM_FIELDS for row in rows)
-    vocabs, codes = ds.split_patterns(index, interned)
     assert len(vocabs) == len(codes) == (4 if rows else 0)
     for column, vocab, field_codes in zip((1, 2, 3, 41), vocabs, codes):
         values = [row[column] for row in rows]

@@ -587,6 +587,26 @@ class TestExplain:
         assert (outs[0]["samples"]["explained_indices"]
                 != outs[1]["samples"]["explained_indices"])
 
+    def test_default_out_is_beside_the_model(self, small_experiment, tmp_path,
+                                             monkeypatch):
+        """Without --out, train writes runs/<variant> and explain the
+        explain directory beside its model, so explaining one variant
+        leaves another variant's training run as it was."""
+        monkeypatch.chdir(tmp_path)
+        for variant in ("truncated", "weighted-truncated"):
+            assert run_cli("train", "--prepared", small_experiment.prepared,
+                           "--variant", variant, "--epochs", 1) == 0
+        trained = sorted(os.listdir(tmp_path / "runs" / "truncated"))
+        assert run_cli("explain", "--model", "runs/weighted-truncated/model.zmlp",
+                       "--prepared", small_experiment.prepared, "--budget", 64,
+                       "--explain-n", 3, "--background-n", 5) == 0
+        assert sorted(os.listdir(tmp_path / "runs" / "truncated")) == trained
+        manifest = json.loads((tmp_path / "runs/truncated/manifest.json").read_text())
+        assert manifest["command"] == "train"
+        out = tmp_path / "runs" / "weighted-truncated" / "explain"
+        assert json.loads((out / "manifest.json").read_text())["command"] == "explain"
+        assert (out / "top5.csv").is_file()
+
     def test_fine_model_rejected(self, small_experiment, tmp_path):
         model = small_experiment.train("base") / "model.zmlp"
         rc = run_cli("explain", "--model", model,

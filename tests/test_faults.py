@@ -20,7 +20,7 @@ import zids
 from zids import cli, mlp, synthetic
 from zids import preprocess as pp
 from zids import dataset as ds
-from conftest import run_cli
+from conftest import SMALL_PROFILE, run_cli
 
 # (artifact, command that reads it)
 READERS = [
@@ -572,6 +572,25 @@ def test_vocabulary_past_code_range_is_data_error(
                    f"containers hold at most {services - 1}\n")
     if out_exists:
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_weighted_training_without_a_class_names_container_and_class(tmp_path, capsys):
+    """A train split without Probe rows cannot take class weights: one
+    line that names train.zids, the class and its label column. The
+    unweighted variant trains on the same split."""
+    profile = {label: n for label, n in SMALL_PROFILE.items()
+               if ds.CATEGORY_OF[label] != ds.PROBE}
+    synthetic.write_corpus(tmp_path / "corpus.kdd", profile, seed=0)
+    prepared = tmp_path / "prepared"
+    assert run_cli("prepare", "--data", tmp_path / "corpus.kdd", "--out", prepared) == 0
+    capsys.readouterr()
+    out = tmp_path / "weighted"
+    rc = run_cli("train", "--prepared", prepared, "--variant", "weighted-truncated",
+                 "--epochs", 1, "--out", out)
+    err = assert_one_line_error(capsys, rc, 2, out)
+    assert f"{prepared / 'train.zids'} has no row of class 'Probe' (coarse)" in err
+    assert run_cli("train", "--prepared", prepared, "--variant", "truncated",
+                   "--epochs", 1, "--out", tmp_path / "plain") == 0
 
 
 @pytest.mark.parametrize("knob", ["background_n", "explain_n"])

@@ -14,7 +14,6 @@ from zids import synthetic
 from conftest import read_counts, run_cli
 from zids.errors import (
     CorruptContainerError,
-    DegenerateClassError,
     MissingClassError,
     OutOfRangeError,
     VersionMismatchError,
@@ -233,7 +232,7 @@ class TestStratifiedSplit:
 
     def test_degenerate_class(self):
         y = np.array([0, 0, 2, 2])  # class 1 missing
-        with pytest.raises(DegenerateClassError) as err:
+        with pytest.raises(MissingClassError) as err:
             pp.split_indices(y, 3, 0.33, seed=0)
         assert err.value.class_index == 1
 

@@ -1,11 +1,14 @@
-"""README's Library use block runs as written, and the code and tests it
-names exist, so the documentation keeps up with the code."""
+"""README's Quickstart and Library use blocks run as written, and the
+code and tests it names exist, so the documentation keeps up with the code."""
 
 import ast
 import importlib
 import re
+import shlex
 import shutil
 from pathlib import Path
+
+from zids import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -25,6 +28,22 @@ def test_library_use_block_runs(small_experiment, tmp_path, monkeypatch, capsys)
     out = capsys.readouterr().out
     assert "Weighted average" in out  # the rendered report
     assert out.rstrip().splitlines()[-1].count(",") == 3  # a top5.csv row
+
+
+def test_quickstart_runs(small_experiment, tmp_path, monkeypatch, capsys):
+    """Each zids line of the Quickstart exits 0, in order, on a corpus
+    named demo.kdd, and report prints the rendered report."""
+    section = README.read_text(encoding="utf-8").split("\n## Quickstart\n", 1)[1]
+    lines = re.search(r"```\n(.*?)```", section, re.S).group(1).splitlines()
+    assert len(lines) == 6
+    shutil.copy(small_experiment.corpus, tmp_path / "demo.kdd")
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        command, *argv = shlex.split(line)
+        assert command == "zids"
+        capsys.readouterr()
+        assert cli.main(argv) == 0, line
+    assert "Weighted average" in capsys.readouterr().out
 
 
 def test_named_code_exists():
