@@ -273,8 +273,10 @@ def _locked_dir(path: Path):
     fd = _take_lock(lock)
     succeeded = False
     try:
-        os.write(fd, f"{os.getpid()} {socket.gethostname()}".encode("utf-8"))
-        os.close(fd)
+        try:
+            os.write(fd, f"{os.getpid()} {socket.gethostname()}".encode("utf-8"))
+        finally:
+            os.close(fd)
         yield path
         succeeded = True
     finally:
@@ -344,10 +346,8 @@ def cmd_prepare(args) -> int:
             dtype=np.int32,
         )
         y_coarse = fine_to_cat[y_fine]
-        counts = {
-            category: int((y_coarse == i).sum())
-            for i, category in enumerate(ds.CATEGORIES)
-        }
+        counts = dict(zip(ds.CATEGORIES, np.bincount(
+            y_coarse, minlength=len(ds.CATEGORIES)).tolist()))
 
         fields = tuple(
             (ds.FEATURE_NAMES[pos], tuple(vocab))

@@ -151,8 +151,8 @@ class LabelOutOfRangeError(ZidsError):
 
 
 class MalformedReportError(ZidsError):
-    """A report document lacks a field report_to_dict writes, or has one of
-    the wrong type."""
+    """A report document lacks a field of report.json (the dataclasses.asdict
+    of a metrics.ClassificationReport), or has one of the wrong type."""
 
 
 class EmptyMatrixError(ZidsError):

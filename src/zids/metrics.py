@@ -1,7 +1,8 @@
 """Confusion matrices and per-class classification reports.
 
 Scores are computed in float64 from exact integer counts; text rendering
-rounds half-to-even to four decimals.
+rounds half-to-even to four decimals. A ClassificationReport has the
+fields and nesting of report.json, which is its dataclasses.asdict.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -45,6 +46,7 @@ class ConfusionMatrix:
 
 @dataclass
 class ClassScores:
+    name: str
     precision: float
     recall: float
     f1: float
@@ -60,8 +62,7 @@ class AverageScores:
 
 @dataclass
 class ClassificationReport:
-    class_names: list[str]
-    per_class: list[ClassScores]
+    classes: list[ClassScores]
     accuracy: float
     macro_avg: AverageScores
     weighted_avg: AverageScores
@@ -109,15 +110,16 @@ def report(cm: ConfusionMatrix) -> ClassificationReport:
     col_sums = m.sum(axis=0).astype(np.float64)
     row_sums = m.sum(axis=1).astype(np.float64)
 
-    per_class = []
+    classes = []
     for c in range(k):
         precision = (
             diag[c] / col_sums[c] if col_sums[c] > 0 else EMPTY_PREDICTION_PRECISION
         )
         recall = diag[c] / row_sums[c] if row_sums[c] > 0 else 0.0
         f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-        per_class.append(
+        classes.append(
             ClassScores(
+                name=cm.class_names[c],
                 precision=float(precision),
                 recall=float(recall),
                 f1=float(f1),
@@ -127,51 +129,23 @@ def report(cm: ConfusionMatrix) -> ClassificationReport:
 
     accuracy = float(np.trace(m) / total)
     macro = AverageScores(
-        precision=float(np.mean([s.precision for s in per_class])),
-        recall=float(np.mean([s.recall for s in per_class])),
-        f1=float(np.mean([s.f1 for s in per_class])),
+        precision=float(np.mean([s.precision for s in classes])),
+        recall=float(np.mean([s.recall for s in classes])),
+        f1=float(np.mean([s.f1 for s in classes])),
     )
-    supports = np.array([s.support for s in per_class], dtype=np.float64)
+    supports = np.array([s.support for s in classes], dtype=np.float64)
     weighted = AverageScores(
-        precision=float(np.dot(supports, [s.precision for s in per_class]) / total),
-        recall=float(np.dot(supports, [s.recall for s in per_class]) / total),
-        f1=float(np.dot(supports, [s.f1 for s in per_class]) / total),
+        precision=float(np.dot(supports, [s.precision for s in classes]) / total),
+        recall=float(np.dot(supports, [s.recall for s in classes]) / total),
+        f1=float(np.dot(supports, [s.f1 for s in classes]) / total),
     )
     return ClassificationReport(
-        class_names=list(cm.class_names),
-        per_class=per_class,
+        classes=classes,
         accuracy=accuracy,
         macro_avg=macro,
         weighted_avg=weighted,
         total_support=total,
     )
-
-
-def report_to_dict(rep: ClassificationReport) -> dict:
-    return {
-        "classes": [
-            {
-                "name": name,
-                "precision": s.precision,
-                "recall": s.recall,
-                "f1": s.f1,
-                "support": s.support,
-            }
-            for name, s in zip(rep.class_names, rep.per_class)
-        ],
-        "accuracy": rep.accuracy,
-        "macro_avg": {
-            "precision": rep.macro_avg.precision,
-            "recall": rep.macro_avg.recall,
-            "f1": rep.macro_avg.f1,
-        },
-        "weighted_avg": {
-            "precision": rep.weighted_avg.precision,
-            "recall": rep.weighted_avg.recall,
-            "f1": rep.weighted_avg.f1,
-        },
-        "total_support": rep.total_support,
-    }
 
 
 _NUMBER = (int, float)
@@ -186,16 +160,15 @@ def _field(doc, key: str, kind):
 
 
 def report_from_dict(doc) -> ClassificationReport:
-    """Inverse of report_to_dict; raises MalformedReportError on a document
-    of any other shape."""
+    """The report a report.json document holds; raises MalformedReportError
+    on a document of any other shape."""
 
     def scores(d) -> tuple:
         return tuple(_field(d, key, _NUMBER) for key in ("precision", "recall", "f1"))
 
-    classes = _field(doc, "classes", list)
     return ClassificationReport(
-        class_names=[_field(c, "name", str) for c in classes],
-        per_class=[ClassScores(*scores(c), _field(c, "support", int)) for c in classes],
+        classes=[ClassScores(_field(c, "name", str), *scores(c), _field(c, "support", int))
+                 for c in _field(doc, "classes", list)],
         accuracy=_field(doc, "accuracy", _NUMBER),
         macro_avg=AverageScores(*scores(_field(doc, "macro_avg", dict))),
         weighted_avg=AverageScores(*scores(_field(doc, "weighted_avg", dict))),
@@ -210,8 +183,8 @@ def _fmt(x: float) -> str:
 def _rows(rep: ClassificationReport, fmt) -> list[tuple]:
     """The table rows of a report, scores rendered by fmt: one per class,
     then Accuracy, Macro average and Weighted average."""
-    rows = [(name, fmt(s.precision), fmt(s.recall), fmt(s.f1), s.support)
-            for name, s in zip(rep.class_names, rep.per_class)]
+    rows = [(s.name, fmt(s.precision), fmt(s.recall), fmt(s.f1), s.support)
+            for s in rep.classes]
     rows.append(("Accuracy", fmt(rep.accuracy), "", "", rep.total_support))
     for label, avg in (("Macro average", rep.macro_avg),
                        ("Weighted average", rep.weighted_avg)):
@@ -225,11 +198,10 @@ def render_report(rep: ClassificationReport, format: str = "text") -> bytes:
 
     The text and csv tables list one row per class, then Accuracy, Macro
     average, and Weighted average footer rows; csv keeps every digit.
+    json is the report's own tree, keys sorted.
     """
     if format == "json":
-        return json.dumps(report_to_dict(rep), indent=2, sort_keys=True).encode(
-            "utf-8"
-        )
+        return json.dumps(asdict(rep), indent=2, sort_keys=True).encode("utf-8")
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -237,9 +209,7 @@ def render_report(rep: ClassificationReport, format: str = "text") -> bytes:
         writer.writerows(_rows(rep, repr))
         return buf.getvalue().encode("utf-8")
     if format == "text":
-        name_width = max(
-            [len("Weighted average")] + [len(n) for n in rep.class_names]
-        )
+        name_width = max([len("Weighted average")] + [len(s.name) for s in rep.classes])
         lines = [
             f"{name:<{name_width}}  {precision:>9}  {recall:>9}  {f1:>9}  {support:>9}"
             for name, precision, recall, f1, support in [

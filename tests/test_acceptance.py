@@ -405,7 +405,7 @@ def test_criterion_10_metrics_oracle():
         y_pred = rng.integers(0, k, n)
         rep = metrics.report(metrics.confusion(y_true, y_pred, k))
         expected = brute_force_scores(y_true, y_pred, k)
-        for s, (p, r, f1, support) in zip(rep.per_class, expected):
+        for s, (p, r, f1, support) in zip(rep.classes, expected):
             assert s.precision == p and s.recall == r and s.support == support
             assert s.f1 == f1
         identity_worst = max(

@@ -292,6 +292,28 @@ def test_failed_replace_keeps_earlier_artifacts(tmp_path, capsys, monkeypatch, o
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+def test_failed_lock_write_closes_the_lock(tmp_path, capsys, monkeypatch):
+    """When the lock's text cannot be written, the command exits with one
+    line and leaves no open descriptor, no lock and no directory."""
+    corpus = tmp_path / "corpus.kdd"
+    corpus.write_text("".join(line + "\n" for line in corpus_lines()))
+    out = tmp_path / "out"
+    written = []
+
+    def refuse(fd, data):
+        written.append(fd)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "write", refuse)
+    rc = run_cli("prepare", "--data", corpus, "--out", out)
+    monkeypatch.undo()
+    assert len(written) == 1
+    with pytest.raises(OSError):
+        os.fstat(written[0])
+    err = assert_one_line_error(capsys, rc, 2, out)
+    assert err == "data error: [Errno 28] No space left on device\n"
+
+
 def _writes(call: ast.Call) -> bool:
     """Whether a call writes a file other than through write_atomic:
     Path.write_text/write_bytes, or an open() whose mode writes."""

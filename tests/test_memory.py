@@ -1,13 +1,14 @@
-"""Memory held by containers, training and KernelSHAP, as tracemalloc counts
-it (numpy reports its buffers to tracemalloc)."""
+"""Memory held by prepare, containers, training and KernelSHAP, as
+tracemalloc counts it (numpy reports its buffers to tracemalloc)."""
 
 import contextlib
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from zids import _blas, mlp, shap
+from zids import _blas, cli, mlp, shap
 from zids import preprocess as pp
 
 ROWS = 100_000
@@ -40,6 +41,18 @@ def traced_peak(fn):
     finally:
         tracemalloc.stop()
     return result, peak - start
+
+
+def test_prepare_holds_the_float_columns_once(experiment, tmp_path):
+    """Pass 2 fills the float32 train and test matrices, (rows, 38)
+    together, and scales and writes them in place: the peak leaves no
+    room for a second copy of them."""
+    argv = ["prepare", "--data", str(experiment.corpus), "--out", str(tmp_path / "p")]
+    rc, peak = traced_peak(lambda: cli.main(argv))
+    assert rc == 0
+    rows = json.loads((tmp_path / "p" / "manifest.json").read_text())["data"]["rows"]
+    matrix = rows * 38 * 4  # 4.0 MiB at 1x, where the peak reads about 6.7-6.9 MiB
+    assert peak < matrix + 4 * 2**20
 
 
 def test_read_holds_no_more_than_the_file(container):

@@ -59,7 +59,7 @@ class TestReport:
         y = np.array([0, 1, 2, 0])
         rep = metrics.report(metrics.confusion(y, y, 3))
         assert rep.accuracy == 1.0
-        assert all(s.precision == s.recall == s.f1 == 1.0 for s in rep.per_class)
+        assert all(s.precision == s.recall == s.f1 == 1.0 for s in rep.classes)
 
     def test_never_predicted_class(self):
         # class 1 exists but is never predicted: precision 1 (by the
@@ -67,7 +67,7 @@ class TestReport:
         y_true = np.array([0, 1, 1, 0])
         y_pred = np.array([0, 0, 0, 0])
         rep = metrics.report(metrics.confusion(y_true, y_pred, 2))
-        s = rep.per_class[1]
+        s = rep.classes[1]
         assert (s.precision, s.recall, s.f1) == (1.0, 0.0, 0.0)
 
     def test_accuracy_is_trace_over_total(self):
@@ -97,7 +97,7 @@ class TestReport:
             y_pred = rng.integers(0, k, n)
             rep = metrics.report(metrics.confusion(y_true, y_pred, k))
             expected = brute_force_scores(y_true, y_pred, k)
-            for s, (p, r, f1, support) in zip(rep.per_class, expected):
+            for s, (p, r, f1, support) in zip(rep.classes, expected):
                 assert s.precision == p
                 assert s.recall == r
                 assert abs(s.f1 - f1) <= 1e-15
@@ -159,6 +159,47 @@ class TestRendering:
             b"Accuracy             0.6667                                6\n"
             b"Macro average        0.7778     0.5556     0.4889          6\n"
             b"Weighted average     0.7222     0.6667     0.6000          6\n"
+        )
+
+    def test_json_bytes(self):
+        assert metrics.render_report(self.make_report(), "json") == (
+            b'{\n'
+            b'  "accuracy": 0.6666666666666666,\n'
+            b'  "classes": [\n'
+            b'    {\n'
+            b'      "f1": 0.6666666666666666,\n'
+            b'      "name": "Normal",\n'
+            b'      "precision": 0.6666666666666666,\n'
+            b'      "recall": 0.6666666666666666,\n'
+            b'      "support": 3\n'
+            b'    },\n'
+            b'    {\n'
+            b'      "f1": 0.8,\n'
+            b'      "name": "DoS",\n'
+            b'      "precision": 0.6666666666666666,\n'
+            b'      "recall": 1.0,\n'
+            b'      "support": 2\n'
+            b'    },\n'
+            b'    {\n'
+            b'      "f1": 0.0,\n'
+            b'      "name": "Probe",\n'
+            b'      "precision": 1.0,\n'
+            b'      "recall": 0.0,\n'
+            b'      "support": 1\n'
+            b'    }\n'
+            b'  ],\n'
+            b'  "macro_avg": {\n'
+            b'    "f1": 0.48888888888888893,\n'
+            b'    "precision": 0.7777777777777777,\n'
+            b'    "recall": 0.5555555555555555\n'
+            b'  },\n'
+            b'  "total_support": 6,\n'
+            b'  "weighted_avg": {\n'
+            b'    "f1": 0.6,\n'
+            b'    "precision": 0.7222222222222222,\n'
+            b'    "recall": 0.6666666666666666\n'
+            b'  }\n'
+            b'}'
         )
 
     def test_json_round_trip_stable(self):
