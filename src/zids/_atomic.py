@@ -16,35 +16,44 @@ import struct
 import threading
 import zlib
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import VersionMismatchError
 
 
-def write_atomic(path, buffers: Iterable) -> None:
-    """Write the buffers (bytes-like), in order, as the file at path.
+@contextlib.contextmanager
+def atomic_file(path):
+    """A new file, open for reading and writing, that takes path's name
+    when the block ends.
 
-    They go to a new temporary file in path's directory, which then
-    takes path's name with os.replace: a reader sees the old file or the
-    whole new one, never a part of it. If anything fails, the temporary
-    file is removed and path is left as it was. Nothing is fsynced, so
-    this guards against failures and concurrent readers, not against
-    power loss.
+    It is a temporary file in path's directory, which then takes path's
+    name with os.replace: a reader sees the old file or the whole new
+    one, never a part of it. If the block or the replace raises, the
+    temporary file is removed and path is left as it was. Nothing is
+    fsynced, so this guards against failures and concurrent readers, not
+    against power loss.
     """
     path = Path(path)
     # no other live writer has this process and thread
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
-        with open(tmp, "wb") as fh:
-            for buffer in buffers:
-                fh.write(buffer)
+        with open(tmp, "w+b") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             tmp.unlink()
         raise
+
+
+def write_atomic(path, buffers: Iterable) -> None:
+    """Write the buffers (bytes-like), in order, as the file at path; see
+    atomic_file."""
+    with atomic_file(path) as fh:
+        for buffer in buffers:
+            fh.write(buffer)
 
 
 def pack_str(text: str) -> bytes:
@@ -56,13 +65,80 @@ def pack_names(names: Sequence[str]) -> bytes:
     return struct.pack("<I", len(names)) + b"".join(map(pack_str, names))
 
 
+class Envelope:
+    """The envelope of one open file, written part by part.
+
+    append() writes a part and takes it into the checksum. draft() writes
+    a part that the checksum takes in only once settle() has rewritten it
+    in place; while a draft is unsettled, nothing may be appended and the
+    envelope may not be closed. So bytes can be written as they arrive
+    and transformed by what is known only at the end, without being held
+    in memory or read back a second time.
+    """
+
+    def __init__(self, fh, magic: bytes, version: int):
+        self.fh, self.crc, self.size = fh, 0, 0
+        self.drafted: Optional[int] = None  # where the unsettled draft starts
+        self.append(magic + struct.pack("<I", version))
+
+    def _write(self, part) -> None:
+        self.fh.write(part)
+        self.size += memoryview(part).nbytes
+
+    def _settled(self) -> None:
+        if self.drafted is not None:
+            raise ValueError("a draft is not settled")
+
+    def append(self, part) -> None:
+        self._settled()
+        self.crc = zlib.crc32(part, self.crc)
+        self._write(part)
+
+    def draft(self, part) -> None:
+        if self.drafted is None:
+            self.drafted = self.size
+        self._write(part)
+
+    def settle(self, block: int, rewrite: Callable) -> None:
+        """Rewrite the drafted bytes in place, `block` bytes at a time, in
+        order: each block becomes rewrite(its bytes), a bytes-like of the
+        same length, which the checksum then takes in."""
+        self.fh.flush()
+        fd = self.fh.fileno()
+        start = self.size if self.drafted is None else self.drafted
+        for at in range(start, self.size, block):
+            raw = os.pread(fd, min(block, self.size - at), at)
+            new = memoryview(rewrite(raw)).cast("B")
+            if new.nbytes != len(raw):
+                raise ValueError(f"{len(raw)} bytes rewritten as {new.nbytes}")
+            self.crc = zlib.crc32(new, self.crc)
+            done = 0
+            while done < new.nbytes:
+                done += os.pwrite(fd, new[done:], at + done)
+        self.drafted = None
+
+    def close(self) -> None:
+        """Append the checksum."""
+        self._settled()
+        self._write(struct.pack("<I", self.crc))
+
+
+@contextlib.contextmanager
+def checked_file(path, magic: bytes, version: int):
+    """An Envelope of magic and version over a new file that, its
+    checksum appended, takes path's name when the block ends; see
+    atomic_file."""
+    with atomic_file(path) as fh:
+        envelope = Envelope(fh, magic, version)
+        yield envelope
+        envelope.close()
+
+
 def write_checked(path, magic: bytes, version: int, parts: Iterable) -> None:
     """Write the envelope of the body parts (bytes-like), atomically."""
-    parts = [magic + struct.pack("<I", version), *parts]
-    crc = 0
-    for part in parts:
-        crc = zlib.crc32(part, crc)
-    write_atomic(path, [*parts, struct.pack("<I", crc)])
+    with checked_file(path, magic, version) as envelope:
+        for part in parts:
+            envelope.append(part)
 
 
 class Cursor:

@@ -365,58 +365,47 @@ def cmd_prepare(args) -> int:
         train_idx, test_idx = pp.split_indices(
             y_fine, len(fine_names), cfg.test_fraction, cfg.split_seed
         )
-        dest_is_test = np.zeros(n, dtype=bool)
-        dest_is_test[test_idx] = True
-        dest_pos = np.empty(n, dtype=np.int64)
-        dest_pos[train_idx] = np.arange(train_idx.size)
-        dest_pos[test_idx] = np.arange(test_idx.size)
+        splits = {"train": train_idx, "test": test_idx}
 
-        # Containers keep the categorical fields as codes; pass 2 converts
-        # the continuous values straight into the split matrices.
-        n_cont = len(ds.CONTINUOUS_POSITIONS)
-        x_train = np.empty((train_idx.size, n_cont), dtype=np.float32)
-        x_test = np.empty((test_idx.size, n_cont), dtype=np.float32)
+        # Pass 2 hands each block's train and test rows, in file order, to
+        # the two containers as they are read; they are scaled in place
+        # once the train rows' min and max are known.
         start = 0
         pass_2 = ds.ChunkStats()
-        with _open_text(data_path) as stream:
-            for block in ds.iter_continuous(stream, stats=pass_2):
-                rows = slice(start, start + len(block))
-                start = rows.stop
-                if start > n:
-                    continue  # counted for the error below
-                is_test = dest_is_test[rows]
-                x_test[dest_pos[rows][is_test]] = block[is_test]
-                x_train[dest_pos[rows][~is_test]] = block[~is_test]
-        if start != n:
-            raise ChangedInputError(data_path, n, start)
-        # Checked only now: a bad cell in a one-row file is the data error.
-        for name, idx in (("train", train_idx), ("test", test_idx)):
-            if idx.size == 0:
-                raise ConfigError(
-                    f"test fraction {cfg.test_fraction} leaves the {name} "
-                    f"split of {n} rows empty"
-                )
-
-        scaling = pp.fit_scaling(x_train)
-        pp.apply_scaling(x_train, scaling)
-        pp.apply_scaling(x_test, scaling)
-
-        container_bytes = {}
-        for name, x, idx in (
-            ("train", x_train, train_idx),
-            ("test", x_test, test_idx),
-        ):
-            path = out_dir / f"{name}.zids"
-            pp.write_container(
-                path,
-                pp.Rows(x, codes[:, idx], fields, float_names),
-                scaling,
-                [
+        with contextlib.ExitStack() as stack:
+            streams = {
+                name: stack.enter_context(pp.stream_container(
+                    out_dir / f"{name}.zids", idx.size, float_names, fields))
+                for name, idx in splits.items()
+            }
+            with _open_text(data_path) as text:
+                for block in ds.iter_continuous(text, stats=pass_2):
+                    stop = start + len(block)
+                    if stop <= n:  # else counted for the error below
+                        block = block.astype(np.float32)  # the containers' dtype
+                        for name, idx in splits.items():
+                            # in idx's dtype: no conversion of all of idx
+                            at, end = idx.searchsorted(np.array((start, stop), idx.dtype))
+                            streams[name].add(block.take(idx[at:end] - start, 0))
+                    start = stop
+            if start != n:
+                raise ChangedInputError(data_path, n, start)
+            # Checked only now: a bad cell in a one-row file is the data error.
+            for name, idx in splits.items():
+                if idx.size == 0:
+                    raise ConfigError(
+                        f"test fraction {cfg.test_fraction} leaves the {name} "
+                        f"split of {n} rows empty"
+                    )
+            scaling = streams["train"].fit_scaling()
+            for name, idx in splits.items():
+                streams[name].finish(scaling, codes[:, idx], [
                     pp.LabelColumn("coarse", list(ds.CATEGORIES), y_coarse[idx]),
                     pp.LabelColumn("fine", fine_names, y_fine[idx]),
-                ],
-            )
-            container_bytes[path.name] = path.stat().st_size
+                ])
+        container_bytes = {
+            f"{name}.zids": (out_dir / f"{name}.zids").stat().st_size for name in splits
+        }
 
         write_atomic(out_dir / "schema.json", [ds.schema_json(dict(fields))])
         write_atomic(out_dir / "counts.csv", [ds.counts_csv(counts)])

@@ -11,6 +11,7 @@ a time, for the model.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import struct
 from dataclasses import dataclass, field, replace
@@ -18,7 +19,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ._atomic import pack_names, pack_str, read_checked, write_checked
+from ._atomic import checked_file, pack_names, pack_str, read_checked
 from .errors import (
     CorruptContainerError,
     MissingClassError,
@@ -27,6 +28,7 @@ from .errors import (
 
 CONTAINER_MAGIC = b"ZIDS"
 CONTAINER_VERSION = 4
+CONTAINER_HEAD = "<QII"  # rows N, float columns F, coded fields B
 MAX_VOCABULARY = 65535  # values per categorical field: containers store u16 codes
 
 
@@ -212,18 +214,20 @@ def allocate_test_count(n_c: int, test_fraction: float) -> int:
 def split_indices(
     y: np.ndarray, k: int, test_fraction: float, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stratified (train, test) row indices, each sorted ascending.
+    """Stratified (train, test) row indices, int32, each sorted ascending.
 
     Per class the selection is a seeded uniform permutation; classes are
     visited in index order so the result is reproducible.
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1): {test_fraction}")
+    if y.size > np.iinfo(np.int32).max:
+        raise ValueError(f"{y.size} rows are more than int32 indices number")
     rng = np.random.default_rng(seed)
     train_parts: list[np.ndarray] = []
     test_parts: list[np.ndarray] = []
     for c in range(k):
-        idx = np.flatnonzero(y == c)
+        idx = np.flatnonzero(y == c).astype(np.int32)
         n_c = idx.size
         if n_c == 0:
             raise MissingClassError(c)
@@ -290,23 +294,94 @@ def write_container(
     rows.float_names one name.
     """
     x = np.ascontiguousarray(rows.x[rows.take], dtype="<f4")
-    codes = np.ascontiguousarray(rows.codes[:, rows.take], dtype="<u2")
     n, n_float = x.shape
     if not n_float == len(scaling) == len(rows.float_names):
         raise ValueError(
             f"{len(scaling)} scaling entries and {len(rows.float_names)} names "
             f"for {n_float} float columns"
         )
-    head = struct.pack("<QII", n, n_float, len(rows.fields))
-    scaled = [pack_str(name) + struct.pack("<dd", lo, hi)
-              for name, (lo, hi) in zip(rows.float_names, scaling)]
-    coded = [pack_str(name) + pack_names(values) for name, values in rows.fields]
-    labels = [struct.pack("<I", len(columns))]
+    with checked_file(path, CONTAINER_MAGIC, CONTAINER_VERSION) as envelope:
+        envelope.append(struct.pack(CONTAINER_HEAD, n, n_float, len(rows.fields)))
+        envelope.append(x)
+        _append_tail(envelope, rows.codes[:, rows.take], rows.float_names, scaling,
+                     rows.fields, columns)
+
+
+def _append_tail(envelope, codes, float_names, scaling, fields, columns) -> None:
+    """The body after the float columns: the codes (fields, n), the
+    scaling table, the coded fields and the label columns."""
+    envelope.append(np.ascontiguousarray(codes, dtype="<u2"))
+    for name, (lo, hi) in zip(float_names, scaling):
+        envelope.append(pack_str(name) + struct.pack("<dd", lo, hi))
+    for name, values in fields:
+        envelope.append(pack_str(name) + pack_names(values))
+    envelope.append(struct.pack("<I", len(columns)))
     for column in columns:
-        labels += [pack_str(column.name), pack_names(column.class_names),
-                   np.ascontiguousarray(column.y, dtype="<u2")]
-    write_checked(path, CONTAINER_MAGIC, CONTAINER_VERSION,
-                  [head, x, codes, *scaled, *coded, *labels])
+        envelope.append(pack_str(column.name) + pack_names(column.class_names))
+        envelope.append(np.ascontiguousarray(column.y, dtype="<u2"))
+
+
+SCALE_ROWS = 4096  # rows a streamed container scales at a time
+
+
+class ContainerStream:
+    """A container of n rows written as its float rows arrive, unscaled,
+    in blocks: add() drafts each block after the header, and finish()
+    scales the drafted rows in place, SCALE_ROWS at a time, and appends
+    the rest of the body. The container holds the bytes write_container
+    writes for the same rows once scaled, and only a block is held."""
+
+    def __init__(self, envelope, n: int, float_names: Sequence[str], fields: tuple):
+        self.envelope, self.n, self.added = envelope, n, 0
+        self.float_names, self.fields = tuple(float_names), fields
+        self.finished = False
+        # the min and max of each float column over the added rows
+        self.lo = np.full(len(self.float_names), np.inf, dtype=np.float32)
+        self.hi = np.full(len(self.float_names), -np.inf, dtype=np.float32)
+        envelope.append(struct.pack(CONTAINER_HEAD, n, len(self.float_names), len(fields)))
+
+    def add(self, x: np.ndarray) -> None:
+        """Append rows (rows, F) of unscaled float columns, stored as f32."""
+        x = np.ascontiguousarray(x, dtype="<f4")
+        if len(x):
+            np.minimum(self.lo, x.min(axis=0), out=self.lo)
+            np.maximum(self.hi, x.max(axis=0), out=self.hi)
+        self.added += len(x)
+        self.envelope.draft(x)
+
+    def fit_scaling(self) -> list[tuple[float, float]]:
+        """fit_scaling of every row added so far: min and max are exact,
+        so taking them block by block gives the same values."""
+        return [(float(lo), float(hi)) for lo, hi in zip(self.lo, self.hi)]
+
+    def finish(self, scaling, codes: np.ndarray, columns: Sequence[LabelColumn]) -> None:
+        """Scale every added row by scaling, one (min, max) per float
+        column, then write codes (fields, n) and the label columns."""
+        if self.added != self.n or len(scaling) != len(self.float_names):
+            raise ValueError(f"{self.added} of {self.n} rows and "
+                             f"{len(scaling)} scaling entries for "
+                             f"{len(self.float_names)} float columns")
+
+        def scaled(raw: bytes) -> np.ndarray:
+            x = np.frombuffer(raw, "<f4").reshape(-1, len(scaling)).copy()
+            apply_scaling(x, scaling)
+            return x
+
+        self.envelope.settle(SCALE_ROWS * 4 * len(scaling), scaled)
+        _append_tail(self.envelope, codes, self.float_names, scaling, self.fields, columns)
+        self.finished = True
+
+
+@contextlib.contextmanager
+def stream_container(path, n: int, float_names: Sequence[str], fields: tuple):
+    """A ContainerStream whose container takes path's name when the block
+    ends, finished; a temporary file until then, removed if the block
+    raises (see _atomic.atomic_file)."""
+    with checked_file(path, CONTAINER_MAGIC, CONTAINER_VERSION) as envelope:
+        stream = ContainerStream(envelope, n, float_names, fields)
+        yield stream
+        if not stream.finished:
+            raise ValueError(f"{path}: container left unfinished")
 
 
 def read_container_columns(path):
@@ -323,7 +398,7 @@ def read_container_columns(path):
 
 
 def _parse_container(body):
-    n, n_float, n_fields = body.unpack("<QII")
+    n, n_float, n_fields = body.unpack(CONTAINER_HEAD)
     if n * (4 * n_float + 2 * n_fields) > body.left:
         raise ValueError("header sizes exceed the file")
     x = body.array("<f4", (n, n_float))

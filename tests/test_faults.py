@@ -248,6 +248,56 @@ def test_corpus_that_changes_between_passes(tmp_path, capsys, monkeypatch):
     assert len(opens) == 2
 
 
+# lines of make_line() that fill the first chunk and start the second
+LATER_CHUNK = ds.CHUNK_CHARS // len(make_line()) + 100
+
+
+def gained_line(monkeypatch, corpus, lines):
+    """The second read of corpus shows one line more than the first."""
+    opens = []
+
+    @contextlib.contextmanager
+    def second_open_one_row_more(path):
+        opens.append(path)
+        shown = lines if len(opens) == 1 else lines + lines[:1]
+        yield io.StringIO("".join(line + "\n" for line in shown))
+
+    monkeypatch.setattr(cli, "_open_text", second_open_one_row_more)
+
+
+# Failures once pass 2 has started writing the containers: (lines, the
+# setup of the run, extra flags, exit code, the error line's start).
+AFTER_PASS_2_STARTS = {
+    "bad_cell_in_a_later_chunk": (
+        [make_line()] * LATER_CHUNK + [make_line(src_bytes="abc")],
+        None, (), 2, f"data error: line {LATER_CHUNK + 1}, column 4:"),
+    "corpus_gains_a_line": (
+        [make_line()] * LATER_CHUNK, gained_line, (), 2,
+        f"data error: {{corpus}}: {LATER_CHUNK} records on the first read, "
+        f"{LATER_CHUNK + 1} on the second; the file changed while it was read\n"),
+    "empty_test_split": (
+        corpus_lines(), None, ("--test-fraction", 0.001), 1,
+        "error: test fraction 0.001 leaves the test split of 400 rows empty\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AFTER_PASS_2_STARTS))
+def test_prepare_failing_in_pass_2_leaves_no_container(tmp_path, capsys, monkeypatch, case):
+    """A prepare that fails once its containers are being written leaves
+    neither a container nor a temporary file in an --out that existed."""
+    lines, setup, flags, code, message = AFTER_PASS_2_STARTS[case]
+    corpus = tmp_path / "corpus.kdd"
+    corpus.write_text("".join(line + "\n" for line in lines))
+    if setup is not None:
+        setup(monkeypatch, corpus, lines)
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = run_cli("prepare", "--data", corpus, "--out", out, *flags)
+    err = assert_one_line_error(capsys, rc, code)
+    assert err.startswith(message.format(corpus=corpus)), err
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("gap, message", [
     (ds.CHUNK_CHARS // 10, "not UTF-8 text: invalid start byte"),
     (ds.CHUNK_CHARS + 50_000, "line 2: expected 42 fields, found 41"),
@@ -315,8 +365,8 @@ def test_failed_lock_write_closes_the_lock(tmp_path, capsys, monkeypatch):
 
 
 def _writes(call: ast.Call) -> bool:
-    """Whether a call writes a file other than through write_atomic:
-    Path.write_text/write_bytes, or an open() whose mode writes."""
+    """Whether a call writes a file: Path.write_text/write_bytes, or an
+    open() whose mode writes."""
     func = call.func
     name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
     if name in ("write_text", "write_bytes"):
@@ -329,13 +379,16 @@ def _writes(call: ast.Call) -> bool:
 
 
 def test_every_write_goes_through_write_atomic():
+    """No file is written but through the atomic primitive, the temporary
+    file of _atomic.atomic_file, which write_atomic and the checked
+    envelope writers use."""
     offenders = []
     for path in sorted(Path(zids.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         helper = {
             id(node)
             for fn in ast.walk(tree)
-            if isinstance(fn, ast.FunctionDef) and fn.name == "write_atomic"
+            if isinstance(fn, ast.FunctionDef) and fn.name == "atomic_file"
             for node in ast.walk(fn)
         }
         offenders += [
@@ -586,7 +639,7 @@ def test_vocabulary_past_code_range_is_data_error(
     def no_write(*args):
         raise AssertionError("a container was written")
 
-    monkeypatch.setattr(pp, "write_container", no_write)
+    monkeypatch.setattr(pp, "stream_container", no_write)
     capsys.readouterr()
     rc = run_cli("prepare", "--data", corpus, "--out", out, "--seed", 1)
     err = assert_one_line_error(capsys, rc, 2, None if out_exists else out)

@@ -43,16 +43,29 @@ def traced_peak(fn):
     return result, peak - start
 
 
-def test_prepare_holds_the_float_columns_once(experiment, tmp_path):
-    """Pass 2 fills the float32 train and test matrices, (rows, 38)
-    together, and scales and writes them in place: the peak leaves no
-    room for a second copy of them."""
+def prepare_peak(experiment, tmp_path):
+    """A prepare of the 1x corpus: its tracemalloc peak, and the bytes of
+    one (rows, 38) float32 matrix of all its rows (4.0 MiB)."""
     argv = ["prepare", "--data", str(experiment.corpus), "--out", str(tmp_path / "p")]
     rc, peak = traced_peak(lambda: cli.main(argv))
     assert rc == 0
     rows = json.loads((tmp_path / "p" / "manifest.json").read_text())["data"]["rows"]
-    matrix = rows * 38 * 4  # 4.0 MiB at 1x, where the peak reads about 6.7-6.9 MiB
+    return peak, rows * 38 * 4
+
+
+def test_prepare_holds_the_float_columns_once(experiment, tmp_path):
+    """The peak leaves no room for a second copy of the float columns of
+    every row."""
+    peak, matrix = prepare_peak(experiment, tmp_path)
     assert peak < matrix + 4 * 2**20
+
+
+def test_prepare_holds_no_split_matrix(experiment, tmp_path):
+    """Pass 2 writes each block's rows to the containers as it reads them,
+    and the containers scale them in place on disk: the peak stays below
+    one float32 matrix of the float columns."""
+    peak, matrix = prepare_peak(experiment, tmp_path)
+    assert peak < matrix
 
 
 def test_read_holds_no_more_than_the_file(container):

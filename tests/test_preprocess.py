@@ -210,6 +210,7 @@ class TestStratifiedSplit:
 
     def test_partition(self, corpus):
         train_idx, test_idx = pp.split_indices(corpus.y, corpus.k, 0.33, seed=9)
+        assert train_idx.dtype == test_idx.dtype == np.int32
         assert np.intersect1d(train_idx, test_idx).size == 0
         assert np.array_equal(
             np.sort(np.concatenate([train_idx, test_idx])), np.arange(corpus.n)
@@ -368,6 +369,35 @@ class TestContainer:
         rows, _, _ = pp.read_container_columns(path)
         pp.write_container(second, rows, scaling, columns)
         assert path.read_bytes() == second.read_bytes()
+
+    def test_streamed_container_is_the_written_one(self, tmp_path):
+        """Raw rows added in uneven blocks, then scaled in place over
+        several SCALE_ROWS blocks, give write_container's bytes for the
+        scaled rows; a stream left unfinished leaves no file."""
+        rng = np.random.default_rng(3)
+        n = 2 * pp.SCALE_ROWS + 123
+        raw = (rng.random((n, 4)) * 1000).astype(np.float32)
+        codes = rng.integers(0, 3, (1, n)).astype(np.uint16)
+        fields = (("p", ("a", "b", "c")),)
+        names = ("u0", "u1", "u2", "u3")
+        columns = [pp.LabelColumn("coarse", ["a", "b"], rng.integers(0, 2, n))]
+        streamed = tmp_path / "streamed.zids"
+        with pp.stream_container(streamed, n, names, fields) as stream:
+            for part in np.split(raw, [0, 1, 700, 700, 5000]):
+                stream.add(part.astype(np.float64))
+            scaling = stream.fit_scaling()
+            stream.finish(scaling, codes, columns)
+        assert scaling == pp.fit_scaling(raw)
+        x = raw.copy()
+        pp.apply_scaling(x, scaling)
+        written = tmp_path / "written.zids"
+        pp.write_container(written, pp.Rows(x, codes, fields, names), scaling, columns)
+        assert streamed.read_bytes() == written.read_bytes()
+
+        with pytest.raises(ValueError, match="left unfinished"):
+            with pp.stream_container(tmp_path / "left.zids", n, names, fields) as stream:
+                stream.add(raw)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["streamed.zids", "written.zids"]
 
     def test_truncated(self, tmp_path):
         path, *_ = self.make(tmp_path)
