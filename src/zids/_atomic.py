@@ -16,7 +16,7 @@ import struct
 import threading
 import zlib
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -25,8 +25,8 @@ from .errors import VersionMismatchError
 
 @contextlib.contextmanager
 def atomic_file(path):
-    """A new file, open for reading and writing, that takes path's name
-    when the block ends.
+    """A new file, open for writing, that takes path's name when the block
+    ends.
 
     It is a temporary file in path's directory, which then takes path's
     name with os.replace: a reader sees the old file or the whole new
@@ -39,7 +39,7 @@ def atomic_file(path):
     # no other live writer has this process and thread
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
-        with open(tmp, "w+b") as fh:
+        with open(tmp, "wb") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -66,61 +66,21 @@ def pack_names(names: Sequence[str]) -> bytes:
 
 
 class Envelope:
-    """The envelope of one open file, written part by part.
-
-    append() writes a part and takes it into the checksum. draft() writes
-    a part that the checksum takes in only once settle() has rewritten it
-    in place; while a draft is unsettled, nothing may be appended and the
-    envelope may not be closed. So bytes can be written as they arrive
-    and transformed by what is known only at the end, without being held
-    in memory or read back a second time.
-    """
+    """The envelope of one open file, written part by part: append()
+    writes a part and takes it into the checksum, close() appends the
+    checksum."""
 
     def __init__(self, fh, magic: bytes, version: int):
-        self.fh, self.crc, self.size = fh, 0, 0
-        self.drafted: Optional[int] = None  # where the unsettled draft starts
+        self.fh, self.crc = fh, 0
         self.append(magic + struct.pack("<I", version))
 
-    def _write(self, part) -> None:
-        self.fh.write(part)
-        self.size += memoryview(part).nbytes
-
-    def _settled(self) -> None:
-        if self.drafted is not None:
-            raise ValueError("a draft is not settled")
-
     def append(self, part) -> None:
-        self._settled()
         self.crc = zlib.crc32(part, self.crc)
-        self._write(part)
-
-    def draft(self, part) -> None:
-        if self.drafted is None:
-            self.drafted = self.size
-        self._write(part)
-
-    def settle(self, block: int, rewrite: Callable) -> None:
-        """Rewrite the drafted bytes in place, `block` bytes at a time, in
-        order: each block becomes rewrite(its bytes), a bytes-like of the
-        same length, which the checksum then takes in."""
-        self.fh.flush()
-        fd = self.fh.fileno()
-        start = self.size if self.drafted is None else self.drafted
-        for at in range(start, self.size, block):
-            raw = os.pread(fd, min(block, self.size - at), at)
-            new = memoryview(rewrite(raw)).cast("B")
-            if new.nbytes != len(raw):
-                raise ValueError(f"{len(raw)} bytes rewritten as {new.nbytes}")
-            self.crc = zlib.crc32(new, self.crc)
-            done = 0
-            while done < new.nbytes:
-                done += os.pwrite(fd, new[done:], at + done)
-        self.drafted = None
+        self.fh.write(part)
 
     def close(self) -> None:
         """Append the checksum."""
-        self._settled()
-        self._write(struct.pack("<I", self.crc))
+        self.fh.write(struct.pack("<I", self.crc))
 
 
 @contextlib.contextmanager
@@ -171,7 +131,8 @@ class Cursor:
         return [self.string() for _ in range(count)]
 
     def array(self, dtype: str, shape) -> np.ndarray:
-        """A read-only view of the next bytes as an array of shape."""
+        """A view of the next bytes as an array of shape; writable when
+        the blob is, as read_checked's is."""
         count = math.prod(shape)
         at = self._skip(count * np.dtype(dtype).itemsize)
         return np.frombuffer(self.blob, dtype, count, at).reshape(shape)
@@ -182,12 +143,16 @@ def read_checked(path, magic: bytes, version: int, corrupt, parse):
     its checksum; then parse(cursor over its body), which must read the
     whole body. Returns what parse returns.
 
-    corrupt(reason) is the exception a damaged file raises, its reason
-    led by the path; an EOFError or ValueError from parse becomes one.
-    A file of another version raises VersionMismatchError, also led by
-    the path.
+    The file is read into one bytearray that no one else holds, with
+    no second copy, so the arrays parse makes of it (Cursor.array) are
+    writable views. corrupt(reason) is the exception a damaged file
+    raises, its reason led by the path; an EOFError or ValueError from
+    parse becomes one. A file of another version raises
+    VersionMismatchError, also led by the path.
     """
-    blob = Path(path).read_bytes()
+    with open(path, "rb") as fh:
+        blob = bytearray(os.fstat(fh.fileno()).st_size)
+        del blob[fh.readinto(blob):]
     if blob[:4] != magic:
         raise corrupt(f"{path}: bad magic {blob[:4]!r}")
     if len(blob) < 12:

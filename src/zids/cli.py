@@ -332,23 +332,13 @@ def cmd_prepare(args) -> int:
     with _locked_dir(out_dir):
         # Pass 1 reads only the four string fields (protocol_type,
         # service, flag, label): each field's sorted vocabulary and the
-        # int32 code of each row into it.
+        # code of each row into it, held as u16.
         pass_1 = ds.ChunkStats()
         vocabs, codes = ds.string_fields(
             ds.iter_strings(lambda: _open_text(data_path), pass_1))
         if not codes:
             raise EmptyInputError(f"no records in {data_path}")
-        fine_names, y_fine = vocabs.pop(), codes.pop()
-        n = y_fine.size
-
-        fine_to_cat = np.asarray(
-            [ds.CATEGORIES.index(ds.CATEGORY_OF[l]) for l in fine_names],
-            dtype=np.int32,
-        )
-        y_coarse = fine_to_cat[y_fine]
-        counts = dict(zip(ds.CATEGORIES, np.bincount(
-            y_coarse, minlength=len(ds.CATEGORIES)).tolist()))
-
+        fine_names = vocabs.pop()
         fields = tuple(
             (ds.FEATURE_NAMES[pos], tuple(vocab))
             for pos, vocab in zip(ds.CATEGORICAL_POSITIONS, vocabs)
@@ -358,7 +348,18 @@ def cmd_prepare(args) -> int:
                 raise VocabularyTooLargeError(name, len(values), pp.MAX_VOCABULARY)
         float_names = tuple(ds.FEATURE_NAMES[pos] for pos in ds.CONTINUOUS_POSITIONS)
         d = len(float_names) + sum(len(values) for _, values in fields)
-        codes = np.array(codes, dtype=np.uint16)  # (fields, n), all in range
+        # (fields + 1, n), all in range: every label is one of CATEGORY_OF's
+        codes = np.array(codes, dtype=np.uint16)
+        codes, y_fine = codes[:-1], codes[-1]
+        n = y_fine.size
+
+        fine_to_cat = np.asarray(
+            [ds.CATEGORIES.index(ds.CATEGORY_OF[l]) for l in fine_names],
+            dtype=np.uint16,
+        )
+        y_coarse = fine_to_cat[y_fine]
+        counts = dict(zip(ds.CATEGORIES, np.bincount(
+            y_coarse, minlength=len(ds.CATEGORIES)).tolist()))
 
         # The split is stratified on the fine labels; the coarse view
         # rides on the same rows.
@@ -368,8 +369,9 @@ def cmd_prepare(args) -> int:
         splits = {"train": train_idx, "test": test_idx}
 
         # Pass 2 hands each block's train and test rows, in file order, to
-        # the two containers as they are read; they are scaled in place
-        # once the train rows' min and max are known.
+        # the two containers as they are read, unscaled. Both record the
+        # scaling of the train rows, taken as they pass, and
+        # read_container applies it.
         start = 0
         pass_2 = ds.ChunkStats()
         with contextlib.ExitStack() as stack:
@@ -407,7 +409,6 @@ def cmd_prepare(args) -> int:
             f"{name}.zids": (out_dir / f"{name}.zids").stat().st_size for name in splits
         }
 
-        write_atomic(out_dir / "schema.json", [ds.schema_json(dict(fields))])
         write_atomic(out_dir / "counts.csv", [ds.counts_csv(counts)])
         _write_manifest(
             out_dir,

@@ -5,16 +5,13 @@ The KDD Cup 1999 connection records are comma-separated lines with 41
 feature fields followed by a label field that usually carries a trailing
 dot ("smurf."). Three features (protocol_type, service, flag) are symbolic;
 the remaining 38 are non-negative numbers. The containers `prepare` writes
-name their own columns; schema_json renders the features and the observed
-vocabularies as the schema.json document, written for people to read and
-read back by no command.
+name their own columns.
 """
 
 from __future__ import annotations
 
 import array
 import io
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO
@@ -463,21 +460,6 @@ def iter_kdd(stream: Iterable[str]) -> Iterator[RawRecord]:
     records = filter(None, (line.strip() for line in lines))
     for line, label in zip(records, labels):
         yield RawRecord(values=tuple(line.split(",")[:-1]), label=label)
-
-
-def schema_json(vocabularies: Mapping[str, Sequence[str]]) -> bytes:
-    """The schema.json document: the 41 features with their kinds, and
-    the vocabulary of each categorical feature, as given (prepare gives
-    them sorted)."""
-    doc = {
-        "features": [
-            {"name": name,
-             "kind": "categorical" if i in CATEGORICAL_POSITIONS else "continuous"}
-            for i, name in enumerate(FEATURE_NAMES)
-        ],
-        "vocabularies": {name: list(values) for name, values in vocabularies.items()},
-    }
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
 def counts_csv(counts: Mapping[str, int]) -> bytes:

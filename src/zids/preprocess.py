@@ -5,8 +5,9 @@ order, then one one-hot block per categorical feature in wire order, one
 column per value in the order the field names its values (prepare sorts
 them). Datasets and containers store the continuous columns as float32
 and each categorical field as one u16 code per row, and name every
-column they store; Rows.dense() writes the one-hot layout, a few rows at
-a time, for the model.
+column they store; containers store the continuous columns unscaled,
+with their scaling, which read_container applies. Rows.dense() writes
+the one-hot layout, a few rows at a time, for the model.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import (
 )
 
 CONTAINER_MAGIC = b"ZIDS"
-CONTAINER_VERSION = 4
+CONTAINER_VERSION = 5
 CONTAINER_HEAD = "<QII"  # rows N, float columns F, coded fields B
 MAX_VOCABULARY = 65535  # values per categorical field: containers store u16 codes
 
@@ -103,8 +104,8 @@ class Rows:
 class EncodedDataset:
     """Encoded rows with integer class labels.
 
-    x holds the stored float columns (float32, row-major): the scaled
-    continuous features. codes, fields and float_names are as in Rows; a
+    x holds the float columns (float32, row-major): the continuous
+    features, scaled. codes, fields and float_names are as in Rows; a
     dataset built from a dense matrix has no coded fields (codes None).
     y holds indices into class_names, and scaling records the fitted
     (min, max) of each float column.
@@ -261,13 +262,14 @@ def sample_indices(n_total: int, n: int, seed: int) -> np.ndarray:
 
 # --- container format ------------------------------------------------------
 #
-# The body of a "ZIDS" envelope of version 4 (see _atomic: magic, version,
+# The body of a "ZIDS" envelope of version 5 (see _atomic: magic, version,
 # body, CRC32 of every byte before it; strings and name lists as there):
 #   N u64 | float columns F u32 | coded fields B u32
-#   float columns, row-major f32, N x F
+#   float columns, row-major f32, N x F, unscaled
 #   codes, u16, N per coded field in field order, each below its field's
 #     value count
-#   scaling table: per float column its name, f64 min and f64 max
+#   scaling table: per float column its name, f64 min and f64 max, which
+#     read_container applies to the float columns
 #   coded fields: per field its feature name and its value names, one
 #     one-hot column per value
 #   label columns (u32 count, then per column: name, class names, N u16
@@ -281,55 +283,10 @@ class LabelColumn:
     y: np.ndarray
 
 
-def write_container(
-    path,
-    rows: Rows,
-    scaling: Sequence[tuple[float, float]],
-    columns: Sequence[LabelColumn],
-) -> None:
-    """Persist encoded rows, the names of their columns and their label
-    columns; bit-exact output.
-
-    scaling holds one (min, max) per float column of rows, and
-    rows.float_names one name.
-    """
-    x = np.ascontiguousarray(rows.x[rows.take], dtype="<f4")
-    n, n_float = x.shape
-    if not n_float == len(scaling) == len(rows.float_names):
-        raise ValueError(
-            f"{len(scaling)} scaling entries and {len(rows.float_names)} names "
-            f"for {n_float} float columns"
-        )
-    with checked_file(path, CONTAINER_MAGIC, CONTAINER_VERSION) as envelope:
-        envelope.append(struct.pack(CONTAINER_HEAD, n, n_float, len(rows.fields)))
-        envelope.append(x)
-        _append_tail(envelope, rows.codes[:, rows.take], rows.float_names, scaling,
-                     rows.fields, columns)
-
-
-def _append_tail(envelope, codes, float_names, scaling, fields, columns) -> None:
-    """The body after the float columns: the codes (fields, n), the
-    scaling table, the coded fields and the label columns."""
-    envelope.append(np.ascontiguousarray(codes, dtype="<u2"))
-    for name, (lo, hi) in zip(float_names, scaling):
-        envelope.append(pack_str(name) + struct.pack("<dd", lo, hi))
-    for name, values in fields:
-        envelope.append(pack_str(name) + pack_names(values))
-    envelope.append(struct.pack("<I", len(columns)))
-    for column in columns:
-        envelope.append(pack_str(column.name) + pack_names(column.class_names))
-        envelope.append(np.ascontiguousarray(column.y, dtype="<u2"))
-
-
-SCALE_ROWS = 4096  # rows a streamed container scales at a time
-
-
 class ContainerStream:
-    """A container of n rows written as its float rows arrive, unscaled,
-    in blocks: add() drafts each block after the header, and finish()
-    scales the drafted rows in place, SCALE_ROWS at a time, and appends
-    the rest of the body. The container holds the bytes write_container
-    writes for the same rows once scaled, and only a block is held."""
+    """A container of n rows written as its float rows arrive: add()
+    appends each block of rows after the header, and finish() appends the
+    rest of the body. Only a block is held."""
 
     def __init__(self, envelope, n: int, float_names: Sequence[str], fields: tuple):
         self.envelope, self.n, self.added = envelope, n, 0
@@ -343,11 +300,14 @@ class ContainerStream:
     def add(self, x: np.ndarray) -> None:
         """Append rows (rows, F) of unscaled float columns, stored as f32."""
         x = np.ascontiguousarray(x, dtype="<f4")
+        if x.shape[1:] != self.lo.shape:
+            raise ValueError(f"rows of {x.shape[1:]} columns for "
+                             f"{len(self.float_names)} float columns")
         if len(x):
             np.minimum(self.lo, x.min(axis=0), out=self.lo)
             np.maximum(self.hi, x.max(axis=0), out=self.hi)
         self.added += len(x)
-        self.envelope.draft(x)
+        self.envelope.append(x)
 
     def fit_scaling(self) -> list[tuple[float, float]]:
         """fit_scaling of every row added so far: min and max are exact,
@@ -355,20 +315,22 @@ class ContainerStream:
         return [(float(lo), float(hi)) for lo, hi in zip(self.lo, self.hi)]
 
     def finish(self, scaling, codes: np.ndarray, columns: Sequence[LabelColumn]) -> None:
-        """Scale every added row by scaling, one (min, max) per float
-        column, then write codes (fields, n) and the label columns."""
+        """Append codes (fields, n), the scaling table (one (min, max)
+        per float column), the coded fields and the label columns."""
         if self.added != self.n or len(scaling) != len(self.float_names):
             raise ValueError(f"{self.added} of {self.n} rows and "
                              f"{len(scaling)} scaling entries for "
                              f"{len(self.float_names)} float columns")
-
-        def scaled(raw: bytes) -> np.ndarray:
-            x = np.frombuffer(raw, "<f4").reshape(-1, len(scaling)).copy()
-            apply_scaling(x, scaling)
-            return x
-
-        self.envelope.settle(SCALE_ROWS * 4 * len(scaling), scaled)
-        _append_tail(self.envelope, codes, self.float_names, scaling, self.fields, columns)
+        append = self.envelope.append
+        append(np.ascontiguousarray(codes, dtype="<u2"))
+        for name, (lo, hi) in zip(self.float_names, scaling):
+            append(pack_str(name) + struct.pack("<dd", lo, hi))
+        for name, values in self.fields:
+            append(pack_str(name) + pack_names(values))
+        append(struct.pack("<I", len(columns)))
+        for column in columns:
+            append(pack_str(column.name) + pack_names(column.class_names))
+            append(np.ascontiguousarray(column.y, dtype="<u2"))
         self.finished = True
 
 
@@ -384,14 +346,30 @@ def stream_container(path, n: int, float_names: Sequence[str], fields: tuple):
             raise ValueError(f"{path}: container left unfinished")
 
 
+def write_container(
+    path,
+    rows: Rows,
+    scaling: Sequence[tuple[float, float]],
+    columns: Sequence[LabelColumn],
+) -> None:
+    """Persist rows as given, unscaled, with the names of their columns,
+    their scaling (one (min, max) per float column) and their label
+    columns; bit-exact output."""
+    with stream_container(path, len(rows), rows.float_names, rows.fields) as stream:
+        stream.add(rows.x[rows.take])
+        stream.finish(scaling, rows.codes[:, rows.take], columns)
+
+
 def read_container_columns(path):
-    """Parse a container once: (rows, scaling, label columns).
+    """Parse a container once: (rows, scaling, label columns), the rows
+    as stored, unscaled, so write_container(path, *these) writes its
+    bytes again.
 
     The file is read once; rows.x and rows.codes, which cover every row
-    and name their columns, and each column's y are read-only views of
-    its bytes. Sizes from the header are checked against the bytes left
-    before any array is made; the names, codes and labels are checked
-    once the checksum holds. Every error names the file.
+    and name their columns, and each column's y are views of a buffer
+    that only they hold. Sizes from the header are checked against the
+    bytes left before any array is made; the names, codes and labels are
+    checked once the checksum holds. Every error names the file.
     """
     return read_checked(path, CONTAINER_MAGIC, CONTAINER_VERSION,
                         CorruptContainerError, _parse_container)
@@ -428,7 +406,9 @@ def _parse_container(body):
 
 
 def read_container(path, label_column: str) -> EncodedDataset:
-    """Load a container under one of its label columns, chosen by name."""
+    """Load a container under one of its label columns, chosen by name,
+    its float columns scaled by its scaling table. The arrays are
+    read-only."""
     rows, scaling, columns = read_container_columns(path)
     by_name = {c.name: c for c in columns}
     if label_column not in by_name:
@@ -436,6 +416,9 @@ def read_container(path, label_column: str) -> EncodedDataset:
             f"{path}: no label column {label_column!r}; available: {list(by_name)}"
         )
     chosen = by_name[label_column]
+    apply_scaling(rows.x, scaling)  # in place, in the buffer read
+    for array in (rows.x, rows.codes, chosen.y):
+        array.flags.writeable = False
     return EncodedDataset(
         x=rows.x,
         y=chosen.y,

@@ -318,7 +318,7 @@ def test_artifacts_do_not_depend_on_chunk_size(tmp_path, monkeypatch):
         out = tmp_path / f"prepared_{chars}"
         assert cli.main(["prepare", "--data", str(corpus), "--out", str(out), "--seed", "0"]) == 0
         artifacts.append({name: (out / name).read_bytes()
-                          for name in ("train.zids", "test.zids", "schema.json", "counts.csv")})
+                          for name in ("train.zids", "test.zids", "counts.csv")})
         pass_1 = json.loads((out / "manifest.json").read_text())["chunks"]["pass_1"]
         assert pass_1["per_line"] > 0  # the chunk with the blank line
     assert artifacts[0] == artifacts[1] == artifacts[2]

@@ -128,9 +128,9 @@ class TestConfig:
 class TestPrepare:
     def test_artifacts(self, small_experiment):
         prepared = small_experiment.prepared
-        for name in ("train.zids", "test.zids", "schema.json", "counts.csv",
-                     "manifest.json"):
+        for name in ("train.zids", "test.zids", "counts.csv", "manifest.json"):
             assert (prepared / name).exists()
+        assert not (prepared / "schema.json").exists()
         _, _, columns = pp.read_container_columns(prepared / "train.zids")
         assert [c.name for c in columns] == ["coarse", "fine"]
 
@@ -155,7 +155,7 @@ class TestPrepare:
         rc = run_cli("prepare", "--data", small_experiment.corpus, "--out", again,
                      "--seed", 0)
         assert rc == 0
-        for name in ("train.zids", "test.zids", "schema.json", "counts.csv"):
+        for name in ("train.zids", "test.zids", "counts.csv"):
             assert (again / name).read_bytes() == (
                 small_experiment.prepared / name
             ).read_bytes()
@@ -177,9 +177,8 @@ class TestPrepare:
         """Guards the encoding against drift: any change to parsing,
         encoding, splitting, scaling or the container bytes shows here."""
         expected = {
-            "train.zids": "71c598f712710b194d34002b46c8026df5b2b48c826b9c3ff4f24a4ffc4307bb",
-            "test.zids": "0c4fc407165a43b8b216d0392740c4fc2bec8972c2fbed2b9c6a25e7beda828f",
-            "schema.json": "fa35f4703e850596aae9d1be9b82a7018abef6301ad965fd2a05d45d22d00e3a",
+            "train.zids": "a6d559f66be4f796bec3056197e3863d186648491d55a1a6a02668573e286de1",
+            "test.zids": "b4662c84c53977d0987164ba12368e1029b150a433dfbfa29e7fcb2b3905c5eb",
             "counts.csv": "e5026a2778992373417f38d555a0fcfcb75b2a6b95e62c942244ad775b438f79",
         }
         got = {
@@ -191,17 +190,16 @@ class TestPrepare:
     def test_container_contents_pinned(self, small_experiment):
         """Pins what the containers hold, apart from their layout: the
         digests were taken from the format-1 files of the same corpus, whose
-        rows were stored dense."""
+        rows were stored dense and scaled, as read_container gives them."""
         expected = {
             "train.zids": "3ff7ad8a5b02b1eb92d025c5de34d3a0cf7d7737638684abb906952a6b1c4a10",
             "test.zids": "97274a4d07bfdb2537e18d95f366b7c95ed93a89fc0f0cec9c9e5fa41806e043",
         }
         got = {}
         for name in expected:
-            rows, scaling, columns = pp.read_container_columns(
-                small_experiment.prepared / name
-            )
-            x = rows.dense()
+            path = small_experiment.prepared / name
+            _, scaling, columns = pp.read_container_columns(path)
+            x = pp.read_container(path, "coarse").rows().dense()
             h = hashlib.sha256(np.ascontiguousarray(x, dtype="<f4").tobytes())
             h.update(np.asarray(scaling, dtype="<f8").tobytes())
             for c in columns:
@@ -514,7 +512,7 @@ class TestEvaluate:
                      "--test", old, "--out", out)
         assert rc == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == [f"data error: {old}: unsupported format version 1 (supported: 4)"]
+        assert err == [f"data error: {old}: unsupported format version 1 (supported: 5)"]
         assert not out.exists()
 
     def test_report_command_pretty_prints(self, small_experiment, capsys):
@@ -548,12 +546,10 @@ class TestExplain:
             assert len(per_class) == 2 + 12  # header rows + explained rows
 
     def test_names_come_from_the_container(self, small_experiment, tmp_path):
-        """explain takes the encoded column names from test.zids: it runs
-        without schema.json, and each shap_*.csv header names the
-        container's columns."""
+        """explain takes the encoded column names from test.zids: each
+        shap_*.csv header names the container's columns."""
         prepared = tmp_path / "prepared"
         shutil.copytree(small_experiment.prepared, prepared)
-        (prepared / "schema.json").unlink()
         out = tmp_path / "explain"
         rc = run_cli("explain", "--model",
                      small_experiment.train("truncated") / "model.zmlp",

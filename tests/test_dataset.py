@@ -1,7 +1,6 @@
 """Parsing, feature names, and taxonomy behavior."""
 
 import io
-import json
 
 import numpy as np
 import pytest
@@ -57,11 +56,6 @@ def prepare(tmp_path, lines, name="prepared"):
     corpus.write_text("".join(line + "\n" for line in lines))
     out = tmp_path / name
     return run_cli("prepare", "--data", corpus, "--out", out, "--seed", 0), out
-
-
-def prepared_schema(out):
-    """schema.json of a prepare output, as plain JSON."""
-    return json.loads((out / "schema.json").read_text())
 
 
 def container_fields(out):
@@ -211,14 +205,12 @@ class TestSchema:
             make_line(protocol="icmp"),
         ])
         assert rc == 0
-        assert prepared_schema(out)["vocabularies"]["protocol_type"] == ["icmp", "tcp", "udp"]
         assert container_fields(out)[0] == ("protocol_type", ("icmp", "tcp", "udp"))
 
     def test_single_record_vocabularies(self, tmp_path):
         # two copies of one line: a single row leaves the test split empty
         rc, out = prepare(tmp_path, [make_line()] * 2)
         assert rc == 0
-        assert all(len(v) == 1 for v in prepared_schema(out)["vocabularies"].values())
         assert [(name, len(values)) for name, values in container_fields(out)] == [
             ("protocol_type", 1), ("service", 1), ("flag", 1)]
 
@@ -234,27 +226,19 @@ class TestSchema:
         rc_a, out_a = prepare(tmp_path, lines, "forward")
         rc_b, out_b = prepare(tmp_path, lines[::-1], "reversed")
         assert rc_a == rc_b == 0
-        assert (out_a / "schema.json").read_bytes() == (out_b / "schema.json").read_bytes()
         assert container_fields(out_a) == container_fields(out_b)
 
     def test_descriptor_kinds(self, tmp_path):
+        """The containers name the three categorical features as their
+        coded fields and the other 38, in wire order, as float columns."""
         rc, out = prepare(tmp_path, [make_line()] * 2)
         assert rc == 0
-        features = prepared_schema(out)["features"]
-        assert [f["name"] for f in features] == list(ds.FEATURE_NAMES)
-        kinds = [f["kind"] for f in features]
-        assert [i for i, k in enumerate(kinds) if k == "categorical"] == [1, 2, 3]
+        assert ds.CATEGORICAL_POSITIONS == (1, 2, 3)
         test = pp.read_container(out / "test.zids", "coarse")
-        assert [name for name, _ in test.fields] == [features[i]["name"] for i in (1, 2, 3)]
+        assert [name for name, _ in test.fields] == list(ds.FEATURE_NAMES[1:4])
         assert list(test.float_names) == [
-            f["name"] for f in features if f["kind"] == "continuous"]
-
-    def test_json_round_trip(self):
-        vocabularies = {"protocol_type": ["tcp"], "service": ["ftp", "http"],
-                        "flag": ["SF"]}
-        doc = json.loads(ds.schema_json(vocabularies))
-        assert doc["vocabularies"] == vocabularies
-        assert [f["name"] for f in doc["features"]] == list(ds.FEATURE_NAMES)
+            name for i, name in enumerate(ds.FEATURE_NAMES) if i not in (1, 2, 3)]
+        assert not (out / "schema.json").exists()
 
 
 class TestTaxonomy:

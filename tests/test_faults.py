@@ -542,7 +542,7 @@ def test_format_2_container_is_one_line_data_error(small_experiment, tmp_path, c
                  small_experiment.train("truncated") / "model.zmlp",
                  "--test", path, "--out", out)
     err = assert_one_line_error(capsys, rc, 2, out)
-    assert err == f"data error: {path}: unsupported format version 2 (supported: 4)\n"
+    assert err == f"data error: {path}: unsupported format version 2 (supported: 5)\n"
 
 
 def test_format_3_container_is_one_line_data_error(small_experiment, tmp_path, capsys):
@@ -559,7 +559,24 @@ def test_format_3_container_is_one_line_data_error(small_experiment, tmp_path, c
     rc = run_cli("train", "--prepared", prepared, "--variant", "truncated",
                  "--epochs", 1, "--out", out)
     err = assert_one_line_error(capsys, rc, 2, out)
-    assert err == f"data error: {path}: unsupported format version 3 (supported: 4)\n"
+    assert err == f"data error: {path}: unsupported format version 3 (supported: 5)\n"
+
+
+def test_format_4_container_is_one_line_data_error(small_experiment, tmp_path, capsys):
+    """Format 4 had format 5's layout with the float columns stored
+    scaled; no reader for it is kept."""
+    prepared = tmp_path / "prepared"
+    shutil.copytree(small_experiment.prepared, prepared)
+    path = prepared / "test.zids"
+    blob = bytearray(path.read_bytes())
+    blob[4:8] = (4).to_bytes(4, "little")
+    path.write_bytes(recrc(blob))
+    model = small_experiment.train("truncated") / "model.zmlp"
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = run_cli("evaluate", "--model", model, "--test", path, "--out", out)
+    err = assert_one_line_error(capsys, rc, 2, out)
+    assert err == f"data error: {path}: unsupported format version 4 (supported: 5)\n"
 
 
 def assert_old_model_refused(small_experiment, tmp_path, capsys, command, version):

@@ -61,9 +61,9 @@ def test_prepare_holds_the_float_columns_once(experiment, tmp_path):
 
 
 def test_prepare_holds_no_split_matrix(experiment, tmp_path):
-    """Pass 2 writes each block's rows to the containers as it reads them,
-    and the containers scale them in place on disk: the peak stays below
-    one float32 matrix of the float columns."""
+    """Pass 2 appends each block's rows to the containers as it reads
+    them, unscaled: the peak stays below one float32 matrix of the float
+    columns."""
     peak, matrix = prepare_peak(experiment, tmp_path)
     assert peak < matrix
 

@@ -1,7 +1,6 @@
 """Encoding, stratified splitting, class weights, sampling, container I/O."""
 
 import io
-import json
 import zlib
 from dataclasses import dataclass
 
@@ -118,11 +117,12 @@ class TestEncode:
     def test_one_hot_blocks(self, corpus, prepared):
         """Each container row holds its line's continuous values, scaled,
         and a one-hot of each categorical value, in wire order; the
-        container names the vocabularies schema.json lists."""
-        vocabularies = json.loads((prepared / "schema.json").read_text())["vocabularies"]
+        container names each field's sorted values."""
         fine = sorted(set(corpus.labels))
         y_fine = np.array([fine.index(label) for label in corpus.labels])
         fields = [line.split(",") for line in corpus.lines]
+        vocabularies = {ds.FEATURE_NAMES[pos]: sorted({f[pos] for f in fields})
+                        for pos in ds.CATEGORICAL_POSITIONS}
         n_cont = len(ds.CONTINUOUS_POSITIONS)
         splits = pp.split_indices(y_fine, len(fine), 0.33, seed=0)
         for name, idx in zip(("train", "test"), splits):
@@ -370,34 +370,24 @@ class TestContainer:
         pp.write_container(second, rows, scaling, columns)
         assert path.read_bytes() == second.read_bytes()
 
-    def test_streamed_container_is_the_written_one(self, tmp_path):
-        """Raw rows added in uneven blocks, then scaled in place over
-        several SCALE_ROWS blocks, give write_container's bytes for the
-        scaled rows; a stream left unfinished leaves no file."""
-        rng = np.random.default_rng(3)
-        n = 2 * pp.SCALE_ROWS + 123
-        raw = (rng.random((n, 4)) * 1000).astype(np.float32)
-        codes = rng.integers(0, 3, (1, n)).astype(np.uint16)
-        fields = (("p", ("a", "b", "c")),)
-        names = ("u0", "u1", "u2", "u3")
-        columns = [pp.LabelColumn("coarse", ["a", "b"], rng.integers(0, 2, n))]
-        streamed = tmp_path / "streamed.zids"
-        with pp.stream_container(streamed, n, names, fields) as stream:
-            for part in np.split(raw, [0, 1, 700, 700, 5000]):
-                stream.add(part.astype(np.float64))
-            scaling = stream.fit_scaling()
-            stream.finish(scaling, codes, columns)
-        assert scaling == pp.fit_scaling(raw)
-        x = raw.copy()
-        pp.apply_scaling(x, scaling)
-        written = tmp_path / "written.zids"
-        pp.write_container(written, pp.Rows(x, codes, fields, names), scaling, columns)
-        assert streamed.read_bytes() == written.read_bytes()
+    def test_prepared_container_rewrites_to_its_bytes(self, small_experiment, tmp_path):
+        """write_container of what read_container_columns gives back writes
+        the bytes prepare streamed, block by block, for both containers;
+        the train container's scaling is that of its stored rows. A stream
+        left unfinished leaves no file."""
+        for name in ("train.zids", "test.zids"):
+            path = small_experiment.prepared / name
+            rows, scaling, columns = pp.read_container_columns(path)
+            pp.write_container(tmp_path / name, rows, scaling, columns)
+            assert (tmp_path / name).read_bytes() == path.read_bytes()
+            if name == "train.zids":
+                assert scaling == pp.fit_scaling(rows.x)
 
         with pytest.raises(ValueError, match="left unfinished"):
-            with pp.stream_container(tmp_path / "left.zids", n, names, fields) as stream:
-                stream.add(raw)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["streamed.zids", "written.zids"]
+            with pp.stream_container(tmp_path / "left.zids", len(rows),
+                                     rows.float_names, rows.fields) as stream:
+                stream.add(rows.x)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["test.zids", "train.zids"]
 
     def test_truncated(self, tmp_path):
         path, *_ = self.make(tmp_path)
