@@ -326,8 +326,11 @@ class TestCoarseCounts:
         assert not out.exists()
 
     def test_counts_csv_shape(self):
-        text = ds.counts_csv({c: i for i, c in enumerate(ds.CATEGORIES)}).decode()
-        lines = text.strip().splitlines()
-        assert lines[0] == "category,count"
-        assert lines[1] == "Normal,0"
-        assert len(lines) == 5
+        assert ds.counts_csv({c: i for i, c in enumerate(ds.CATEGORIES)}) == (
+            b"category,count\r\n"
+            b"Normal,0\r\n"
+            b"DoS,1\r\n"
+            b"Probe,2\r\n"
+            b"UnauthorizedAccess,3\r\n"
+        )
+        assert ds.counts_csv({}).endswith(b"\r\nUnauthorizedAccess,0\r\n")

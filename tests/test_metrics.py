@@ -216,7 +216,8 @@ class TestRendering:
         cm = metrics.confusion(
             np.array([0, 1, 1]), np.array([0, 1, 0]), 2, ["neg", "pos"]
         )
-        lines = metrics.render_confusion_csv(cm).decode().splitlines()
-        assert lines[0] == ",neg,pos"
-        assert lines[1] == "neg,1,0"
-        assert lines[2] == "pos,1,1"
+        assert metrics.render_confusion_csv(cm) == (
+            b",neg,pos\r\n"
+            b"neg,1,0\r\n"
+            b"pos,1,1\r\n"
+        )

@@ -451,11 +451,15 @@ class TestTrain:
 
     def test_history_csv(self):
         history = [mlp.EpochStats(0.5, 0.4, 0.9), mlp.EpochStats(0.3, 0.2, 0.95)]
-        text = mlp.history_csv(history).decode()
-        lines = text.strip().splitlines()
-        assert lines[0] == "epoch,train_loss,val_loss,val_accuracy"
-        assert len(lines) == 3
-        assert lines[1].startswith("1,0.5,")
+        assert mlp.history_csv(history) == (
+            b"epoch,train_loss,val_loss,val_accuracy\r\n"
+            b"1,0.5,0.4,0.9\r\n"
+            b"2,0.3,0.2,0.95\r\n"
+        )
+        # every digit of a float: repr, not a rounded format
+        third = mlp.history_csv([mlp.EpochStats(1 / 3, 0.1 + 0.2, 2 / 3)])
+        assert third.endswith(b"\r\n1,0.3333333333333333,0.30000000000000004,"
+                              b"0.6666666666666666\r\n")
 
 
 class ReferenceTrainer:

@@ -4,7 +4,7 @@ conftest, which share no code with zids.shap."""
 
 import contextlib
 import hashlib
-import itertools
+import time
 from collections import Counter
 
 import numpy as np
@@ -646,10 +646,10 @@ class ThirdCallFails(Exception):
 
 class TestRowPool:
     @staticmethod
-    def explain(fn, n_rows):
+    def explain(fn, n_rows, n_background=8):
         rng = np.random.default_rng(31)
         m = 12
-        bg = rng.normal(size=(8, m))
+        bg = rng.normal(size=(n_background, m))
         x = rng.normal(size=(n_rows, m))
         return shap.kernel_shap(fn, x, bg, budget=256, seed=4)
 
@@ -684,21 +684,35 @@ class TestRowPool:
         self.same_bytes(self.explain(fn, 7), serial)
 
     @staticmethod
-    def fails_on_third_call():
+    def fails_on_third_call(calls=None, pause=0.0):
+        """A model whose third call raises; each later call first sleeps
+        `pause` seconds, which lets the caller's thread run."""
         inner = random_mlp_fn(12, seed=9)
-        calls = itertools.count(1)
+        calls = calls if calls is not None else []
 
         def fn(z):
-            if next(calls) == 3:  # the first masked chunk, inside the pool
+            calls.append(len(z))
+            if len(calls) == 3:  # the first masked chunk, inside the pool
                 raise ThirdCallFails("model failed on call 3")
+            time.sleep(pause if len(calls) > 3 else 0.0)
             return inner(z)
 
         return fn
 
     def test_model_error_reaches_caller(self, monkeypatch):
+        """The error reaches the caller, and after the failing call only
+        the steps already running call the model: 64 background rows make
+        64 steps for 4 workers, and the failed explain calls the model far
+        fewer times than a whole one."""
         fake_cores(monkeypatch, 4)
+        whole = []
+        inner = random_mlp_fn(12, seed=9)
+        assert self.explain(lambda z: whole.append(len(z)) or inner(z), 7, 64).workers == 4
+        failed = []
         with pytest.raises(ThirdCallFails, match="model failed on call 3"):
-            self.explain(self.fails_on_third_call(), 7)
+            self.explain(self.fails_on_third_call(failed, pause=0.005), 7, 64)
+        assert len(whole) > 120
+        assert len(failed) < len(whole) // 3
 
     def test_blas_thread_count_restored(self):
         inner = random_mlp_fn(12, seed=9)
@@ -783,10 +797,23 @@ class TestTopFeatures:
 
     def test_csv_exports(self):
         expl = self.make_explanation()
-        lines = shap.top_features_csv(expl, 2).decode().splitlines()
-        assert lines[0] == "class,rank,feature,mean_abs_shap"
-        assert len(lines) == 5
-        class_csv = shap.explanation_csv(expl, 0).decode().splitlines()
-        assert class_csv[0].startswith("base_value,")
-        assert class_csv[1] == "a,b,c,d"
-        assert len(class_csv) == 2 + 3
+        assert shap.top_features_csv(expl, 2) == (
+            b"class,rank,feature,mean_abs_shap\r\n"
+            b"x,1,b,3.0\r\n"
+            b"x,2,a,1.0\r\n"
+            b"y,1,d,4.0\r\n"
+            b"y,2,a,2.0\r\n"
+        )
+        assert shap.explanation_csv(expl, 0) == (
+            b"base_value,0.0\r\n"
+            b"a,b,c,d\r\n"
+            + b"1.0,-3.0,0.5,0.0\r\n" * 3
+        )
+        # every digit of a float: repr, not a rounded format
+        expl.phi[1, 0, 0] = 0.1 + 0.2
+        expl.base_values[1] = 1 / 3
+        assert shap.explanation_csv(expl, 1).startswith(
+            b"base_value,0.3333333333333333\r\n"
+            b"a,b,c,d\r\n"
+            b"0.30000000000000004,2.0,0.1,4.0\r\n"
+        )
