@@ -1,15 +1,18 @@
-"""Artifacts written whole or not at all, and the checked envelope that
-every binary artifact shares.
+"""Artifacts written whole or not at all, the checked envelope that
+every binary artifact shares, and the encoding of every CSV table.
 
 The envelope is the 4-byte magic, a u32 version, the body, and a CRC32
 of every byte before it, little-endian throughout. In a body, a string
 is a u32 length and UTF-8 bytes, and a name list a u32 count and that
-many strings.
+many strings. checked_file writes an envelope part by part and
+read_checked reads one back.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
+import io
 import math
 import os
 import struct
@@ -56,6 +59,14 @@ def write_atomic(path, buffers: Iterable) -> None:
             fh.write(buffer)
 
 
+def csv_bytes(rows: Iterable[Sequence]) -> bytes:
+    """The rows as a CSV table: csv's excel dialect (fields quoted only
+    where needed, CRLF line ends), UTF-8."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
 def pack_str(text: str) -> bytes:
     raw = text.encode("utf-8")
     return struct.pack("<I", len(raw)) + raw
@@ -94,17 +105,10 @@ def checked_file(path, magic: bytes, version: int):
         envelope.close()
 
 
-def write_checked(path, magic: bytes, version: int, parts: Iterable) -> None:
-    """Write the envelope of the body parts (bytes-like), atomically."""
-    with checked_file(path, magic, version) as envelope:
-        for part in parts:
-            envelope.append(part)
-
-
 class Cursor:
     """Reads a body in order; EOFError for any read past its end."""
 
-    def __init__(self, blob: bytes, at: int, end: int):
+    def __init__(self, blob: np.ndarray, at: int, end: int):
         self.blob, self.at, self.end = blob, at, end
 
     @property
@@ -124,7 +128,7 @@ class Cursor:
     def string(self) -> str:
         (length,) = self.unpack("<I")
         at = self._skip(length)
-        return self.blob[at:at + length].decode("utf-8")
+        return self.blob[at:at + length].tobytes().decode("utf-8")
 
     def names(self) -> list[str]:
         (count,) = self.unpack("<I")
@@ -143,24 +147,24 @@ def read_checked(path, magic: bytes, version: int, corrupt, parse):
     its checksum; then parse(cursor over its body), which must read the
     whole body. Returns what parse returns.
 
-    The file is read into one bytearray that no one else holds, with
-    no second copy, so the arrays parse makes of it (Cursor.array) are
-    writable views. corrupt(reason) is the exception a damaged file
-    raises, its reason led by the path; an EOFError or ValueError from
-    parse becomes one. A file of another version raises
-    VersionMismatchError, also led by the path.
+    The file is read into one uint8 array that no one else holds, not
+    zero-filled first and with no second copy, so the arrays parse makes
+    of it (Cursor.array) are writable views. corrupt(reason) is the
+    exception a damaged file raises, its reason led by the path; an
+    EOFError or ValueError from parse becomes one. A file of another
+    version raises VersionMismatchError, also led by the path.
     """
     with open(path, "rb") as fh:
-        blob = bytearray(os.fstat(fh.fileno()).st_size)
-        del blob[fh.readinto(blob):]
-    if blob[:4] != magic:
-        raise corrupt(f"{path}: bad magic {blob[:4]!r}")
+        blob = np.empty(os.fstat(fh.fileno()).st_size, np.uint8)
+        blob = blob[:fh.readinto(blob)]
+    if blob[:4].tobytes() != magic:
+        raise corrupt(f"{path}: bad magic {blob[:4].tobytes()!r}")
     if len(blob) < 12:
         raise corrupt(f"{path}: unexpected end of file")
     (found,) = struct.unpack_from("<I", blob, 4)
     if found != version:
         raise VersionMismatchError(path, found, version)
-    if blob[-4:] != struct.pack("<I", zlib.crc32(memoryview(blob)[:-4])):
+    if blob[-4:].tobytes() != struct.pack("<I", zlib.crc32(blob[:-4])):
         raise corrupt(f"{path}: checksum mismatch")
     body = Cursor(blob, 8, len(blob) - 4)
     try:

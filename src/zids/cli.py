@@ -198,14 +198,18 @@ def _parse_hidden_dims(text: str) -> list[int]:
 
 def _dead_owner(text: str) -> Optional[int]:
     """The pid of a lock whose text says "pid host", if that host is this
-    one and no process has the pid any more; None for any other lock."""
+    one, the pid is ASCII decimal digits that os.kill takes, and no
+    process has it any more; None for any other lock."""
     pid, _, host = text.partition(" ")
-    if host != socket.gethostname() or not pid.isdigit() or int(pid) < 1:
+    if (host != socket.gethostname() or not (pid.isascii() and pid.isdigit())
+            or int(pid) < 1):
         return None
     try:
         os.kill(int(pid), 0)
     except ProcessLookupError:
         return int(pid)
+    except OverflowError:
+        pass  # no process can have the pid
     except OSError:
         pass  # the process exists and belongs to someone else
     return None

@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Te
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ._atomic import csv_bytes
 from ._rows import distinct_rows
 from .errors import (
     FieldTypeError,
@@ -464,7 +465,5 @@ def iter_kdd(stream: Iterable[str]) -> Iterator[RawRecord]:
 
 def counts_csv(counts: Mapping[str, int]) -> bytes:
     """Two-column CSV rendering of category counts."""
-    lines = ["category,count"]
-    for category in CATEGORIES:
-        lines.append(f"{category},{counts.get(category, 0)}")
-    return ("\r\n".join(lines) + "\r\n").encode("utf-8")
+    return csv_bytes([["category", "count"],
+                      *([c, counts.get(c, 0)] for c in CATEGORIES)])

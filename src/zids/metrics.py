@@ -7,14 +7,13 @@ fields and nesting of report.json, which is its dataclasses.asdict.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
+from ._atomic import csv_bytes
 from .errors import (
     EmptyMatrixError,
     LabelOutOfRangeError,
@@ -203,11 +202,8 @@ def render_report(rep: ClassificationReport, format: str = "text") -> bytes:
     if format == "json":
         return json.dumps(asdict(rep), indent=2, sort_keys=True).encode("utf-8")
     if format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["class", "precision", "recall", "f1", "support"])
-        writer.writerows(_rows(rep, repr))
-        return buf.getvalue().encode("utf-8")
+        return csv_bytes([["class", "precision", "recall", "f1", "support"],
+                          *_rows(rep, repr)])
     if format == "text":
         name_width = max([len("Weighted average")] + [len(s.name) for s in rep.classes])
         lines = [
@@ -222,9 +218,5 @@ def render_report(rep: ClassificationReport, format: str = "text") -> bytes:
 
 def render_confusion_csv(cm: ConfusionMatrix) -> bytes:
     """CSV with a header row and column of class names."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow([""] + list(cm.class_names))
-    for name, row in zip(cm.class_names, cm.m):
-        writer.writerow([name] + [int(v) for v in row])
-    return buf.getvalue().encode("utf-8")
+    return csv_bytes([["", *cm.class_names],
+                      *([name, *map(int, row)] for name, row in zip(cm.class_names, cm.m))])

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._atomic import pack_names, pack_str, read_checked, write_checked
+from ._atomic import checked_file, csv_bytes, pack_names, pack_str, read_checked
 from .errors import (
     BadDimsError,
     CorruptModelError,
@@ -566,12 +566,11 @@ def train(
 
 def history_csv(history: Sequence[EpochStats]) -> bytes:
     """CSV rendering: epoch,train_loss,val_loss,val_accuracy."""
-    lines = ["epoch,train_loss,val_loss,val_accuracy"]
-    for i, stats in enumerate(history, start=1):
-        lines.append(
-            f"{i},{stats.train_loss!r},{stats.val_loss!r},{stats.val_accuracy!r}"
-        )
-    return ("\r\n".join(lines) + "\r\n").encode("utf-8")
+    return csv_bytes([
+        ["epoch", "train_loss", "val_loss", "val_accuracy"],
+        *([i, repr(s.train_loss), repr(s.val_loss), repr(s.val_accuracy)]
+          for i, s in enumerate(history, start=1)),
+    ])
 
 
 def save(model: MlpModel, path) -> None:
@@ -590,13 +589,13 @@ def save(model: MlpModel, path) -> None:
         raise TypeError(f"model files store float32 parameters, not "
                         f"{sorted({p.dtype.name for p in params})}")
     hidden = dims[1:-1]
-    write_checked(path, MODEL_MAGIC, MODEL_VERSION, [
-        pack_str(model.label_column),
-        pack_names(model.feature_names),
-        pack_names(model.class_names),
-        struct.pack(f"<{len(hidden) + 1}I", len(hidden), *hidden),
-        *(np.ascontiguousarray(p, dtype="<f4") for p in params),
-    ])
+    with checked_file(path, MODEL_MAGIC, MODEL_VERSION) as envelope:
+        envelope.append(pack_str(model.label_column))
+        envelope.append(pack_names(model.feature_names))
+        envelope.append(pack_names(model.class_names))
+        envelope.append(struct.pack(f"<{len(hidden) + 1}I", len(hidden), *hidden))
+        for p in params:
+            envelope.append(np.ascontiguousarray(p, dtype="<f4"))
 
 
 def _parse_model(body) -> MlpModel:

@@ -9,10 +9,7 @@ attribution matrix per class.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
@@ -21,6 +18,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import _blas
+from ._atomic import csv_bytes
 from ._rows import distinct_rows
 from .errors import (
     BadBudgetError,
@@ -349,14 +347,15 @@ def _masked_means(model_fn: Callable, x_rows: np.ndarray, background: np.ndarray
     differ. No pair outlives its step; a background row that repeats an
     earlier one is evaluated again at each step that needs it.
 
-    Each step is one task on a pool of threads, one per core, capped at
-    the number of steps; the caller holds OpenBLAS at 1 thread and passes
-    the cores the pool may fill. A step is evaluated in pieces of at most
-    _CHUNK_ROWS rows, its last piece shorter, down to one row; mlp.forward
-    gives a row the same bits at any call size. The steps are added up in
-    order, so the result does not depend on the pool size. The first
-    model_fn error cancels the steps not yet started and reaches the
-    caller.
+    Each step is one task of ThreadPoolExecutor.map on a pool of threads,
+    one per core, capped at the number of steps; the caller holds OpenBLAS
+    at 1 thread and passes the cores the pool may fill. A step is
+    evaluated in pieces of at most _CHUNK_ROWS rows, its last piece
+    shorter, down to one row; mlp.forward gives a row the same bits at any
+    call size. map yields the steps' outputs in step order and they are
+    added up in that order, so the result does not depend on the pool
+    size. The first model_fn error reaches the caller, and map cancels the
+    steps not yet started.
     """
     n_masks = masks.shape[0]
     pats, row_pattern, steps = _steps(x_rows, background)
@@ -381,8 +380,7 @@ def _masked_means(model_fn: Callable, x_rows: np.ndarray, background: np.ndarray
     model_rows = 0
     workers = max(1, min(cores, len(steps)))
     with ThreadPoolExecutor(workers) as pool:
-        done = _in_order(pool, evaluate, steps, workers + 1)
-        for step, (out, reads) in zip(steps, done):
+        for step, (out, reads) in zip(steps, pool.map(evaluate, steps)):
             if sums is None:
                 sums = np.zeros((row_pattern.max() + 1, n_masks, out.shape[1]))
             model_rows += out.shape[0]
@@ -391,24 +389,6 @@ def _masked_means(model_fn: Callable, x_rows: np.ndarray, background: np.ndarray
     sums /= background.shape[0]
     return _Masked(sums, row_pattern, model_rows,
                    sum(step.shared for step in steps), workers)
-
-
-def _in_order(pool: ThreadPoolExecutor, fn: Callable, items: list, ahead: int):
-    """fn(item) for each item, run on pool with at most `ahead` submitted
-    and not yet taken; yields the results in item order. When one raises,
-    the items not yet started are cancelled and the error reaches the
-    caller."""
-    pending: deque = deque()
-    try:
-        for item in items:
-            pending.append(pool.submit(fn, item))
-            if len(pending) >= ahead:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        for future in pending:
-            future.cancel()
 
 
 def kernel_shap(
@@ -553,21 +533,18 @@ def efficiency_residuals(expl: Explanation, fx: np.ndarray) -> np.ndarray:
 def explanation_csv(expl: Explanation, class_index: int) -> bytes:
     """One class's attributions: base_value line, feature header, one row
     per explained instance."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["base_value", repr(float(expl.base_values[class_index]))])
-    writer.writerow(expl.feature_names)
-    for row in expl.phi[class_index]:
-        writer.writerow([repr(float(v)) for v in row])
-    return buf.getvalue().encode("utf-8")
+    return csv_bytes([
+        ["base_value", repr(float(expl.base_values[class_index]))],
+        expl.feature_names,
+        *([repr(v) for v in row] for row in expl.phi[class_index].tolist()),
+    ])
 
 
 def top_features_csv(expl: Explanation, k: int) -> bytes:
     """Ranked summary across classes: class,rank,feature,mean_abs_shap."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["class", "rank", "feature", "mean_abs_shap"])
-    for c, ranking in enumerate(top_features(expl, k)):
-        for rank, (feature, value) in enumerate(ranking, start=1):
-            writer.writerow([expl.class_names[c], rank, feature, repr(value)])
-    return buf.getvalue().encode("utf-8")
+    return csv_bytes([
+        ["class", "rank", "feature", "mean_abs_shap"],
+        *([expl.class_names[c], rank, feature, repr(value)]
+          for c, ranking in enumerate(top_features(expl, k))
+          for rank, (feature, value) in enumerate(ranking, start=1)),
+    ])

@@ -769,13 +769,16 @@ class TestLockAndUsage:
         assert (out / "train.zids").is_file()
         assert not (out / ".zids.lock").exists()
 
-    @pytest.mark.parametrize("owner", ["live_pid", "other_host", "no_host"])
+    @pytest.mark.parametrize(
+        "owner", ["live_pid", "other_host", "no_host", "huge_pid", "unicode_digit"])
     def test_lock_kept(self, small_experiment, tmp_path, capsys, owner):
         host = socket.gethostname()
         lock_text = {
             "live_pid": f"{os.getpid()} {host}",
             "other_host": f"{self.dead_pid()} not-{host}",
             "no_host": str(self.dead_pid()),
+            "huge_pid": f"{2**64} {host}",  # more than os.kill takes
+            "unicode_digit": f"\u00b2 {host}",  # "²": isdigit(), yet not int()
         }[owner]
         rc, out = self.prepare_into_locked(small_experiment, tmp_path, lock_text)
         assert rc == 1
