@@ -6,12 +6,16 @@ feature fields followed by a label field that usually carries a trailing
 dot ("smurf."). Three features (protocol_type, service, flag) are symbolic;
 the remaining 38 are non-negative numbers. The containers `prepare` writes
 name their own columns.
+
+`prepare` reads a text twice, in the same chunks of whole lines (_chunks):
+iter_strings takes the four string fields, splitting a plain chunk with
+numpy and any other line by line, and iter_continuous converts the 38
+numbers of every stripped, non-blank line.
 """
 
 from __future__ import annotations
 
 import array
-import io
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TextIO
@@ -139,18 +143,6 @@ _UNAUTHORIZED_LABELS = (
 )
 
 
-# Used only by perfbench/spans.py, which rebinds iter_kdd by name.
-@dataclass(frozen=True)
-class RawRecord:
-    """One connection: 41 feature strings in wire order plus the fine label.
-
-    The label is normalized (lowercase, trailing dot removed).
-    """
-
-    values: tuple[str, ...]
-    label: str
-
-
 # Fine label -> category: the 23 labels of the training file plus the
 # test-only labels (apache2, mscan, saint, ...), so either file maps
 # without gaps.
@@ -172,22 +164,31 @@ _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 
 @dataclass
 class ChunkStats:
-    """The chunks one reader read, and how many took the per-line path."""
+    """The chunks one reader read, and how many of them were not plain:
+    in iter_strings those that took the per-line path, in iter_continuous
+    those with a blank line or a line that strip() changes."""
 
     chunks: int = 0
     per_line: int = 0
 
 
-def _chunks(stream: TextIO) -> Iterator[str]:
-    """Runs of whole lines of a text stream, in order: CHUNK_CHARS
-    characters at a time, then to the end of the line that read stopped
-    in. Each chunk ends in "\n" (a last line without one gets one). The
-    readers count lines as they split the chunks.
+def _chunks(
+    stream: TextIO, stats: ChunkStats, stop: Optional[int] = None
+) -> Iterator[tuple[int, str]]:
+    """(number of the first line, chunk) for runs of whole lines of a text
+    stream, in order: CHUNK_CHARS characters at a time, then to the end of
+    the line that read stopped in. Each chunk ends in "\n" (a last line
+    without one gets one) and is counted in stats.chunks. No chunk that
+    starts at or after line `stop` (1-based) is read.
     """
-    while text := stream.read(CHUNK_CHARS):
+    line_no = 1
+    while (stop is None or line_no < stop) and (text := stream.read(CHUNK_CHARS)):
         if not text.endswith("\n"):
             text += stream.readline()
-        yield text if text.endswith("\n") else text + "\n"
+        chunk = text if text.endswith("\n") else text + "\n"
+        stats.chunks += 1
+        yield line_no, chunk
+        line_no += chunk.count("\n")
 
 
 def _lines(chunk: str) -> list[str]:
@@ -195,10 +196,10 @@ def _lines(chunk: str) -> list[str]:
 
 
 def _plain(chunk: str) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """(bytes, newline offsets) of a chunk whose lines need no strip()
-    and none of which is blank: ASCII, and no byte below 0x21 but "\n",
-    which neither starts it nor follows another. None for any other
-    chunk."""
+    """(bytes, newline offsets) of a chunk for pass 1's numpy path
+    (_fast_patterns): one whose lines need no strip() and none of which
+    is blank. That is ASCII, and no byte below 0x21 but "\n", which
+    neither starts it nor follows another. None for any other chunk."""
     if not chunk.isascii():
         return None
     raw = np.frombuffer(chunk.encode("ascii"), dtype=np.uint8)
@@ -306,10 +307,8 @@ def iter_strings(
     """
     stats = stats if stats is not None else ChunkStats()
     error: Optional[ZidsError] = None
-    line_no = 1  # of the chunk's first line
     with open_stream() as stream:
-        for chunk in _chunks(stream):
-            stats.chunks += 1
+        for line_no, chunk in _chunks(stream, stats):
             block = _fast_patterns(chunk)
             if block is None:
                 stats.per_line += 1
@@ -318,7 +317,6 @@ def iter_strings(
                 except (MalformedLineError, UnknownLabelError) as exc:
                     error = exc
                     break
-            line_no += chunk.count("\n")
             yield block
     if error is not None:
         with open_stream() as stream:
@@ -414,53 +412,28 @@ def iter_continuous(
     does not. Raises FieldTypeError at the first cell that is not a
     finite non-negative number.
 
-    The stream is read in the chunks iter_strings reads. A chunk of
-    plain lines (no blank line, nothing to strip) is split at its
-    newlines; any other chunk is stripped line by line. `stats`, if
-    given, counts both.
+    The stream is read in the chunks iter_strings reads, and every line
+    is stripped; blank lines are dropped. `stats`, if given, counts the
+    chunks, and as per_line those with a blank line or a line that
+    strip() changes.
     """
     stats = stats if stats is not None else ChunkStats()
-    line_no = 1  # of the chunk's first line
-    chunks = _chunks(stream)
-    while stop is None or line_no < stop:  # reads no chunk past stop
-        chunk = next(chunks, None)
-        if chunk is None:
-            break
-        stats.chunks += 1
+    for line_no, chunk in _chunks(stream, stats, stop):
         lines = _lines(chunk)
-        end = line_no + len(lines)
-        if stop is not None and stop < end:
+        if stop is not None:
             del lines[stop - line_no:]
+        kept = list(filter(None, map(str.strip, lines)))
         numbers: Sequence[int] = range(line_no, line_no + len(lines))
-        if _plain(chunk) is None:
+        if kept != lines:
             stats.per_line += 1
-            stripped = [line.strip() for line in lines]
-            numbers = [number for number, line in zip(numbers, stripped) if line]
-            lines = list(filter(None, stripped))
-        line_no = end
-        if lines:
-            yield _continuous(lines, numbers)
+            numbers = [number for number, line in zip(numbers, lines) if line.strip()]
+        if kept:
+            yield _continuous(kept, numbers)
 
 
-# Used only by perfbench/spans.py, which rebinds iter_kdd by name.
-def iter_kdd(stream: Iterable[str]) -> Iterator[RawRecord]:
-    """RawRecords of a KDD99 stream (a text file, or any iterable of
-    lines), with prepare's errors: of several, the one on the earliest
-    line. Feature values are kept as the strings on the line. Holds the
-    whole stream in memory.
-    """
-    lines = [line.removesuffix("\n") for line in stream]
-    text = "\n".join(lines)
-    labels = [
-        patterns[c].rsplit(",", 1)[1]
-        for patterns, codes in iter_strings(lambda: io.StringIO(text))
-        for c in codes.tolist()
-    ]
-    for _ in iter_continuous(io.StringIO(text)):
-        pass  # the bad cells, as prepare's pass 2 finds them
-    records = filter(None, (line.strip() for line in lines))
-    for line, label in zip(records, labels):
-        yield RawRecord(values=tuple(line.split(",")[:-1]), label=label)
+# A name only: perfbench/spans.py rebinds zids.dataset.iter_kdd and fails
+# when it is missing.
+iter_kdd = iter_continuous
 
 
 def counts_csv(counts: Mapping[str, int]) -> bytes:

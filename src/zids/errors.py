@@ -110,7 +110,8 @@ class CorruptContainerError(ZidsError):
 
 
 class BadDimsError(ZidsError):
-    """Layer dimensions are unusable (fewer than two, or non-positive)."""
+    """Layer dimensions are unusable (fewer than two, non-positive, or a
+    layer larger than numpy can address)."""
 
 
 class ShapeMismatchError(ZidsError):
@@ -160,7 +161,8 @@ class EmptyMatrixError(ZidsError):
 
 
 class BadBudgetError(ZidsError):
-    """The coalition budget is too small to carry any information."""
+    """The coalition budget is too small to carry any information, or
+    asks for more masks than numpy can address."""
 
 
 class SingularSystemError(ZidsError):

@@ -112,7 +112,8 @@ def init(dims: Sequence[int], seed: int, dtype=np.float64) -> MlpModel:
     dtype: the float64 draws rounded to it.
 
     The inputs are named f0, f1, ... and the classes class_0, class_1, ...
-    under no label column.
+    under no label column. Raises BadDimsError for fewer than two sizes,
+    a size below 1, or a layer larger than numpy can address.
     """
     dims = [int(d) for d in dims]
     if len(dims) < 2 or any(d < 1 for d in dims):
@@ -122,7 +123,10 @@ def init(dims: Sequence[int], seed: int, dtype=np.float64) -> MlpModel:
     biases = []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+        try:
+            w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+        except ValueError:  # a size numpy cannot address
+            raise BadDimsError(f"layer {fan_in}x{fan_out} too large: {dims}") from None
         weights.append(w.astype(dtype, copy=False))
         biases.append(np.zeros(fan_out, dtype))
     feature_names = [f"f{i}" for i in range(dims[0])]

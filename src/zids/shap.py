@@ -119,18 +119,26 @@ def enumerate_or_sample_coalitions(
     group's mass evenly. The remainder is drawn from the leftover size
     distribution, each draw immediately followed by its complement, and
     shares the leftover mass evenly.
+
+    Raises BadBudgetError when budget < 2, or when n masks are more than
+    numpy can address; both arrays are allocated before any mask is built.
     """
     if budget < 2:
         raise BadBudgetError(f"budget must be >= 2: {budget}")
     if m < 2:
         raise OutOfRangeError(f"need at least 2 features: {m}")
 
-    if 2**m - 2 <= budget:
-        sizes = range(1, m)
-        masks = np.concatenate([_subsets(m, s) for s in sizes])
-        weights = np.repeat(
-            [kernel_weight(m, s) for s in sizes], [math.comb(m, s) for s in sizes]
-        )
+    n = min(budget, 2**m - 2)
+    try:
+        masks, weights = np.empty((n, m), dtype=bool), np.empty(n)
+    except ValueError:  # a size numpy cannot address
+        raise BadBudgetError(f"budget too large for {m} features: {budget}") from None
+    if n == 2**m - 2:
+        filled = 0
+        for s in range(1, m):
+            group = slice(filled, filled + math.comb(m, s))
+            masks[group], weights[group] = _subsets(m, s), kernel_weight(m, s)
+            filled = group.stop
         return masks, weights
 
     rng = np.random.default_rng(seed)
@@ -138,8 +146,6 @@ def enumerate_or_sample_coalitions(
     mass = (m - 1) / (sizes * (m - sizes)) * np.where(2 * sizes == m, 1.0, 2.0)
     mass /= mass.sum()
 
-    masks = np.empty((budget, m), dtype=bool)
-    weights = np.empty(budget)
     filled = 0
     remaining = mass.copy()
     num_full = 0

@@ -1,8 +1,10 @@
 """The chunked readers of `dataset` against their per-line path.
 
-Both readers split a plain chunk with numpy and run the per-line code on
-any other; forcing every chunk onto the per-line path must not change
-anything prepare takes from a corpus. The chunks are a few hundred
+Pass 1 (iter_strings) splits a plain chunk with numpy and runs the
+per-line code on any other; forcing every chunk onto the per-line path
+must not change anything prepare takes from a corpus. Pass 2
+(iter_continuous) strips every line, and counts the chunks where that
+changed a line or dropped a blank one. The chunks are a few hundred
 characters, so lines and errors straddle chunk boundaries.
 """
 
@@ -84,6 +86,11 @@ def unknown_label_then_bad_cell(lines):
     lines[45] = with_cell(lines[45], 7, "x")
 
 
+def bad_cell_then_unknown_label(lines):
+    lines[8] = with_cell(lines[8], 4, "-215")
+    lines[40] = lines[40].rsplit(",", 1)[0] + ",mystery."
+
+
 def bad_cell_in_last_line(lines):
     lines[-1] = with_cell(lines[-1], 22, "1e999")
 
@@ -103,6 +110,7 @@ CORPORA = {
     "fields_41_then_43": joined(edited(fields_41_then_43)),
     "fields_43_then_41": joined(edited(fields_43_then_41)),
     "unknown_label_then_bad_cell": joined(edited(unknown_label_then_bad_cell)),
+    "bad_cell_then_unknown_label": joined(edited(bad_cell_then_unknown_label)),
     "bad_cell_in_last_line": joined(edited(bad_cell_in_last_line)),
 }
 
@@ -159,38 +167,40 @@ def compare(open_stream, small_chunks):
     got, (pass_1, pass_2) = outcome(open_stream)
     with small_chunks.context() as m:
         m.setattr(ds, "_plain", lambda chunk: None)
-        expected, (per_line_1, per_line_2) = outcome(open_stream)
+        expected, (per_line_1, _) = outcome(open_stream)
     assert got == expected
     assert per_line_1.per_line == per_line_1.chunks
-    assert per_line_2.per_line == per_line_2.chunks
-    # the numpy path took part, on at least one chunk of each pass
+    # the numpy path took part, on at least one chunk
     assert pass_1.per_line < pass_1.chunks
-    assert pass_2.per_line < pass_2.chunks
     return got, pass_1, pass_2
 
 
 # The corpora with a line that pass 1 cannot take on the numpy path.
 PER_LINE = {"blank_lines", "spaces_and_tabs", "non_ascii_service", "wide_service",
             "bad_cell_then_41_fields", "fields_41_then_43", "fields_43_then_41",
-            "unknown_label_then_bad_cell"}
+            "unknown_label_then_bad_cell", "bad_cell_then_unknown_label"}
+# The corpora with a line that pass 2 strips or drops, before any error.
+STRIPPED = {"blank_lines", "spaces_and_tabs"}
 
 
 @pytest.mark.parametrize("name", sorted(CORPORA))
 def test_file_matches_per_line_path(tmp_path, small_chunks, name):
     path = tmp_path / f"{name}.kdd"
     path.write_bytes(CORPORA[name].encode("utf-8"))
-    _, pass_1, _ = compare(lambda: cli._open_text(path), small_chunks)
+    _, pass_1, pass_2 = compare(lambda: cli._open_text(path), small_chunks)
     # _open_text turns "\r\n" and a lone "\r" into "\n"
     assert (pass_1.per_line > 0) == (name in PER_LINE)
+    assert (pass_2.per_line > 0) == (name in STRIPPED)
 
 
 @pytest.mark.parametrize("name", sorted(CORPORA))
 def test_text_matches_per_line_path(small_chunks, name):
     text = CORPORA[name]
-    _, pass_1, _ = compare(lambda: io.StringIO(text), small_chunks)
+    _, pass_1, pass_2 = compare(lambda: io.StringIO(text), small_chunks)
     # StringIO keeps each "\r" in its line, for the per-line path to strip
     # or count as part of a field
     assert (pass_1.per_line > 0) == (name in PER_LINE | {"crlf", "lone_cr"})
+    assert (pass_2.per_line > 0) == (name in STRIPPED | {"crlf"})
 
 
 def test_gzip_matches_per_line_path(tmp_path, small_chunks):
@@ -209,11 +219,14 @@ def test_errors_straddle_chunks(tmp_path, small_chunks):
     path.write_text(CORPORA["unknown_label_then_bad_cell"])
     got, _, _ = compare(lambda: cli._open_text(path), small_chunks)
     assert got["error"][:4] == ("UnknownLabelError", 34, None, "quantum")
+    path.write_text(CORPORA["bad_cell_then_unknown_label"])
+    got, _, _ = compare(lambda: cli._open_text(path), small_chunks)
+    assert got["error"][:3] == ("FieldTypeError", 9, 4)
 
 
 # The corpora whose pass 1 raises, read as files.
 PASS_1_ERRORS = {"bad_cell_then_41_fields", "fields_41_then_43", "fields_43_then_41",
-                 "unknown_label_then_bad_cell"}
+                 "unknown_label_then_bad_cell", "bad_cell_then_unknown_label"}
 
 
 @pytest.mark.parametrize("name", sorted(CORPORA))
@@ -248,6 +261,7 @@ def test_pass_1_matches_fields_split_by_hand(tmp_path, small_chunks, name):
     ("bad_cell_in_last_line", None),  # pass 1 converts no number
     ("bad_cell_then_41_fields", ("FieldTypeError", 9)),
     ("unknown_label_then_bad_cell", ("UnknownLabelError", 34)),
+    ("bad_cell_then_unknown_label", ("FieldTypeError", 9)),
 ])
 def test_second_read_only_on_error(small_chunks, name, error):
     """iter_strings opens the corpus once, and a second time only when a

@@ -488,6 +488,28 @@ class TestEvaluate:
             "where the model names 'service=http'\n")
         assert not out.exists()
 
+    def test_container_with_one_more_column_is_data_error(
+        self, small_experiment, tmp_path, capsys
+    ):
+        """A test.zids that names the model's columns and one more, a
+        flag value zzz after the last, is refused on its column count."""
+        prepared = tmp_path / "prepared"
+        shutil.copytree(small_experiment.prepared, prepared)
+        test = prepared / "test.zids"
+        rows, scaling, columns = pp.read_container_columns(test)
+        name, values = rows.fields[-1]
+        fields = (*rows.fields[:-1], (name, (*values, "zzz")))
+        pp.write_container(test, dataclasses.replace(rows, fields=fields), scaling, columns)
+        model = small_experiment.train("truncated") / "model.zmlp"
+        d = mlp.load(model).dims[0]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        rc = run_cli("evaluate", "--model", model, "--test", test, "--out", out)
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"data error: {test} has {d + 1} column names where the model has {d}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "variant", ["base", "weighted-base", "truncated", "weighted-truncated"]
     )

@@ -186,16 +186,6 @@ class TestParse:
         expected = [[float(f[i]) for i in ds.CONTINUOUS_POSITIONS] for f in split]
         assert np.array_equal(np.concatenate(continuous), np.array(expected))
 
-    def test_iter_kdd(self):
-        text = make_line("SMURF.") + "\n\n" + make_line()
-        records = list(ds.iter_kdd(io.StringIO(text)))
-        assert [r.label for r in records] == ["smurf", "normal"]
-        assert records[0].values == tuple(make_line().split(",")[:-1])
-        bad_cell = make_line().replace(",215,", ",-215,", 1)
-        with pytest.raises(FieldTypeError) as err:
-            list(ds.iter_kdd([bad_cell, make_line("mystery.")]))
-        assert err.value.line_no == 1
-
 
 class TestSchema:
     def test_vocabulary_sorted(self, tmp_path):

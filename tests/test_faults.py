@@ -428,16 +428,25 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-@pytest.mark.parametrize("command", ["explain", "train"])
-def test_out_of_memory_is_one_line_usage_error(small_experiment, tmp_path, command):
+@pytest.mark.parametrize("command, size, message", [
+    pytest.param("explain", 10**13, "Unable to allocate", id="explain"),
+    pytest.param("train", 10**11, "Unable to allocate", id="train"),
+    # sizes numpy cannot address at all; 2**61 also asks for every one of
+    # the 2**61 - 2 coalitions of the 61 columns
+    pytest.param("explain", 10**18, "budget too large", id="explain-budget-10**18"),
+    pytest.param("explain", 2**61, "budget too large", id="explain-budget-2**61"),
+    pytest.param("train", 10**20, "layer 61x", id="train-hidden-dims-10**20"),
+])
+def test_out_of_memory_is_one_line_usage_error(small_experiment, tmp_path, command, size,
+                                               message):
     """A size too large to allocate, from a flag, ends in one error line,
     exit 1, not a traceback; the address space is capped at 4 GiB."""
     argv = {
         "explain": ("explain", "--model",
                     small_experiment.train("truncated") / "model.zmlp",
-                    "--prepared", small_experiment.prepared, "--budget", 10**13),
+                    "--prepared", small_experiment.prepared, "--budget", size),
         "train": ("train", "--prepared", small_experiment.prepared,
-                  "--variant", "truncated", "--epochs", 1, "--hidden-dims", 10**11),
+                  "--variant", "truncated", "--epochs", 1, "--hidden-dims", size),
     }[command]
     out = tmp_path / "out"
     src = str(Path(zids.__file__).resolve().parents[1])
@@ -450,7 +459,7 @@ def test_out_of_memory_is_one_line_usage_error(small_experiment, tmp_path, comma
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
-    assert proc.stderr.startswith("error: Unable to allocate")
+    assert proc.stderr.startswith(f"error: {message}")
     assert not out.exists()
 
 

@@ -53,6 +53,10 @@ class TestConfusion:
         with pytest.raises(ShapeMismatchError):
             metrics.confusion(np.array([0, 1]), np.array([0]), 2)
 
+    def test_class_names_must_name_every_class(self):
+        with pytest.raises(ShapeMismatchError, match="1 names for 2 classes"):
+            metrics.confusion(np.array([0, 1]), np.array([0, 1]), 2, ["a"])
+
 
 class TestReport:
     def test_perfect_scores(self):

@@ -14,7 +14,7 @@ from zids.errors import (
     ShapeMismatchError,
     VersionMismatchError,
 )
-from zids.preprocess import ClassWeights, EncodedDataset
+from zids.preprocess import ClassWeights, EncodedDataset, Rows
 
 from conftest import reference_forward
 
@@ -89,6 +89,8 @@ class TestForward:
         model = mlp.init([3, 2], seed=0)
         with pytest.raises(ShapeMismatchError):
             mlp.forward(model, np.ones((4, 5)))
+        with pytest.raises(ShapeMismatchError, match="input width 5 does not match"):
+            mlp.forward(model, Rows(np.ones((4, 5), dtype=np.float32)))
 
     def test_predict_tie_break(self):
         model = mlp.init([2, 2], seed=0)
@@ -437,6 +439,16 @@ class TestTrain:
         )
         with pytest.raises(ShapeMismatchError):
             mlp.train(model, bad, toy, mlp.TrainConfig(epochs=1))
+
+    def test_data_width_mismatch(self):
+        toy = toy_dataset(n=20)  # 2 columns
+        model = mlp.init([3, 4, 2], 0)
+        with pytest.raises(ShapeMismatchError, match="data width 2/2 vs model width 3"):
+            mlp.train(model, toy, toy, mlp.TrainConfig(epochs=1))
+        wide = EncodedDataset(x=np.ones((20, 3), np.float32), y=toy.y,
+                              class_names=toy.class_names, scaling=[])
+        with pytest.raises(ShapeMismatchError, match="data width 3/2 vs model width 3"):
+            mlp.train(model, wide, toy, mlp.TrainConfig(epochs=1))
 
     @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
     def test_single_step_decreases_convex_loss(self, optimizer):

@@ -389,6 +389,26 @@ class TestContainer:
                 stream.add(rows.x)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["test.zids", "train.zids"]
 
+    def test_stream_refuses_rows_it_cannot_store(self, small_experiment, tmp_path):
+        """add() takes only rows of the float column count, and finish()
+        only every row and one scaling entry per float column; a refused
+        stream leaves no file."""
+        rows, scaling, columns = pp.read_container_columns(
+            small_experiment.prepared / "test.zids")
+        codes = rows.codes[:, rows.take]
+        path = tmp_path / "refused.zids"
+        with pytest.raises(ValueError, match="columns for"):
+            with pp.stream_container(path, len(rows), rows.float_names,
+                                     rows.fields) as stream:
+                stream.add(rows.x[:, 1:])
+        for added, table in ((rows.x[1:], scaling), (rows.x, scaling[1:])):
+            with pytest.raises(ValueError, match="scaling entries for"):
+                with pp.stream_container(path, len(rows), rows.float_names,
+                                         rows.fields) as stream:
+                    stream.add(added)
+                    stream.finish(table, codes, columns)
+        assert not path.exists()
+
     def test_truncated(self, tmp_path):
         path, *_ = self.make(tmp_path)
         blob = path.read_bytes()

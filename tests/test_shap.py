@@ -612,6 +612,18 @@ class TestKernelShap:
             shap.kernel_shap(fn, np.ones((0, 4)), np.ones((2, 4)))
         assert fn.calls == []
 
+    def test_background_width_must_match(self):
+        fn = CountingFn(4)
+        with pytest.raises(ShapeMismatchError, match="background width 3 vs explained width 4"):
+            shap.kernel_shap(fn, np.ones((1, 4)), np.ones((2, 3)))
+        assert fn.calls == []
+
+    def test_model_output_needs_a_row_per_input(self):
+        fn = random_mlp_fn(4)
+        with pytest.raises(ShapeMismatchError, match="returned 2 rows for 1 inputs"):
+            shap.kernel_shap(lambda z: fn(np.repeat(z, 2, axis=0)), np.ones((1, 4)),
+                             np.ones((2, 4)), budget=8)
+
 
 def fake_cores(monkeypatch, cores):
     """kernel_shap sees `cores` BLAS threads to fill, with BLAS still set to
