@@ -30,25 +30,17 @@ from . import preprocess as pp
 from . import shap as kshap
 from ._atomic import write_atomic
 from .errors import (
-    BadBudgetError,
-    BadDimsError,
-    ChangedInputError,
-    DamagedGzipError,
-    EmptyInputError,
+    EXIT_DATA,
+    EXIT_USAGE,
+    ConfigError,
     MalformedReportError,
     MissingClassError,
-    NonFiniteLossError,
-    NotUtf8Error,
     OutOfRangeError,
     ShapeMismatchError,
-    VocabularyTooLargeError,
     ZidsError,
 )
 
 EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_DATA = 2
-EXIT_NUMERIC = 3
 
 # variant -> (label granularity, class weights on, default hidden layers)
 VARIANTS = {
@@ -57,10 +49,6 @@ VARIANTS = {
     "truncated": ("coarse", False, (112,)),
     "weighted-truncated": ("coarse", True, (112,)),
 }
-
-
-class ConfigError(ZidsError):
-    """Bad flag or config-file value; exits with the usage code."""
 
 
 class _UsageError(Exception):
@@ -322,9 +310,9 @@ def _open_text(path):
         with opener(path, "rt", encoding="utf-8") as stream:
             yield stream
     except UnicodeDecodeError as exc:
-        raise NotUtf8Error(path, exc) from None
+        raise ZidsError(f"{path}: not UTF-8 text: {exc.reason}") from None
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
-        raise DamagedGzipError(path, exc) from None
+        raise ZidsError(f"{path}: damaged gzip file: {exc}") from None
 
 
 def cmd_prepare(args) -> int:
@@ -340,7 +328,7 @@ def cmd_prepare(args) -> int:
         vocabs, codes = ds.string_fields(
             ds.iter_strings(lambda: _open_text(data_path), pass_1))
         if not codes:
-            raise EmptyInputError(f"no records in {data_path}")
+            raise ZidsError(f"no records in {data_path}")
         fine_names = vocabs.pop()
         fields = tuple(
             (ds.FEATURE_NAMES[pos], tuple(vocab))
@@ -348,7 +336,8 @@ def cmd_prepare(args) -> int:
         )
         for name, values in fields:
             if len(values) > pp.MAX_VOCABULARY:
-                raise VocabularyTooLargeError(name, len(values), pp.MAX_VOCABULARY)
+                raise ZidsError(f"feature {name} has {len(values)} distinct values; "
+                                f"containers hold at most {pp.MAX_VOCABULARY}")
         float_names = tuple(ds.FEATURE_NAMES[pos] for pos in ds.CONTINUOUS_POSITIONS)
         d = len(float_names) + sum(len(values) for _, values in fields)
         # (fields + 1, n), all in range: every label is one of CATEGORY_OF's
@@ -387,14 +376,14 @@ def cmd_prepare(args) -> int:
                 for block in ds.iter_continuous(text, stats=pass_2):
                     stop = start + len(block)
                     if stop <= n:  # else counted for the error below
-                        block = block.astype(np.float32)  # the containers' dtype
                         for name, idx in splits.items():
                             # in idx's dtype: no conversion of all of idx
                             at, end = idx.searchsorted(np.array((start, stop), idx.dtype))
                             streams[name].add(block.take(idx[at:end] - start, 0))
                     start = stop
             if start != n:
-                raise ChangedInputError(data_path, n, start)
+                raise ZidsError(f"{data_path}: {n} records on the first read, {start} "
+                                "on the second; the file changed while it was read")
             # Checked only now: a bad cell in a one-row file is the data error.
             for name, idx in splits.items():
                 if idx.size == 0:
@@ -749,16 +738,13 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except (ConfigError, BadDimsError, BadBudgetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except ZidsError as exc:
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except MemoryError as exc:  # numpy's message names the allocation
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
-    except NonFiniteLossError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (ZidsError, OSError) as exc:
+    except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

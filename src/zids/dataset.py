@@ -354,32 +354,35 @@ def string_fields(
 
 
 def _checked_floats(lines: list[str], line_numbers: Sequence[int]) -> np.ndarray:
-    """Continuous values cell by cell with float(); raises FieldTypeError
-    at the first cell that is not a finite non-negative number, and
-    MalformedLineError at a line without 42 fields."""
-    x = np.empty((len(lines), len(CONTINUOUS_POSITIONS)))
-    for row, (line_no, line) in enumerate(zip(line_numbers, lines)):
-        parts = line.split(",")
-        if len(parts) != NUM_FIELDS:
-            raise MalformedLineError(line_no, len(parts))
-        for ci, col in enumerate(CONTINUOUS_POSITIONS):
-            try:
-                v = float(parts[col])
-            except ValueError:
-                raise FieldTypeError(line_no, col, parts[col]) from None
-            if not math.isfinite(v) or v < 0.0:
-                raise FieldTypeError(line_no, col, parts[col])
-            x[row, ci] = v
+    """Continuous values cell by cell with float(), stored as float32;
+    raises FieldTypeError at the first cell that is not a non-negative
+    number finite in float32, and MalformedLineError at a line without
+    42 fields."""
+    x = np.empty((len(lines), len(CONTINUOUS_POSITIONS)), np.float32)
+    with np.errstate(over="ignore"):  # a value past float32's range is stored as inf
+        for row, (line_no, line) in enumerate(zip(line_numbers, lines)):
+            parts = line.split(",")
+            if len(parts) != NUM_FIELDS:
+                raise MalformedLineError(line_no, len(parts))
+            for ci, col in enumerate(CONTINUOUS_POSITIONS):
+                try:
+                    v = float(parts[col])
+                except ValueError:
+                    raise FieldTypeError(line_no, col, parts[col]) from None
+                x[row, ci] = v
+                if not math.isfinite(x[row, ci]) or v < 0.0:
+                    raise FieldTypeError(line_no, col, parts[col])
     return x
 
 
 def _continuous(lines: list[str], line_numbers: Sequence[int]) -> np.ndarray:
-    """The (rows, 38) float64 continuous block of well-formed lines.
+    """The (rows, 38) float32 continuous block of well-formed lines.
 
     np.loadtxt parses a subset of what float() accepts (no "1_000", no
-    non-ASCII digits) to the same values, so any block it rejects, or
-    whose values are not all finite and non-negative, is converted again
-    cell by cell; that either accepts the block or locates the bad cell.
+    non-ASCII digits) to the same float64 values, so any block it
+    rejects, or whose values are not all non-negative and finite once
+    cast to float32, is converted again cell by cell; that either
+    accepts the block or locates the bad cell.
     """
     try:
         x = np.loadtxt(
@@ -392,6 +395,8 @@ def _continuous(lines: list[str], line_numbers: Sequence[int]) -> np.ndarray:
         )
     except ValueError:
         return _checked_floats(lines, line_numbers)
+    with np.errstate(over="ignore"):  # an overflow to inf is refused below
+        x = x.astype(np.float32)
     if np.isfinite(x).all() and (x >= 0.0).all():
         return x
     return _checked_floats(lines, line_numbers)
@@ -403,14 +408,14 @@ def iter_continuous(
     stats: Optional[ChunkStats] = None,
 ) -> Iterator[np.ndarray]:
     """The continuous features of a KDD99 text stream: one (rows, 38)
-    float64 block, in CONTINUOUS_POSITIONS order, for each chunk that
+    float32 block, in CONTINUOUS_POSITIONS order, for each chunk that
     holds rows.
 
     Reading ends before line `stop` (1-based, blank lines counted), or at
     the end of the stream. The lines are taken to have the structure
     iter_strings checks; only the cell-by-cell fallback notices one that
     does not. Raises FieldTypeError at the first cell that is not a
-    finite non-negative number.
+    non-negative number finite in float32 (at most 3.4028235e38).
 
     The stream is read in the chunks iter_strings reads, and every line
     is stripped; blank lines are dropped. `stats`, if given, counts the

@@ -1,12 +1,28 @@
 """Exception types shared across the toolkit.
 
-Every error carries the context it was raised with as attributes so callers
-can report precisely (line numbers, offending labels, class indices).
+Each class carries the exit code and the stderr prefix that `zids`
+reports it with: cli.main prints "<prefix>: <message>" and returns the
+code.
 """
+
+EXIT_USAGE = 1
+EXIT_DATA = 2
+EXIT_NUMERIC = 3
 
 
 class ZidsError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors; a data error unless a subclass
+    says otherwise."""
+
+    exit_code = EXIT_DATA
+    prefix = "data error"
+
+
+class ConfigError(ZidsError):
+    """Bad flag or config-file value; exits with the usage code."""
+
+    exit_code = EXIT_USAGE
+    prefix = "error"
 
 
 class MalformedLineError(ZidsError):
@@ -33,10 +49,6 @@ class FieldTypeError(ZidsError):
         )
 
 
-class EmptyInputError(ZidsError):
-    """An operation that needs at least one record received none."""
-
-
 class UnknownLabelError(ZidsError):
     """A record label has no category in dataset.CATEGORY_OF."""
 
@@ -44,47 +56,6 @@ class UnknownLabelError(ZidsError):
         self.line_no = line_no
         self.label = label
         super().__init__(f"line {line_no}: unknown label: {label!r}")
-
-
-class NotUtf8Error(ZidsError):
-    """An input file holds bytes that are not UTF-8 text."""
-
-    def __init__(self, path, error: UnicodeDecodeError):
-        self.path = str(path)
-        super().__init__(f"{path}: not UTF-8 text: {error.reason}")
-
-
-class DamagedGzipError(ZidsError):
-    """A .gz input file is cut short or its compressed data is damaged."""
-
-    def __init__(self, path, error: Exception):
-        self.path = str(path)
-        super().__init__(f"{path}: damaged gzip file: {error}")
-
-
-class ChangedInputError(ZidsError):
-    """An input file read twice gave a different number of records the
-    second time."""
-
-    def __init__(self, path, first: int, second: int):
-        self.path = str(path)
-        super().__init__(
-            f"{path}: {first} records on the first read, {second} on the "
-            "second; the file changed while it was read"
-        )
-
-
-class VocabularyTooLargeError(ZidsError):
-    """A categorical field has more distinct values than its container
-    codes can number."""
-
-    def __init__(self, feature: str, size: int, limit: int):
-        self.feature = feature
-        self.size = size
-        super().__init__(
-            f"feature {feature} has {size} distinct values; containers "
-            f"hold at most {limit}"
-        )
 
 
 class MissingClassError(ZidsError):
@@ -109,7 +80,7 @@ class CorruptContainerError(ZidsError):
         super().__init__(f"corrupt dataset container: {reason}")
 
 
-class BadDimsError(ZidsError):
+class BadDimsError(ConfigError):
     """Layer dimensions are unusable (fewer than two, non-positive, or a
     layer larger than numpy can address)."""
 
@@ -120,6 +91,9 @@ class ShapeMismatchError(ZidsError):
 
 class NonFiniteLossError(ZidsError):
     """Training produced a NaN or infinite loss."""
+
+    exit_code = EXIT_NUMERIC
+    prefix = "numeric failure"
 
     def __init__(self, epoch: int):
         self.epoch = epoch
@@ -160,7 +134,7 @@ class EmptyMatrixError(ZidsError):
     """A classification report was requested for an all-zero matrix."""
 
 
-class BadBudgetError(ZidsError):
+class BadBudgetError(ConfigError):
     """The coalition budget is too small to carry any information, or
     asks for more masks than numpy can address."""
 

@@ -35,9 +35,9 @@ from ._atomic import checked_file, csv_bytes, pack_names, pack_str, read_checked
 from .errors import (
     BadDimsError,
     CorruptModelError,
-    EmptyInputError,
     NonFiniteLossError,
     ShapeMismatchError,
+    ZidsError,
 )
 from .preprocess import ClassWeights, EncodedDataset, Rows
 
@@ -536,7 +536,7 @@ def train(
     """
     for name, data in (("training", train_ds), ("validation", val_ds)):
         if data.n == 0:
-            raise EmptyInputError(f"the {name} set has no rows")
+            raise ZidsError(f"the {name} set has no rows")
     if train_ds.d != model.dims[0] or val_ds.d != model.dims[0]:
         raise ShapeMismatchError(
             f"data width {train_ds.d}/{val_ds.d} vs model width {model.dims[0]}"

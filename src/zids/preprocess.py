@@ -189,14 +189,16 @@ def apply_scaling(x: np.ndarray, scaling: Sequence[tuple[float, float]]) -> None
     """In-place min-max scaling of the continuous columns x, one scaling
     entry per column.
 
-    Columns with min == max map to 0. Values outside the fitted range
-    scale past [0, 1] without error.
+    Columns with min == max map to 0, and so do columns whose float32
+    range is below float32's smallest normal number, whose inverse
+    float32 cannot hold. Values outside the fitted range scale past
+    [0, 1] without error.
     """
     mins = np.asarray([lo for lo, _ in scaling], dtype=np.float32)
     ranges = np.asarray([hi - lo for lo, hi in scaling], dtype=np.float32)
     inv = np.zeros_like(ranges)
-    nonzero = ranges > 0
-    inv[nonzero] = 1.0 / ranges[nonzero]
+    normal = ranges >= np.finfo(np.float32).tiny
+    inv[normal] = 1.0 / ranges[normal]
     x -= mins  # in place: no (n, 38) temporaries
     x *= inv
 

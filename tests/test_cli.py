@@ -302,6 +302,24 @@ class TestTrain:
         assert "hidden dims" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_subnormal_train_range_trains(self, tmp_path, capsys):
+        """A duration of 1e-45, a float32 subnormal, on every hundredth
+        line and 0 elsewhere: the column's range has no float32 inverse,
+        so it scales to 0 like a constant column."""
+        lines = synthetic.generate_lines(SMALL_PROFILE, seed=0)
+        lines = [("1e-45" if i % 100 == 0 else "0") + line[line.index(","):]
+                 for i, line in enumerate(lines)]
+        corpus = tmp_path / "corpus.kdd"
+        corpus.write_text("".join(line + "\n" for line in lines))
+        prepared = tmp_path / "prepared"
+        assert run_cli("prepare", "--data", corpus, "--out", prepared, "--seed", 0) == 0
+        train = pp.read_container(prepared / "train.zids", "coarse")
+        assert train.scaling[0] == (0.0, float(np.float32(1e-45)))
+        rc = run_cli("train", "--prepared", prepared, "--variant", "truncated",
+                     "--epochs", 1, "--out", tmp_path / "run", "--seed", 0)
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+
     def test_containers_naming_other_columns_are_data_error(
         self, small_experiment, tmp_path, capsys
     ):

@@ -138,6 +138,18 @@ class TestParse:
             parse("\n".join(lines))
         assert (err.value.line_no, err.value.column) == (1501, 4)
 
+    @pytest.mark.parametrize("other", ["45076", "45_076"])  # np.loadtxt, float() only
+    def test_values_must_be_finite_in_float32(self, other):
+        line = make_line().replace(",45076,", f",{other},", 1)
+        src_bytes = ds.CONTINUOUS_POSITIONS.index(4)
+        # float32's largest value, and the first decimal past it that
+        # rounds to inf
+        (block,) = parse(line.replace(",215,", ",3.4028235e38,", 1))[1]
+        assert block[0, src_bytes] == np.finfo(np.float32).max
+        with pytest.raises(FieldTypeError) as err:
+            parse(line.replace(",215,", ",3.4028236e38,", 1))
+        assert (err.value.line_no, err.value.column) == (1, 4)
+
     def test_continuous_stops_before_line(self):
         text = make_line() + "\n\n" + make_line().replace(",215,", ",-1,", 1)
         (block,) = ds.iter_continuous(io.StringIO(text), stop=3)
@@ -155,7 +167,7 @@ class TestParse:
         assert fields[0][3][0] == "smurf"
         assert tuple(f[0] for f in fields[0][:3]) == ("tcp", "http", "SF")
         src_bytes = ds.CONTINUOUS_POSITIONS.index(4)
-        assert continuous[0].dtype == np.float64
+        assert continuous[0].dtype == np.float32
         assert continuous[0][0, src_bytes] == 215.0
         assert continuous[-1][-1, src_bytes] == 1000.0
         # Line numbers count the blank lines: the last row is line 2n - 1.
@@ -184,7 +196,9 @@ class TestParse:
             got = [v for block in fields for v in block[i]]
             assert got == [f[column].removesuffix(".") for f in split]
         expected = [[float(f[i]) for i in ds.CONTINUOUS_POSITIONS] for f in split]
-        assert np.array_equal(np.concatenate(continuous), np.array(expected))
+        # float() rounds to float64, and that rounds to the blocks' float32
+        assert np.array_equal(np.concatenate(continuous),
+                              np.array(expected).astype(np.float32))
 
 
 class TestSchema:

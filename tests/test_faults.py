@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import zids
-from zids import cli, mlp, synthetic
+from zids import cli, errors, mlp, synthetic
 from zids import preprocess as pp
 from zids import dataset as ds
 from conftest import SMALL_PROFILE, run_cli
@@ -209,6 +209,16 @@ PRECEDENCE = {
     "unknown_label_then_bad_cell": (
         [make_line("mystery."), make_line(src_bytes="abc")],
         "data error: line 1: unknown label: 'mystery'"),
+    # finite to float(), past float32's range (3.4028235e38): through
+    # np.loadtxt, cell by cell, and in the re-read of an earlier line
+    "float32_overflow": (
+        [make_line(src_bytes="1e39")],
+        "data error: line 1, column 4: not a finite non-negative number: '1e39'\n"),
+    "float32_overflow_cell_by_cell": (
+        [make_line(src_bytes="1_0e38")],
+        "data error: line 1, column 4: not a finite non-negative number: '1_0e38'\n"),
+    "float32_overflow_then_41_fields": (
+        [make_line(src_bytes="1e39"), FORTY_ONE_FIELDS], "data error: line 1, column 4:"),
     "bad_cell_in_second_block": (
         [make_line()] * 1500 + [make_line(src_bytes="-215")]
         + [make_line()] * 98 + [FORTY_ONE_FIELDS],
@@ -414,6 +424,35 @@ def test_entry_point_exit_code(tmp_path):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("data error:") and "not UTF-8" in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+def error_classes(cls=errors.ZidsError):
+    """cls and all its subclasses, recursively."""
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from error_classes(sub)
+
+
+# Every other error class is a data error: (2, "data error").
+USAGE_ERRORS = {"ConfigError", "BadDimsError", "BadBudgetError"}
+NUMERIC_ERRORS = {"NonFiniteLossError"}
+
+
+@pytest.mark.parametrize("cls", list(error_classes()), ids=lambda cls: cls.__name__)
+def test_error_class_sets_exit_code_and_prefix(tmp_path, capsys, monkeypatch, cls):
+    expected = ((1, "error") if cls.__name__ in USAGE_ERRORS
+                else (3, "numeric failure") if cls.__name__ in NUMERIC_ERRORS
+                else (2, "data error"))
+    assert (cls.exit_code, cls.prefix) == expected
+
+    def command(args):
+        # __new__ skips the class's own __init__ and its arguments
+        raise cls.__new__(cls, f"stub {cls.__name__}")
+
+    monkeypatch.setattr(cli, "cmd_report", command)
+    rc = run_cli("report", "--report", tmp_path / "report.json")
+    err = assert_one_line_error(capsys, rc, expected[0])
+    assert err == f"{expected[1]}: stub {cls.__name__}\n"
 
 
 OUT_OF_MEMORY = """

@@ -184,6 +184,15 @@ class TestEncode:
         lo, hi = scaling[col]
         assert lo == hi
 
+    def test_range_below_float32_normal_scales_to_zero(self):
+        tiny = np.finfo(np.float32).tiny
+        x = np.array([[0.0, 0.0, 1.0, 5.0],
+                      [1e-45, tiny, 3.0, 5.0]], dtype=np.float32)
+        pp.apply_scaling(x, pp.fit_scaling(x))
+        # a subnormal range maps to 0 like a zero one; the smallest normal
+        # range still scales, to 2**-126 * 2**126 == 1 exactly
+        assert np.array_equal(x, [[0, 0, 0, 0], [0, 1, 1, 0]])
+
     def test_applied_scaling_may_exceed_unit(self, corpus):
         x, _ = corpus.scaled(fit_rows=100)
         n_cont = len(ds.CONTINUOUS_POSITIONS)
