@@ -197,6 +197,19 @@ class TestPrepare:
         }
         assert got == expected
 
+    def test_experiment_digests_pinned(self, experiment):
+        """The same guard on the 1x corpus, which spans about 16 whole
+        CHUNK_CHARS chunks where the small corpus spans two."""
+        expected = {
+            "train.zids": "04caee21fd15daa74fa297636b9cb7561bf4e9300ebf1dc650b373443e70bbed",
+            "test.zids": "4060f427f30fee1c9afa05a5d1eafe5f77c12a144ab4229224183d29133f30c3",
+        }
+        got = {
+            name: hashlib.sha256((experiment.prepared / name).read_bytes()).hexdigest()
+            for name in expected
+        }
+        assert got == expected
+
     def test_container_contents_pinned(self, small_experiment):
         """Pins what the containers hold, apart from their layout: the
         digests were taken from the format-1 files of the same corpus, whose
