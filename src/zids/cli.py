@@ -392,6 +392,10 @@ def cmd_prepare(args) -> int:
                         f"split of {n} rows empty"
                     )
             scaling = streams["train"].fit_scaling()
+            # Refuses a column where a test value scales past float32's
+            # range: the test split's extremes are its extreme scaled values.
+            test = streams["test"]
+            pp.apply_scaling(np.stack([test.lo, test.hi]), scaling, float_names)
             for name, idx in splits.items():
                 streams[name].finish(scaling, codes[:, idx], [
                     pp.LabelColumn("coarse", list(ds.CATEGORIES), y_coarse[idx]),

@@ -10,7 +10,7 @@ name their own columns.
 `prepare` reads a text twice, in the same chunks of whole lines (_chunks):
 iter_strings takes the four string fields, splitting a plain chunk with
 numpy and any other line by line, and iter_continuous converts the 38
-numbers of every stripped, non-blank line.
+numbers of each distinct stripped, non-blank line of a chunk once.
 """
 
 from __future__ import annotations
@@ -172,23 +172,18 @@ class ChunkStats:
     per_line: int = 0
 
 
-def _chunks(
-    stream: TextIO, stats: ChunkStats, stop: Optional[int] = None
-) -> Iterator[tuple[int, str]]:
-    """(number of the first line, chunk) for runs of whole lines of a text
-    stream, in order: CHUNK_CHARS characters at a time, then to the end of
-    the line that read stopped in. Each chunk ends in "\n" (a last line
-    without one gets one) and is counted in stats.chunks. No chunk that
-    starts at or after line `stop` (1-based) is read.
+def _chunks(stream: TextIO, stats: ChunkStats) -> Iterator[str]:
+    """Runs of whole lines of a text stream, in order: CHUNK_CHARS
+    characters at a time, then to the end of the line that read stopped
+    in. Each chunk ends in "\n" (a last line without one gets one) and is
+    counted in stats.chunks. The readers number the lines themselves,
+    from the lines they split or the rows they find.
     """
-    line_no = 1
-    while (stop is None or line_no < stop) and (text := stream.read(CHUNK_CHARS)):
+    while text := stream.read(CHUNK_CHARS):
         if not text.endswith("\n"):
             text += stream.readline()
-        chunk = text if text.endswith("\n") else text + "\n"
         stats.chunks += 1
-        yield line_no, chunk
-        line_no += chunk.count("\n")
+        yield text if text.endswith("\n") else text + "\n"
 
 
 def _lines(chunk: str) -> list[str]:
@@ -308,15 +303,20 @@ def iter_strings(
     stats = stats if stats is not None else ChunkStats()
     error: Optional[ZidsError] = None
     with open_stream() as stream:
-        for line_no, chunk in _chunks(stream, stats):
+        line_no = 1
+        for chunk in _chunks(stream, stats):
             block = _fast_patterns(chunk)
             if block is None:
                 stats.per_line += 1
+                lines = _lines(chunk)
                 try:
-                    block = _per_line(line_no, _lines(chunk))
+                    block = _per_line(line_no, lines)
                 except (MalformedLineError, UnknownLabelError) as exc:
                     error = exc
                     break
+                line_no += len(lines)
+            else:
+                line_no += len(block[1])  # a plain chunk has no blank line
             yield block
     if error is not None:
         with open_stream() as stream:
@@ -418,12 +418,15 @@ def iter_continuous(
     non-negative number finite in float32 (at most 3.4028235e38).
 
     The stream is read in the chunks iter_strings reads, and every line
-    is stripped; blank lines are dropped. `stats`, if given, counts the
-    chunks, and as per_line those with a blank line or a line that
-    strip() changes.
+    is stripped; blank lines are dropped. Each distinct line of a chunk
+    is converted once, and the block is gathered back to row order: a
+    line's values depend on its text alone, and KDD99 repeats its lines.
+    `stats`, if given, counts the chunks, and as per_line those with a
+    blank line or a line that strip() changes.
     """
     stats = stats if stats is not None else ChunkStats()
-    for line_no, chunk in _chunks(stream, stats, stop):
+    line_no = 1
+    for chunk in _chunks(stream, stats):
         lines = _lines(chunk)
         if stop is not None:
             del lines[stop - line_no:]
@@ -432,8 +435,21 @@ def iter_continuous(
         if kept != lines:
             stats.per_line += 1
             numbers = [number for number, line in zip(numbers, lines) if line.strip()]
-        if kept:
-            yield _continuous(kept, numbers)
+        # Each distinct line once, in first-seen order, with the number of
+        # its first copy: that copy is where a bad cell in it is reported.
+        ids: dict[str, int] = {}
+        first: list[int] = []
+        rows = []
+        for number, line in zip(numbers, kept):
+            row = ids.setdefault(line, len(ids))
+            if row == len(first):
+                first.append(number)
+            rows.append(row)
+        if ids:
+            yield _continuous(list(ids), first).take(rows, axis=0)
+        line_no += len(lines)
+        if line_no == stop:
+            break
 
 
 # A name only: perfbench/spans.py rebinds zids.dataset.iter_kdd and fails

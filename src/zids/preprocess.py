@@ -25,6 +25,7 @@ from .errors import (
     CorruptContainerError,
     MissingClassError,
     OutOfRangeError,
+    ZidsError,
 )
 
 CONTAINER_MAGIC = b"ZIDS"
@@ -185,14 +186,18 @@ def fit_scaling(x: np.ndarray) -> list[tuple[float, float]]:
     return [(float(lo), float(hi)) for lo, hi in zip(x.min(axis=0), x.max(axis=0))]
 
 
-def apply_scaling(x: np.ndarray, scaling: Sequence[tuple[float, float]]) -> None:
+def apply_scaling(
+    x: np.ndarray, scaling: Sequence[tuple[float, float]], names: Sequence[str]
+) -> None:
     """In-place min-max scaling of the continuous columns x, one scaling
-    entry per column.
+    entry and one name per column.
 
     Columns with min == max map to 0, and so do columns whose float32
     range is below float32's smallest normal number, whose inverse
     float32 cannot hold. Values outside the fitted range scale past
-    [0, 1] without error.
+    [0, 1] without error, unless one scales past float32's range: a
+    range just above the smallest normal has an inverse near 1e38. Then
+    ZidsError names the first such column.
     """
     mins = np.asarray([lo for lo, _ in scaling], dtype=np.float32)
     ranges = np.asarray([hi - lo for lo, hi in scaling], dtype=np.float32)
@@ -200,7 +205,14 @@ def apply_scaling(x: np.ndarray, scaling: Sequence[tuple[float, float]]) -> None
     normal = ranges >= np.finfo(np.float32).tiny
     inv[normal] = 1.0 / ranges[normal]
     x -= mins  # in place: no (n, 38) temporaries
-    x *= inv
+    try:
+        with np.errstate(over="raise"):
+            x *= inv
+    except FloatingPointError:
+        j = int(np.flatnonzero(np.isinf(x).any(axis=0))[0])
+        lo, hi = scaling[j]
+        raise ZidsError(f"{names[j]}: a value scales past float32's range over "
+                        f"the train range {lo!r} to {hi!r}") from None
 
 
 def allocate_test_count(n_c: int, test_fraction: float) -> int:
@@ -418,7 +430,7 @@ def read_container(path, label_column: str) -> EncodedDataset:
             f"{path}: no label column {label_column!r}; available: {list(by_name)}"
         )
     chosen = by_name[label_column]
-    apply_scaling(rows.x, scaling)  # in place, in the buffer read
+    apply_scaling(rows.x, scaling, rows.float_names)  # in place, in the buffer read
     for array in (rows.x, rows.codes, chosen.y):
         array.flags.writeable = False
     return EncodedDataset(

@@ -3,9 +3,11 @@
 Pass 1 (iter_strings) splits a plain chunk with numpy and runs the
 per-line code on any other; forcing every chunk onto the per-line path
 must not change anything prepare takes from a corpus. Pass 2
-(iter_continuous) strips every line, and counts the chunks where that
-changed a line or dropped a blank one. The chunks are a few hundred
-characters, so lines and errors straddle chunk boundaries.
+(iter_continuous) strips every line, counts the chunks where that
+changed a line or dropped a blank one, and converts each distinct line
+of a chunk once, which the corpora with repeated lines check against a
+conversion of every line. The chunks are a few hundred characters, so
+lines and errors straddle chunk boundaries.
 """
 
 import gzip
@@ -95,6 +97,48 @@ def bad_cell_in_last_line(lines):
     lines[-1] = with_cell(lines[-1], 22, "1e999")
 
 
+# Pass 2 converts each distinct line of a chunk once. Each of the first 20
+# lines three times in a row, as KDD99 repeats its rows: a 257-character
+# chunk holds two lines, so even those hold repeats.
+REPEATS = [line for line in LINES[:20] for _ in range(3)]
+BAD = with_cell(LINES[3], 5, "-3")
+
+
+def repeats_edited(edit):
+    lines = list(REPEATS)
+    edit(lines)
+    return lines
+
+
+def bad_line_repeated(lines):
+    """Lines 11 and 12, and line 41 in another chunk, are one bad line."""
+    lines[10] = lines[11] = lines[40] = BAD
+
+
+def bad_line_after_repeats(lines):
+    """Line 14 differs from the copies of its line around it."""
+    lines[13] = with_cell(lines[13], 7, "x")
+
+
+def blanks_among_repeats(lines):
+    """Blank, whitespace and padded copies among the repeats, then lines
+    26 and 28 (as numbered once these are in) are one bad line."""
+    lines[19] = lines[21] = BAD
+    lines[17] = "  " + lines[17] + "\t"
+    for at in (18, 16, 7, 6, 0):
+        lines.insert(at, "")
+    lines.insert(3, " \t ")
+
+
+# name -> the error of each corpus with repeats, as (type, line, column)
+REPEAT_ERRORS = {
+    "repeats": None,
+    "bad_line_repeated": ("FieldTypeError", 11, 5),
+    "bad_line_after_repeats": ("FieldTypeError", 14, 7),
+    "blanks_among_repeats": ("FieldTypeError", 26, 5),
+}
+
+
 # name -> corpus text
 CORPORA = {
     "plain": joined(LINES),
@@ -112,6 +156,10 @@ CORPORA = {
     "unknown_label_then_bad_cell": joined(edited(unknown_label_then_bad_cell)),
     "bad_cell_then_unknown_label": joined(edited(bad_cell_then_unknown_label)),
     "bad_cell_in_last_line": joined(edited(bad_cell_in_last_line)),
+    "repeats": joined(REPEATS),
+    "bad_line_repeated": joined(repeats_edited(bad_line_repeated)),
+    "bad_line_after_repeats": joined(repeats_edited(bad_line_after_repeats)),
+    "blanks_among_repeats": joined(repeats_edited(blanks_among_repeats)),
 }
 
 
@@ -176,11 +224,12 @@ def compare(open_stream, small_chunks):
 
 
 # The corpora with a line that pass 1 cannot take on the numpy path.
-PER_LINE = {"blank_lines", "spaces_and_tabs", "non_ascii_service", "wide_service",
+PER_LINE = {"blank_lines", "spaces_and_tabs", "blanks_among_repeats",
+            "non_ascii_service", "wide_service",
             "bad_cell_then_41_fields", "fields_41_then_43", "fields_43_then_41",
             "unknown_label_then_bad_cell", "bad_cell_then_unknown_label"}
 # The corpora with a line that pass 2 strips or drops, before any error.
-STRIPPED = {"blank_lines", "spaces_and_tabs"}
+STRIPPED = {"blank_lines", "spaces_and_tabs", "blanks_among_repeats"}
 
 
 @pytest.mark.parametrize("name", sorted(CORPORA))
@@ -351,3 +400,111 @@ def test_manifest_counts_chunks(tmp_path, monkeypatch):
         "pass_2": {"chunks": pass_2.chunks, "per_line": pass_2.per_line},
     }
     assert chunks["pass_1"]["chunks"] > chunks["pass_1"]["per_line"] > 0
+
+
+def line_by_line(text, stop=None):
+    """The continuous blocks of each chunk from _checked_floats over every
+    stripped, non-blank line of the chunk before line stop, the error it
+    raises, as (type, line, column), and the chunks that hold a line
+    before stop."""
+    got = {"blocks": [], "error": None, "chunks": 0}
+    line_no = 1
+    try:
+        for chunk in ds._chunks(io.StringIO(text), ds.ChunkStats()):
+            if stop is not None and line_no >= stop:
+                break
+            got["chunks"] += 1
+            lines = ds._lines(chunk)
+            numbered = [(number, line.strip()) for number, line in enumerate(lines, line_no)
+                        if line.strip() and (stop is None or number < stop)]
+            if numbered:
+                numbers, kept = zip(*numbered)
+                got["blocks"].append(ds._checked_floats(list(kept), numbers))
+            line_no += len(lines)
+    except ZidsError as exc:
+        got["error"] = type(exc).__name__, exc.line_no, exc.column
+    return got
+
+
+def spy_on_continuous(monkeypatch):
+    """A list that gets the number of lines of each block _continuous
+    converts from now on."""
+    given = []
+    continuous = ds._continuous
+
+    def spy(lines, line_numbers):
+        block = continuous(lines, line_numbers)
+        given.append(len(lines))
+        return block
+
+    monkeypatch.setattr(ds, "_continuous", spy)
+    return given
+
+
+def distinct_lines(monkeypatch, text, stop=None):
+    """What line_by_line gives, from iter_continuous (the chunks those it
+    read), and the lines _continuous converted for its blocks."""
+    given = spy_on_continuous(monkeypatch)
+    stats = ds.ChunkStats()
+    got = {"blocks": [], "error": None}
+    try:
+        for block in ds.iter_continuous(io.StringIO(text), stop, stats):
+            got["blocks"].append(block)
+    except ZidsError as exc:
+        got["error"] = type(exc).__name__, exc.line_no, exc.column
+    return {**got, "chunks": stats.chunks}, sum(given)
+
+
+def assert_same_bits(got, expected):
+    assert [(b.dtype, b.shape) for b in got["blocks"]] == [
+        (b.dtype, b.shape) for b in expected["blocks"]]
+    assert [b.tobytes() for b in got["blocks"]] == [b.tobytes() for b in expected["blocks"]]
+    assert (got["error"], got["chunks"]) == (expected["error"], expected["chunks"])
+
+
+@pytest.mark.parametrize("name", sorted(REPEAT_ERRORS))
+def test_repeated_lines_convert_once(small_chunks, name):
+    """Every block equals the line-by-line conversion of all its chunk's
+    lines, bit for bit; an error names the first copy of the first bad
+    line, at its own line and column; _continuous is given fewer lines
+    than the rows it stands for."""
+    text = CORPORA[name]
+    got, given = distinct_lines(small_chunks, text)
+    assert_same_bits(got, line_by_line(text))
+    assert got["error"] == REPEAT_ERRORS[name]
+    assert given < sum(map(len, got["blocks"]))
+
+
+@pytest.mark.parametrize("name, stop", [
+    ("repeats", 2), ("repeats", 3), ("repeats", 11), ("repeats", 12),
+    ("blanks_among_repeats", 4), ("blanks_among_repeats", 5),
+    ("blanks_among_repeats", 22), ("blanks_among_repeats", 23),
+    ("blanks_among_repeats", 26),
+    ("bad_line_repeated", 11),
+])
+def test_stop_inside_repeats(small_chunks, name, stop):
+    """A stop inside a run of copies of one line (in "repeats", lines 10
+    to 12; in "blanks_among_repeats", lines 2, 3 and 5 around a
+    whitespace line, and 20, 22 and a padded 23 around a blank one) ends
+    the blocks before it, and before a bad line at it, and no chunk
+    after the one that holds line stop - 1 is read."""
+    text = CORPORA[name]
+    got, given = distinct_lines(small_chunks, text, stop)
+    assert_same_bits(got, line_by_line(text, stop))
+    assert got["error"] is None
+    rows = sum(map(len, got["blocks"]))
+    assert rows == sum(1 for line in text.split("\n")[:stop - 1] if line.strip())
+    assert given <= rows
+
+
+def test_each_distinct_line_of_a_chunk_converted_once(experiment, monkeypatch):
+    """On the 1x corpus, _continuous is given each chunk's distinct lines:
+    fewer lines than the corpus has rows."""
+    with cli._open_text(experiment.corpus) as text:
+        distinct = [len(set(filter(None, map(str.strip, ds._lines(chunk)))))
+                    for chunk in ds._chunks(text, ds.ChunkStats())]
+    given = spy_on_continuous(monkeypatch)
+    with cli._open_text(experiment.corpus) as text:
+        rows = sum(map(len, ds.iter_continuous(text)))
+    assert given == distinct
+    assert sum(given) < rows == 27_752

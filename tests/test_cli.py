@@ -12,10 +12,12 @@ import socket
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zids
 from zids import dataset as ds
 from zids import preprocess as pp
 from zids import _blas, cli, mlp, synthetic
@@ -332,6 +334,67 @@ class TestTrain:
                      "--epochs", 1, "--out", tmp_path / "run", "--seed", 0)
         assert rc == 0
         assert capsys.readouterr().err == ""
+
+    def test_prepare_refuses_a_column_scaling_past_float32(self, tmp_path):
+        """A duration of 1.2e-38, just above float32's smallest normal, on
+        every hundredth line and 0 elsewhere gives a train range whose
+        inverse is near 8.3e37, so a duration of 100 in the test split
+        scales past float32's range: prepare refuses the column, with one
+        line and no warning, even where warnings are errors."""
+        lines = synthetic.generate_lines(SMALL_PROFILE, seed=0)
+
+        def write(big):
+            corpus = tmp_path / "corpus.kdd"
+            with corpus.open("w") as fh:
+                for i, line in enumerate(lines):
+                    parts = line.split(",")
+                    parts[0] = "100" if i == big else "1.2e-38" if i % 100 == 0 else "0"
+                    parts[4] = str(i)  # src_bytes numbers the lines
+                    fh.write(",".join(parts) + "\n")
+            return corpus
+
+        # the split depends on the labels alone: find a line of the test split
+        first = tmp_path / "first"
+        assert run_cli("prepare", "--data", write(None), "--out", first, "--seed", 0) == 0
+        rows, scaling, _ = pp.read_container_columns(first / "test.zids")
+        assert scaling[0] == (0.0, float(np.float32(1.2e-38)))
+        big = int(rows.x[0, ds.CONTINUOUS_POSITIONS.index(4)])
+        out = tmp_path / "prepared"
+        src = str(Path(zids.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONWARNINGS": "error",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "zids", "prepare", "--data", str(write(big)),
+             "--out", str(out), "--seed", "0"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == (f"data error: duration: a value scales past float32's "
+                               f"range over the train range 0.0 to {scaling[0][1]!r}\n")
+        assert not (out / "train.zids").exists() and not (out / "test.zids").exists()
+
+    def test_container_scaling_past_float32_is_data_error(
+        self, small_experiment, tmp_path, capsys
+    ):
+        """A container that prepare would refuse (written before it did)
+        is a data error on read, where train exited 3 on a non-finite loss."""
+        prepared = tmp_path / "prepared"
+        shutil.copytree(small_experiment.prepared, prepared)
+        rows, scaling, columns = pp.read_container_columns(prepared / "test.zids")
+        x = rows.x.copy()
+        x[:, 0] = 0.0
+        x[0, 0] = 100.0
+        scaling = [(0.0, 1.2e-38), *scaling[1:]]
+        pp.write_container(prepared / "test.zids", dataclasses.replace(rows, x=x),
+                           scaling, columns)
+        out = tmp_path / "x"
+        rc = run_cli("train", "--prepared", prepared, "--variant", "truncated",
+                     "--epochs", 1, "--out", out)
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "data error: duration: a value scales past float32's range over "
+            "the train range 0.0 to 1.2e-38\n")
+        assert not out.exists()
 
     def test_containers_naming_other_columns_are_data_error(
         self, small_experiment, tmp_path, capsys

@@ -16,9 +16,11 @@ from zids.errors import (
     MissingClassError,
     OutOfRangeError,
     VersionMismatchError,
+    ZidsError,
 )
 
 
+FLOAT_NAMES = tuple(ds.FEATURE_NAMES[pos] for pos in ds.CONTINUOUS_POSITIONS)
 PROFILE = {
     "normal": 300, "smurf": 500, "neptune": 150, "satan": 30,
     "ipsweep": 20, "guess_passwd": 12, "warezclient": 10, "spy": 2,
@@ -44,7 +46,7 @@ class Corpus:
         """x min-max scaled on its first fit_rows rows (all by default)."""
         x = self.x.copy()
         scaling = pp.fit_scaling(x[:fit_rows])
-        pp.apply_scaling(x, scaling)
+        pp.apply_scaling(x, scaling, FLOAT_NAMES)
         return x, scaling
 
 
@@ -134,7 +136,7 @@ class TestEncode:
                 for pos in ds.CATEGORICAL_POSITIONS)
             assert np.array_equal(enc.y, y_fine[idx])
             cont = corpus.x[idx]
-            pp.apply_scaling(cont, enc.scaling)
+            pp.apply_scaling(cont, enc.scaling, enc.float_names)
             assert np.array_equal(enc.x, cont)
             dense = enc.rows().dense()
             assert dense.shape[1] == enc.d == len(enc.feature_names)
@@ -188,10 +190,22 @@ class TestEncode:
         tiny = np.finfo(np.float32).tiny
         x = np.array([[0.0, 0.0, 1.0, 5.0],
                       [1e-45, tiny, 3.0, 5.0]], dtype=np.float32)
-        pp.apply_scaling(x, pp.fit_scaling(x))
+        pp.apply_scaling(x, pp.fit_scaling(x), ("a", "b", "c", "d"))
         # a subnormal range maps to 0 like a zero one; the smallest normal
         # range still scales, to 2**-126 * 2**126 == 1 exactly
         assert np.array_equal(x, [[0, 0, 0, 0], [0, 1, 1, 0]])
+
+    def test_scaling_past_float32_is_data_error(self):
+        """A range just above float32's smallest normal has an inverse
+        near 8.3e37, so 100 scales past float32's range: a data error
+        naming the column, and no overflow warning."""
+        scaling = [(0.0, 1.0), (0.0, float(np.float32(1.2e-38)))]
+        x = np.array([[1.0, 1.2e-38], [0.5, 1e-39]], dtype=np.float32)
+        pp.apply_scaling(x, scaling, ("a", "b"))  # within float32's range
+        assert x[0].tolist() == pytest.approx([1.0, 1.0])
+        x = np.array([[1.0, 0.0], [0.5, 100.0]], dtype=np.float32)
+        with pytest.raises(ZidsError, match="^b: a value scales past float32's range"):
+            pp.apply_scaling(x, scaling, ("a", "b"))
 
     def test_applied_scaling_may_exceed_unit(self, corpus):
         x, _ = corpus.scaled(fit_rows=100)
